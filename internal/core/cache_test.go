@@ -185,6 +185,9 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 			t.Errorf("%s: serial %+v != batched %+v", obj, a, b)
 		}
 	}
+	// Delivery is asynchronous: count only after both notifiers drained.
+	serial.Quiesce()
+	batched.Quiesce()
 	serialMu.Lock()
 	ns := len(*serialNotes)
 	serialMu.Unlock()

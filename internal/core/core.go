@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -118,8 +119,13 @@ type Service struct {
 
 	mu       sync.Mutex
 	subs     map[string]*subscription
-	lastTrue map[string]map[string]bool // subID -> object -> condition state
-	seq      int
+	lastTrue map[string]map[string]bool // subID -> objects the condition holds for
+	// held is lastTrue indexed the other way: object ->
+	// the subscriptions whose condition currently holds for it, so the
+	// exit recheck of a stored reading visits only those. State changes
+	// go through setHeld and dropSub, which keep the two in step.
+	held map[string][]*subscription
+	seq  int
 
 	// privMu guards the read-mostly disclosure tables separately from
 	// the subscription state: applyPrivacy sits on the locate hot path
@@ -148,6 +154,8 @@ type Service struct {
 	notifyWorkers int
 	notifyWG      sync.WaitGroup
 	stop          chan struct{}
+	// drained closes once Close has seen every notifier worker exit.
+	drained chan struct{}
 
 	// started anchors Health's uptime.
 	started time.Time
@@ -204,6 +212,9 @@ type dispatch struct {
 	// enq anchors the notify stage: queue wait plus handler execution
 	// both count against delivery, not trigger evaluation.
 	enq time.Time
+	// barrier, when non-nil, makes this a Quiesce marker instead of a
+	// notification: the worker acknowledges on it and delivers nothing.
+	barrier chan<- struct{}
 }
 
 // Option configures the service.
@@ -261,6 +272,20 @@ var (
 // spatial database, loads the floor objects, and builds the topology
 // graph.
 func New(b *building.Building, opts ...Option) (*Service, error) {
+	s, err := newService(b, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.db.AddInsertHook(s.observeExit)
+	if s.history != nil {
+		s.db.AddInsertHook(s.observeForHistory)
+	}
+	return s, nil
+}
+
+// newService is New without the insert hooks (the oracle test installs
+// its reference exit observer instead).
+func newService(b *building.Building, opts []Option) (*Service, error) {
 	db, err := b.NewDB()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -276,11 +301,13 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 		now:      time.Now,
 		subs:     make(map[string]*subscription),
 		lastTrue: make(map[string]map[string]bool),
+		held:     make(map[string][]*subscription),
 		privacy:  make(map[string]PrivacyPolicy),
 		acls:     make(map[string]AccessPolicy),
 		cache:    locateCache{entries: make(map[string]*locEntry)},
 		quantum:  defaultCacheQuantum,
 		stop:     make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -316,10 +343,6 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 	}
 	mNotifyWorkers.Set(float64(s.notifyWorkers))
 	s.started = s.now()
-	db.AddInsertHook(s.observeExit)
-	if s.history != nil {
-		db.AddInsertHook(s.observeForHistory)
-	}
 	return s, nil
 }
 
@@ -327,29 +350,87 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 // currently hold an object inside their region when a new reading for
 // that object lands elsewhere: without this, an object that left a
 // region silently would still be considered inside and its next entry
-// would not notify.
+// would not notify. The held index makes the cost proportional to the
+// subscriptions holding this object (typically none to two), not to
+// the subscription table.
 func (s *Service) observeExit(r model.Reading) {
 	obj := r.MObjectID
 	s.mu.Lock()
 	var stale []*subscription
-	for id, sub := range s.subs {
-		if sub.spec.Object != "" && sub.spec.Object != obj {
-			continue
-		}
-		if s.lastTrue[id][obj] && !sub.region.Intersects(r.Region) {
+	for _, sub := range s.held[obj] {
+		if !sub.region.Intersects(r.Region) {
 			stale = append(stale, sub)
 		}
 	}
 	s.mu.Unlock()
+	s.recheckHeld(obj, stale)
+}
+
+// recheckHeld re-evaluates each listed subscription's condition for
+// obj against the live tables and records the result.
+func (s *Service) recheckHeld(obj string, stale []*subscription) {
 	for _, sub := range stale {
-		p, _, err := s.probInRect(obj, sub.region)
-		inside := err == nil && p > 0 && p >= sub.spec.MinProb
+		p, band, err := s.probInRect(obj, sub.region)
+		inside := err == nil && sub.qualifies(p, band)
 		s.mu.Lock()
-		if state, ok := s.lastTrue[sub.id]; ok {
-			state[obj] = inside
-		}
+		s.setHeld(sub, obj, inside)
 		s.mu.Unlock()
 	}
+}
+
+// qualifies reports whether probability p, classified as band, meets
+// the subscription's condition.
+func (sub *subscription) qualifies(p float64, band fusion.Band) bool {
+	return p > 0 && p >= sub.spec.MinProb && (sub.spec.MinBand == 0 || band >= sub.spec.MinBand)
+}
+
+// setHeld records sub's condition state for obj — lastTrue keeps only
+// the true entries — and keeps the held index in step with it. It
+// returns the previous state; ok is false (and nothing is recorded)
+// when the subscription is gone. Caller holds s.mu.
+func (s *Service) setHeld(sub *subscription, obj string, holds bool) (was, ok bool) {
+	state, ok := s.lastTrue[sub.id]
+	if !ok {
+		return false, false
+	}
+	was = state[obj]
+	switch {
+	case holds && !was:
+		state[obj] = true
+		s.held[obj] = append(s.held[obj], sub)
+	case was && !holds:
+		delete(state, obj)
+		s.unhold(obj, sub)
+	}
+	return was, true
+}
+
+// unhold removes sub from obj's held list, keeping the order of the
+// rest. Caller holds s.mu.
+func (s *Service) unhold(obj string, sub *subscription) {
+	hs := s.held[obj]
+	switch i := slices.Index(hs, sub); {
+	case i < 0:
+	case len(hs) == 1:
+		delete(s.held, obj)
+	default:
+		s.held[obj] = slices.Delete(hs, i, i+1)
+	}
+}
+
+// dropSub forgets a subscription and every held entry that names it,
+// reporting whether it existed. Caller holds s.mu.
+func (s *Service) dropSub(id string) bool {
+	sub, ok := s.subs[id]
+	if !ok {
+		return false
+	}
+	for obj := range s.lastTrue[id] {
+		s.unhold(obj, sub)
+	}
+	delete(s.subs, id)
+	delete(s.lastTrue, id)
+	return true
 }
 
 // Notifier sizing. The per-queue buffer keeps the pre-sharding total
@@ -401,6 +482,10 @@ func (s *Service) notifyDepth() int {
 // deliver runs one queued notification handler, accounting queue wait
 // plus handler time to the notify stage.
 func (s *Service) deliver(d dispatch) {
+	if d.barrier != nil {
+		d.barrier <- struct{}{}
+		return
+	}
 	d.fn(d.n)
 	mNotifyUs.Observe(float64(time.Since(d.enq).Microseconds()))
 	obs.SpanSince(d.n.Trace, "notify", d.enq)
@@ -442,8 +527,37 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	s.notifyWG.Wait()
+	close(s.drained)
 	if s.pool != nil {
 		s.pool.close()
+	}
+}
+
+// Quiesce returns once every notification enqueued before the call has
+// been delivered to its handler. Each worker drains one FIFO queue, so
+// a marker sent down every queue is acknowledged only after everything
+// ahead of it ran. After Close it returns as soon as the workers have
+// drained and exited. It must not be called from a handler.
+func (s *Service) Quiesce() {
+	ack := make(chan struct{}, len(s.notifyQs)) // one slot per marker: workers never block on it
+	sent := 0
+	for _, q := range s.notifyQs {
+		select {
+		case q <- dispatch{barrier: ack}:
+			sent++
+		case <-s.stop:
+			<-s.drained
+			return
+		}
+	}
+	for ; sent > 0; sent-- {
+		select {
+		case <-ack:
+		case <-s.drained:
+			// Closed under us: the workers delivered what was queued and
+			// are gone, so an unacknowledged marker never will be.
+			return
+		}
 	}
 }
 
@@ -799,8 +913,7 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 
 	if err := s.db.AddTrigger(id, spec.Object, rect, s.onTrigger(sub)); err != nil {
 		s.mu.Lock()
-		delete(s.subs, id)
-		delete(s.lastTrue, id)
+		s.dropSub(id)
 		s.mu.Unlock()
 		return "", err
 	}
@@ -858,20 +971,14 @@ func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap
 			return
 		}
 	}
-	qualifies := p > 0 && p >= sub.spec.MinProb
-	if qualifies && sub.spec.MinBand > 0 && band < sub.spec.MinBand {
-		qualifies = false
-	}
+	qualifies := sub.qualifies(p, band)
 	s.mu.Lock()
-	state, ok := s.lastTrue[sub.id]
+	was, ok := s.setHeld(sub, obj, qualifies)
+	s.mu.Unlock()
 	if !ok { // unsubscribed concurrently
-		s.mu.Unlock()
 		evalDone()
 		return
 	}
-	was := state[obj]
-	state[obj] = qualifies
-	s.mu.Unlock()
 
 	if !qualifies || (was && !sub.spec.EveryReading) {
 		evalDone()
@@ -902,9 +1009,7 @@ func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap
 // Unsubscribe removes a subscription.
 func (s *Service) Unsubscribe(id string) error {
 	s.mu.Lock()
-	_, ok := s.subs[id]
-	delete(s.subs, id)
-	delete(s.lastTrue, id)
+	ok := s.dropSub(id)
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: unknown subscription %s", ErrBadSub, id)

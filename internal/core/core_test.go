@@ -276,7 +276,7 @@ func TestSubscriptionEntryNotification(t *testing.T) {
 	// A second reading inside the region does NOT re-notify (entry
 	// semantics).
 	ingestAt(t, s, "ubi-1", "ivan", 371, 16, t0.Add(time.Second))
-	time.Sleep(50 * time.Millisecond)
+	s.Quiesce()
 	mu.Lock()
 	if len(got) != 1 {
 		t.Errorf("re-notified while inside: %+v", got)
@@ -320,19 +320,11 @@ func TestSubscriptionEveryReading(t *testing.T) {
 	}
 	// Another object must not trigger judy's subscription.
 	ingestAt(t, s, "ubi-1", "karl", 370, 15, t0)
-	deadline := time.After(2 * time.Second)
-	for {
-		mu.Lock()
-		c := count
-		mu.Unlock()
-		if c == 3 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("count = %d, want 3", c)
-		case <-time.After(10 * time.Millisecond):
-		}
+	s.Quiesce()
+	mu.Lock()
+	defer mu.Unlock()
+	if count != 3 {
+		t.Fatalf("count = %d, want 3", count)
 	}
 }
 
@@ -349,10 +341,11 @@ func TestSubscriptionBandFilter(t *testing.T) {
 	}
 	// A weak RFID fix does not reach very-high.
 	ingestAt(t, s, "rf-1", "lena", 370, 15, t0)
+	s.Quiesce()
 	select {
 	case n := <-notified:
 		t.Fatalf("unexpected notification %+v", n)
-	case <-time.After(100 * time.Millisecond):
+	default:
 	}
 }
 

@@ -1,0 +1,336 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"middlewhere/internal/building"
+	"middlewhere/internal/fusion"
+	"middlewhere/internal/geom"
+	"middlewhere/internal/glob"
+	"middlewhere/internal/model"
+)
+
+// observeExitScan is the exit observer as it was before the held index
+// — every subscription examined for every stored reading — kept as the
+// reference the indexed observeExit is compared against.
+func (s *Service) observeExitScan(r model.Reading) {
+	obj := r.MObjectID
+	s.mu.Lock()
+	var stale []*subscription
+	for id, sub := range s.subs {
+		if sub.spec.Object != "" && sub.spec.Object != obj {
+			continue
+		}
+		if s.lastTrue[id][obj] && !sub.region.Intersects(r.Region) {
+			stale = append(stale, sub)
+		}
+	}
+	s.mu.Unlock()
+	s.recheckHeld(obj, stale)
+}
+
+// checkHeldIndex asserts held ≡ {(sub, obj) : lastTrue[sub][obj]} with
+// no duplicate, dangling or empty entries.
+func checkHeldIndex(t *testing.T, s *Service, step int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	want := 0
+	for id, state := range s.lastTrue {
+		for obj, holds := range state {
+			if !holds {
+				continue
+			}
+			want++
+			n := 0
+			for _, h := range s.held[obj] {
+				if h == s.subs[id] {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("step %d: lastTrue[%s][%s] holds but the index lists it %d times", step, id, obj, n)
+			}
+		}
+	}
+	got := 0
+	for obj, hs := range s.held {
+		if len(hs) == 0 {
+			t.Fatalf("step %d: empty held list kept for %s", step, obj)
+		}
+		got += len(hs)
+	}
+	if got != want {
+		t.Fatalf("step %d: index holds %d entries, lastTrue has %d true", step, got, want)
+	}
+}
+
+// oracleTwin is one of the two services the oracle test drives in
+// lockstep, with everything its handlers received.
+type oracleTwin struct {
+	svc *Service
+	mu  sync.Mutex
+	log []Notification
+}
+
+// drain waits for delivery and returns the notifications since the last
+// drain grouped by object: with one notifier worker each object's
+// notifications arrive in evaluation order, while a batch fanned across
+// the pool interleaves different objects arbitrarily.
+func (tw *oracleTwin) drain() map[string][]Notification {
+	tw.svc.Quiesce()
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	out := make(map[string][]Notification)
+	for _, n := range tw.log {
+		out[n.Object] = append(out[n.Object], n)
+	}
+	tw.log = nil
+	return out
+}
+
+// TestHeldIndexMatchesSubscriptionScan drives random subscribe /
+// unsubscribe / ingest / batch-ingest sequences through two services
+// that differ only in the exit observer — the held index against the
+// scan of every subscription — and demands identical notification
+// sequences, identical condition state, and a consistent index after
+// every step.
+func TestHeldIndexMatchesSubscriptionScan(t *testing.T) {
+	regions := []string{"CS/Floor3/3105", "CS/Floor3/NetLab", "CS/Floor3/HCILab",
+		"CS/Floor3/MainCorridor", "CS/Floor3/LabCorridor", "CS/Floor3"}
+	objects := []string{"ann", "bob", "cy", "dee"}
+	// Room centres, a far corridor spot, and two spots within RFID
+	// range of a neighbouring room.
+	spots := []geom.Point{{X: 335, Y: 15}, {X: 370, Y: 15}, {X: 395, Y: 15}, {X: 250, Y: 37},
+		{X: 355, Y: 15}, {X: 100, Y: 37}, {X: 361, Y: 15}, {X: 379, Y: 28}}
+	floor := glob.MustParse("CS/Floor3")
+
+	for seed := int64(1); seed <= 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			clock := &testClock{now: t0}
+			// Odd seeds evaluate batches serially against the live tables,
+			// even seeds fan them across the pool against a snapshot.
+			par := 1
+			if seed%2 == 0 {
+				par = 4
+			}
+			opts := []Option{WithClock(clock.Now), WithNotifyWorkers(1), WithParallelism(par)}
+			build := func(indexed bool) *oracleTwin {
+				s, err := newService(building.PaperFloor(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if indexed {
+					s.db.AddInsertHook(s.observeExit)
+				} else {
+					s.db.AddInsertHook(s.observeExitScan)
+				}
+				t.Cleanup(s.Close)
+				ubi := model.UbisenseSpec(0.9)
+				ubi.TTL = time.Minute
+				if err := s.RegisterSensor("ubi-1", ubi); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.RegisterSensor("rf-1", model.RFIDSpec(0.8)); err != nil {
+					t.Fatal(err)
+				}
+				return &oracleTwin{svc: s}
+			}
+			twins := []*oracleTwin{build(true), build(false)}
+
+			var live []string // subscription IDs, identical in both twins
+			notified, exits := 0, 0
+			heldEntries := func() int {
+				n := 0
+				for _, hs := range twins[0].svc.held {
+					n += len(hs)
+				}
+				return n
+			}
+			reading := func() model.Reading {
+				return model.Reading{
+					SensorID:  []string{"ubi-1", "ubi-1", "rf-1"}[rng.Intn(3)],
+					MObjectID: objects[rng.Intn(len(objects))],
+					Location:  glob.CoordinatePoint(floor, spots[rng.Intn(len(spots))]),
+					Time:      clock.Now(),
+				}
+			}
+			for step := 0; step < 400; step++ {
+				clock.Advance(10 * time.Millisecond)
+				heldBefore, unsubscribed := heldEntries(), false
+				switch op := rng.Intn(10); {
+				case op == 0 && len(live) < 14:
+					spec := Subscription{
+						Region:       glob.MustParse(regions[rng.Intn(len(regions))]),
+						MinProb:      []float64{0, 0.3, 0.6}[rng.Intn(3)],
+						MinBand:      []fusion.Band{0, 0, fusion.BandMedium}[rng.Intn(3)],
+						EveryReading: rng.Intn(3) == 0,
+					}
+					if rng.Intn(2) == 0 {
+						spec.Object = objects[rng.Intn(len(objects))]
+					}
+					var ids [2]string
+					for i, tw := range twins {
+						tw := tw
+						spec.Handler = func(n Notification) {
+							tw.mu.Lock()
+							tw.log = append(tw.log, n)
+							tw.mu.Unlock()
+						}
+						id, err := tw.svc.Subscribe(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ids[i] = id
+					}
+					if ids[0] != ids[1] {
+						t.Fatalf("step %d: twins diverged on subscription id: %v", step, ids)
+					}
+					live = append(live, ids[0])
+				case op == 1 && len(live) > 0:
+					k := rng.Intn(len(live))
+					for _, tw := range twins {
+						if err := tw.svc.Unsubscribe(live[k]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					live = append(live[:k], live[k+1:]...)
+					unsubscribed = true
+				case op < 5:
+					batch := make([]model.Reading, 2+rng.Intn(7))
+					for i := range batch {
+						batch[i] = reading()
+					}
+					for _, tw := range twins {
+						if err := tw.svc.IngestBatch(batch); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
+					r := reading()
+					for _, tw := range twins {
+						if err := tw.svc.Ingest(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				got, want := twins[0].drain(), twins[1].drain()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: notifications diverged\n index %+v\n scan  %+v", step, got, want)
+				}
+				for _, ns := range got {
+					notified += len(ns)
+				}
+				for _, tw := range twins {
+					checkHeldIndex(t, tw.svc, step)
+				}
+				if !unsubscribed && heldEntries() < heldBefore {
+					exits++
+				}
+				if a, b := twins[0].svc.lastTrue, twins[1].svc.lastTrue; !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d: condition state diverged\n index %v\n scan  %v", step, a, b)
+				}
+			}
+			if notified == 0 || exits == 0 {
+				t.Errorf("%d notifications, %d steps with an exit: the sequence exercised nothing", notified, exits)
+			}
+		})
+	}
+}
+
+// TestExitRecheckHonoursMinBand: the exit recheck applies the whole
+// condition, band included. Fused mass is positive everywhere, so a
+// banded subscription with no MinProb used to be rechecked as "still
+// inside" wherever the object went, and its next entry was swallowed.
+func TestExitRecheckHonoursMinBand(t *testing.T) {
+	s, _ := newTestService(t)
+	var mu sync.Mutex
+	got := 0
+	_, err := s.Subscribe(Subscription{
+		Region:  glob.MustParse("CS/Floor3/NetLab"),
+		MinBand: fusion.BandMedium,
+		Handler: func(Notification) {
+			mu.Lock()
+			got++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		s.Quiesce()
+		mu.Lock()
+		defer mu.Unlock()
+		return got
+	}
+	netLab, err := s.DB().ResolveGLOB(glob.MustParse("CS/Floor3/NetLab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ingestAt(t, s, "ubi-1", "mia", 370, 15, t0)
+	if n := count(); n != 1 {
+		t.Fatalf("entry: %d notifications, want 1", n)
+	}
+	// A fix far down the corridor: P(NetLab) is tiny but positive.
+	ingestAt(t, s, "ubi-1", "mia", 100, 37, t0.Add(time.Second))
+	if p, band, err := s.probInRect("mia", netLab); err != nil || p <= 0 || band >= fusion.BandMedium {
+		t.Fatalf("scenario broken: P(NetLab) = %v band %v err %v, want positive and below medium", p, band, err)
+	}
+	s.mu.Lock()
+	stillHeld := len(s.held["mia"])
+	s.mu.Unlock()
+	if stillHeld != 0 {
+		t.Fatalf("exit recheck kept a condition the band rules out (%d held)", stillHeld)
+	}
+	// Back in the lab: an entry, so it notifies again.
+	ingestAt(t, s, "ubi-1", "mia", 371, 16, t0.Add(2*time.Second))
+	if n := count(); n != 2 {
+		t.Fatalf("re-entry: %d notifications, want 2", n)
+	}
+}
+
+// TestQuiesceWaitsForDelivery: Quiesce returns only after handlers
+// enqueued before it have run, on every worker queue, and does not
+// hang on a closed service.
+func TestQuiesceWaitsForDelivery(t *testing.T) {
+	s, _ := newShardedNotifyService(t, 4)
+	var mu sync.Mutex
+	delivered := 0
+	const subs = 8
+	for i := 0; i < subs; i++ {
+		_, err := s.Subscribe(Subscription{
+			Region:       glob.MustParse("CS/Floor3/NetLab"),
+			EveryReading: true,
+			Handler: func(Notification) {
+				time.Sleep(time.Millisecond) // delivery lags the ingest call
+				mu.Lock()
+				delivered++
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 5; j++ {
+		ingestAt(t, s, "ubi-1", "walker", 370, 15, t0.Add(time.Duration(j)*time.Second))
+		s.Quiesce()
+		mu.Lock()
+		n := delivered
+		mu.Unlock()
+		if n != subs*(j+1) {
+			t.Fatalf("after reading %d: %d notifications delivered, want %d", j, n, subs*(j+1))
+		}
+	}
+	s.Close()
+	s.Quiesce()
+}

@@ -151,8 +151,18 @@ func TestChaosFederationKillRestart(t *testing.T) {
 
 	// Phase 4: kill/restart once more while rounds keep flowing, to
 	// catch a migration of phase-2 leftovers mid-handoff.
-	go func() { time.Sleep(2 * time.Millisecond); f.cluster.Kill("gamma") }()
+	rekillDone := make(chan struct{})
+	go func() {
+		defer close(rekillDone)
+		time.Sleep(2 * time.Millisecond)
+		f.cluster.Kill("gamma")
+	}()
 	ingestRound()
+	// The kill must land before the restart: a round that finishes
+	// inside the 2 ms would otherwise restart gamma first and leave it
+	// dead for the rest of the test, and nothing converges through a
+	// dead entry daemon.
+	<-rekillDone
 	if err := f.cluster.Restart("gamma"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,14 @@ import (
 //     count is a whole number of batches (the PR-5 atomicity contract,
 //     re-asserted against the lock-free protocol under heavier cut
 //     pressure).
-//  2. Ingest never parks at the cut gate: the optimistic sweep must
-//     absorb this load without escalating into writers, which the
-//     spatialdb_cut_wait_us histogram proves — it observes only when
-//     a bracket actually waited, so its count must not move.
+//  2. The optimistic sweep never parks ingest: a bracket waits at the
+//     cut gate only while an escalated cut holds it closed. The
+//     spatialdb_cut_wait_us histogram observes only when a bracket
+//     actually waited, so its count may move only in a run where
+//     spatialdb_snapshot_escalations_total moved too. (Escalation,
+//     the bounded fallback, is reachable under this load on a 2-CPU
+//     box in roughly one run in four, and parks whoever arrives while
+//     it drains — "the count never moves" is not an invariant.)
 func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 	const (
 		floors    = 4
@@ -38,7 +42,7 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitBase := mCutWaitUs.Count()
+	waitBase, escBase := mCutWaitUs.Count(), mCutEscalations.Value()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -101,12 +105,10 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 	}
 	close(stop)
 	cutters.Wait()
-	// The never-blocks half: nothing parked at the gate. (An
-	// escalation alone is not a failure — it is the bounded fallback —
-	// but under single-shard batches the sweep should win without one,
-	// and the hard contract is that ingest never waited.)
-	if got := mCutWaitUs.Count(); got != waitBase {
-		t.Errorf("ingest parked at the cut gate %d times; cuts must not block ingest", got-waitBase)
+	// The never-blocks half: only the bounded fallback, an escalated
+	// cut, may have parked a bracket at the gate.
+	if parked, escalated := mCutWaitUs.Count()-waitBase, mCutEscalations.Value()-escBase; parked > 0 && escalated == 0 {
+		t.Errorf("ingest parked at the cut gate %d times with no cut escalated; the optimistic sweep must not block ingest", parked)
 	}
 	// Every batch landed despite the cut pressure.
 	final := db.Snapshot()
@@ -253,4 +255,78 @@ func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
 	if got := mSnapClones.Value(); got != base+1 {
 		t.Errorf("quiet floor's first post-cut write: clones %d -> %d, want +1", base, got)
 	}
+}
+
+// TestConcurrentEscalatedCutsAllReturn is the liveness regression test
+// for the escalated cut: several cutters hammer Snapshot while writers
+// keep multi-shard brackets open back to back, so sweeps lose their
+// race and cuts escalate concurrently. Every Snapshot call must return
+// once the writers are done. With escalations sharing the one cutGate
+// boolean unserialized, the first to finish reopened the gate under
+// another still waiting for the drain; no writer broadcasts through an
+// open gate, so once the writers finished that waiter slept forever.
+// The hang needs a cutter parked at the moment writing stops, hence
+// many short bursts rather than one long one.
+func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
+	const (
+		floors  = 4
+		writers = 3
+		cutters = 4
+		bursts  = 60
+		batches = 25
+	)
+	db := multiFloorDB(t, floors)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	escBase := mCutEscalations.Value()
+	for burst := 0; burst < bursts; burst++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					// One reading per floor: the bracket spans every shard.
+					batch := make([]model.Reading, floors)
+					for f := 1; f <= floors; f++ {
+						batch[f-1] = floorReading("s1", fmt.Sprintf("w%d-f%d", w, f), f,
+							float64(b), float64(w), t0.Add(time.Duration(b)*time.Millisecond))
+					}
+					if n, err := db.InsertReadings(batch, nil); err != nil || n != floors {
+						t.Errorf("insert batch: n=%d err=%v", n, err)
+						return
+					}
+				}
+			}()
+		}
+		stop := make(chan struct{})
+		var cwg sync.WaitGroup
+		for c := 0; c < cutters; c++ {
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					db.Snapshot().Close()
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		returned := make(chan struct{})
+		go func() { cwg.Wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("burst %d: a cutter never returned from Snapshot with every writer finished (%d escalations so far)",
+				burst, mCutEscalations.Value()-escBase)
+		}
+	}
+	t.Logf("%d escalations", mCutEscalations.Value()-escBase)
 }

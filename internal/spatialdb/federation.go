@@ -36,22 +36,13 @@ func (db *DB) ObjectShardKey(id string) (string, bool) {
 // atomically with residence, so a concurrent in-process floor change
 // cannot tear it.
 func (db *DB) ExportObject(id string) ([]model.Reading, uint64, bool) {
-	for {
-		sh := db.residentShard(id)
-		if sh == nil {
-			return nil, 0, false
-		}
-		sh.readMu.RLock()
-		if db.residentShard(id) != sh {
-			sh.readMu.RUnlock()
-			continue // raced a migration; re-resolve
-		}
-		t := sh.table.Load()
-		rows := append([]model.Reading(nil), t.rows[id]...)
-		epoch := t.epochs[id]
-		sh.readMu.RUnlock()
-		return rows, epoch, true
+	sh := db.rlockResident(id)
+	if sh == nil {
+		return nil, 0, false
 	}
+	defer sh.readMu.RUnlock()
+	t := sh.table.Load()
+	return append([]model.Reading(nil), t.rows[id]...), t.epochs[id], true
 }
 
 // readingKey identifies a stored row for the import merge: one sensor
@@ -122,7 +113,6 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 			merged = merged[len(merged)-maxReadingsPerObject:]
 		}
 		t.rows[id] = merged
-		t.owned[id] = true
 		t.resetSupport(id, merged)
 		next := cur
 		if epoch > next {
@@ -199,7 +189,6 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		}
 		t := sh.mutableTable()
 		delete(t.rows, id)
-		delete(t.owned, id)
 		delete(t.epochs, id)
 		t.resetSupport(id, nil)
 		sh.writeEpoch.Add(1)

@@ -1,0 +1,224 @@
+package spatialdb
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"middlewhere/internal/geom"
+	"middlewhere/internal/glob"
+	"middlewhere/internal/model"
+)
+
+// latestPerSensorRef is the map-building reduction LatestPerSensor used
+// before latestRows, kept as the reference: newest TTL-filtered row per
+// sensor (earlier-stored wins a tie), sorted by sensor ID.
+func latestPerSensorRef(rows []model.Reading) []model.Reading {
+	latest := make(map[string]model.Reading, len(rows))
+	for _, r := range rows {
+		if cur, ok := latest[r.SensorID]; !ok || r.Time.After(cur.Time) {
+			latest[r.SensorID] = r
+		}
+	}
+	out := make([]model.Reading, 0, len(latest))
+	for _, r := range latest {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].SensorID < out[j].SensorID })
+	return out
+}
+
+func sameRows(a, b []model.Reading) bool {
+	if len(a) == 0 && len(b) == 0 {
+		return true
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// randomRing draws up to maxReadingsPerObject rows for one object from
+// sensors s0..s4 (TTLs 2 s, 5 s, 1 min) and the unregistered "ghost":
+// runs of one sensor and switches, times out of order on a half-second
+// grid so ties and expired rows are common, and a region unique to
+// each row so that which of two tied rows won is visible.
+func randomRing(rng *rand.Rand, obj string, now time.Time) []model.Reading {
+	sensors := []string{"s0", "s1", "s2", "s3", "s4", "ghost"}
+	n := rng.Intn(maxReadingsPerObject + 1)
+	rows := make([]model.Reading, n)
+	sensor := sensors[rng.Intn(len(sensors))]
+	for i := range rows {
+		if rng.Intn(2) == 0 {
+			sensor = sensors[rng.Intn(len(sensors))]
+		}
+		rows[i] = model.Reading{
+			SensorID:  sensor,
+			MObjectID: obj,
+			Location:  glob.MustParse(fmt.Sprintf("CS/Floor1/(%d,1)", i)),
+			Region:    geom.R(float64(i), 0, float64(i)+1, 1),
+			Time:      now.Add(-time.Duration(rng.Intn(16)) * 500 * time.Millisecond),
+		}
+	}
+	return rows
+}
+
+func registerRingSensors(t testing.TB, db *DB) {
+	t.Helper()
+	for i, ttl := range []time.Duration{2 * time.Second, 5 * time.Second, time.Minute, 2 * time.Second, time.Minute} {
+		spec := longSpec()
+		spec.TTL = ttl
+		if err := db.RegisterSensor(fmt.Sprintf("s%d", i), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// plantRows stores rows as obj's ring on floor 1 without going through
+// InsertReadings, which would refuse the unregistered sensor.
+func plantRows(db *DB, obj string, rows []model.Reading) {
+	sh := db.ensureShard("CS/Floor1")
+	sh.readMu.Lock()
+	sh.mutableTable().rows[obj] = rows
+	sh.readMu.Unlock()
+	db.residence.Store(obj, sh)
+}
+
+// TestLatestPerSensorMatchesReference pins the one-pass reduction to
+// what it replaced, latestPerSensor(ReadingsFor(...)), on the live path
+// (including the prune it falls back to) and on a snapshot.
+func TestLatestPerSensorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	db := multiFloorDB(t, 1)
+	registerRingSensors(t, db)
+	now := t0.Add(time.Hour)
+	for round := 0; round < 300; round++ {
+		obj := fmt.Sprintf("p%d", round)
+		rows := randomRing(rng, obj, now)
+		plantRows(db, obj, rows)
+
+		snap := db.Snapshot()
+		if got, want := snap.LatestPerSensor(obj, now), latestPerSensorRef(snap.ReadingsFor(obj, now)); !sameRows(got, want) {
+			t.Fatalf("round %d snapshot:\n got  %v\n want %v\n rows %v", round, got, want, rows)
+		}
+		snap.Close()
+
+		// Live: the pass runs on the unpruned ring first, the reference
+		// second (ReadingsFor prunes what the pass skipped).
+		got := db.LatestPerSensor(obj, now)
+		if want := latestPerSensorRef(db.ReadingsFor(obj, now)); !sameRows(got, want) {
+			t.Fatalf("round %d live:\n got  %v\n want %v\n rows %v", round, got, want, rows)
+		}
+		if again := db.LatestPerSensor(obj, now); !sameRows(again, got) {
+			t.Fatalf("round %d: answer changed after the prune:\n was %v\n now %v", round, got, again)
+		}
+	}
+}
+
+// TestLatestPerSensorAllocations bounds the fusion-input path on a full
+// ring: the winners' output slice and nothing proportional to the ring.
+func TestLatestPerSensorAllocations(t *testing.T) {
+	db := multiFloorDB(t, 1)
+	registerRingSensors(t, db)
+	now := t0.Add(time.Hour)
+	for i := 0; i < maxReadingsPerObject+10; i++ {
+		r := floorReading(fmt.Sprintf("s%d", 2+2*(i%2)), "full", 1, float64(i), 1, now.Add(-time.Duration(i)*time.Millisecond))
+		if err := db.InsertReading(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := db.Snapshot()
+	defer snap.Close()
+	if n := len(snap.rowsFor("full")); n != maxReadingsPerObject {
+		t.Fatalf("ring holds %d rows, want %d", n, maxReadingsPerObject)
+	}
+	var sink []model.Reading
+	if a := testing.AllocsPerRun(100, func() { sink = db.LatestPerSensor("full", now) }); a > 2 {
+		t.Errorf("live LatestPerSensor: %v allocs per call, want <= 2", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink = snap.LatestPerSensor("full", now) }); a > 2 {
+		t.Errorf("snapshot LatestPerSensor: %v allocs per call, want <= 2", a)
+	}
+	if len(sink) != 2 {
+		t.Fatalf("latest = %v, want one row for each of two sensors", sink)
+	}
+}
+
+// TestPinnedSnapshotRowsSurviveRingWrites is the single-writer
+// invariant of readTable under -race: rows a snapshot pinned stay
+// bit-identical while the live ring slides and re-bases under 300
+// further inserts, cuts that freeze the table in between, and a floor
+// migration that hands the array to another shard. A reader compares
+// throughout, so a write into a pinned slot is also a detected race.
+func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
+	db := multiFloorDB(t, 2)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i, floor int) {
+		t.Helper()
+		if err := db.InsertReading(floorReading("s1", "walker", floor, float64(i%400), 1,
+			t0.Add(time.Duration(i)*time.Millisecond))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type pin struct {
+		snap *Snapshot
+		want []model.Reading
+	}
+	pinNow := func() pin {
+		s := db.Snapshot()
+		return pin{s, append([]model.Reading(nil), s.rowsFor("walker")...)}
+	}
+	// Fill the ring past the cap so the pinned slice starts mid-array.
+	n := 0
+	for ; n < maxReadingsPerObject+6; n++ {
+		insert(n, 1)
+	}
+	pins := []pin{pinNow()}
+	if len(pins[0].want) != maxReadingsPerObject {
+		t.Fatalf("pinned %d rows, want a full ring", len(pins[0].want))
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	first := pins[0]
+	go func() {
+		defer close(done)
+		for {
+			if !reflect.DeepEqual(first.snap.rowsFor("walker"), first.want) {
+				t.Error("pinned rows changed while the ring was written")
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		floor := 1
+		if i >= 150 {
+			floor = 2 // i == 150 migrates the rows to the other shard
+		}
+		insert(n+i, floor)
+		switch {
+		case i%50 == 25:
+			pins = append(pins, pinNow())
+		case i%7 == 0:
+			db.Snapshot().Close() // freeze: the next insert clones the table maps
+		}
+	}
+	close(stop)
+	<-done
+	for i, p := range pins {
+		if !reflect.DeepEqual(p.snap.rowsFor("walker"), p.want) {
+			t.Errorf("pin %d: rows differ from what the snapshot captured", i)
+		}
+		p.snap.Close()
+	}
+	if key, _ := db.ObjectShardKey("walker"); key != "CS/Floor2" {
+		t.Fatalf("walker resident on %q, want the migration to CS/Floor2", key)
+	}
+}

@@ -171,7 +171,6 @@ func (db *DB) placeObject(id string, to *shard) {
 	if rows, ok := tf.rows[id]; ok {
 		tt.rows[id] = rows
 		delete(tf.rows, id)
-		delete(tf.owned, id)
 		// The support entry migrates with the rows: exact on the
 		// destination (recomputed from the moved rows), removed from
 		// the source.
@@ -199,6 +198,25 @@ func (db *DB) residentShard(id string) *shard {
 		return cur.(*shard)
 	}
 	return nil
+}
+
+// rlockResident returns the object's resident shard with its readMu
+// read-locked, or nil when the object has no rows. Residence is
+// re-checked under the lock — a migration cannot move rows out of a
+// shard while any of its locks are held — so what the caller reads is
+// atomic with placement. The caller unlocks.
+func (db *DB) rlockResident(id string) *shard {
+	for {
+		sh := db.residentShard(id)
+		if sh == nil {
+			return nil
+		}
+		sh.readMu.RLock()
+		if db.residentShard(id) == sh {
+			return sh
+		}
+		sh.readMu.RUnlock() // raced a migration; re-resolve
+	}
 }
 
 // InsertReadings stores a slice of readings with one lock acquisition
@@ -357,23 +375,13 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 			// Bound per-object storage: long-TTL sensors (desktop
 			// sessions, biometric long readings) must not accumulate
 			// without limit. The newest rows win; fusion only consumes
-			// the latest row per sensor anyway. An owned slice trims as
-			// a ring buffer: re-slicing off the head is O(1) and the
-			// append below reuses the backing array's spare capacity,
-			// re-basing (one O(cap) copy) only every ~cap inserts — so
-			// steady-state trim at the cap is O(1) amortized instead of
-			// an O(cap) copy per insert. A backing array inherited from
-			// a frozen snapshot table must never be re-sliced or
-			// rewritten; it is replaced with a fresh 2x-cap array once,
-			// after which the object is owned and rides the ring.
+			// the latest row per sensor anyway. The slice trims as a ring
+			// buffer: re-slicing off the head is O(1) and the append below
+			// reuses the backing array's spare capacity, re-basing (one
+			// O(cap) copy into a new array) only every ~cap inserts.
+			// Neither step touches a row a snapshot can see (readTable).
 			if len(rows) >= maxReadingsPerObject {
-				keep := rows[len(rows)-maxReadingsPerObject+1:]
-				if t.owned[r.MObjectID] {
-					rows = keep
-				} else {
-					rows = append(make([]model.Reading, 0, 2*maxReadingsPerObject), keep...)
-					t.owned[r.MObjectID] = true
-				}
+				rows = rows[len(rows)-maxReadingsPerObject+1:]
 			}
 			t.rows[r.MObjectID] = append(rows, *r)
 			t.epochs[r.MObjectID]++
@@ -553,10 +561,8 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 		}
 		if len(live) == 0 {
 			delete(t.rows, mobjectID)
-			delete(t.owned, mobjectID)
 		} else {
 			t.rows[mobjectID] = append([]model.Reading(nil), live...)
-			t.owned[mobjectID] = true
 		}
 		// Pruning is where the conservative support rect snaps back to
 		// exact: recompute it from the surviving rows.
@@ -569,26 +575,75 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 
 // LatestPerSensor returns, for each sensor that has an unexpired
 // reading for the object, only its newest one — the working set for
-// fusion.
+// fusion. The stored rows are reduced in place under the shared shard
+// lock; only when the pass meets an expired row does it go through
+// ReadingsFor, which prunes.
 func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
-	return latestPerSensor(db.ReadingsFor(mobjectID, now))
+	specs := db.sensorView.Load().specs
+	sh := db.rlockResident(mobjectID)
+	if sh == nil {
+		return nil
+	}
+	out, stale := latestRows(sh.table.Load().rows[mobjectID], specs, now)
+	sh.readMu.RUnlock()
+	if stale {
+		out, _ = latestRows(db.ReadingsFor(mobjectID, now), specs, now)
+	}
+	return out
 }
 
-// latestPerSensor reduces TTL-filtered rows to the newest per sensor,
-// sorted by sensor ID (shared by the live path and Snapshot).
-func latestPerSensor(rows []model.Reading) []model.Reading {
-	latest := make(map[string]model.Reading, len(rows))
-	for _, r := range rows {
-		if cur, ok := latest[r.SensorID]; !ok || r.Time.After(cur.Time) {
-			latest[r.SensorID] = r
+// latestRows reduces an object's stored rows to the newest unexpired
+// row per registered sensor, sorted by sensor ID (shared by the live
+// path and Snapshot). Of two rows with equal times the earlier-stored
+// wins. stale reports that some row was expired or had no spec — what
+// ReadingsFor would prune. One pass, copying only the winners: an
+// object reports through a handful of sensors, so the winners are
+// tracked as row indices in a small stack-backed slice.
+func latestRows(rows []model.Reading, specs map[string]model.SensorSpec, now time.Time) (out []model.Reading, stale bool) {
+	var buf [8]int
+	win := buf[:0]
+	var (
+		spec model.SensorSpec
+		ok   bool
+		last string
+	)
+	for i := range rows {
+		r := &rows[i]
+		// Consecutive rows mostly share a sensor: look the spec up once
+		// per run.
+		if i == 0 || r.SensorID != last {
+			last = r.SensorID
+			spec, ok = specs[last]
+		}
+		if !ok || r.Expired(now, spec.TTL) {
+			stale = true
+			continue
+		}
+		k := 0
+		for k < len(win) && rows[win[k]].SensorID != r.SensorID {
+			k++
+		}
+		switch {
+		case k == len(win):
+			win = append(win, i)
+		case r.Time.After(rows[win[k]].Time):
+			win[k] = i
 		}
 	}
-	out := make([]model.Reading, 0, len(latest))
-	for _, r := range latest {
-		out = append(out, r)
+	if len(win) == 0 {
+		return nil, stale
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SensorID < out[j].SensorID })
-	return out
+	// Insertion sort by sensor ID; IDs in win are distinct.
+	for i := 1; i < len(win); i++ {
+		for j := i; j > 0 && rows[win[j]].SensorID < rows[win[j-1]].SensorID; j-- {
+			win[j], win[j-1] = win[j-1], win[j]
+		}
+	}
+	out = make([]model.Reading, len(win))
+	for i, w := range win {
+		out[i] = rows[w]
+	}
+	return out, stale
 }
 
 // MobileObjects returns the IDs of all objects with stored readings,
@@ -651,10 +706,8 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 			for _, c := range changes {
 				if len(c.live) == 0 {
 					delete(t.rows, c.id)
-					delete(t.owned, c.id)
 				} else {
 					t.rows[c.id] = c.live
-					t.owned[c.id] = true
 				}
 				t.resetSupport(c.id, c.live)
 				if c.forced {

@@ -97,18 +97,27 @@ func shardKeyForID(id string) string {
 // per-object epoch counters). Tables are copy-on-write: Snapshot marks
 // the current table frozen, and the next writer clones the maps before
 // mutating (mutableTable), so a frozen table is immutable forever.
-// Row slices are shared between a table and its clones; writers may
-// append in place (appends land past every frozen reader's length) but
-// must never overwrite or re-slice a row slice they do not own — owned
-// tracks the slices allocated since this table instance was created.
+//
+// Row slices are shared between a table and its clones, and a frozen
+// table's rows stay bit-identical without any copy on the write path,
+// because each object's backing array has a single writer that never
+// rewrites a slot:
+//
+//   - Only the live table of the object's resident shard appends to
+//     the array, under that shard's readMu, and always from the newest
+//     slice header (a migration moves the header to the new resident;
+//     frozen tables never write). Every frozen header was the live one
+//     at some cut, so its end is at or before the live header's end.
+//   - An append writes the slot just past the live header's end — past
+//     every frozen header's end — or, with capacity exhausted, copies
+//     into a new array and leaves the old one untouched.
+//   - The ring trim at maxReadingsPerObject only re-slices the live
+//     header's head forward; it writes nothing.
+//   - Everything else that changes an object's rows (TTL prune, forced
+//     expiry, federation import) installs a freshly allocated slice.
 type readTable struct {
 	rows   map[string][]model.Reading
 	epochs map[string]uint64
-	// owned marks row slices whose backing array was allocated for
-	// this table instance: those may be trimmed in place. Slices
-	// inherited from a cloned (frozen) table must be replaced, not
-	// rewritten.
-	owned map[string]bool
 
 	// support indexes, per object, a rectangle guaranteed to contain
 	// the bounding box of the object's live (TTL-filtered) readings —
@@ -128,7 +137,6 @@ func newReadTable() *readTable {
 	return &readTable{
 		rows:    make(map[string][]model.Reading),
 		epochs:  make(map[string]uint64),
-		owned:   make(map[string]bool),
 		support: rtree.New(),
 		supRect: make(map[string]geom.Rect),
 	}
@@ -247,7 +255,6 @@ func (sh *shard) mutableTable() *readTable {
 	nt := &readTable{
 		rows:   make(map[string][]model.Reading, len(old.rows)),
 		epochs: make(map[string]uint64, len(old.epochs)),
-		owned:  make(map[string]bool),
 		// O(1) copy-on-write: the clone shares nodes with the frozen
 		// tree and deep-copies only on its first actual mutation.
 		support: old.support.Clone(),

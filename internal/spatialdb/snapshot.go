@@ -148,10 +148,25 @@ func (db *DB) capture(prev *Snapshot) []shardSnap {
 		// the very writers it is waiting out until preemption).
 		runtime.Gosched()
 	}
-	// Sustained ingest kept winning the race: close the gate, drain
-	// in-flight brackets, and capture stably. New brackets park at the
-	// gate (beginBatch), so every shard is quiescent here.
+	return db.drainAndCapture(captured)
+}
+
+// drainAndCapture is the escalated cut: sustained ingest kept winning
+// the sweep's race, so close the gate, drain in-flight brackets, and
+// capture stably. New brackets park at the gate (beginBatch), so every
+// shard is quiescent while the gate is closed. captured holds the
+// sweep's still-valid captures, which are kept.
+//
+// escMu admits one escalation at a time, from closing the gate to
+// reopening it. cutGate is a single boolean: were two cuts to share
+// it, the first to finish would reopen the gate under the other, whose
+// drain wait then never ends — writers admitted through the open gate
+// keep pending non-zero, and wakeCutWaiters skips the broadcast
+// because the gate reads open.
+func (db *DB) drainAndCapture(captured map[string]shardSnap) []shardSnap {
 	mCutEscalations.Inc()
+	db.escMu.Lock()
+	defer db.escMu.Unlock()
 	db.gateMu.Lock()
 	db.cutGate.Store(true)
 	for !db.pendingDrained() {
@@ -304,7 +319,8 @@ func (s *Snapshot) ReadingsFor(mobjectID string, now time.Time) []model.Reading 
 // for the object at the cut, only its newest one — the fusion working
 // set, identical in shape to DB.LatestPerSensor.
 func (s *Snapshot) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
-	return latestPerSensor(s.ReadingsFor(mobjectID, now))
+	out, _ := latestRows(s.rowsFor(mobjectID), s.sensors.specs, now)
+	return out
 }
 
 // MobileObjects returns the IDs of all objects with stored readings at

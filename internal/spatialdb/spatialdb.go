@@ -203,9 +203,11 @@ type DB struct {
 	// gateCond for in-flight mutation brackets to drain, captures, and
 	// reopens. Writers check the gate atomically in beginBatch — the
 	// mutex and condvar are touched only while the gate is closed.
+	// escMu serializes escalations (snapshot.go: drainAndCapture).
 	cutGate  atomic.Bool
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
+	escMu    sync.Mutex
 
 	// curSnap is the most recent Snapshot — the one-deep snapshot pool.
 	// Snapshot revalidates it against the epoch vector and hands it out

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"middlewhere/internal/geom"
@@ -34,6 +35,10 @@ type Graph struct {
 	regions map[string]Region
 	// doors[a][b] lists the doors between regions a and b (symmetric).
 	doors map[string]map[string][]rcc.Door
+	// nbrs[a] is the key set of doors[a], sorted. AddDoor maintains it
+	// so that route search, which expands neighbours in sorted order
+	// and runs concurrently from RPC handlers, only reads.
+	nbrs map[string][]string
 }
 
 // Sentinel errors.
@@ -47,6 +52,7 @@ func NewGraph() *Graph {
 	return &Graph{
 		regions: make(map[string]Region),
 		doors:   make(map[string]map[string][]rcc.Door),
+		nbrs:    make(map[string][]string),
 	}
 }
 
@@ -89,7 +95,16 @@ func (g *Graph) AddDoor(a, b string, d rcc.Door) error {
 	}
 	g.doors[a][b] = append(g.doors[a][b], d)
 	g.doors[b][a] = append(g.doors[b][a], d)
+	g.addNeighbour(a, b)
+	g.addNeighbour(b, a)
 	return nil
+}
+
+// addNeighbour inserts b into a's sorted neighbour list if absent.
+func (g *Graph) addNeighbour(a, b string) {
+	if i, found := slices.BinarySearch(g.nbrs[a], b); !found {
+		g.nbrs[a] = slices.Insert(g.nbrs[a], i, b)
+	}
 }
 
 // Doors returns the doors between two regions.
@@ -259,13 +274,9 @@ func (g *Graph) ShortestRoute(from, to string, policy TraversalPolicy) (Route, e
 
 		// Expand neighbours in sorted order so equal-cost ties always
 		// resolve the same way (map iteration order is randomized).
-		neighbours := make([]string, 0, len(g.doors[cur.node.region]))
-		for next := range g.doors[cur.node.region] {
-			neighbours = append(neighbours, next)
-		}
-		sort.Strings(neighbours)
-		for _, next := range neighbours {
-			for _, d := range g.doors[cur.node.region][next] {
+		doors := g.doors[cur.node.region]
+		for _, next := range g.nbrs[cur.node.region] {
+			for _, d := range doors[next] {
 				if !policy.passable(d) {
 					continue
 				}
