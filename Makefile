@@ -21,10 +21,12 @@ race:
 # times each under the race detector: the serial-vs-batch notification
 # count (needs the Quiesce barrier), the cache-freshness stress that
 # used to park in the escalated cut, and the concurrent-escalation
-# liveness test itself.
+# liveness test itself. Twenty runs of the cutters test take about a
+# minute here, so the gate gets its own, longer timeout: a slower
+# runner must not turn the flake gate into a timeout flake.
 concurrency-gate:
-	$(GO) test -race -count=20 -timeout 120s -run 'TestIngestBatchMatchesSerialIngest|TestCacheNeverServesStaleUnderRace' ./internal/core/
-	$(GO) test -race -count=20 -timeout 120s -run 'TestConcurrentEscalatedCutsAllReturn' ./internal/spatialdb/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestCacheNeverServesStaleUnderRace' ./internal/core/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentEscalatedCutsAllReturn|TestEscalationsTogetherShareOneClosure' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
 # the driver runs it (benchmark/README.md); arguments via ARGS, e.g.

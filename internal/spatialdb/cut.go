@@ -33,11 +33,13 @@ import (
 // Sweeps are optimistic and can in principle keep losing races under
 // heavy sustained ingest, so after snapSweepRounds unclean rounds the
 // snapshot escalates: it closes cutGate, waits for in-flight brackets
-// to drain, captures every shard stably, and reopens the gate. The
-// Dekker-style double check in beginBatch (pending++ first, gate load
-// second, back out if closed) guarantees the drain terminates: once
-// the gate is closed, every new bracket observes it and parks, so
-// pending counts only the brackets that were already admitted.
+// to drain, captures every shard stably, and reopens the gate — one
+// escalation at a time, cuts that queue behind it sharing its capture
+// (drainAndCapture in snapshot.go). The Dekker-style double check in
+// beginBatch (pending++ first, gate load second, back out if closed)
+// guarantees the drain terminates: once the gate is closed, every new
+// bracket observes it and parks, so pending counts only the brackets
+// that were already admitted.
 //
 // Nested brackets — placeObject migrating rows out of a previous floor
 // while the enclosing InsertReadings/ImportObject bracket is open —

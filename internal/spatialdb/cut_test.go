@@ -18,14 +18,14 @@ import (
 //     count is a whole number of batches (the PR-5 atomicity contract,
 //     re-asserted against the lock-free protocol under heavier cut
 //     pressure).
-//  2. The optimistic sweep never parks ingest: a bracket waits at the
-//     cut gate only while an escalated cut holds it closed. The
+//  2. Ingest parks at the cut gate only behind an escalated cut, and
+//     then at most once per writer per closure of the gate. The
 //     spatialdb_cut_wait_us histogram observes only when a bracket
-//     actually waited, so its count may move only in a run where
-//     spatialdb_snapshot_escalations_total moved too. (Escalation,
-//     the bounded fallback, is reachable under this load on a 2-CPU
-//     box in roughly one run in four, and parks whoever arrives while
-//     it drains — "the count never moves" is not an invariant.)
+//     actually waited, so its count is bounded by closures × writers —
+//     zero in a run where no cut escalated. (Escalation, the bounded
+//     fallback, is reached under this load on a 2-CPU box in about one
+//     run in seven and parks whoever arrives while it drains, so "the
+//     count never moves" is not an invariant.)
 func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 	const (
 		floors    = 4
@@ -42,7 +42,7 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitBase, escBase := mCutWaitUs.Count(), mCutEscalations.Value()
+	waitBase := mCutWaitUs.Count()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -105,10 +105,11 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 	}
 	close(stop)
 	cutters.Wait()
-	// The never-blocks half: only the bounded fallback, an escalated
-	// cut, may have parked a bracket at the gate.
-	if parked, escalated := mCutWaitUs.Count()-waitBase, mCutEscalations.Value()-escBase; parked > 0 && escalated == 0 {
-		t.Errorf("ingest parked at the cut gate %d times with no cut escalated; the optimistic sweep must not block ingest", parked)
+	// The never-blocks half: the sweep parked nobody, and each closure
+	// of the gate (escSeq counts them; the database is fresh) parked a
+	// writer at most once.
+	if parked, closures := mCutWaitUs.Count()-waitBase, db.escSeq.Load(); parked > closures*floors*objPerFlr {
+		t.Errorf("ingest parked at the cut gate %d times over %d closures; want at most one park per writer per closure, none from the optimistic sweep", parked, closures)
 	}
 	// Every batch landed despite the cut pressure.
 	final := db.Snapshot()
@@ -267,6 +268,10 @@ func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
 // open gate, so once the writers finished that waiter slept forever.
 // The hang needs a cutter parked at the moment writing stops, hence
 // many short bursts rather than one long one.
+//
+// Cuts that escalate together share one capture (drainAndCapture), so
+// every cut is also checked for what Snapshot promises: it holds each
+// batch that completed before the call, and all of a batch or none.
 func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 	const (
 		floors  = 4
@@ -280,6 +285,16 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	escBase := mCutEscalations.Value()
+	// Writer w stamps its k-th batch t0+k ms and publishes k once the
+	// batch is stored, so a row's time says which batch it came from.
+	var stored [writers]atomic.Int64
+	newest := func(snap *Snapshot, w, f int) int64 {
+		rows := snap.LatestPerSensor(fmt.Sprintf("w%d-f%d", w, f), t0)
+		if len(rows) == 0 {
+			return 0
+		}
+		return int64(rows[0].Time.Sub(t0) / time.Millisecond)
+	}
 	for burst := 0; burst < bursts; burst++ {
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -288,22 +303,25 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for b := 0; b < batches; b++ {
+					k := int64(burst*batches + b + 1)
 					// One reading per floor: the bracket spans every shard.
 					batch := make([]model.Reading, floors)
 					for f := 1; f <= floors; f++ {
 						batch[f-1] = floorReading("s1", fmt.Sprintf("w%d-f%d", w, f), f,
-							float64(b), float64(w), t0.Add(time.Duration(b)*time.Millisecond))
+							float64(b), float64(w), t0.Add(time.Duration(k)*time.Millisecond))
 					}
 					if n, err := db.InsertReadings(batch, nil); err != nil || n != floors {
 						t.Errorf("insert batch: n=%d err=%v", n, err)
 						return
 					}
+					stored[w].Store(k)
 				}
 			}()
 		}
 		stop := make(chan struct{})
 		var cwg sync.WaitGroup
 		for c := 0; c < cutters; c++ {
+			w := c % writers
 			cwg.Add(1)
 			go func() {
 				defer cwg.Done()
@@ -313,7 +331,21 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 						return
 					default:
 					}
-					db.Snapshot().Close()
+					before := stored[w].Load()
+					snap := db.Snapshot()
+					got := newest(snap, w, 1)
+					if got < before {
+						t.Errorf("cut holds writer %d up to batch %d; batch %d was stored before the call", w, got, before)
+					}
+					for f := 2; f <= floors; f++ {
+						if n := newest(snap, w, f); n != got {
+							t.Errorf("cut saw writer %d at batch %d on floor 1 and %d on floor %d: torn batch", w, got, n, f)
+						}
+					}
+					snap.Close()
+					if t.Failed() {
+						return
+					}
 				}
 			}()
 		}
@@ -328,5 +360,88 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 				burst, mCutEscalations.Value()-escBase)
 		}
 	}
-	t.Logf("%d escalations", mCutEscalations.Value()-escBase)
+	t.Logf("%d escalations, %d closures of the gate", mCutEscalations.Value()-escBase, db.escSeq.Load())
+}
+
+// TestEscalationsTogetherShareOneClosure pins what serializing the
+// escalations must not cost ingest: cuts that escalate together close
+// the gate once, not once each, and a writer parks at most once behind
+// them. A bracket held open by the test makes every sweep fail, so all
+// the cutters escalate and queue; releasing it lets the first drain.
+func TestEscalationsTogetherShareOneClosure(t *testing.T) {
+	const (
+		cutters = 4
+		writers = 3
+	)
+	db := multiFloorDB(t, 2)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for f := 1; f <= 2; f++ {
+		if err := db.InsertReading(floorReading("s1", "seed", f, 5, 5, t0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	escBase, waitBase := mCutEscalations.Value(), mCutWaitUs.Count()
+	held := db.allShards()[0]
+	db.beginBatch(held)
+	cuts := make(chan *Snapshot, cutters)
+	for c := 0; c < cutters; c++ {
+		go func() { cuts <- db.Snapshot() }()
+	}
+	// Every cutter has given up sweeping (it is counted before it
+	// queues) and the one whose turn it is has the gate closed.
+	deadline := time.Now().Add(10 * time.Second)
+	for mCutEscalations.Value()-escBase < cutters || !db.cutGate.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d cuts escalated, gate closed: %v", mCutEscalations.Value()-escBase, cutters, db.cutGate.Load())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Writers that arrive now find the gate closed.
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := db.InsertReading(floorReading("s1", fmt.Sprintf("w%d", w), 2, 5, 5, t0)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	db.endBatch(held)
+	for c := 0; c < cutters; c++ {
+		select {
+		case snap := <-cuts:
+			if n := len(snap.ReadingsFor("seed", t0)); n != 2 {
+				t.Errorf("cut holds %d seed rows, want 2", n)
+			}
+			snap.Close()
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cut %d of %d never returned", c+1, cutters)
+		}
+	}
+	wg.Wait()
+	if got := db.escSeq.Load(); got != 1 {
+		t.Errorf("%d cuts escalating together closed the gate %d times, want once", cutters, got)
+	}
+	if parked := mCutWaitUs.Count() - waitBase; parked > writers {
+		t.Errorf("%d writers parked %d times behind one closure", writers, parked)
+	}
+	// The shared capture is dropped with the queue, and a later cut is
+	// its own: it sees what was written since.
+	db.escMu.Lock()
+	kept := db.escCut != nil
+	db.escMu.Unlock()
+	if kept {
+		t.Error("escCut still held with no cut queued")
+	}
+	final := db.Snapshot()
+	defer final.Close()
+	for w := 0; w < writers; w++ {
+		if n := len(final.ReadingsFor(fmt.Sprintf("w%d", w), t0)); n != 1 {
+			t.Errorf("w%d: %d rows in a cut taken after its insert returned, want 1", w, n)
+		}
+	}
 }

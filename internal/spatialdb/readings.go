@@ -504,38 +504,37 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 // every TTL-filtered query, so cached results stay correct.
 func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 	specs := db.sensorView.Load().specs
+	// Fast path under the shared lock: concurrent locates for different
+	// objects on the same floor must not serialize here. Only when a
+	// row has actually expired is the exclusive lock taken to prune.
+	sh := db.rlockResident(mobjectID)
+	if sh == nil {
+		return nil
+	}
+	rows := sh.table.Load().rows[mobjectID]
+	live := make([]model.Reading, 0, len(rows))
+	for _, r := range rows {
+		if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
+			live = append(live, r)
+		}
+	}
+	sh.readMu.RUnlock()
+	if len(live) == len(rows) {
+		return live
+	}
+	return db.pruneReadings(mobjectID, specs, now)
+}
+
+// pruneReadings drops the object's rows that are expired at now or
+// have no registered sensor and returns a copy of the survivors — the
+// exclusive-lock half of ReadingsFor, for a caller that has already
+// seen such a row under the shared lock.
+func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec, now time.Time) []model.Reading {
 	for {
 		sh := db.residentShard(mobjectID)
 		if sh == nil {
 			return nil
 		}
-		// Fast path under the shared lock: concurrent locates for
-		// different objects on the same floor must not serialize here.
-		// Only when a row has actually expired is the exclusive lock
-		// taken to prune. The residence re-check under the lock makes
-		// the read atomic with placement: a migration cannot move rows
-		// out of sh while any of its locks are held.
-		sh.readMu.RLock()
-		if db.residentShard(mobjectID) != sh {
-			sh.readMu.RUnlock()
-			continue
-		}
-		rows := sh.table.Load().rows[mobjectID]
-		live := make([]model.Reading, 0, len(rows))
-		stale := false
-		for _, r := range rows {
-			spec, ok := specs[r.SensorID]
-			if !ok || r.Expired(now, spec.TTL) {
-				stale = true
-				continue
-			}
-			live = append(live, r)
-		}
-		sh.readMu.RUnlock()
-		if !stale {
-			return live
-		}
-
 		// Pruning mutates the table, so it runs inside a cut bracket
 		// (taken before readMu per the lock order) — a concurrent
 		// snapshot either excludes or includes the whole prune.
@@ -544,21 +543,24 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 		if db.residentShard(mobjectID) != sh {
 			sh.readMu.Unlock()
 			db.endBatchClean(sh)
-			continue
+			continue // raced a migration; re-resolve
 		}
-		t := sh.mutableTable()
-		// Recompute: the rows may have changed between the locks.
-		rows = t.rows[mobjectID]
-		live = live[:0]
+		// Recompute: the rows may have changed since the shared lock.
+		rows := sh.table.Load().rows[mobjectID]
+		live := make([]model.Reading, 0, len(rows))
 		for _, r := range rows {
-			spec, ok := specs[r.SensorID]
-			if !ok {
-				continue
-			}
-			if !r.Expired(now, spec.TTL) {
+			if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
 				live = append(live, r)
 			}
 		}
+		if len(live) == len(rows) {
+			// Someone else pruned in between: nothing to write, and
+			// pooled snapshots stay valid.
+			sh.readMu.Unlock()
+			db.endBatchClean(sh)
+			return live
+		}
+		t := sh.mutableTable()
 		if len(live) == 0 {
 			delete(t.rows, mobjectID)
 		} else {
@@ -576,8 +578,8 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 // LatestPerSensor returns, for each sensor that has an unexpired
 // reading for the object, only its newest one — the working set for
 // fusion. The stored rows are reduced in place under the shared shard
-// lock; only when the pass meets an expired row does it go through
-// ReadingsFor, which prunes.
+// lock; only when the pass meets an expired row does it prune, and
+// reduce the survivors instead.
 func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 	specs := db.sensorView.Load().specs
 	sh := db.rlockResident(mobjectID)
@@ -587,7 +589,7 @@ func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 	out, stale := latestRows(sh.table.Load().rows[mobjectID], specs, now)
 	sh.readMu.RUnlock()
 	if stale {
-		out, _ = latestRows(db.ReadingsFor(mobjectID, now), specs, now)
+		out, _ = latestRows(db.pruneReadings(mobjectID, specs, now), specs, now)
 	}
 	return out
 }

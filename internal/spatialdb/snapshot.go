@@ -108,6 +108,7 @@ func (db *DB) captureShard(sh *shard) (shardSnap, bool) {
 // set so shards unchanged since the previous cut reuse its clones.
 // After snapSweepRounds unclean rounds it escalates to drainAndCapture.
 func (db *DB) capture(prev *Snapshot) []shardSnap {
+	began := db.escSeq.Load()
 	captured := make(map[string]shardSnap)
 	seeded := make(map[string]bool)
 	if prev != nil {
@@ -148,14 +149,15 @@ func (db *DB) capture(prev *Snapshot) []shardSnap {
 		// the very writers it is waiting out until preemption).
 		runtime.Gosched()
 	}
-	return db.drainAndCapture(captured)
+	return db.drainAndCapture(captured, began)
 }
 
 // drainAndCapture is the escalated cut: sustained ingest kept winning
 // the sweep's race, so close the gate, drain in-flight brackets, and
 // capture stably. New brackets park at the gate (beginBatch), so every
 // shard is quiescent while the gate is closed. captured holds the
-// sweep's still-valid captures, which are kept.
+// sweep's still-valid captures, which are kept; began is escSeq as the
+// cut read it on entry.
 //
 // escMu admits one escalation at a time, from closing the gate to
 // reopening it. cutGate is a single boolean: were two cuts to share
@@ -163,15 +165,32 @@ func (db *DB) capture(prev *Snapshot) []shardSnap {
 // drain wait then never ends — writers admitted through the open gate
 // keep pending non-zero, and wakeCutWaiters skips the broadcast
 // because the gate reads open.
-func (db *DB) drainAndCapture(captured map[string]shardSnap) []shardSnap {
+//
+// Cuts that escalate together still cost ingest one closure, not one
+// each: escSeq moves only with the gate closed and every shard
+// drained, just before the capture, so a capture numbered above began
+// was taken after this cut was called — a consistent cut no older than
+// the call, which is all Snapshot promises. A cut that finds one when
+// its turn comes returns it and leaves the gate alone. escCut is kept
+// only while cuts are queued behind the one that took it.
+func (db *DB) drainAndCapture(captured map[string]shardSnap, began uint64) []shardSnap {
+	db.escQueued.Add(1)
 	mCutEscalations.Inc()
 	db.escMu.Lock()
 	defer db.escMu.Unlock()
+	queued := db.escQueued.Add(-1)
+	if cut := db.escCut; cut != nil && db.escSeq.Load() > began {
+		if queued == 0 {
+			db.escCut = nil
+		}
+		return cut
+	}
 	db.gateMu.Lock()
 	db.cutGate.Store(true)
 	for !db.pendingDrained() {
 		db.gateCond.Wait()
 	}
+	db.escSeq.Add(1)
 	shards := db.allShards()
 	for _, sh := range shards {
 		ss, ok := captured[sh.key]
@@ -186,7 +205,12 @@ func (db *DB) drainAndCapture(captured map[string]shardSnap) []shardSnap {
 	db.cutGate.Store(false)
 	db.gateCond.Broadcast()
 	db.gateMu.Unlock()
-	return orderedSnaps(shards, captured)
+	cut := orderedSnaps(shards, captured)
+	db.escCut = nil
+	if db.escQueued.Load() > 0 {
+		db.escCut = cut
+	}
+	return cut
 }
 
 // orderedSnaps lays the captured map out in shard-key order (allShards

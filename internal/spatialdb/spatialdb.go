@@ -203,11 +203,17 @@ type DB struct {
 	// gateCond for in-flight mutation brackets to drain, captures, and
 	// reopens. Writers check the gate atomically in beginBatch — the
 	// mutex and condvar are touched only while the gate is closed.
-	// escMu serializes escalations (snapshot.go: drainAndCapture).
-	cutGate  atomic.Bool
-	gateMu   sync.Mutex
-	gateCond *sync.Cond
-	escMu    sync.Mutex
+	// escMu serializes escalations (snapshot.go: drainAndCapture);
+	// escSeq counts gate closures, escQueued the cuts waiting on escMu,
+	// and escCut (under escMu) is the last escalated capture while any
+	// are, so that cuts escalating together share one closure.
+	cutGate   atomic.Bool
+	gateMu    sync.Mutex
+	gateCond  *sync.Cond
+	escMu     sync.Mutex
+	escSeq    atomic.Uint64
+	escQueued atomic.Int32
+	escCut    []shardSnap
 
 	// curSnap is the most recent Snapshot — the one-deep snapshot pool.
 	// Snapshot revalidates it against the epoch vector and hands it out
