@@ -8,9 +8,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# -timeout is per package: a hang (a cut parked at the gate, a notifier
-# that never drains) costs two minutes with every stack printed, not
-# the ten-minute default.
+# -timeout is per package: a hang (a cut and a bracket deadlocked on
+# cutMu, a notifier that never drains) costs two minutes with every
+# stack printed, not the ten-minute default.
 test:
 	$(GO) test -timeout 120s ./...
 
@@ -20,13 +20,14 @@ race:
 # The tests that have actually flaked or hung (ROADMAP item 0), twenty
 # times each under the race detector: the serial-vs-batch notification
 # count (needs the Quiesce barrier), the cache-freshness stress that
-# used to park in the escalated cut, and the concurrent-escalation
-# liveness test itself. Twenty runs of the cutters test take about a
-# minute here, so the gate gets its own, longer timeout: a slower
-# runner must not turn the flake gate into a timeout flake.
+# used to hang in Snapshot, and the two tests of the cut itself: every
+# concurrent cut fresh, whole and returning, and a cut waiting for an
+# open bracket without deadlocking the migration inside it. The gate
+# gets its own, longer timeout: a slower runner must not turn the flake
+# gate into a timeout flake.
 concurrency-gate:
 	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestCacheNeverServesStaleUnderRace' ./internal/core/
-	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentEscalatedCutsAllReturn|TestEscalationsTogetherShareOneClosure' ./internal/spatialdb/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
 # the driver runs it (benchmark/README.md); arguments via ARGS, e.g.
@@ -51,24 +52,22 @@ bench:
 # Regression gate for the hot paths: re-runs the benchmarks recorded in
 # BENCH_1.json (PR-4 query/ingest paths), BENCH_2.json (PR-5
 # multi-floor sharding paths), BENCH_3.json (PR-6 wire codec +
-# streaming ingest), BENCH_4.json (PR-9 lock-free snapshot cuts) and
-# BENCH_5.json (PR-10 support-index heatmap + sharded notifier) and
-# fails when any is >30% slower than its recorded ns/op (fastest of N
-# runs, to filter scheduler noise). BENCH_3..5 additionally enforce
-# cross-benchmark ratios (min_speedup_vs) measured in the SAME run,
-# e.g. the prefiltered heatmap >= 3x cheaper than the pre-PR full
-# scan, and sharded notify dispatch at parity with a single worker.
+# streaming ingest) and BENCH_5.json (PR-10 support-index heatmap +
+# sharded notifier) and fails when any is >30% slower than its recorded
+# ns/op (fastest of N runs, to filter scheduler noise). BENCH_3 and
+# BENCH_5 additionally enforce cross-benchmark ratios (min_speedup_vs)
+# measured in the SAME run, e.g. the prefiltered heatmap >= 3x cheaper
+# than the pre-PR full scan, and sharded notify dispatch at parity with
+# a single worker.
 # Re-record after an intentional change with:
 #   go run ./cmd/benchcompare -ref BENCH_1.json -update
 #   go run ./cmd/benchcompare -ref BENCH_2.json -update
 #   go run ./cmd/benchcompare -ref BENCH_3.json -update
-#   go run ./cmd/benchcompare -ref BENCH_4.json -update
 #   go run ./cmd/benchcompare -ref BENCH_5.json -update
 bench-compare:
 	$(GO) run ./cmd/benchcompare -ref BENCH_1.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_2.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_3.json -tolerance 0.30
-	$(GO) run ./cmd/benchcompare -ref BENCH_4.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_5.json -tolerance 0.30
 
 # City-scale sustained-load gate (PERF-9, DESIGN.md §16): a MultiStorey

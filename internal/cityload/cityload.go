@@ -5,9 +5,9 @@
 // occupancy-heatmap query loop against the same service, and gates
 // the run on windowed p99 latency SLOs (obs.SLOTracker) plus the
 // generator's own pacing report. It is the proof harness for the
-// lock-free snapshot cuts (DESIGN.md §16): cuts ride the query loop
-// at full rate while ingest sustains the offered load, and a breach
-// of either the pace or an SLO fails the run.
+// snapshot cuts (DESIGN.md §16): cuts ride the query loop at full rate
+// while ingest sustains the offered load, and a breach of either the
+// pace or an SLO fails the run.
 //
 // The harness is wall-clock driven — SLO windows and the open-loop
 // pacing are real time — but the *simulated* clock advances one

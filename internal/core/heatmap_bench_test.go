@@ -156,8 +156,8 @@ func BenchmarkHeatmapLegacyScan(b *testing.B) {
 // BenchmarkNotifyDispatch measures end-to-end subscription dispatch:
 // one qualifying reading fans out to 32 every-reading subscriptions
 // and the op completes when every notification has been handled. The
-// BENCH_5 gate pins workers-4 to parity with workers-1 (ratio 0.75,
-// BENCH_4 style): on the 1-CPU CI box sharded queues cannot be faster,
+// BENCH_5 gate pins workers-4 to parity with workers-1 (ratio 0.75):
+// on the 1-CPU CI box sharded queues cannot be faster,
 // but they must not cost more than queue-hashing noise; the ordering
 // contract is enforced separately by
 // TestNotifierShardedPreservesPerSubscriptionOrder.

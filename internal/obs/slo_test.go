@@ -193,18 +193,22 @@ func TestSLOTrackerBreachLifecycle(t *testing.T) {
 }
 
 // TestSLOTrackerStartStop exercises the background loop: a tight
-// interval must tick on its own, and Stop must be idempotent.
+// interval must tick on its own, and Stop must be idempotent. Samples
+// counts observations inside the window, so the test keeps observing:
+// one observation made before Start shows only between the loop's first
+// tick and its second.
 func TestSLOTrackerStartStop(t *testing.T) {
 	reg := NewRegistry()
 	slos, _ := ParseSLOs("ingest=p99<2ms@600ms", nil)
 	tr := NewSLOTracker(reg, slos, time.Millisecond)
-	reg.Histogram("spatialdb_insert_us").Observe(100)
+	h := reg.Histogram("spatialdb_insert_us")
 	tr.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for tr.Status()[0].Samples == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background loop never sampled")
 		}
+		h.Observe(100)
 		time.Sleep(time.Millisecond)
 	}
 	tr.Stop()

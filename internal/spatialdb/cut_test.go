@@ -10,23 +10,12 @@ import (
 	"middlewhere/internal/model"
 )
 
-// TestCutConcurrentIngestNeverTornNeverBlocked is the cut-protocol
-// stress test (run under -race): continuous snapshot cuts race
-// single-shard InsertReadings batches on every floor. Two invariants:
-//
-//  1. No cut ever observes a torn batch — every object's visible row
-//     count is a whole number of batches (the PR-5 atomicity contract,
-//     re-asserted against the lock-free protocol under heavier cut
-//     pressure).
-//  2. Ingest parks at the cut gate only behind an escalated cut, and
-//     then at most once per writer per closure of the gate. The
-//     spatialdb_cut_wait_us histogram observes only when a bracket
-//     actually waited, so its count is bounded by closures × writers —
-//     zero in a run where no cut escalated. (Escalation, the bounded
-//     fallback, is reached under this load on a 2-CPU box in about one
-//     run in seven and parks whoever arrives while it drains, so "the
-//     count never moves" is not an invariant.)
-func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
+// TestCutConcurrentIngestNeverTorn is the cut stress test (run under
+// -race): continuous snapshot cuts race single-shard InsertReadings
+// batches on every floor. No cut ever observes a torn batch — every
+// object's visible row count is a whole number of batches — and every
+// batch lands despite the cut pressure.
+func TestCutConcurrentIngestNeverTorn(t *testing.T) {
 	const (
 		floors    = 4
 		batchLen  = 4
@@ -42,7 +31,6 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitBase := mCutWaitUs.Count()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -105,12 +93,6 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 	}
 	close(stop)
 	cutters.Wait()
-	// The never-blocks half: the sweep parked nobody, and each closure
-	// of the gate (escSeq counts them; the database is fresh) parked a
-	// writer at most once.
-	if parked, closures := mCutWaitUs.Count()-waitBase, db.escSeq.Load(); parked > closures*floors*objPerFlr {
-		t.Errorf("ingest parked at the cut gate %d times over %d closures; want at most one park per writer per closure, none from the optimistic sweep", parked, closures)
-	}
 	// Every batch landed despite the cut pressure.
 	final := db.Snapshot()
 	defer final.Close()
@@ -203,7 +185,7 @@ func TestSnapshotPoolReuse(t *testing.T) {
 	}
 
 	// Age-based recycling: an old pooled cut is not reused even when
-	// the epoch vector says nothing changed.
+	// every cutSeq says nothing changed.
 	old := snapPoolMaxAge
 	snapPoolMaxAge = 0
 	defer func() { snapPoolMaxAge = old }()
@@ -258,21 +240,16 @@ func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
 	}
 }
 
-// TestConcurrentEscalatedCutsAllReturn is the liveness regression test
-// for the escalated cut: several cutters hammer Snapshot while writers
-// keep multi-shard brackets open back to back, so sweeps lose their
-// race and cuts escalate concurrently. Every Snapshot call must return
-// once the writers are done. With escalations sharing the one cutGate
-// boolean unserialized, the first to finish reopened the gate under
-// another still waiting for the drain; no writer broadcasts through an
-// open gate, so once the writers finished that waiter slept forever.
-// The hang needs a cutter parked at the moment writing stops, hence
-// many short bursts rather than one long one.
-//
-// Cuts that escalate together share one capture (drainAndCapture), so
-// every cut is also checked for what Snapshot promises: it holds each
-// batch that completed before the call, and all of a batch or none.
-func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
+// TestConcurrentCutsFreshWholeAndReturn checks what Snapshot promises
+// under the heaviest contention the protocol has: several cutters
+// hammer Snapshot while writers keep all-shard brackets open back to
+// back. Every cut holds each batch that completed before the call
+// (a pooled cut handed out after endBatch failed to bump cutSeq would
+// not), holds all of a batch or none across floors, and returns once
+// the writers are done. A cutter can only be caught waiting at the
+// moment writing stops, hence many short bursts rather than one long
+// one.
+func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 	const (
 		floors  = 4
 		writers = 3
@@ -284,7 +261,6 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
 	}
-	escBase := mCutEscalations.Value()
 	// Writer w stamps its k-th batch t0+k ms and publishes k once the
 	// batch is stored, so a row's time says which batch it came from.
 	var stored [writers]atomic.Int64
@@ -356,92 +332,114 @@ func TestConcurrentEscalatedCutsAllReturn(t *testing.T) {
 		select {
 		case <-returned:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("burst %d: a cutter never returned from Snapshot with every writer finished (%d escalations so far)",
-				burst, mCutEscalations.Value()-escBase)
+			t.Fatalf("burst %d: a cutter never returned from Snapshot with every writer finished", burst)
 		}
 	}
-	t.Logf("%d escalations, %d closures of the gate", mCutEscalations.Value()-escBase, db.escSeq.Load())
 }
 
-// TestEscalationsTogetherShareOneClosure pins what serializing the
-// escalations must not cost ingest: cuts that escalate together close
-// the gate once, not once each, and a writer parks at most once behind
-// them. A bracket held open by the test makes every sweep fail, so all
-// the cutters escalate and queue; releasing it lets the first drain.
-func TestEscalationsTogetherShareOneClosure(t *testing.T) {
-	const (
-		cutters = 4
-		writers = 3
-	)
-	db := multiFloorDB(t, 2)
+// TestCutWaitsForOpenBracket pins both directions of the one lock and
+// the rule that keeps it live (DB.cutMu, rule 2). With a bracket held
+// open, cuts do not return; a cross-floor migration made from inside
+// that bracket still completes while they wait — it would deadlock
+// behind the waiting cut if placeObject took cutMu again; a writer that
+// arrives meanwhile queues once behind the cut; and closing the bracket
+// releases all of them, each cut holding everything the bracket wrote.
+func TestCutWaitsForOpenBracket(t *testing.T) {
+	const cutters = 3
+	db := multiFloorDB(t, 3)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
 	}
-	for f := 1; f <= 2; f++ {
-		if err := db.InsertReading(floorReading("s1", "seed", f, 5, 5, t0)); err != nil {
+	// mover starts on floor 1; seed makes floor 2's shard exist.
+	for _, r := range []model.Reading{floorReading("s1", "mover", 1, 6, 6, t0), floorReading("s1", "seed", 2, 5, 5, t0)} {
+		if err := db.InsertReading(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	escBase, waitBase := mCutEscalations.Value(), mCutWaitUs.Count()
-	held := db.allShards()[0]
-	db.beginBatch(held)
+	floor1, _ := db.shardFor("CS/Floor1")
+	floor2, _ := db.shardFor("CS/Floor2")
+	waitBase := mCutWaitUs.Count()
+
+	// The bracket, by hand: one row stored on floor 1, left open.
+	db.beginBatch()
+	floor1.readMu.Lock()
+	floor1.mutableTable().rows["held"] = []model.Reading{floorReading("s1", "held", 1, 7, 7, t0)}
+	floor1.readMu.Unlock()
+
 	cuts := make(chan *Snapshot, cutters)
 	for c := 0; c < cutters; c++ {
 		go func() { cuts <- db.Snapshot() }()
 	}
-	// Every cutter has given up sweeping (it is counted before it
-	// queues) and the one whose turn it is has the gate closed.
-	deadline := time.Now().Add(10 * time.Second)
-	for mCutEscalations.Value()-escBase < cutters || !db.cutGate.Load() {
+	// A cut is waiting once the shared lock can no longer be had: a
+	// waiting writer turns new readers away.
+	for deadline := time.Now().Add(10 * time.Second); db.cutMu.TryRLock(); {
+		db.cutMu.RUnlock()
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d cuts escalated, gate closed: %v", mCutEscalations.Value()-escBase, cutters, db.cutGate.Load())
+			t.Fatal("no cut ever waited for the open bracket")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Writers that arrive now find the gate closed.
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := db.InsertReading(floorReading("s1", fmt.Sprintf("w%d", w), 2, 5, 5, t0)); err != nil {
-				t.Error(err)
-			}
-		}()
+
+	migrated := make(chan struct{})
+	go func() { db.placeObject("mover", floor2); close(migrated) }()
+	select {
+	case <-migrated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a migration inside the open bracket did not complete with a cut waiting: placeObject re-entered cutMu")
 	}
-	db.endBatch(held)
+
+	// The writer's shard does not exist yet; InsertReadings creates it
+	// just before it asks for the lock, so once the shard is there a few
+	// milliseconds are ample for the writer to be queued.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := db.InsertReading(floorReading("s1", "late", 3, 5, 5, t0)); err != nil {
+			t.Error(err)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if _, ok := db.shardFor("CS/Floor3"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the late writer never reached its bracket")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	select {
+	case snap := <-cuts:
+		snap.Close()
+		t.Fatal("a cut returned with the bracket still open")
+	default:
+	}
+
+	db.endBatch(floor1)
 	for c := 0; c < cutters; c++ {
 		select {
 		case snap := <-cuts:
-			if n := len(snap.ReadingsFor("seed", t0)); n != 2 {
-				t.Errorf("cut holds %d seed rows, want 2", n)
+			if n := len(snap.ReadingsFor("held", t0)); n != 1 {
+				t.Errorf("cut holds %d rows of the bracket's insert, want 1", n)
+			}
+			for _, ss := range snap.shards {
+				if _, ok := ss.table.rows["mover"]; ok != (ss.key == floor2.key) {
+					t.Errorf("cut has mover on %s: %v; the bracket moved it to %s", ss.key, ok, floor2.key)
+				}
 			}
 			snap.Close()
 		case <-time.After(10 * time.Second):
-			t.Fatalf("cut %d of %d never returned", c+1, cutters)
+			t.Fatalf("cut %d of %d never returned after the bracket closed", c+1, cutters)
 		}
 	}
 	wg.Wait()
-	if got := db.escSeq.Load(); got != 1 {
-		t.Errorf("%d cuts escalating together closed the gate %d times, want once", cutters, got)
-	}
-	if parked := mCutWaitUs.Count() - waitBase; parked > writers {
-		t.Errorf("%d writers parked %d times behind one closure", writers, parked)
-	}
-	// The shared capture is dropped with the queue, and a later cut is
-	// its own: it sees what was written since.
-	db.escMu.Lock()
-	kept := db.escCut != nil
-	db.escMu.Unlock()
-	if kept {
-		t.Error("escCut still held with no cut queued")
+	if parked := mCutWaitUs.Count() - waitBase; parked != 1 {
+		t.Errorf("spatialdb_cut_wait_us observed %d waits, want 1: the writer that arrived behind the waiting cut", parked)
 	}
 	final := db.Snapshot()
 	defer final.Close()
-	for w := 0; w < writers; w++ {
-		if n := len(final.ReadingsFor(fmt.Sprintf("w%d", w), t0)); n != 1 {
-			t.Errorf("w%d: %d rows in a cut taken after its insert returned, want 1", w, n)
-		}
+	if n := len(final.ReadingsFor("late", t0)); n != 1 {
+		t.Errorf("late: %d rows in a cut taken after its insert returned, want 1", n)
 	}
 }

@@ -79,10 +79,9 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		key = shardKeyForGLOB(rows[len(rows)-1].Location)
 	}
 	sh := db.ensureShard(key)
-	// The whole merge runs in a cut bracket (cut.go), so a concurrent
-	// snapshot sees the import entirely or not at all — this path held
-	// cutMu shared before the epoch-vector protocol replaced it.
-	db.beginBatch(sh)
+	// The whole merge runs in a bracket, so a concurrent snapshot sees
+	// the import entirely or not at all.
+	db.beginBatch()
 	for {
 		db.placeObject(id, sh)
 		sh.readMu.Lock()
@@ -105,7 +104,7 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		}
 		if len(fresh) == 0 && epoch < cur {
 			sh.readMu.Unlock()
-			db.endBatchClean(sh) // pure replay: nothing visible changed
+			db.endBatchClean() // pure replay: nothing visible changed
 			return false
 		}
 		merged := append(append([]model.Reading(nil), t.rows[id]...), fresh...)
@@ -163,18 +162,16 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 			return false
 		}
 		sh := cur.(*shard)
-		// The bracket is entered BEFORE migMu, per the lock order: a
-		// bracket may park at the escalation gate, and parking while
-		// holding migMu would deadlock the draining snapshot against
-		// any admitted batch mid-placeObject.
-		db.beginBatch(sh)
+		// The bracket is entered BEFORE migMu, per the lock order
+		// (DB.cutMu, rule 1).
+		db.beginBatch()
 		// migMu serializes against placeObject so residence cannot move
 		// the object to another shard between the re-check and the
 		// table edit.
 		db.migMu.Lock()
 		if cur2, ok2 := db.residence.Load(id); !ok2 || cur2.(*shard) != sh {
 			db.migMu.Unlock()
-			db.endBatchClean(sh)
+			db.endBatchClean()
 			if !ok2 {
 				return false
 			}
@@ -184,7 +181,7 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		if sh.table.Load().epochs[id] != ifEpoch {
 			sh.readMu.Unlock()
 			db.migMu.Unlock()
-			db.endBatchClean(sh)
+			db.endBatchClean()
 			return false
 		}
 		t := sh.mutableTable()

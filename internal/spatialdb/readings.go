@@ -151,15 +151,10 @@ func (db *DB) placeObject(id string, to *shard) {
 	if from == to {
 		return
 	}
-	// Nested cut bracket on the source shard: the caller's bracket
-	// already covers `to`, but a cut sweeping `from` must also see this
-	// migration in flight. pending is bumped WITHOUT the gate check —
-	// waiting on the gate here would deadlock against a draining
-	// snapshot that is itself waiting for the enclosing bracket (see
-	// cut.go).
-	from.pending.Add(1)
-	// Move rows and the epoch under both shard locks, taken in key
-	// order so concurrent migrations cannot deadlock.
+	// The caller's bracket covers this mutation of `from` as well: no
+	// cutMu.RLock here (DB.cutMu, rule 2). Move rows and the epoch
+	// under both shard locks, taken in key order so concurrent
+	// migrations cannot deadlock.
 	a, b := from, to
 	if b.key < a.key {
 		a, b = b, a
@@ -186,8 +181,6 @@ func (db *DB) placeObject(id string, to *shard) {
 	db.residence.Store(id, to)
 	b.readMu.Unlock()
 	a.readMu.Unlock()
-	from.pending.Add(-1)
-	db.wakeCutWaiters()
 	mMigrations.Inc()
 }
 
@@ -229,9 +222,9 @@ func (db *DB) rlockResident(id string) *shard {
 //
 // Readings shard by their location's floor prefix, so batches for
 // independent floors take disjoint locks and ingest in parallel; the
-// only cross-floor coordination is the lock-free cut bracket (cut.go),
-// which lets Snapshot exclude in-flight batches (no snapshot ever
-// observes part of a batch) without any global mutex.
+// only cross-floor coordination is the bracket (DB.cutMu, held
+// shared), which lets Snapshot exclude in-flight batches: no snapshot
+// ever observes part of a batch.
 //
 // Trigger firings for the whole batch are collected and then run via
 // dispatch; a nil dispatch runs them serially in insertion order,
@@ -325,14 +318,13 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 	// Phase 2 — store each group under its own shard's write lock:
 	// movement detection, append, bound, and the per-object epoch bump
 	// that invalidates fused-location caches. The whole phase runs in
-	// one cut bracket spanning every target shard, so a concurrent
-	// Snapshot sees either none or all of this batch (cut.go) — with no
-	// global mutex on this path.
+	// one bracket, so a concurrent Snapshot sees either none or all of
+	// this batch.
 	shs := make([]*shard, len(groups))
 	for i, g := range groups {
 		shs[i] = db.ensureShard(g.key)
 	}
-	db.beginBatch(shs...)
+	db.beginBatch()
 	for gi, g := range groups {
 		sh := shs[gi]
 		for {
@@ -535,14 +527,14 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 		if sh == nil {
 			return nil
 		}
-		// Pruning mutates the table, so it runs inside a cut bracket
+		// Pruning mutates the table, so it runs inside a bracket
 		// (taken before readMu per the lock order) — a concurrent
 		// snapshot either excludes or includes the whole prune.
-		db.beginBatch(sh)
+		db.beginBatch()
 		sh.readMu.Lock()
 		if db.residentShard(mobjectID) != sh {
 			sh.readMu.Unlock()
-			db.endBatchClean(sh)
+			db.endBatchClean()
 			continue // raced a migration; re-resolve
 		}
 		// Recompute: the rows may have changed since the shared lock.
@@ -557,7 +549,7 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 			// Someone else pruned in between: nothing to write, and
 			// pooled snapshots stay valid.
 			sh.readMu.Unlock()
-			db.endBatchClean(sh)
+			db.endBatchClean()
 			return live
 		}
 		t := sh.mutableTable()
@@ -682,7 +674,7 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 		// Bracket each shard's sweep so a concurrent cut sees the whole
 		// shard's expiry or none of it; a sweep that changes nothing
 		// ends clean, keeping pooled snapshots valid.
-		db.beginBatch(sh)
+		db.beginBatch()
 		sh.readMu.Lock()
 		var changes []change
 		for id, rows := range sh.table.Load().rows {
@@ -722,7 +714,7 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 		if len(changes) > 0 {
 			db.endBatch(sh)
 		} else {
-			db.endBatchClean(sh)
+			db.endBatchClean()
 		}
 	}
 }

@@ -206,8 +206,9 @@ type shard struct {
 
 	// Reading table, copy-on-write (see readTable). readFrozen marks
 	// the current table as captured by a snapshot. The pointer is
-	// atomic so a snapshot capture can read it without readMu — writers
-	// still hold readMu exclusively around every Store.
+	// atomic so a snapshot capture (which holds DB.cutMu, not readMu)
+	// can read it — writers still hold readMu exclusively around every
+	// Store.
 	readMu     sync.RWMutex
 	table      atomic.Pointer[readTable]
 	readFrozen atomic.Bool
@@ -216,12 +217,11 @@ type shard struct {
 	// in ShardStats.
 	writeEpoch atomic.Uint64
 
-	// Cut-protocol state (cut.go): pending counts mutation brackets in
-	// flight on this shard; cutSeq advances at the end of every bracket
-	// that actually mutated the table. A snapshot capture of this shard
-	// is valid iff pending stayed 0 and cutSeq stayed put across it.
-	pending atomic.Int32
-	cutSeq  atomic.Uint64
+	// cutSeq advances at the end of every bracket (DB.cutMu) that
+	// mutated the table, and on both shards of a floor migration. A
+	// Snapshot that finds it where the previous one did keeps that
+	// capture of this shard.
+	cutSeq atomic.Uint64
 
 	// inserts counts readings stored here (mirrors the per-shard
 	// counter for ShardStats without a registry read).

@@ -396,8 +396,6 @@ func TestShardMetricNamesStable(t *testing.T) {
 		"spatialdb_snapshot_pool_hits",
 		"spatialdb_snapshot_pool_recycled",
 		"spatialdb_snapshot_pool_live",
-		"spatialdb_snapshot_capture_retries_total",
-		"spatialdb_snapshot_escalations_total",
 		`spatialdb_shard_inserts_total{shard="CS/Floor2"}`,
 		`spatialdb_shard_rtree_nodes{shard="CS/Floor2"}`,
 	} {

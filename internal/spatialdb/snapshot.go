@@ -1,7 +1,6 @@
 package spatialdb
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 
 	"middlewhere/internal/geom"
 	"middlewhere/internal/model"
+	"middlewhere/internal/obs"
 )
 
 // snapPoolMaxAge bounds how stale a pooled snapshot may be before
@@ -18,9 +18,9 @@ import (
 var snapPoolMaxAge = 250 * time.Millisecond
 
 // shardSnap is one shard's contribution to a Snapshot: the frozen
-// reading table, the shard's write epoch at the cut, and the cutSeq
-// value the capture validated against (used to revalidate the cut for
-// pool reuse and to retry only moved shards during the sweep).
+// reading table, the shard's write epoch at the cut, and the shard's
+// cutSeq at the cut — what the next Snapshot compares to reuse the
+// whole cut (cutUnchanged) or this shard's capture (capture).
 type shardSnap struct {
 	key   string
 	seq   uint64
@@ -32,10 +32,9 @@ type shardSnap struct {
 // tables across every shard. Reads on a Snapshot take no locks and see
 // a frozen state: concurrent inserts, expiries, and floor migrations
 // never show through. A snapshot never observes part of an
-// InsertReadings batch — the cut protocol (cut.go) validates every
-// shard's capture against its in-flight bracket count and mutation
-// sequence, so each batch is either entirely visible or entirely
-// absent.
+// InsertReadings batch: the capture runs with DB.cutMu held
+// exclusively, when no batch is in flight on any shard, so each batch
+// is either entirely visible or entirely absent.
 //
 // Snapshots are pooled: consecutive cuts with no intervening mutation
 // share one Snapshot value, and unchanged shards keep their table
@@ -77,157 +76,70 @@ func (s *Snapshot) Close() {
 	mSnapPoolLive.Add(-1)
 }
 
-// captureShard optimistically captures one shard without any lock: it
-// is valid only if no mutation bracket was in flight and the shard's
-// cutSeq did not move across the capture. ok=false means the caller
-// must retry this shard on the next sweep round.
-func (db *DB) captureShard(sh *shard) (shardSnap, bool) {
-	seq := sh.cutSeq.Load()
-	if sh.pending.Load() != 0 {
-		return shardSnap{}, false
+// spatialdb_cut_wait_us records the time a bracket waited for a cut.
+// It observes only when the shared lock was not free on the first try,
+// so a run with no Snapshot call leaves it empty.
+var mCutWaitUs = obs.Default().Histogram("spatialdb_cut_wait_us")
+
+// beginBatch opens a top-level reading-table mutation bracket: cutMu
+// held shared until endBatch or endBatchClean. The uncontended path is
+// one TryRLock and reads no clock.
+func (db *DB) beginBatch() {
+	if db.cutMu.TryRLock() {
+		return
 	}
-	t := sh.table.Load()
-	epoch := sh.writeEpoch.Load()
-	// Freeze before validating: if the validation passes, no writer
-	// mutated between the table load and the freeze, so every later
-	// writer clones first (mutableTable) and t is immutable forever. If
-	// a writer raced past the freeze, the re-checks below catch it.
-	sh.readFrozen.Store(true)
-	if sh.pending.Load() != 0 || sh.cutSeq.Load() != seq {
-		return shardSnap{}, false
-	}
-	return shardSnap{key: sh.key, seq: seq, epoch: epoch, table: t}, true
+	start := time.Now()
+	db.cutMu.RLock()
+	mCutWaitUs.Observe(float64(time.Since(start).Microseconds()))
 }
 
-// capture assembles a consistent cut of every shard via the optimistic
-// sweep (see cut.go): capture each shard, then keep re-verifying the
-// whole set — re-capturing shards whose cutSeq moved or with brackets
-// in flight — until one full round passes with every shard clean and
-// nothing recaptured. The shard list is re-read every round so shards
-// created mid-cut are included. prev (may be nil) seeds the captured
-// set so shards unchanged since the previous cut reuse its clones.
-// After snapSweepRounds unclean rounds it escalates to drainAndCapture.
-func (db *DB) capture(prev *Snapshot) []shardSnap {
-	began := db.escSeq.Load()
-	captured := make(map[string]shardSnap)
-	seeded := make(map[string]bool)
-	if prev != nil {
-		for _, ss := range prev.shards {
-			captured[ss.key] = ss
-			seeded[ss.key] = true
-		}
+// endBatch closes a bracket that mutated every listed shard. The
+// cutSeq bump is what tells the next Snapshot that its pooled cut, and
+// its capture of this shard, are out of date; a bracket that turned
+// out to mutate nothing uses endBatchClean so that they stay valid.
+func (db *DB) endBatch(shs ...*shard) {
+	for _, sh := range shs {
+		sh.cutSeq.Add(1)
 	}
-	for round := 0; round < snapSweepRounds; round++ {
-		shards := db.allShards()
-		clean := true
-		for _, sh := range shards {
-			ss, ok := captured[sh.key]
-			if ok && sh.pending.Load() == 0 && sh.cutSeq.Load() == ss.seq {
+	db.cutMu.RUnlock()
+}
+
+// endBatchClean closes a bracket that mutated nothing.
+func (db *DB) endBatchClean() { db.cutMu.RUnlock() }
+
+// capture reads every shard's table pointer and write epoch and
+// freezes the table, so that the shard's next writer clones first
+// (mutableTable). A shard whose cutSeq is still what prev captured
+// keeps prev's capture, and with it the clone that capture forced.
+// Caller holds cutMu exclusively: no bracket is open, so the tables
+// hold whole batches only. Shards are never removed and both lists
+// are sorted by key, so prev's are walked alongside.
+func (db *DB) capture(prev *Snapshot) []shardSnap {
+	var old []shardSnap
+	if prev != nil {
+		old = prev.shards
+	}
+	shards := db.allShards()
+	out := make([]shardSnap, len(shards))
+	for i, sh := range shards {
+		seq := sh.cutSeq.Load()
+		if len(old) > 0 && old[0].key == sh.key {
+			ss := old[0]
+			old = old[1:]
+			if ss.seq == seq {
+				out[i] = ss
 				continue
 			}
-			if ok && !seeded[sh.key] {
-				// A capture taken during THIS cut went stale: a writer
-				// won the race this round. (A seeded entry from the
-				// previous snapshot being outdated is expected, not a
-				// retry.)
-				mCutRetries.Inc()
-			}
-			clean = false
-			delete(seeded, sh.key)
-			if ss, ok = db.captureShard(sh); ok {
-				captured[sh.key] = ss
-			} else {
-				delete(captured, sh.key)
-			}
 		}
-		if clean {
-			return orderedSnaps(shards, captured)
-		}
-		// An unclean round means writers hold brackets right now; yield
-		// so they can finish instead of burning the next round spinning
-		// against them (on GOMAXPROCS=1 the spin would otherwise block
-		// the very writers it is waiting out until preemption).
-		runtime.Gosched()
-	}
-	return db.drainAndCapture(captured, began)
-}
-
-// drainAndCapture is the escalated cut: sustained ingest kept winning
-// the sweep's race, so close the gate, drain in-flight brackets, and
-// capture stably. New brackets park at the gate (beginBatch), so every
-// shard is quiescent while the gate is closed. captured holds the
-// sweep's still-valid captures, which are kept; began is escSeq as the
-// cut read it on entry.
-//
-// escMu admits one escalation at a time, from closing the gate to
-// reopening it. cutGate is a single boolean: were two cuts to share
-// it, the first to finish would reopen the gate under the other, whose
-// drain wait then never ends — writers admitted through the open gate
-// keep pending non-zero, and wakeCutWaiters skips the broadcast
-// because the gate reads open.
-//
-// Cuts that escalate together still cost ingest one closure, not one
-// each: escSeq moves only with the gate closed and every shard
-// drained, just before the capture, so a capture numbered above began
-// was taken after this cut was called — a consistent cut no older than
-// the call, which is all Snapshot promises. A cut that finds one when
-// its turn comes returns it and leaves the gate alone. escCut is kept
-// only while cuts are queued behind the one that took it.
-func (db *DB) drainAndCapture(captured map[string]shardSnap, began uint64) []shardSnap {
-	db.escQueued.Add(1)
-	mCutEscalations.Inc()
-	db.escMu.Lock()
-	defer db.escMu.Unlock()
-	queued := db.escQueued.Add(-1)
-	if cut := db.escCut; cut != nil && db.escSeq.Load() > began {
-		if queued == 0 {
-			db.escCut = nil
-		}
-		return cut
-	}
-	db.gateMu.Lock()
-	db.cutGate.Store(true)
-	for !db.pendingDrained() {
-		db.gateCond.Wait()
-	}
-	db.escSeq.Add(1)
-	shards := db.allShards()
-	for _, sh := range shards {
-		ss, ok := captured[sh.key]
-		if !ok || sh.cutSeq.Load() != ss.seq {
-			seq := sh.cutSeq.Load()
-			t := sh.table.Load()
-			epoch := sh.writeEpoch.Load()
-			sh.readFrozen.Store(true)
-			captured[sh.key] = shardSnap{key: sh.key, seq: seq, epoch: epoch, table: t}
-		}
-	}
-	db.cutGate.Store(false)
-	db.gateCond.Broadcast()
-	db.gateMu.Unlock()
-	cut := orderedSnaps(shards, captured)
-	db.escCut = nil
-	if db.escQueued.Load() > 0 {
-		db.escCut = cut
-	}
-	return cut
-}
-
-// orderedSnaps lays the captured map out in shard-key order (allShards
-// order), dropping entries for shards no longer listed.
-func orderedSnaps(shards []*shard, captured map[string]shardSnap) []shardSnap {
-	out := make([]shardSnap, 0, len(shards))
-	for _, sh := range shards {
-		if ss, ok := captured[sh.key]; ok {
-			out = append(out, ss)
-		}
+		sh.readFrozen.Store(true)
+		out[i] = shardSnap{key: sh.key, seq: seq, epoch: sh.writeEpoch.Load(), table: sh.table.Load()}
 	}
 	return out
 }
 
 // cutUnchanged reports whether prev still describes the database
-// exactly: same shard set, and every shard quiescent at the cutSeq
-// prev captured. True means prev IS a valid cut of the current state.
+// exactly: same shard set, every shard at the cutSeq prev captured,
+// same sensor table. Caller holds cutMu exclusively.
 func (db *DB) cutUnchanged(prev *Snapshot) bool {
 	shards := db.allShards()
 	if len(shards) != len(prev.shards) {
@@ -236,7 +148,7 @@ func (db *DB) cutUnchanged(prev *Snapshot) bool {
 	// Both lists are sorted by key, so compare positionally.
 	for i, sh := range shards {
 		ss := &prev.shards[i]
-		if sh.key != ss.key || sh.pending.Load() != 0 || sh.cutSeq.Load() != ss.seq {
+		if sh.key != ss.key || sh.cutSeq.Load() != ss.seq {
 			return false
 		}
 	}
@@ -245,35 +157,40 @@ func (db *DB) cutUnchanged(prev *Snapshot) bool {
 
 // Snapshot captures a consistent cut of the database's reading and
 // sensor tables. The returned view is immutable and safe for
-// concurrent use; it reflects exactly the batches that completed
-// before the call. The caller must Close the handle when done.
+// concurrent use; it holds every batch that completed before the call,
+// and all of a batch or none of it. The caller must Close the handle
+// when done.
 //
-// Snapshot acquires no global mutex: the cut is a lock-free optimistic
-// sweep over the per-shard epoch vector (cut.go), escalating to a
-// bounded writer gate only under sustained contention. When nothing
-// has mutated since the previous cut and that cut is younger than
+// Snapshot holds cutMu exclusively for the pool check and the
+// O(shards) capture, so it waits for the brackets in flight and a
+// bracket that arrives meanwhile waits for it. When nothing has
+// mutated since the previous cut and that cut is younger than
 // snapPoolMaxAge, the previous Snapshot is handed out again
-// (spatialdb_snapshot_pool_hits).
+// (spatialdb_snapshot_pool_hits). Never call it from inside a bracket
+// (see DB.cutMu).
 func (db *DB) Snapshot() *Snapshot {
-	if cur := db.curSnap.Load(); cur != nil &&
-		time.Since(cur.at) <= snapPoolMaxAge && db.cutUnchanged(cur) {
-		cur.refs.Add(1)
+	db.cutMu.Lock()
+	now := time.Now()
+	prev := db.curSnap
+	if prev != nil && now.Sub(prev.at) <= snapPoolMaxAge && db.cutUnchanged(prev) {
+		prev.refs.Add(1)
+		db.cutMu.Unlock()
 		mSnapPoolHits.Inc()
 		mSnapPoolLive.Add(1)
-		return cur
+		return prev
 	}
-	prev := db.curSnap.Load()
 	snap := &Snapshot{
 		universe: db.universe,
-		at:       time.Now(),
+		at:       now,
 		sensors:  db.sensorView.Load(),
 		shards:   db.capture(prev),
 	}
+	snap.refs.Store(1)
+	db.curSnap = snap
+	db.cutMu.Unlock()
 	if prev != nil {
 		mSnapPoolRecycled.Inc()
 	}
-	snap.refs.Store(1)
-	db.curSnap.Store(snap)
 	mSnapshots.Inc()
 	db.lastSnap.Store(snap.at.UnixMicro())
 	mSnapAgeUs.Set(0)

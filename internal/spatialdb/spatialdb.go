@@ -162,13 +162,10 @@ type sensorTable struct {
 // shard) plus the tables that are genuinely global — sensor metadata,
 // triggers, and insert hooks. Locks nest in the fixed order
 //
-//	batch bracket (pending / cutGate, cut.go) → migMu → shard.readMu
+//	cutMu → migMu → shard.readMu
 //
 // for reading writes; shard.objMu and trigMu are only ever held alone
 // (hookMu is independent and never held together with the others).
-// There is deliberately no global mutex on the Snapshot/ingest pair:
-// cuts coordinate with writers through the per-shard epoch vector
-// (shard.pending / shard.cutSeq) and the escalation gate — see cut.go.
 type DB struct {
 	// frames is immutable after New; symbolic GLOB resolution walks
 	// objects and frames together.
@@ -198,27 +195,33 @@ type DB struct {
 	sensorRegMu sync.Mutex
 	sensorView  atomic.Pointer[sensorTable]
 
-	// Cut-protocol escalation gate (cut.go): when a Snapshot's
-	// optimistic sweep keeps losing races, it closes cutGate, waits on
-	// gateCond for in-flight mutation brackets to drain, captures, and
-	// reopens. Writers check the gate atomically in beginBatch — the
-	// mutex and condvar are touched only while the gate is closed.
-	// escMu serializes escalations (snapshot.go: drainAndCapture);
-	// escSeq counts gate closures, escQueued the cuts waiting on escMu,
-	// and escCut (under escMu) is the last escalated capture while any
-	// are, so that cuts escalating together share one closure.
-	cutGate   atomic.Bool
-	gateMu    sync.Mutex
-	gateCond  *sync.Cond
-	escMu     sync.Mutex
-	escSeq    atomic.Uint64
-	escQueued atomic.Int32
-	escCut    []shardSnap
+	// cutMu is what makes a Snapshot a consistent cut. Every top-level
+	// reading-table mutation (InsertReadings, pruneReadings, the expiry
+	// sweep, ImportObject, DropObject) holds it shared from beginBatch
+	// to endBatch/endBatchClean — a bracket; Snapshot holds it
+	// exclusively while it reads each shard's table pointer. So a cut
+	// sees no batch half applied on any shard, a bracket waits for at
+	// most one capture, and a cut waits for the brackets in flight.
+	// Two rules:
+	//
+	//  1. Lock order cutMu → migMu → shard.readMu. DropObject enters
+	//     its bracket before migMu for this reason: waiting for a cut
+	//     with migMu held would stall a batch inside placeObject that
+	//     the cut is itself waiting for.
+	//  2. A bracket never re-enters cutMu. sync.RWMutex blocks new
+	//     readers behind a waiting writer, so a second RLock under the
+	//     first deadlocks against a waiting cut. placeObject, always
+	//     called inside InsertReadings' or ImportObject's bracket,
+	//     therefore takes no lock of its own for the rows it migrates
+	//     out of another shard and only bumps cutSeq on both; and
+	//     nothing may call Snapshot from inside a bracket.
+	cutMu sync.RWMutex
 
-	// curSnap is the most recent Snapshot — the one-deep snapshot pool.
-	// Snapshot revalidates it against the epoch vector and hands it out
-	// again when nothing changed (see cutUnchanged).
-	curSnap atomic.Pointer[Snapshot]
+	// curSnap (under cutMu) is the most recent Snapshot — the one-deep
+	// snapshot pool. Snapshot revalidates it against every shard's
+	// cutSeq and hands it out again when nothing changed (see
+	// cutUnchanged).
+	curSnap *Snapshot
 
 	// Location triggers (§5.3) and their R-tree index. Trigger regions
 	// routinely span floors, so the index stays global.
@@ -253,7 +256,6 @@ func New(frames *coords.Tree, universe geom.Rect) *DB {
 	}
 	db.sensorView.Store(&sensorTable{specs: make(map[string]model.SensorSpec)})
 	db.lastSnap.Store(time.Now().UnixMicro())
-	db.gateCond = sync.NewCond(&db.gateMu)
 	return db
 }
 
