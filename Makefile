@@ -20,14 +20,15 @@ race:
 # The tests that have actually flaked or hung (ROADMAP item 0), twenty
 # times each under the race detector: the serial-vs-batch notification
 # count (needs the Quiesce barrier), the cache-freshness stress that
-# used to hang in Snapshot, and the two tests of the cut itself: every
-# concurrent cut fresh, whole and returning, and a cut waiting for an
-# open bracket without deadlocking the migration inside it. The gate
-# gets its own, longer timeout: a slower runner must not turn the flake
-# gate into a timeout flake.
+# used to hang in Snapshot, the two tests of the cut itself (every
+# concurrent cut fresh, whole and returning; a cut waiting for an open
+# bracket without deadlocking the migration inside it), and the replay
+# dedup reading rows atomically with residence while the object flips
+# floors. The gate gets its own, longer timeout: a slower runner must
+# not turn the flake gate into a timeout flake.
 concurrency-gate:
 	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestCacheNeverServesStaleUnderRace' ./internal/core/
-	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket' ./internal/spatialdb/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
 # the driver runs it (benchmark/README.md); arguments via ARGS, e.g.
@@ -151,15 +152,13 @@ cluster-smoke:
 	kill $$d0 $$d1 $$rpid; exit $$rc
 
 # Observability suite: the obs package and trace-propagation tests
-# under the race detector, then the zero-allocation guard without it
-# (the race runtime allocates inside atomics, so the guard is
-# build-tagged !race).
+# under the race detector. The zero-allocation guards are build-tagged
+# !race (the race runtime allocates inside atomics), so `make test`
+# runs them.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/obs/cluster/
 	$(GO) test -race -count=1 -run 'Trace' ./internal/remote/
 	$(GO) test -race -count=1 -run 'Trace|TestSLO|TestPeerState' ./internal/fed/
-	$(GO) test -count=1 -run TestDisabledInstrumentationAllocatesNothing -v ./internal/obs/
-	$(GO) test -count=1 -run TestTracingDisabledFedPathAllocatesNothing -v ./internal/fed/
 
 # Smoke the debug endpoint: start the daemon with tracing and the
 # debug server on ephemeral-ish ports, hit /metrics and mw.stats

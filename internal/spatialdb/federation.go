@@ -45,22 +45,36 @@ func (db *DB) ExportObject(id string) ([]model.Reading, uint64, bool) {
 	return append([]model.Reading(nil), t.rows[id]...), t.epochs[id], true
 }
 
-// readingKey identifies a stored row for the import merge: one sensor
-// observing one object at one instant is one reading, however many
-// times the migration protocol replays it.
-type readingKey struct {
-	sensor string
-	atNano int64
-	loc    string
+// sameReading is the reading identity behind both federation dedups
+// (forwarded-ingest replays and the migration merge): one sensor
+// observing one object at one instant at one location is one reading,
+// however many times the protocol replays it. Fields compare cheapest
+// first — the nanosecond timestamp, then the sensor, and only then the
+// location text — so a row that differs in time or sensor, which is
+// nearly every row of an object's ring, is told apart without
+// formatting a GLOB. Locations compare as text, not as numbers, so +0
+// and -0 differ and NaN matches NaN, exactly as in the location string
+// the federation wire carries.
+func sameReading(a, b *model.Reading) bool {
+	return a.Time.UnixNano() == b.Time.UnixNano() &&
+		a.SensorID == b.SensorID &&
+		a.Location.String() == b.Location.String()
 }
 
-func keyOf(r model.Reading) readingKey {
-	return readingKey{sensor: r.SensorID, atNano: r.Time.UnixNano(), loc: r.Location.String()}
+// containsReading reports whether rows hold a row with r's identity.
+// It walks by index: no row is copied.
+func containsReading(rows []model.Reading, r *model.Reading) bool {
+	for i := range rows {
+		if sameReading(&rows[i], r) {
+			return true
+		}
+	}
+	return false
 }
 
 // ImportObject merges a migrated object's rows into the local table
-// under an epoch guard. Rows are deduplicated by (sensor, time,
-// location), so a replayed prepare — the destination restarted after
+// under an epoch guard. Rows are deduplicated by reading identity
+// (sameReading), so a replayed prepare — the destination restarted after
 // acking, or the source retried after a lost ack — adds nothing; and a
 // merge (rather than a replace) means rows a daemon accumulated while
 // degraded are never clobbered by a handoff at a lower epoch. The
@@ -91,15 +105,11 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		}
 		t := sh.mutableTable()
 		cur := t.epochs[id]
-		have := make(map[readingKey]bool, len(t.rows[id]))
-		for _, r := range t.rows[id] {
-			have[keyOf(r)] = true
-		}
+		stored := t.rows[id]
 		var fresh []model.Reading
-		for _, r := range rows {
-			if k := keyOf(r); !have[k] {
-				have[k] = true
-				fresh = append(fresh, r)
+		for i := range rows {
+			if r := &rows[i]; !containsReading(stored, r) && !containsReading(fresh, r) {
+				fresh = append(fresh, *r)
 			}
 		}
 		if len(fresh) == 0 && epoch < cur {
@@ -107,7 +117,7 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 			db.endBatchClean() // pure replay: nothing visible changed
 			return false
 		}
-		merged := append(append([]model.Reading(nil), t.rows[id]...), fresh...)
+		merged := append(append([]model.Reading(nil), stored...), fresh...)
 		if len(merged) > maxReadingsPerObject {
 			merged = merged[len(merged)-maxReadingsPerObject:]
 		}
@@ -127,25 +137,20 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 }
 
 // HasReading reports whether the object already stores a row with the
-// same (sensor, time, location) identity. The forwarded-ingest path
+// same reading identity (sameReading). The forwarded-ingest path
 // checks it to stay idempotent under at-least-once retries: a sender
 // whose connection died after the owner stored the batch — but before
 // the reply arrived — retries, and the replayed rows must not store
-// twice.
+// twice. The rows are read atomically with residence, so a concurrent
+// floor migration cannot make a stored reading look new; a miss
+// allocates nothing.
 func (db *DB) HasReading(r model.Reading) bool {
-	sh := db.residentShard(r.MObjectID)
+	sh := db.rlockResident(r.MObjectID)
 	if sh == nil {
 		return false
 	}
-	sh.readMu.RLock()
 	defer sh.readMu.RUnlock()
-	k := keyOf(r)
-	for _, have := range sh.table.Load().rows[r.MObjectID] {
-		if keyOf(have) == k {
-			return true
-		}
-	}
-	return false
+	return containsReading(sh.table.Load().rows[r.MObjectID], &r)
 }
 
 // DropObject removes the object's rows, epoch, and residence entry —
