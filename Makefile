@@ -37,12 +37,13 @@ e2e-bench:
 	bash benchmark/run.sh $(ARGS)
 
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
-# migration, snapshot-isolation, and serial-vs-parallel determinism
-# tests under the race detector, twice, so interleavings differ between
-# runs. Kept separate from `race` so CI can re-run just these when the
-# spatial database changes.
+# migration, snapshot-isolation, cut (TestCut*: torn batches, the open
+# bracket, a quiet shard's clone-free recapture) and serial-vs-parallel
+# determinism tests under the race detector, twice, so interleavings
+# differ between runs. Kept separate from `race` so CI can re-run just
+# these when the spatial database changes.
 shard-stress:
-	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
+	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
 	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical' ./internal/core/
 
 # One iteration per benchmark: a smoke run that keeps bench_test.go and

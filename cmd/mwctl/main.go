@@ -554,12 +554,19 @@ func printStats(st middlewhere.StatsDTO) {
 			fmt.Printf("%-20s %8d %8d %9d %7d %8d %9d\n",
 				sh.Key, sh.Objects, sh.MobileObjects, sh.Readings, sh.RTreeNodes, sh.Epoch, sh.Inserts)
 		}
-		// Snapshot lifecycle at a glance: hits/recycled say how well
-		// cuts pool, live says how many handles callers hold open (a
-		// steadily nonzero value is a Close leak).
-		fmt.Printf("snapshot pool: hits=%d recycled=%d live=%g\n",
-			st.Counters["spatialdb_snapshot_pool_hits"],
-			st.Counters["spatialdb_snapshot_pool_recycled"],
-			st.Gauges["spatialdb_snapshot_pool_live"])
+		// Snapshot lifecycle at a glance: cuts taken, handles callers
+		// hold open (a steadily nonzero live is a Close leak), and how
+		// long a write bracket waited behind a cut.
+		var cutWaitP99 float64
+		for _, h := range st.Histograms {
+			if h.Name == "spatialdb_cut_wait_us" {
+				cutWaitP99 = h.P99
+				break
+			}
+		}
+		fmt.Printf("snapshots: cuts=%d live=%g cut_wait_p99=%.1fµs\n",
+			st.Counters["spatialdb_snapshots_total"],
+			st.Gauges["spatialdb_snapshot_pool_live"],
+			cutWaitP99)
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +73,40 @@ func TestMwctlCommands(t *testing.T) {
 		if err := run(svcAddr, "", "", middlewhere.RemoteDialOptions{}, args); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
+	}
+}
+
+// TestMwctlStatsSnapshotLine pins the snapshot summary that follows
+// the shard table: cuts taken, open handles and the cut-wait p99. A
+// region query beforehand guarantees at least one cut.
+func TestMwctlStatsSnapshotLine(t *testing.T) {
+	_, svcAddr := startDeployment(t)
+	for _, args := range [][]string{
+		{"ingest", "test-ubi", "alice", "CS/Floor3/(370,15)", "0.5"},
+		{"who", "CS/Floor3/NetLab"},
+	} {
+		if err := run(svcAddr, "", "", middlewhere.RemoteDialOptions{}, args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() { out, _ := io.ReadAll(r); read <- out }()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(svcAddr, "", "", middlewhere.RemoteDialOptions{}, []string{"stats"})
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	if runErr != nil {
+		t.Fatalf("stats: %v", runErr)
+	}
+	line := regexp.MustCompile(`(?m)^snapshots: cuts=[1-9][0-9]* live=\S+ cut_wait_p99=[0-9]+\.[0-9]µs$`)
+	if !line.Match(out) {
+		t.Errorf("stats output has no snapshot summary line:\n%s", out)
 	}
 }
 

@@ -577,24 +577,9 @@ func (s *Service) RegisterSensor(sensorID string, spec model.SensorSpec) error {
 }
 
 // Ingest stores a sensor reading; database triggers fire and matching
-// subscriptions are evaluated.
+// subscriptions are evaluated. It is IngestBatch with a batch of one.
 func (s *Service) Ingest(r model.Reading) error {
-	if s.currentRouter() != nil {
-		// Federated daemons route every reading so floors placed on
-		// peer daemons receive theirs; the batch path owns that logic.
-		return s.IngestBatch([]model.Reading{r})
-	}
-	if r.Trace == "" && obs.Enabled() {
-		// Local ingest begins the trace here; readings arriving over
-		// mwrpc carry the ID their client stamped.
-		r.Trace = obs.BeginTrace()
-	}
-	if err := s.db.InsertReading(r); err != nil {
-		return err
-	}
-	s.ingested.Add(1)
-	mIngested.Inc()
-	return nil
+	return s.IngestBatch([]model.Reading{r})
 }
 
 // Batch-ingest metrics.
@@ -610,13 +595,28 @@ var (
 // Readings that fail validation are skipped and reported in the
 // returned *spatialdb.RejectedError (indices are positions in rs); the
 // rest are stored, so callers must not re-submit the whole slice on
-// that error.
-func (s *Service) IngestBatch(rs []model.Reading) error {
+// that error. On a federated daemon, readings for floors placed on
+// peer daemons are routed there.
+func (s *Service) IngestBatch(rs []model.Reading) error { return s.ingest(rs, true) }
+
+// IngestBatchLocal stores a batch strictly on this daemon, bypassing
+// the federation router. The federation layer serves forwarded batches
+// through it — a forwarded reading must not be re-routed even when the
+// placement maps briefly disagree, or two daemons could bounce it
+// forever.
+func (s *Service) IngestBatchLocal(rs []model.Reading) error { return s.ingest(rs, false) }
+
+// ingest is the one ingest body: it stamps traces, then stores the
+// batch, routing it through the federation router first when routed is
+// set and a router is installed.
+func (s *Service) ingest(rs []model.Reading, routed bool) error {
 	if len(rs) == 0 {
 		return nil
 	}
 	if obs.Enabled() {
-		// Stamp traces on a copy; the caller's slice stays untouched.
+		// Local ingest begins the trace here; readings arriving over
+		// mwrpc carry the ID their client stamped. Stamp a copy; the
+		// caller's slice stays untouched.
 		stamped := make([]model.Reading, len(rs))
 		copy(stamped, rs)
 		for i := range stamped {
@@ -626,7 +626,10 @@ func (s *Service) IngestBatch(rs []model.Reading) error {
 		}
 		rs = stamped
 	}
-	router := s.currentRouter()
+	var router IngestRouter
+	if routed {
+		router = s.currentRouter()
+	}
 	if router == nil {
 		return s.ingestStamped(rs)
 	}
@@ -660,28 +663,6 @@ func (s *Service) IngestBatch(rs []model.Reading) error {
 		return err
 	}
 	return routeErr
-}
-
-// IngestBatchLocal stores a batch strictly on this daemon, bypassing
-// the federation router. The federation layer serves forwarded batches
-// through it — a forwarded reading must not be re-routed even when the
-// placement maps briefly disagree, or two daemons could bounce it
-// forever.
-func (s *Service) IngestBatchLocal(rs []model.Reading) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	if obs.Enabled() {
-		stamped := make([]model.Reading, len(rs))
-		copy(stamped, rs)
-		for i := range stamped {
-			if stamped[i].Trace == "" {
-				stamped[i].Trace = obs.BeginTrace()
-			}
-		}
-		rs = stamped
-	}
-	return s.ingestStamped(rs)
 }
 
 // ingestStamped is the shared storage tail of the ingest paths: one
@@ -842,24 +823,24 @@ func (s *Service) ObjectsInRegion(region glob.GLOB, minProb float64) (map[string
 	// it fuses, so concurrent per-floor ingest proceeds unimpeded.
 	snap := s.db.Snapshot()
 	defer snap.Close()
-	return s.objectsInRegionOn(snap, rect, minProb, s.now(), true), nil
+	return s.objectsInRegionOn(snap, rect, minProb, s.now(), supportIDs(snap, rect)), nil
 }
 
-// objectsInRegionOn runs the region scan against one snapshot.
-// prefilter selects the candidate source — the support R-tree
-// pre-filter, or the exhaustive all-objects scan the equivalence tests
-// compare against; both apply the identical live-support gate.
-func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time, prefilter bool) map[string]float64 {
-	var ids []string
-	if prefilter {
-		cands := snap.SupportCandidates(rect)
-		ids = make([]string, len(cands))
-		for i, c := range cands {
-			ids[i] = c.ID
-		}
-	} else {
-		ids = snap.MobileObjects()
+// supportIDs returns the IDs of the objects whose support rectangle
+// intersects rect at the cut: the candidate list of every region scan.
+func supportIDs(snap *spatialdb.Snapshot, rect geom.Rect) []string {
+	cands := snap.SupportCandidates(rect)
+	ids := make([]string, len(cands))
+	for i, c := range cands {
+		ids[i] = c.ID
 	}
+	return ids
+}
+
+// objectsInRegionOn runs the region scan over the candidate objects ids
+// against one snapshot. Each candidate is gated on its live support, so
+// any superset of the support candidates gives the same result.
+func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time, ids []string) map[string]float64 {
 	// Results land in index-addressed slots, so the merge below is
 	// deterministic no matter which worker finishes first.
 	probs := make([]float64, len(ids))

@@ -106,16 +106,14 @@ func (s *Service) OccupancyHeatmap(region glob.GLOB, rows, cols int) (*Heatmap, 
 	}
 	snap := s.db.Snapshot()
 	defer snap.Close()
-	return s.heatmapOn(snap, rect, rows, cols, s.now(), true), nil
+	return s.heatmapOn(snap, rect, rows, cols, s.now(), supportIDs(snap, rect)), nil
 }
 
-// heatmapOn computes the occupancy grid over rect against one
-// snapshot. prefilter selects the candidate source: the support R-tree
-// pre-filter (production), or an exhaustive scan of every mobile
-// object (the reference the equivalence tests compare against — both
-// paths apply the same live-support gate, so they must produce
-// cell-identical grids).
-func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time, prefilter bool) *Heatmap {
+// heatmapOn computes the occupancy grid over rect from the candidate
+// objects ids against one snapshot. Each candidate is gated on its live
+// support, so any superset of the support candidates — every mobile
+// object, in the equivalence tests — gives a cell-identical grid.
+func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time, ids []string) *Heatmap {
 	h := &Heatmap{Region: rect, Rows: rows, Cols: cols, At: now}
 	h.Cells = make([][]float64, rows)
 	for r := range h.Cells {
@@ -127,16 +125,6 @@ func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols
 		return h
 	}
 
-	var ids []string
-	if prefilter {
-		cands := snap.SupportCandidates(rect)
-		ids = make([]string, len(cands))
-		for i, c := range cands {
-			ids[i] = c.ID
-		}
-	} else {
-		ids = snap.MobileObjects()
-	}
 	mHeatCandidates.Add(uint64(len(ids)))
 
 	cellW := rect.Width() / float64(cols)

@@ -135,7 +135,8 @@ func BenchmarkHeatmapPrefiltered(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			snap := s.db.Snapshot()
-			h := s.heatmapOn(snap, rects[i%benchFloors], 4, 6, now, true)
+			rect := rects[i%benchFloors]
+			h := s.heatmapOn(snap, rect, 4, 6, now, supportIDs(snap, rect))
 			snap.Close()
 			_ = h.Objects
 		}

@@ -18,8 +18,8 @@ import (
 // naiveGatedHeatmap is the brute-force reference for the clipped
 // rasterizer's window math: every object, every cell, no R-tree and no
 // window — but the same support-gate semantics (a cell an object's
-// live support does not intersect contributes zero). heatmapOn in
-// either mode must reproduce it cell-for-cell.
+// live support does not intersect contributes zero). heatmapOn over
+// either candidate list must reproduce it cell-for-cell.
 func naiveGatedHeatmap(s *Service, snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time) *Heatmap {
 	h := &Heatmap{Region: rect, Rows: rows, Cols: cols, At: now}
 	h.Cells = make([][]float64, rows)
@@ -140,8 +140,8 @@ func TestHeatmapPrefilterEquivalenceRandom(t *testing.T) {
 			for ri, rect := range regions {
 				rows, cols := 2+rng.Intn(5), 2+rng.Intn(7)
 				want := naiveGatedHeatmap(s, snap, rect, rows, cols, now)
-				pre := s.heatmapOn(snap, rect, rows, cols, now, true)
-				exh := s.heatmapOn(snap, rect, rows, cols, now, false)
+				pre := s.heatmapOn(snap, rect, rows, cols, now, supportIDs(snap, rect))
+				exh := s.heatmapOn(snap, rect, rows, cols, now, snap.MobileObjects())
 				sameGrid(t, fmt.Sprintf("region %d prefiltered", ri), want, pre)
 				sameGrid(t, fmt.Sprintf("region %d exhaustive", ri), want, exh)
 			}
@@ -209,8 +209,8 @@ func TestHeatmapPrefilterEquivalenceDuringMigration(t *testing.T) {
 			rect = floor1
 		}
 		snap := s.db.Snapshot()
-		pre := s.heatmapOn(snap, rect, 3, 4, now, true)
-		exh := s.heatmapOn(snap, rect, 3, 4, now, false)
+		pre := s.heatmapOn(snap, rect, 3, 4, now, supportIDs(snap, rect))
+		exh := s.heatmapOn(snap, rect, 3, 4, now, snap.MobileObjects())
 		snap.Close()
 		sameGrid(t, fmt.Sprintf("query %d", q), exh, pre)
 		if t.Failed() {
@@ -258,8 +258,8 @@ func TestObjectsInRegionPrefilterEquivalence(t *testing.T) {
 	now := clock.Now()
 	for _, rect := range []geom.Rect{uni, geom.R(0, 0, uni.Width(), floorH), geom.R(3, floorH-2, 15, floorH+6)} {
 		for _, minProb := range []float64{0, 0.3, 0.7} {
-			pre := s.objectsInRegionOn(snap, rect, minProb, now, true)
-			exh := s.objectsInRegionOn(snap, rect, minProb, now, false)
+			pre := s.objectsInRegionOn(snap, rect, minProb, now, supportIDs(snap, rect))
+			exh := s.objectsInRegionOn(snap, rect, minProb, now, snap.MobileObjects())
 			if len(pre) != len(exh) {
 				t.Fatalf("rect %v minProb %v: prefiltered %d objects, exhaustive %d", rect, minProb, len(pre), len(exh))
 			}

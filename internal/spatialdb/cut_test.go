@@ -122,7 +122,8 @@ func TestSnapshotPoolLeak(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		snaps = append(snaps, db.Snapshot())
 		if i%2 == 1 {
-			// Mutate so later iterations mix pool hits and fresh cuts.
+			// Mutate between some cuts, so not every cut is of the same
+			// tables.
 			if err := db.InsertReading(floorReading("s1", "m", 1, float64(6+i), 5,
 				t0.Add(time.Duration(i)*time.Second))); err != nil {
 				t.Fatal(err)
@@ -146,63 +147,12 @@ func TestSnapshotPoolLeak(t *testing.T) {
 	}
 }
 
-// TestSnapshotPoolReuse pins the pool semantics: consecutive cuts with
-// no intervening mutation share one Snapshot (a pool hit), any
-// mutation forces a fresh capture, and ageing past snapPoolMaxAge
-// expires the pooled cut even when nothing changed.
-func TestSnapshotPoolReuse(t *testing.T) {
-	db := multiFloorDB(t, 2)
-	if err := db.RegisterSensor("s1", longSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertReading(floorReading("s1", "m", 1, 5, 5, t0)); err != nil {
-		t.Fatal(err)
-	}
-	hitsBase := mSnapPoolHits.Value()
-
-	s1 := db.Snapshot()
-	s2 := db.Snapshot()
-	if s1 != s2 {
-		t.Error("unchanged database: second cut must reuse the pooled snapshot")
-	}
-	if got := mSnapPoolHits.Value(); got != hitsBase+1 {
-		t.Errorf("pool hits = %d, want %d", got, hitsBase+1)
-	}
-
-	// A mutation invalidates the pooled cut.
-	if err := db.InsertReading(floorReading("s1", "m", 1, 6, 5, t0.Add(time.Second))); err != nil {
-		t.Fatal(err)
-	}
-	s3 := db.Snapshot()
-	if s3 == s2 {
-		t.Error("cut after a mutation must not reuse the stale pooled snapshot")
-	}
-	if got := len(s2.ReadingsFor("m", t0.Add(time.Second))); got != 1 {
-		t.Errorf("old snapshot changed under reuse: rows = %d, want 1", got)
-	}
-	if got := len(s3.ReadingsFor("m", t0.Add(time.Second))); got != 2 {
-		t.Errorf("fresh snapshot rows = %d, want 2", got)
-	}
-
-	// Age-based recycling: an old pooled cut is not reused even when
-	// every cutSeq says nothing changed.
-	old := snapPoolMaxAge
-	snapPoolMaxAge = 0
-	defer func() { snapPoolMaxAge = old }()
-	s4 := db.Snapshot()
-	if s4 == s3 {
-		t.Error("pooled snapshot past max age must be recycled, not reused")
-	}
-	for _, s := range []*Snapshot{s1, s2, s3, s4} {
-		s.Close()
-	}
-}
-
-// TestSnapshotPoolUnchangedShardCloneReuse extends the COW cost model
-// across cuts: when only one floor mutates between two cuts, the other
-// floor's table clone is carried over — the second cut does not force
-// the quiet floor's next writer to clone again.
-func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
+// TestCutQuietShardRecaptureCloneFree pins why every cut can be a
+// fresh capture: when only one floor mutates between two cuts, the
+// second cut finds the quiet floor's table still frozen and captures
+// the same table again — no clone — and the quiet floor's next writer
+// pays exactly one clone, however many cuts happened in between.
+func TestCutQuietShardRecaptureCloneFree(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
@@ -220,13 +170,10 @@ func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
 	}
 	s2 := db.Snapshot()
 	defer s2.Close()
-	if s1 == s2 {
-		t.Fatal("mutation must force a fresh snapshot")
+	if s1.shards[1] != s2.shards[1] {
+		t.Error("quiet floor's frozen table must be captured again, not cloned")
 	}
-	if s1.shards[1].table != s2.shards[1].table {
-		t.Error("quiet floor's table clone must carry over between cuts")
-	}
-	if s1.shards[0].table == s2.shards[0].table {
+	if s1.shards[0] == s2.shards[0] {
 		t.Error("mutated floor must be recaptured")
 	}
 	base := mSnapClones.Value()
@@ -244,8 +191,8 @@ func TestSnapshotPoolUnchangedShardCloneReuse(t *testing.T) {
 // under the heaviest contention the protocol has: several cutters
 // hammer Snapshot while writers keep all-shard brackets open back to
 // back. Every cut holds each batch that completed before the call
-// (a pooled cut handed out after endBatch failed to bump cutSeq would
-// not), holds all of a batch or none across floors, and returns once
+// (a cut handed out from before the last bracket closed would not),
+// holds all of a batch or none across floors, and returns once
 // the writers are done. A cutter can only be caught waiting at the
 // moment writing stops, hence many short bursts rather than one long
 // one.
@@ -416,16 +363,23 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 	default:
 	}
 
-	db.endBatch(floor1)
+	db.endBatch()
+	// No shard is created after the late writer's, which every cut
+	// waited for, so the cuts' tables line up with the shard list.
+	shards := db.allShards()
 	for c := 0; c < cutters; c++ {
 		select {
 		case snap := <-cuts:
 			if n := len(snap.ReadingsFor("held", t0)); n != 1 {
 				t.Errorf("cut holds %d rows of the bracket's insert, want 1", n)
 			}
-			for _, ss := range snap.shards {
-				if _, ok := ss.table.rows["mover"]; ok != (ss.key == floor2.key) {
-					t.Errorf("cut has mover on %s: %v; the bracket moved it to %s", ss.key, ok, floor2.key)
+			if len(snap.shards) != len(shards) {
+				t.Fatalf("cut has %d shards, want %d", len(snap.shards), len(shards))
+			}
+			for i, tab := range snap.shards {
+				key := shards[i].key
+				if _, ok := tab.rows["mover"]; ok != (key == floor2.key) {
+					t.Errorf("cut has mover on %s: %v; the bracket moved it to %s", key, ok, floor2.key)
 				}
 			}
 			snap.Close()

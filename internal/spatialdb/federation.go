@@ -114,7 +114,7 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		}
 		if len(fresh) == 0 && epoch < cur {
 			sh.readMu.Unlock()
-			db.endBatchClean() // pure replay: nothing visible changed
+			db.endBatch() // pure replay: nothing visible changed
 			return false
 		}
 		merged := append(append([]model.Reading(nil), stored...), fresh...)
@@ -130,7 +130,7 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		t.epochs[id] = next + 1
 		sh.writeEpoch.Add(1)
 		sh.readMu.Unlock()
-		db.endBatch(sh)
+		db.endBatch()
 		mFedImports.Inc()
 		return true
 	}
@@ -176,7 +176,7 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		db.migMu.Lock()
 		if cur2, ok2 := db.residence.Load(id); !ok2 || cur2.(*shard) != sh {
 			db.migMu.Unlock()
-			db.endBatchClean()
+			db.endBatch()
 			if !ok2 {
 				return false
 			}
@@ -186,7 +186,7 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		if sh.table.Load().epochs[id] != ifEpoch {
 			sh.readMu.Unlock()
 			db.migMu.Unlock()
-			db.endBatchClean()
+			db.endBatch()
 			return false
 		}
 		t := sh.mutableTable()
@@ -197,7 +197,7 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		db.residence.Delete(id)
 		sh.readMu.Unlock()
 		db.migMu.Unlock()
-		db.endBatch(sh)
+		db.endBatch()
 		mFedDrops.Inc()
 		return true
 	}

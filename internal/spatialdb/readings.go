@@ -176,8 +176,6 @@ func (db *DB) placeObject(id string, to *shard) {
 	delete(tf.epochs, id)
 	from.writeEpoch.Add(1)
 	to.writeEpoch.Add(1)
-	from.cutSeq.Add(1)
-	to.cutSeq.Add(1)
 	db.residence.Store(id, to)
 	b.readMu.Unlock()
 	a.readMu.Unlock()
@@ -386,7 +384,7 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 		sh.inserts.Add(uint64(len(g.idxs)))
 		sh.mInserts.Add(uint64(len(g.idxs)))
 	}
-	db.endBatch(shs...)
+	db.endBatch()
 
 	// Phase 3 — match triggers for the whole batch under the shared
 	// trigger lock; firing happens after release. Matching iterates the
@@ -534,7 +532,7 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 		sh.readMu.Lock()
 		if db.residentShard(mobjectID) != sh {
 			sh.readMu.Unlock()
-			db.endBatchClean()
+			db.endBatch()
 			continue // raced a migration; re-resolve
 		}
 		// Recompute: the rows may have changed since the shared lock.
@@ -546,10 +544,9 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 			}
 		}
 		if len(live) == len(rows) {
-			// Someone else pruned in between: nothing to write, and
-			// pooled snapshots stay valid.
+			// Someone else pruned in between: nothing to write.
 			sh.readMu.Unlock()
-			db.endBatchClean()
+			db.endBatch()
 			return live
 		}
 		t := sh.mutableTable()
@@ -562,7 +559,7 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 		// exact: recompute it from the surviving rows.
 		t.resetSupport(mobjectID, t.rows[mobjectID])
 		sh.readMu.Unlock()
-		db.endBatch(sh)
+		db.endBatch()
 		return live
 	}
 }
@@ -672,8 +669,7 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 	}
 	for _, sh := range db.allShards() {
 		// Bracket each shard's sweep so a concurrent cut sees the whole
-		// shard's expiry or none of it; a sweep that changes nothing
-		// ends clean, keeping pooled snapshots valid.
+		// shard's expiry or none of it.
 		db.beginBatch()
 		sh.readMu.Lock()
 		var changes []change
@@ -711,10 +707,6 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 			sh.writeEpoch.Add(1)
 		}
 		sh.readMu.Unlock()
-		if len(changes) > 0 {
-			db.endBatch(sh)
-		} else {
-			db.endBatchClean()
-		}
+		db.endBatch()
 	}
 }

@@ -25,13 +25,10 @@ var (
 	mFedImports = obs.Default().Counter("spatialdb_fed_imports_total")
 	mFedDrops   = obs.Default().Counter("spatialdb_fed_drops_total")
 
-	// Snapshot-pool metrics (see Snapshot/Close in snapshot.go). live
-	// counts open user handles: every pooled or fresh Snapshot return
-	// adds one, every first Close on a handle removes one — so a steady
+	// mSnapPoolLive counts open Snapshot handles: every Snapshot return
+	// adds one, the first Close on a handle removes one — so a steady
 	// state of zero proves no caller leaks cuts.
-	mSnapPoolHits     = obs.Default().Counter("spatialdb_snapshot_pool_hits")
-	mSnapPoolRecycled = obs.Default().Counter("spatialdb_snapshot_pool_recycled")
-	mSnapPoolLive     = obs.Default().Gauge("spatialdb_snapshot_pool_live")
+	mSnapPoolLive = obs.Default().Gauge("spatialdb_snapshot_pool_live")
 )
 
 // rootShardKey is the shard for locations whose GLOB has no symbolic
@@ -212,16 +209,9 @@ type shard struct {
 	readMu     sync.RWMutex
 	table      atomic.Pointer[readTable]
 	readFrozen atomic.Bool
-	// writeEpoch counts reading-table mutation batches on this shard —
-	// the shard-level staleness stamp carried by snapshots and surfaced
-	// in ShardStats.
+	// writeEpoch counts reading-table mutation batches on this shard,
+	// surfaced in ShardStats.
 	writeEpoch atomic.Uint64
-
-	// cutSeq advances at the end of every bracket (DB.cutMu) that
-	// mutated the table, and on both shards of a floor migration. A
-	// Snapshot that finds it where the previous one did keeps that
-	// capture of this shard.
-	cutSeq atomic.Uint64
 
 	// inserts counts readings stored here (mirrors the per-shard
 	// counter for ShardStats without a registry read).

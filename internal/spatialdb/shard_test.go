@@ -393,8 +393,6 @@ func TestShardMetricNamesStable(t *testing.T) {
 		"spatialdb_snapshots_total",
 		"spatialdb_snapshot_clones_total",
 		"spatialdb_snapshot_age_us",
-		"spatialdb_snapshot_pool_hits",
-		"spatialdb_snapshot_pool_recycled",
 		"spatialdb_snapshot_pool_live",
 		`spatialdb_shard_inserts_total{shard="CS/Floor2"}`,
 		`spatialdb_shard_rtree_nodes{shard="CS/Floor2"}`,

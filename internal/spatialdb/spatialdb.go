@@ -198,7 +198,7 @@ type DB struct {
 	// cutMu is what makes a Snapshot a consistent cut. Every top-level
 	// reading-table mutation (InsertReadings, pruneReadings, the expiry
 	// sweep, ImportObject, DropObject) holds it shared from beginBatch
-	// to endBatch/endBatchClean — a bracket; Snapshot holds it
+	// to endBatch — a bracket; Snapshot holds it
 	// exclusively while it reads each shard's table pointer. So a cut
 	// sees no batch half applied on any shard, a bracket waits for at
 	// most one capture, and a cut waits for the brackets in flight.
@@ -213,15 +213,9 @@ type DB struct {
 	//     first deadlocks against a waiting cut. placeObject, always
 	//     called inside InsertReadings' or ImportObject's bracket,
 	//     therefore takes no lock of its own for the rows it migrates
-	//     out of another shard and only bumps cutSeq on both; and
-	//     nothing may call Snapshot from inside a bracket.
+	//     out of another shard, and nothing may call Snapshot from
+	//     inside a bracket.
 	cutMu sync.RWMutex
-
-	// curSnap (under cutMu) is the most recent Snapshot — the one-deep
-	// snapshot pool. Snapshot revalidates it against every shard's
-	// cutSeq and hands it out again when nothing changed (see
-	// cutUnchanged).
-	curSnap *Snapshot
 
 	// Location triggers (§5.3) and their R-tree index. Trigger regions
 	// routinely span floors, so the index stays global.
