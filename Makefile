@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrency-gate e2e-bench shard-stress bench bench-compare cityload vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke compat check
+.PHONY: build test race concurrency-gate e2e-bench shard-stress bench vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke compat check
 
 build:
 	$(GO) build ./...
@@ -46,38 +46,10 @@ shard-stress:
 	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
 	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical' ./internal/core/
 
-# One iteration per benchmark: a smoke run that keeps bench_test.go and
-# internal/bench compiling and executable without burning CI minutes.
+# One iteration per benchmark: a smoke run that keeps every testing.B
+# benchmark compiling and executable without burning CI minutes.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Regression gate for the hot paths: re-runs the benchmarks recorded in
-# BENCH_1.json (PR-4 query/ingest paths), BENCH_2.json (PR-5
-# multi-floor sharding paths), BENCH_3.json (PR-6 wire codec +
-# streaming ingest) and BENCH_5.json (PR-10 support-index heatmap +
-# sharded notifier) and fails when any is >30% slower than its recorded
-# ns/op (fastest of N runs, to filter scheduler noise). BENCH_3 and
-# BENCH_5 additionally enforce cross-benchmark ratios (min_speedup_vs)
-# measured in the SAME run, e.g. the prefiltered heatmap >= 3x cheaper
-# than the pre-PR full scan, and sharded notify dispatch at parity with
-# a single worker.
-# Re-record after an intentional change with:
-#   go run ./cmd/benchcompare -ref BENCH_1.json -update
-#   go run ./cmd/benchcompare -ref BENCH_2.json -update
-#   go run ./cmd/benchcompare -ref BENCH_3.json -update
-#   go run ./cmd/benchcompare -ref BENCH_5.json -update
-bench-compare:
-	$(GO) run ./cmd/benchcompare -ref BENCH_1.json -tolerance 0.30
-	$(GO) run ./cmd/benchcompare -ref BENCH_2.json -tolerance 0.30
-	$(GO) run ./cmd/benchcompare -ref BENCH_3.json -tolerance 0.30
-	$(GO) run ./cmd/benchcompare -ref BENCH_5.json -tolerance 0.30
-
-# City-scale sustained-load gate (PERF-9, DESIGN.md §16): a MultiStorey
-# city under an open-loop readings/sec target, a concurrent
-# occupancy-heatmap query loop, and pass/fail on the generator's pacing
-# plus windowed p99 ingest/heatmap SLOs. Exits nonzero on any breach.
-cityload:
-	$(GO) run ./cmd/experiments -run CITYLOAD
 
 vet:
 	$(GO) vet ./...
@@ -185,6 +157,6 @@ fmt:
 fmt-write:
 	gofmt -l -w .
 
-check: build vet fmt test race concurrency-gate shard-stress bench bench-compare cityload chaos chaos-federation obs
+check: build vet fmt test race concurrency-gate shard-stress bench chaos chaos-federation obs
 	$(MAKE) compat MW_WIRE=binary/json
 	$(MAKE) compat MW_WIRE=json/json

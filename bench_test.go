@@ -1,55 +1,30 @@
-// Benchmarks regenerating the paper's evaluation artifacts and the
-// ablations in DESIGN.md §5/§6. Run with:
+// Benchmarks for the ablations in DESIGN.md §5/§6. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Mapping to EXPERIMENTS.md:
+// Mapping to EXPERIMENTS.md (F9 and E4 are `cmd/experiments -run F9`
+// and `-run E4`; the service's hot paths are measured over the wire
+// by benchmark/):
 //
-//	F9 — BenchmarkTriggerResponse (full stack update→notification at
-//	     several programmed-trigger counts; flat across counts)
 //	E2 — BenchmarkLatticeBuild / BenchmarkLatticeInfer /
 //	     BenchmarkProbRegion (fusion cost vs reading count)
 //	E3 — BenchmarkRegionQueryRTree vs BenchmarkRegionQueryLinear
 //	     (spatial index ablation vs object count)
-//	E4 — BenchmarkContainmentMBR vs BenchmarkContainmentPolygon
 //	E6 — BenchmarkNotifyFanout (subscriber scaling)
-//	—  — BenchmarkLocateObject / BenchmarkIngest / BenchmarkRPCRoundTrip
-//	     (the service's hot paths)
 package middlewhere_test
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"middlewhere"
-	"middlewhere/internal/bench"
 	"middlewhere/internal/fusion"
 	"middlewhere/internal/geom"
 	"middlewhere/internal/rtree"
 	"middlewhere/internal/rules"
 )
-
-// ---------------------------------------------------------------------------
-// F9: trigger response over the full network stack
-
-func BenchmarkTriggerResponse(b *testing.B) {
-	for _, triggers := range []int{1, 10, 50, 100, 500} {
-		b.Run(fmt.Sprintf("triggers-%d", triggers), func(b *testing.B) {
-			// One warm series per b.N batch; the harness measures the
-			// steady-state per-update latency.
-			series, err := bench.TriggerResponse([]int{triggers}, b.N+1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Report the mean steady-state latency as the metric.
-			rest := series[0].UpdateLatencies[1:]
-			b.ReportMetric(bench.Mean(rest), "us/notify")
-		})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // E2: fusion lattice cost vs number of readings
@@ -174,31 +149,6 @@ func BenchmarkRegionQueryLinear(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E4: MBR vs exact polygon containment
-
-var lRoom = geom.Polygon{
-	geom.Pt(0, 0), geom.Pt(40, 0), geom.Pt(40, 20),
-	geom.Pt(20, 20), geom.Pt(20, 40), geom.Pt(0, 40),
-}
-
-func BenchmarkContainmentMBR(b *testing.B) {
-	mbr := lRoom.Bounds()
-	p := geom.Pt(30, 30) // in the notch: MBR says yes, polygon says no
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mbr.ContainsPoint(p)
-	}
-}
-
-func BenchmarkContainmentPolygon(b *testing.B) {
-	p := geom.Pt(30, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lRoom.ContainsPoint(p)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // E6: notification fan-out
 
 func BenchmarkNotifyFanout(b *testing.B) {
@@ -248,8 +198,11 @@ func BenchmarkNotifyFanout(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Service hot paths
+// Substrate benchmarks: rule engine, routing, query language, fused
+// distribution
 
+// benchService is the paper floor with one Ubisense and one RFID
+// reading of "alice", for the distribution benchmark.
 func benchService(b *testing.B) *middlewhere.Service {
 	b.Helper()
 	bld := middlewhere.PaperFloor()
@@ -282,366 +235,6 @@ func benchService(b *testing.B) *middlewhere.Service {
 	}
 	return svc
 }
-
-func BenchmarkLocateObject(b *testing.B) {
-	svc := benchService(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.LocateObject("alice"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProbInRegionQuery(b *testing.B) {
-	svc := benchService(b)
-	region := middlewhere.MustParseGLOB("CS/Floor3/NetLab")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := svc.ProbInRegion("alice", region); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIngest(b *testing.B) {
-	svc := benchService(b)
-	floor := middlewhere.MustParseGLOB("CS/Floor3")
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := svc.Ingest(middlewhere.Reading{
-			SensorID:  "s0",
-			MObjectID: "bob",
-			Location:  middlewhere.CoordPointGLOB(floor, middlewhere.Pt(float64(i%400)+10, 50)),
-			Time:      now,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchRegionService populates a service with n mobile objects spread
-// across the floor, one reading each.
-func benchRegionService(b *testing.B, objects int, opts ...middlewhere.ServiceOption) *middlewhere.Service {
-	b.Helper()
-	bld := middlewhere.PaperFloor()
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	opts = append([]middlewhere.ServiceOption{middlewhere.WithClock(func() time.Time { return now })}, opts...)
-	svc, err := middlewhere.New(bld, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(svc.Close)
-	spec := middlewhere.UbisenseSpec(0.9)
-	spec.TTL = time.Hour
-	if err := svc.RegisterSensor("s0", spec); err != nil {
-		b.Fatal(err)
-	}
-	floor := middlewhere.MustParseGLOB("CS/Floor3")
-	rs := make([]middlewhere.Reading, objects)
-	for i := range rs {
-		rs[i] = middlewhere.Reading{
-			SensorID:  "s0",
-			MObjectID: fmt.Sprintf("p%d", i),
-			Location:  middlewhere.CoordPointGLOB(floor, middlewhere.Pt(float64(i%480)+10, float64(i/480%80)+10)),
-			Time:      now,
-		}
-	}
-	if err := svc.IngestBatch(rs); err != nil {
-		b.Fatal(err)
-	}
-	return svc
-}
-
-func benchObjectsInRegion(b *testing.B, opts ...middlewhere.ServiceOption) {
-	region := middlewhere.MustParseGLOB("CS/Floor3/NetLab")
-	for _, n := range []int{8, 64, 256} {
-		b.Run(fmt.Sprintf("objects-%d", n), func(b *testing.B) {
-			svc := benchRegionService(b, n, opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.ObjectsInRegion(region, 0.3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkObjectsInRegionSerial(b *testing.B) {
-	benchObjectsInRegion(b, middlewhere.WithParallelism(1))
-}
-
-// BenchmarkObjectsInRegionParallel pins four workers rather than
-// relying on GOMAXPROCS so the pool path is exercised even on a
-// single-CPU CI box; there the chunked fan-out should match serial
-// within noise, and speed up per added core on real hardware.
-func BenchmarkObjectsInRegionParallel(b *testing.B) {
-	benchObjectsInRegion(b, middlewhere.WithParallelism(4))
-}
-
-func BenchmarkIngestBatch(b *testing.B) {
-	floor := middlewhere.MustParseGLOB("CS/Floor3")
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	ids := make([]string, 8)
-	for j := range ids {
-		ids[j] = fmt.Sprintf("m%d", j)
-	}
-	for _, size := range []int{1, 16, 128} {
-		b.Run(fmt.Sprintf("size-%d", size), func(b *testing.B) {
-			svc := benchService(b)
-			batch := make([]middlewhere.Reading, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range batch {
-					batch[j] = middlewhere.Reading{
-						SensorID:  "s0",
-						MObjectID: ids[j%len(ids)],
-						Location:  middlewhere.CoordPointGLOB(floor, middlewhere.Pt(float64((i+j)%400)+10, 50)),
-						Time:      now,
-					}
-				}
-				if err := svc.IngestBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(size), "readings/op")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Multi-floor sharding: concurrent per-floor ingest and cross-shard
-// region queries (EXPERIMENTS.md §PERF, BENCH_2.json)
-
-// benchMultiFloorService builds a MultiStorey building and registers
-// one sensor per floor (floors are named M/F0, M/F1, ... — the spatial
-// database's shard keys).
-func benchMultiFloorService(b *testing.B, floors int, opts ...middlewhere.ServiceOption) *middlewhere.Service {
-	b.Helper()
-	bld := middlewhere.MultiStoreyBuilding("M", floors, 4, 6, 12, 10, 5)
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	opts = append([]middlewhere.ServiceOption{middlewhere.WithClock(func() time.Time { return now })}, opts...)
-	svc, err := middlewhere.New(bld, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(svc.Close)
-	for f := 0; f < floors; f++ {
-		spec := middlewhere.UbisenseSpec(0.9)
-		spec.TTL = time.Hour
-		if err := svc.RegisterSensor(fmt.Sprintf("f%d", f), spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return svc
-}
-
-// multiFloorBatch builds one 64-reading batch for the given floor:
-// eight mobile objects walking that floor, locations in the floor's
-// local frame.
-func multiFloorBatch(floor int) []middlewhere.Reading {
-	glob := middlewhere.MustParseGLOB(fmt.Sprintf("M/F%d", floor))
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	batch := make([]middlewhere.Reading, 64)
-	for j := range batch {
-		batch[j] = middlewhere.Reading{
-			SensorID:  fmt.Sprintf("f%d", floor),
-			MObjectID: fmt.Sprintf("f%d-m%d", floor, j%8),
-			Location:  middlewhere.CoordPointGLOB(glob, middlewhere.Pt(float64(j%60)+5, float64(j%50)+5)),
-			Time:      now,
-		}
-	}
-	return batch
-}
-
-// BenchmarkMultiFloorIngestBatch measures one 64-reading batch landing
-// on each of `floors` floors concurrently: each op is one batch per
-// floor, all in flight at once. With a single reading-table lock the
-// per-op cost grows linearly with the floor count (every batch funnels
-// through the same mutex); with per-floor shards independent floors
-// stop contending.
-func BenchmarkMultiFloorIngestBatch(b *testing.B) {
-	for _, floors := range []int{1, 4} {
-		b.Run(fmt.Sprintf("floors-%d", floors), func(b *testing.B) {
-			svc := benchMultiFloorService(b, floors)
-			batches := make([][]middlewhere.Reading, floors)
-			for f := range batches {
-				batches[f] = multiFloorBatch(f)
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for f := 0; f < floors; f++ {
-				wg.Add(1)
-				go func(f int) {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						if err := svc.IngestBatch(batches[f]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(f)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(floors*64), "readings/op")
-		})
-	}
-}
-
-// BenchmarkObjectsInRegionMultiFloor queries one room while 4 floors
-// hold 64 mobile objects each (256 total): the cross-shard fan-out
-// path. Serial and parallel variants must return identical results
-// (asserted by TestObjectsInRegionSerialParallelIdentical).
-func BenchmarkObjectsInRegionMultiFloor(b *testing.B) {
-	const floors = 4
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			svc := benchMultiFloorService(b, floors, middlewhere.WithParallelism(mode.par))
-			for f := 0; f < floors; f++ {
-				floor := middlewhere.MustParseGLOB(fmt.Sprintf("M/F%d", f))
-				now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-				rs := make([]middlewhere.Reading, 64)
-				for j := range rs {
-					rs[j] = middlewhere.Reading{
-						SensorID:  fmt.Sprintf("f%d", f),
-						MObjectID: fmt.Sprintf("f%d-p%d", f, j),
-						Location:  middlewhere.CoordPointGLOB(floor, middlewhere.Pt(float64(j%60)+5, float64(j/12%50)+5)),
-						Time:      now,
-					}
-				}
-				if err := svc.IngestBatch(rs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			region := middlewhere.MustParseGLOB("M/F2/r1c2")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.ObjectsInRegion(region, 0.3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReadDuringRemoteFloorIngest measures reading-table query
-// latency on floor 1 while floor 0 absorbs a continuous batch-ingest
-// storm. This is the contention-isolation effect of per-floor shard
-// locks, and it is visible even on a single CPU: with one global
-// reading lock every query queues behind the in-flight batch's whole
-// store phase, while with per-floor locks a query on an idle floor
-// acquires its own lock immediately.
-func BenchmarkReadDuringRemoteFloorIngest(b *testing.B) {
-	svc := benchMultiFloorService(b, 2)
-	now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-	// Seed the probe object on floor 1, then storm floor 0.
-	if err := svc.IngestBatch(multiFloorBatch(1)); err != nil {
-		b.Fatal(err)
-	}
-	storm := multiFloorBatch(0)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := svc.IngestBatch(storm); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	}()
-	db := svc.DB()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := db.ReadingsFor("f1-m0", now); len(rows) == 0 {
-			b.Fatal("probe object lost its readings")
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	<-done
-}
-
-func benchRPCStack(b *testing.B) *middlewhere.RemoteClient {
-	b.Helper()
-	bld := middlewhere.PaperFloor()
-	svc, err := middlewhere.New(bld)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(svc.Close)
-	srv := middlewhere.NewRemoteServer(svc)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
-	c, err := middlewhere.DialLocation(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	return c
-}
-
-// BenchmarkRPCIngestBatch measures the batched ingest frame; size-1 is
-// the single-reading baseline, so ns/op(size-64)/64 vs ns/op(size-1)
-// is the per-reading saving from amortizing the round trip.
-func BenchmarkRPCIngestBatch(b *testing.B) {
-	floor := middlewhere.MustParseGLOB("CS/Floor3")
-	for _, size := range []int{1, 64} {
-		b.Run(fmt.Sprintf("size-%d", size), func(b *testing.B) {
-			c := benchRPCStack(b)
-			spec := middlewhere.UbisenseSpec(0.9)
-			spec.TTL = time.Hour
-			if err := c.RegisterSensor("s0", spec); err != nil {
-				b.Fatal(err)
-			}
-			now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
-			batch := make([]middlewhere.Reading, size)
-			for j := range batch {
-				batch[j] = middlewhere.Reading{
-					SensorID:  "s0",
-					MObjectID: "bob",
-					Location:  middlewhere.CoordPointGLOB(floor, middlewhere.Pt(float64(j%400)+10, 50)),
-					Time:      now,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.IngestBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(size), "readings/op")
-		})
-	}
-}
-
-func BenchmarkRPCRoundTrip(b *testing.B) {
-	c := benchRPCStack(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Relate is a pure-compute call: measures the RPC overhead.
-		if _, _, err := c.Relate("CS/Floor3/NetLab", "CS/Floor3/MainCorridor"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Substrate benchmarks: rule engine, routing, query language
 
 func BenchmarkDatalogReachability(b *testing.B) {
 	for _, rooms := range []int{10, 50, 200} {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	experiments                       # run everything
-//	experiments -run F9               # one experiment: F9, T1, T2, E1, E4, E5
+//	experiments -run F9               # one experiment: T1, T2, F9, E1, E4, E5, CAL
 //	experiments -run F9 -breakdown    # F9 plus a per-stage latency table
 package main
 
@@ -20,11 +20,10 @@ import (
 
 	"middlewhere"
 	"middlewhere/internal/bench"
-	"middlewhere/internal/cityload"
 )
 
 func main() {
-	runName := flag.String("run", "all", "experiment to run: F9, T1, T2, E1, E4, E5, CAL, CITYLOAD, or all")
+	runName := flag.String("run", "all", "experiment to run: T1, T2, F9, E1, E4, E5, CAL, or all")
 	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
 	flag.BoolVar(&breakdown, "breakdown", false, "with F9: trace the pipeline and print per-stage latencies")
 	flag.Parse()
@@ -44,7 +43,6 @@ func run(name string, quick bool) error {
 		{"T1", runT1}, {"T2", runT2}, {"F9", runF9},
 		{"E1", runE1}, {"E4", runE4}, {"E5", runE5},
 		{"CAL", runCAL},
-		{"CITYLOAD", runCityload},
 	} {
 		if all || name == e.id {
 			if err := e.fn(quick); err != nil {
@@ -85,7 +83,6 @@ func runT2(bool) error {
 	}
 	defer svc.Close()
 
-	floor := middlewhere.MustParseGLOB("CS/Floor3")
 	// The paper's rows: RF-12 sees tom-pda in 3105 at (5,22) with a
 	// 30 ft radius; Ubi-18 sees ralph-bat in NetLab at (4,3) within
 	// 6 inches. (Table 2 uses room-frame coordinates.)
@@ -105,7 +102,6 @@ func runT2(bool) error {
 	if err := ubi.ReportFix("ralph-bat", middlewhere.Pt(4, 3), now.Add(-73*time.Second)); err != nil {
 		return err
 	}
-	_ = floor
 	fmt.Print(svc.DB().DumpReadingTable())
 	fmt.Println()
 	fmt.Print(svc.DB().DumpSensorTable())
@@ -254,27 +250,5 @@ func runCAL(quick bool) error {
 	}
 	fmt.Println("expected shape: estimates within sampling error of the generator's values,")
 	fmt.Println("without access to the per-person carriage labels (EM over detection counts).")
-	return nil
-}
-
-// runCityload drives the city-scale sustained-load harness (PERF-9):
-// a MultiStorey city under an open-loop readings/sec target with a
-// concurrent occupancy-heatmap query loop, gated on pacing and the
-// windowed p99 SLOs. A gate failure is an error so CI fails the job.
-func runCityload(quick bool) error {
-	fmt.Println("== CITYLOAD: city-scale sustained load with SLO gates (DESIGN.md §16) ==")
-	cfg := cityload.Config{Seed: 1}
-	if quick {
-		cfg.Floors, cfg.Rows, cfg.Cols = 4, 3, 4
-		cfg.People, cfg.Steps, cfg.StepsPerSec = 24, 80, 30
-	}
-	rep, err := cityload.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep)
-	if !rep.Passed {
-		return fmt.Errorf("cityload gates failed: %s", strings.Join(rep.Failures, "; "))
-	}
 	return nil
 }

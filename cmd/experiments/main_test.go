@@ -15,8 +15,10 @@ func TestRunIndividualExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	err := run("ZZZ", true)
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("err = %v", err)
+	for _, name := range []string{"ZZZ", "CITYLOAD"} {
+		err := run(name, true)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }

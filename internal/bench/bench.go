@@ -11,7 +11,7 @@
 //	E5  — temporal degradation of confidence and accuracy.
 //
 // Each experiment returns plain result rows; cmd/experiments formats
-// them, and bench_test.go wraps the hot paths in testing.B benchmarks.
+// them.
 package bench
 
 import (

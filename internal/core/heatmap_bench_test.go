@@ -9,18 +9,17 @@ import (
 	"time"
 
 	"middlewhere/internal/building"
-	"middlewhere/internal/fusion"
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 )
 
-// benchCity builds the BENCH_5 city: a 16-floor tower with every
-// mobile object's probability mass concentrated in the bottom two
-// floors (1/8 of the building), at 10x the city-harness default
-// population. Heatmap queries round-robin over all floors, so a
-// pre-filter-free scan pays the full population on the 14 empty floors
-// while the support index returns (near) nothing there.
+// benchCity builds a 16-floor tower of 640 objects with every mobile
+// object's probability mass concentrated in the bottom two floors (1/8
+// of the building). Heatmap queries round-robin over all floors, so a
+// pre-filter-free scan would pay the full population on the 14 empty
+// floors while the support index returns (near) nothing there; the
+// measured 58x over that scan is EXPERIMENTS.md §PERF-10.
 const (
 	benchFloors  = 16
 	benchObjects = 640
@@ -67,68 +66,6 @@ func benchCity(b *testing.B, opts ...Option) (*Service, []geom.Rect, time.Time) 
 	return s, rects, clock.Now()
 }
 
-// legacyHeatmapOn reproduces the pre-support-index heatmap scan this
-// PR replaced, as the BENCH_5 baseline: every mobile object in the
-// database is evaluated per query — a whole-region ProbRegion cull
-// (which never culls: fused mass is strictly positive everywhere once
-// an object has any reading) followed by a full rows x cols
-// rasterization. Kept verbatim in spirit so the recorded >=3x ratio
-// gates the optimization itself, not incidental drift.
-func legacyHeatmapOn(s *Service, rect geom.Rect, rows, cols int, now time.Time) *Heatmap {
-	snap := s.db.Snapshot()
-	defer snap.Close()
-	ids := snap.MobileObjects()
-	cellW := rect.Width() / float64(cols)
-	cellH := rect.Height() / float64(rows)
-	grids := make([][]float64, len(ids))
-	eval := func(i int) {
-		readings := s.fusionStateSnap(snap, ids[i], now)
-		if len(readings) == 0 {
-			return
-		}
-		if fusion.ProbRegion(snap.Universe(), readings, rect) <= 0 {
-			return
-		}
-		g := make([]float64, rows*cols)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				cell := geom.R(
-					rect.Min.X+float64(c)*cellW,
-					rect.Min.Y+float64(r)*cellH,
-					rect.Min.X+float64(c+1)*cellW,
-					rect.Min.Y+float64(r+1)*cellH,
-				)
-				g[r*cols+c] = fusion.ProbRegion(snap.Universe(), readings, cell)
-			}
-		}
-		grids[i] = g
-	}
-	if s.pool != nil && len(ids) >= parallelFanThreshold {
-		s.pool.fanOutChunked(len(ids), s.parallelism, eval)
-	} else {
-		for i := range ids {
-			eval(i)
-		}
-	}
-	h := &Heatmap{Region: rect, Rows: rows, Cols: cols, At: now}
-	h.Cells = make([][]float64, rows)
-	for r := range h.Cells {
-		h.Cells[r] = make([]float64, cols)
-	}
-	for _, g := range grids {
-		if g == nil {
-			continue
-		}
-		h.Objects++
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				h.Cells[r][c] += g[r*cols+c]
-			}
-		}
-	}
-	return h
-}
-
 func BenchmarkHeatmapPrefiltered(b *testing.B) {
 	b.Run(fmt.Sprintf("floors-%d-objects-%d", benchFloors, benchObjects), func(b *testing.B) {
 		s, rects, now := benchCity(b)
@@ -143,25 +80,13 @@ func BenchmarkHeatmapPrefiltered(b *testing.B) {
 	})
 }
 
-func BenchmarkHeatmapLegacyScan(b *testing.B) {
-	b.Run(fmt.Sprintf("floors-%d-objects-%d", benchFloors, benchObjects), func(b *testing.B) {
-		s, rects, now := benchCity(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h := legacyHeatmapOn(s, rects[i%benchFloors], 4, 6, now)
-			_ = h.Objects
-		}
-	})
-}
-
 // BenchmarkNotifyDispatch measures end-to-end subscription dispatch:
 // one qualifying reading fans out to 32 every-reading subscriptions
-// and the op completes when every notification has been handled. The
-// BENCH_5 gate pins workers-4 to parity with workers-1 (ratio 0.75):
-// on the 1-CPU CI box sharded queues cannot be faster,
-// but they must not cost more than queue-hashing noise; the ordering
-// contract is enforced separately by
-// TestNotifierShardedPreservesPerSubscriptionOrder.
+// and the op completes when every notification has been handled.
+// workers-4 measured at parity with workers-1 on one CPU
+// (EXPERIMENTS.md §PERF-10): sharded queues cannot be faster there, but
+// must not cost more than queue-hashing noise. The ordering contract is
+// enforced by TestNotifierShardedPreservesPerSubscriptionOrder.
 func BenchmarkNotifyDispatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {

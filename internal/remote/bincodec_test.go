@@ -11,7 +11,6 @@ import (
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
-	"middlewhere/internal/mwrpc"
 )
 
 func binTestReadings() []model.Reading {
@@ -178,20 +177,5 @@ func TestRegionQueryRoundTrip(t *testing.T) {
 	}
 	if pr.Prob != 0.75 || pr.Band != "high" {
 		t.Errorf("prob reply = %+v", pr)
-	}
-}
-
-// TestBinaryEncodeSteadyStateAllocs: with a pooled buffer, encoding a
-// batch into a reused frame buffer must not allocate.
-func TestBinaryEncodeSteadyStateAllocs(t *testing.T) {
-	rs := binTestReadings()
-	buf := mwrpc.GetBuf()
-	defer buf.Free()
-	buf.B = AppendReadings(buf.B[:0], rs) // warm the buffer to capacity
-	allocs := testing.AllocsPerRun(100, func() {
-		buf.B = AppendReadings(buf.B[:0], rs)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state encode allocates %.1f times per batch, want 0", allocs)
 	}
 }

@@ -1,9 +1,8 @@
-// Wire-protocol benchmarks backing BENCH_3.json: codec encode/decode
-// cost, end-to-end RPC ingest per codec, and pipelined streaming
-// ingest. `make bench-compare` re-runs the recorded ones and enforces
-// both the 30% regression tolerance and the cross-benchmark speedup
-// gate (streaming binary ingest must stay >= 2x cheaper per reading
-// than the JSON request/response batch-64 path).
+// Wire-protocol benchmarks: codec encode/decode cost, end-to-end RPC
+// ingest per codec, and pipelined streaming ingest. They are the only
+// measurement of the JSON fallback; streaming binary ingest measured
+// about 3x cheaper per reading than the JSON request/response batch-64
+// path (EXPERIMENTS.md §PERF-6).
 package remote
 
 import (
