@@ -68,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStreamAck$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNotification$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngestReply$$' -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegionQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryReplies$$' -fuzztime $(FUZZTIME) ./internal/remote
 
 # Protocol-compat suite: the remote integration/chaos/stream tests and
 # the adapter layer under one MW_WIRE pairing ("client/daemon"). CI
@@ -157,6 +159,10 @@ fmt:
 fmt-write:
 	gofmt -l -w .
 
-check: build vet fmt test race concurrency-gate shard-stress bench chaos chaos-federation obs
+# The default `race` run is the binary/binary compat pairing; the
+# fuzz smoke runs at a shorter FUZZTIME than CI's.
+check: build vet fmt test race concurrency-gate shard-stress bench chaos chaos-federation obs stats-demo
 	$(MAKE) compat MW_WIRE=binary/json
+	$(MAKE) compat MW_WIRE=json/binary
 	$(MAKE) compat MW_WIRE=json/json
+	$(MAKE) fuzz-smoke FUZZTIME=5s

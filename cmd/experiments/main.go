@@ -172,7 +172,7 @@ func runF9Breakdown(quick bool) error {
 	if bd.PipelineMeanUs > 0 {
 		fmt.Printf("stage sum / end-to-end: %.0f%%\n", 100*bd.StageSumUs/bd.PipelineMeanUs)
 	}
-	fmt.Printf("for reference: client mw.ingest RTT %.1f us, client update->notify %.1f us\n",
+	fmt.Printf("for reference: client ingest RTT %.1f us, client update->notify %.1f us\n",
 		bd.ClientRTTUs, bd.EndToEndMeanUs)
 	fmt.Println("expected shape: stage sum within 20% of the measured end-to-end;")
 	fmt.Println("notify dominated by queue wait, db insert by the R-tree walk.")

@@ -171,7 +171,7 @@ type F9Breakdown struct {
 	PipelineMeanUs float64
 	// CompleteTraces is how many traces contributed to PipelineMeanUs.
 	CompleteTraces int
-	// ClientRTTUs is the mean client-observed mw.ingest round trip
+	// ClientRTTUs is the mean client-observed ingest round trip
 	// (the rpc_ingest span), which additionally pays encode + transport.
 	ClientRTTUs float64
 	// EndToEndMeanUs is the client-measured update→notification mean —

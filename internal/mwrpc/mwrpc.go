@@ -256,9 +256,10 @@ func kindFromString(s string) uint8 {
 
 // Method codes compress well-known method and stream names to one
 // header byte; code 0 means the name travels in the payload
-// (flagNamed), so unknown methods still work.
+// (flagNamed), so unknown methods still work. Codes 1 and 21–29 are
+// unassigned; 1 named the retired single-reading ingest method and
+// stays free so an older peer can never misread a reused code.
 var methodCodeTable = []string{
-	1:  "mw.ingest",
 	2:  "mw.ingestBatch",
 	3:  "mw.registerSensor",
 	4:  "mw.locate",

@@ -115,10 +115,8 @@ type clientSub struct {
 	localID string
 	args    SubscribeArgs
 	handler func(NotificationDTO)
-	// serverID is the server's ID on the current connection; epoch
-	// says which connection established it.
+	// serverID is the server's ID on the current connection.
 	serverID string
-	epoch    int
 	// lastSeen fingerprints the last delivered notification per object
 	// (replay guard across a resubscription).
 	lastSeen map[string]string
@@ -170,7 +168,7 @@ type LocationClient struct {
 	mResubscribe *obs.Counter // subscriptions replayed on resume
 	mMalformed   *obs.Counter // undecodable push payloads dropped
 	mDeduped     *obs.Counter // post-reconnect replays suppressed
-	mIngests     *obs.Counter // readings forwarded over mw.ingest[Batch]
+	mIngests     *obs.Counter // readings forwarded over mw.ingestBatch
 	mBatches     *obs.Counter // mw.ingestBatch frames sent
 	mIngestRTT   *obs.Histogram
 
@@ -477,7 +475,6 @@ func (c *LocationClient) resumeSession(rpc *mwrpc.Client) error {
 	for _, s := range c.subs {
 		subs = append(subs, s)
 	}
-	nextEpoch := c.epoch + 1
 	c.mu.Unlock()
 
 	for _, id := range order {
@@ -496,7 +493,6 @@ func (c *LocationClient) resumeSession(rpc *mwrpc.Client) error {
 		if _, live := c.subs[sub.localID]; live {
 			delete(c.serverToSub, sub.serverID)
 			sub.serverID = out.SubscriptionID
-			sub.epoch = nextEpoch
 			c.serverToSub[out.SubscriptionID] = sub
 			c.mResubscribe.Inc()
 		}
@@ -505,22 +501,17 @@ func (c *LocationClient) resumeSession(rpc *mwrpc.Client) error {
 	return nil
 }
 
-// call invokes an idempotent method, reconnecting and retrying on
-// transport failures. Server-side errors return immediately.
-func (c *LocationClient) call(method string, params, result interface{}) error {
-	return c.callTraced(method, params, result, "")
-}
-
-// callTraced is call with an obs trace ID stamped on the request
-// frame; "" behaves exactly like call.
-func (c *LocationClient) callTraced(method string, params, result interface{}, trace string) error {
+// retry runs attempt on the live connection, reconnecting and
+// retrying on transport failures; server-side errors return at once.
+// Every request/response call rides this one loop.
+func (c *LocationClient) retry(attempt func(rpc *mwrpc.Client) error) error {
 	var lastErr error
-	for attempt := 0; attempt < c.opts.DialAttempts; attempt++ {
+	for i := 0; i < c.opts.DialAttempts; i++ {
 		rpc, epoch, err := c.current()
 		if err != nil {
 			return err
 		}
-		err = rpc.CallTraced(method, params, result, trace)
+		err = attempt(rpc)
 		if err == nil {
 			return nil
 		}
@@ -533,6 +524,11 @@ func (c *LocationClient) callTraced(method string, params, result interface{}, t
 		}
 	}
 	return lastErr
+}
+
+// call invokes an idempotent JSON method through retry.
+func (c *LocationClient) call(method string, params, result interface{}) error {
+	return c.retry(func(rpc *mwrpc.Client) error { return rpc.Call(method, params, result) })
 }
 
 // onNotify dispatches a JSON-encoded pushed notification. Malformed
@@ -584,70 +580,40 @@ func (c *LocationClient) dispatchNotify(n NotificationDTO) {
 	}
 }
 
-// callMaybeBinary is callTraced for methods with a hand-rolled binary
+// callMaybeBinary is call for methods with a hand-rolled binary
 // payload codec: on a binary-negotiated connection it sends enc and
 // decodes the reply with dec, on a JSON connection it defers to
-// jsonCall (which sees the live rpc handle). Transport failures
-// reconnect and retry like callTraced, re-checking the codec each
-// attempt — a reconnect may land on a server that negotiates
+// jsonCall (which sees the live rpc handle). The codec is re-checked
+// on every retry — a reconnect may land on a server that negotiates
 // differently.
 func (c *LocationClient) callMaybeBinary(method, trace string, enc mwrpc.Appender, dec func([]byte) error, jsonCall func(rpc *mwrpc.Client) error) error {
-	var lastErr error
-	for attempt := 0; attempt < c.opts.DialAttempts; attempt++ {
-		rpc, epoch, err := c.current()
-		if err != nil {
-			return err
-		}
+	return c.retry(func(rpc *mwrpc.Client) error {
 		if rpc.Codec() == mwrpc.CodecBinary {
-			err = rpc.CallBinary(method, enc, dec, trace)
-		} else {
-			err = jsonCall(rpc)
+			return rpc.CallBinary(method, enc, dec, trace)
 		}
-		if err == nil {
-			return nil
-		}
-		if !isTransportErr(err) {
-			return err
-		}
-		lastErr = err
-		if werr := c.awaitReconnect(epoch); werr != nil {
-			return fmt.Errorf("%w (after %v)", werr, lastErr)
-		}
-	}
-	return lastErr
+		return jsonCall(rpc)
+	})
 }
 
-// Ingest forwards a sensor reading (adapter.Sink). Delivery is
-// at-least-once across reconnects: a reading whose acknowledgement was
-// lost may be stored twice, which the spatial database tolerates
-// (identical reading rows fuse to the same posterior).
-//
-// When tracing is enabled the reading's trip is traced end to end: a
-// trace ID begins here (unless the reading already carries one),
-// travels on the request frame, and comes back on the notification it
-// provokes.
+// Ingest forwards a sensor reading (adapter.Sink) as a batch of one,
+// so it shares IngestBatch's frame, delivery and error semantics: a
+// reading the server rejects comes back as a *spatialdb.RejectedError
+// with Indices [0], exactly as core.Service.Ingest reports it locally.
 func (c *LocationClient) Ingest(r model.Reading) error {
-	trace := r.Trace
-	if trace == "" && obs.Enabled() {
-		trace = obs.BeginTrace()
-	}
-	start := time.Now()
-	err := c.callTraced("mw.ingest", toReadingDTO(r), nil, trace)
-	if err == nil {
-		c.mIngests.Inc()
-		c.mIngestRTT.Observe(float64(time.Since(start).Microseconds()))
-	}
-	obs.SpanSince(trace, "rpc_ingest", start)
-	return err
+	return c.IngestBatch([]model.Reading{r})
 }
 
 // IngestBatch forwards a slice of readings in one mw.ingestBatch
 // frame (adapter.BatchSink): one round trip and one server-side
-// database pass instead of len(rs). Delivery keeps Ingest's
-// at-least-once semantics across reconnects — a batch whose
-// acknowledgement was lost may be stored twice, which the spatial
-// database tolerates. One trace ID covers the whole frame; the server
-// stamps it on every reading.
+// database pass instead of len(rs). Delivery is at-least-once across
+// reconnects — a batch whose acknowledgement was lost may be stored
+// twice, which the spatial database tolerates (identical reading rows
+// fuse to the same posterior).
+//
+// When tracing is enabled the frame is traced end to end: one trace
+// ID (the first reading's, else a fresh one) travels on the request
+// frame, the server stamps it on every reading, and it comes back on
+// the notifications they provoke.
 //
 // Readings the server rejected (bad decode, unknown sensor) are
 // reported as a *spatialdb.RejectedError carrying frame indices; the
@@ -658,8 +624,8 @@ func (c *LocationClient) IngestBatch(rs []model.Reading) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	var trace string
-	if obs.Enabled() {
+	trace := rs[0].Trace
+	if trace == "" && obs.Enabled() {
 		trace = obs.BeginTrace()
 	}
 	start := time.Now()
@@ -673,11 +639,7 @@ func (c *LocationClient) IngestBatch(rs []model.Reading) error {
 		},
 		func(rpc *mwrpc.Client) error {
 			// The DTO slice is built lazily, only for JSON attempts.
-			args := IngestBatchArgs{Readings: make([]ReadingDTO, 0, len(rs))}
-			for _, r := range rs {
-				args.Readings = append(args.Readings, toReadingDTO(r))
-			}
-			return rpc.CallTraced("mw.ingestBatch", args, &reply, trace)
+			return rpc.CallTraced("mw.ingestBatch", ingestArgs(rs), &reply, trace)
 		})
 	if err == nil {
 		c.mIngests.Add(uint64(reply.Accepted))
@@ -784,31 +746,19 @@ func (c *LocationClient) ObjectsInRegion(region string, minProb float64) (map[st
 // which stays valid across reconnects (the client re-subscribes on the
 // server and keeps the mapping).
 func (c *LocationClient) Subscribe(args SubscribeArgs, handler func(NotificationDTO)) (string, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.opts.DialAttempts; attempt++ {
-		rpc, epoch, err := c.current()
-		if err != nil {
-			return "", err
-		}
+	var id string
+	err := c.retry(func(rpc *mwrpc.Client) error {
 		var out subscribeReply
-		err = rpc.Call("mw.subscribe", args, &out)
-		if err != nil {
-			if !isTransportErr(err) {
-				return "", err
-			}
-			lastErr = err
-			if werr := c.awaitReconnect(epoch); werr != nil {
-				return "", fmt.Errorf("%w (after %v)", werr, lastErr)
-			}
-			continue
+		if err := rpc.Call("mw.subscribe", args, &out); err != nil {
+			return err
 		}
 		c.mu.Lock()
-		if c.epoch != epoch {
+		defer c.mu.Unlock()
+		if c.rpc != rpc {
 			// The connection died right after the server accepted the
 			// subscription; the server has already cleaned it up with
 			// the dead connection. Try again on the new one.
-			c.mu.Unlock()
-			continue
+			return mwrpc.ErrClosed
 		}
 		// The stable ID handed out is client-generated: server IDs are
 		// per-server-instance and could collide with an older session's
@@ -819,14 +769,13 @@ func (c *LocationClient) Subscribe(args SubscribeArgs, handler func(Notification
 			args:     args,
 			handler:  handler,
 			serverID: out.SubscriptionID,
-			epoch:    epoch,
 		}
 		c.subs[sub.localID] = sub
 		c.serverToSub[sub.serverID] = sub
-		c.mu.Unlock()
-		return sub.localID, nil
-	}
-	return "", lastErr
+		id = sub.localID
+		return nil
+	})
+	return id, err
 }
 
 // Unsubscribe removes a subscription by its stable ID. Transport

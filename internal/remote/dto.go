@@ -67,6 +67,16 @@ type IngestBatchArgs struct {
 	Readings []ReadingDTO `json:"readings"`
 }
 
+// ingestArgs is the JSON form of an ingest payload, for both
+// mw.ingestBatch requests and stream batches.
+func ingestArgs(rs []model.Reading) IngestBatchArgs {
+	args := IngestBatchArgs{Readings: make([]ReadingDTO, len(rs))}
+	for i, r := range rs {
+		args.Readings[i] = toReadingDTO(r)
+	}
+	return args
+}
+
 // IngestBatchReply acknowledges a batched ingest.
 type IngestBatchReply struct {
 	// Accepted is how many readings of the batch were stored.

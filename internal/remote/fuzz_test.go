@@ -5,6 +5,7 @@
 package remote
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -125,6 +126,84 @@ func FuzzDecodeIngestReply(f *testing.F) {
 	})
 }
 
+func regionQuerySeeds() [][]byte {
+	full := appendRegionQuery(nil, regionQueryArgs{
+		Object: "alice", Region: "CS/Floor3/NetLab", MinProb: 0.3,
+	})
+	return [][]byte{
+		full,
+		full[:len(full)-3], // truncated MinProb
+		appendRegionQuery(nil, regionQueryArgs{}),
+		{},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, // absurd string length
+	}
+}
+
+func queryReplySeeds() [][]byte {
+	objs := appendObjectsReply(nil, map[string]float64{"alice": 0.9, "bob": 0.4})
+	return [][]byte{
+		appendProbReply(nil, 0.75, "high"),
+		objs,
+		objs[:len(objs)-5], // truncated mid-entry
+		appendObjectsReply(nil, nil),
+		{},
+	}
+}
+
+// sameF64 compares floats bit for bit, so a fuzzed NaN round-trips.
+func sameF64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// FuzzDecodeRegionQuery covers the daemon-side decoder of binary
+// mw.probInRegion / mw.objectsInRegion requests (socket bytes).
+func FuzzDecodeRegionQuery(f *testing.F) {
+	for _, s := range regionQuerySeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := decodeRegionQuery(data)
+		if err != nil {
+			return
+		}
+		a2, err := decodeRegionQuery(appendRegionQuery(nil, a))
+		if err != nil {
+			t.Fatalf("re-encode of a decoded query failed to decode: %v", err)
+		}
+		if a2.Object != a.Object || a2.Region != a.Region || !sameF64(a2.MinProb, a.MinProb) {
+			t.Fatalf("query round trip drifted: %+v -> %+v", a, a2)
+		}
+	})
+}
+
+// FuzzDecodeQueryReplies covers the client-side decoders of binary
+// region-query replies, which run on reply bytes from the daemon.
+// Every input goes through both: the payload carries no type tag.
+func FuzzDecodeQueryReplies(f *testing.F) {
+	for _, s := range queryReplySeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := decodeProbReply(data); err == nil {
+			p2, err := decodeProbReply(appendProbReply(nil, p.Prob, p.Band))
+			if err != nil || !sameF64(p2.Prob, p.Prob) || p2.Band != p.Band {
+				t.Fatalf("prob reply round trip drifted: %+v -> %+v (%v)", p, p2, err)
+			}
+		}
+		objs, err := decodeObjectsReply(data)
+		if err != nil {
+			return
+		}
+		objs2, err := decodeObjectsReply(appendObjectsReply(nil, objs))
+		if err != nil || len(objs2) != len(objs) {
+			t.Fatalf("objects reply round trip drifted: %d -> %d entries (%v)", len(objs), len(objs2), err)
+		}
+		for k, v := range objs {
+			if v2, ok := objs2[k]; !ok || !sameF64(v2, v) {
+				t.Fatalf("objects reply round trip drifted at %q: %v -> %v", k, v, v2)
+			}
+		}
+	})
+}
+
 // TestWriteFuzzCorpus regenerates the committed seed corpora; gated so
 // a normal run never writes to the tree.
 func TestWriteFuzzCorpus(t *testing.T) {
@@ -146,4 +225,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzDecodeReadings", readingsSeeds())
 	write("FuzzDecodeStreamAck", ackSeeds())
+	write("FuzzDecodeRegionQuery", regionQuerySeeds())
+	write("FuzzDecodeQueryReplies", queryReplySeeds())
 }

@@ -73,7 +73,6 @@ func NewServer(svc *core.Service) *Server {
 	}
 	_, daemonWire := mwrpc.WireFromEnv(os.Getenv(mwrpc.WireEnv))
 	s.rpc.SetWire(daemonWire)
-	s.rpc.RegisterTraced("mw.ingest", s.handleIngest)
 	s.rpc.RegisterTraced("mw.ingestBatch", s.handleIngestBatch)
 	s.rpc.RegisterBinary("mw.ingestBatch", s.handleIngestBatchBin)
 	s.rpc.RegisterBinary("mw.probInRegion", s.handleProbInRegionBin)
@@ -226,94 +225,83 @@ func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr)
 // owner closes it).
 func (s *Server) Close() { s.rpc.Close() }
 
-// handleIngest is trace-aware: the trace ID the client stamped on the
-// request frame is adopted here, the decode cost is recorded as the
-// ingest stage, and the ID rides the Reading into the pipeline.
-func (s *Server) handleIngest(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
-	start := time.Now()
-	var d ReadingDTO
-	if err := json.Unmarshal(params, &d); err != nil {
-		return nil, err
-	}
-	r, err := d.toReading()
+// handleIngestBatch stores a JSON mw.ingestBatch frame. A single
+// reading travels as a batch of one, so this (with its binary twin
+// below) is the daemon's only request/response ingest method.
+func (s *Server) handleIngestBatch(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
+	rep, err := s.ingestPayload(params, false, trace)
 	if err != nil {
 		return nil, err
 	}
-	r.Trace = trace
-	obs.SpanSince(trace, "ingest", start)
-	if err := s.svc.Ingest(r); err != nil {
-		return nil, err
-	}
-	return "ok", nil
-}
-
-// handleIngestBatch decodes a batched ingest frame and stores the
-// whole slice in one database pass. The frame's trace ID is stamped on
-// every reading so each one's pipeline stays attributable.
-//
-// A reading that fails to decode or validate never fails the frame:
-// the valid readings are already stored by the time a per-reading
-// failure is known, so a frame-level error would make an at-least-once
-// client re-send (and re-store) them forever. The reply instead
-// carries the accepted count plus a per-reading rejection list, which
-// the client surfaces as a *spatialdb.RejectedError.
-func (s *Server) handleIngestBatch(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
-	start := time.Now()
-	var a IngestBatchArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
-	rs, frameIdx, rejected := decodeDTOBatch(a.Readings, trace)
-	obs.SpanSince(trace, "ingest", start)
-	return s.ingestDecoded(rs, frameIdx, rejected, len(a.Readings))
+	return rep, nil
 }
 
 // handleIngestBatchBin is the binary-payload twin of handleIngestBatch:
 // readings arrive structurally encoded (no RFC 3339 parse, no glob
 // re-parse) and the reply payload is hand-rolled too.
 func (s *Server) handleIngestBatchBin(_ *mwrpc.ServerConn, payload []byte, trace string) (mwrpc.Appender, error) {
-	start := time.Now()
-	rs, frameIdx, rejected, err := DecodeReadings(payload)
+	rep, err := s.ingestPayload(payload, true, trace)
 	if err != nil {
 		return nil, err
-	}
-	for i := range rs {
-		rs[i].Trace = trace
-	}
-	obs.SpanSince(trace, "ingest", start)
-	rep, herr := s.ingestDecoded(rs, frameIdx, rejected, len(rs)+len(rejected))
-	if herr != nil {
-		return nil, herr
 	}
 	return func(b []byte) []byte { return AppendIngestReply(b, rep) }, nil
 }
 
-// decodeDTOBatch converts wire readings to model form, collecting
-// per-reading decode failures as frame-indexed rejections.
-func decodeDTOBatch(dtos []ReadingDTO, trace string) (rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO) {
-	rs = make([]model.Reading, 0, len(dtos))
-	frameIdx = make([]int, 0, len(dtos))
-	for i, d := range dtos {
-		r, err := d.toReading()
+// decodeIngest decodes one ingest payload — binary or JSON
+// (IngestBatchArgs), from an mw.ingestBatch request or a stream batch —
+// and stamps the frame's trace ID on every reading, so each one's
+// pipeline stays attributable. A reading that fails to decode becomes
+// a frame-indexed rejection; frameIdx maps rs back to frame positions.
+// An error means the payload as a whole is unreadable.
+func decodeIngest(payload []byte, binary bool, trace string) (rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO, err error) {
+	if binary {
+		rs, frameIdx, rejected, err = DecodeReadings(payload)
 		if err != nil {
-			rejected = append(rejected, RejectedReadingDTO{Index: i, Error: err.Error()})
-			continue
+			return nil, nil, nil, err
 		}
-		r.Trace = trace
-		rs = append(rs, r)
-		frameIdx = append(frameIdx, i)
+	} else {
+		var a IngestBatchArgs
+		if err := json.Unmarshal(payload, &a); err != nil {
+			return nil, nil, nil, err
+		}
+		rs = make([]model.Reading, 0, len(a.Readings))
+		frameIdx = make([]int, 0, len(a.Readings))
+		for i, d := range a.Readings {
+			r, err := d.toReading()
+			if err != nil {
+				rejected = append(rejected, RejectedReadingDTO{Index: i, Error: err.Error()})
+				continue
+			}
+			rs = append(rs, r)
+			frameIdx = append(frameIdx, i)
+		}
 	}
-	return rs, frameIdx, rejected
+	for i := range rs {
+		rs[i].Trace = trace
+	}
+	return rs, frameIdx, rejected, nil
 }
 
-// ingestDecoded stores a decoded batch in one database pass and folds
-// the database's per-reading rejections (remapped to frame indices)
-// into the reply. A per-reading failure never fails the frame: the
-// valid readings are already stored, so a frame-level error would make
-// an at-least-once client re-send (and re-store) them forever.
-// Non-positional failures (e.g. a closing service) propagate as a
-// frame-level error — nothing was stored, a retry is safe.
-func (s *Server) ingestDecoded(rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO, total int) (IngestBatchReply, error) {
+// ingestPayload decodes an ingest payload (recording the decode as the
+// trace's ingest stage), stores the batch in one database pass, and
+// folds the database's per-reading rejections (remapped to frame
+// indices) into the reply.
+//
+// A per-reading failure never fails the frame: the valid readings are
+// already stored, so a frame-level error would make an at-least-once
+// client re-send (and re-store) them forever. The reply instead
+// carries the accepted count plus the rejection list, which the client
+// surfaces as a *spatialdb.RejectedError. An unreadable payload or a
+// non-positional failure (e.g. a closing service) is a frame-level
+// error — nothing was stored, a retry is safe.
+func (s *Server) ingestPayload(payload []byte, binary bool, trace string) (IngestBatchReply, error) {
+	start := time.Now()
+	rs, frameIdx, rejected, err := decodeIngest(payload, binary, trace)
+	if err != nil {
+		return IngestBatchReply{}, err
+	}
+	obs.SpanSince(trace, "ingest", start)
+	total := len(rs) + len(rejected)
 	if err := s.svc.IngestBatch(rs); err != nil {
 		var rej *spatialdb.RejectedError
 		if !errors.As(err, &rej) {

@@ -57,8 +57,7 @@ func TestStreamReplayDoesNotExtendTrace(t *testing.T) {
 				return AppendReadings(b, batch)
 			}, nil, trace)
 		}
-		args := IngestBatchArgs{Readings: []ReadingDTO{toReadingDTO(batch[0])}}
-		body, err := json.Marshal(args)
+		body, err := json.Marshal(ingestArgs(batch))
 		if err != nil {
 			return err
 		}

@@ -100,42 +100,15 @@ func (s *Server) handleStreamBatch(conn *mwrpc.ServerConn, id, seq uint64, paylo
 		s.sendAck(conn, id, seq, ack)
 		return
 	}
-	var (
-		rs       []model.Reading
-		frameIdx []int
-		rejected []RejectedReadingDTO
-		err      error
-		total    int
-	)
-	if binary {
-		rs, frameIdx, rejected, err = DecodeReadings(payload)
-		total = len(rs) + len(rejected)
-		if trace != "" {
-			// The binary reading codec has no per-reading trace field;
-			// the frame-level ID covers the whole batch.
-			for i := range rs {
-				rs[i].Trace = trace
-			}
-		}
-	} else {
-		var a IngestBatchArgs
-		if err = json.Unmarshal(payload, &a); err == nil {
-			rs, frameIdx, rejected = decodeDTOBatch(a.Readings, trace)
-			total = len(a.Readings)
-		}
-	}
 	st.lastSeq = seq
+	rep, err := s.ingestPayload(payload, binary, trace)
 	if err == nil {
-		var rep IngestBatchReply
-		rep, err = s.ingestDecoded(rs, frameIdx, rejected, total)
-		if err == nil {
-			st.accepted += uint64(rep.Accepted)
-			ack.Accepted = st.accepted
-			ack.BatchAccepted = rep.Accepted
-			ack.Rejected = rep.Rejected
-			s.sendAck(conn, id, seq, ack)
-			return
-		}
+		st.accepted += uint64(rep.Accepted)
+		ack.Accepted = st.accepted
+		ack.BatchAccepted = rep.Accepted
+		ack.Rejected = rep.Rejected
+		s.sendAck(conn, id, seq, ack)
+		return
 	}
 	// The payload is broken or the service refused the whole batch
 	// (e.g. it is shutting down): the batch is dropped wholesale —
@@ -296,11 +269,7 @@ func (s *IngestStream) writeBatch(rpc *mwrpc.Client, seq uint64, rs []model.Read
 		}, nil)
 		return size, err
 	}
-	args := IngestBatchArgs{Readings: make([]ReadingDTO, 0, len(rs))}
-	for _, r := range rs {
-		args.Readings = append(args.Readings, toReadingDTO(r))
-	}
-	body, err := json.Marshal(args)
+	body, err := json.Marshal(ingestArgs(rs))
 	if err != nil {
 		return 0, err
 	}
@@ -344,7 +313,9 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 		if s.credBat < 1 && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
-		if s.credByt < int64(estimateSize(rpc, rs)) && len(s.pending) > 0 {
+		// The binary size gates either codec: credits only bound volume,
+		// and a JSON batch is charged its real (larger) size once sent.
+		if s.credByt < int64(ReadingsBinSize(rs)) && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
 		s.nextSeq++
@@ -377,13 +348,6 @@ func (s *IngestStream) IngestBatch(rs []model.Reading) error { return s.Send(rs)
 // Ingest makes IngestStream a full adapter.Sink, so a ResilientSink
 // or Batcher can wrap it directly.
 func (s *IngestStream) Ingest(r model.Reading) error { return s.Send([]model.Reading{r}) }
-
-// estimateSize is the byte-credit cost of sending rs on rpc's codec.
-// Binary is exact; JSON is approximated from the binary size (the DTO
-// envelope is strictly larger, but credits only need to bound volume).
-func estimateSize(rpc *mwrpc.Client, rs []model.Reading) int {
-	return ReadingsBinSize(rs)
-}
 
 // await drops the stream lock while the client reconnects.
 func (s *IngestStream) await(epoch int) error {

@@ -125,11 +125,7 @@ func TestStreamDuplicateSeqNotRestored(t *testing.T) {
 				return AppendReadings(b, batch)
 			}, nil)
 		}
-		args := IngestBatchArgs{Readings: make([]ReadingDTO, 0, len(batch))}
-		for _, r := range batch {
-			args.Readings = append(args.Readings, toReadingDTO(r))
-		}
-		body, err := json.Marshal(args)
+		body, err := json.Marshal(ingestArgs(batch))
 		if err != nil {
 			return err
 		}

@@ -60,11 +60,7 @@ func BenchmarkWireEncode(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("json/batch-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				args := IngestBatchArgs{Readings: make([]ReadingDTO, 0, len(rs))}
-				for _, r := range rs {
-					args.Readings = append(args.Readings, toReadingDTO(r))
-				}
-				if _, err := json.Marshal(args); err != nil {
+				if _, err := json.Marshal(ingestArgs(rs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,17 +74,13 @@ func BenchmarkWireDecode(b *testing.B) {
 	for _, size := range []int{1, 16, 64} {
 		rs := wireBenchReadings(size)
 		binPayload := AppendReadings(nil, rs)
-		args := IngestBatchArgs{Readings: make([]ReadingDTO, 0, len(rs))}
-		for _, r := range rs {
-			args.Readings = append(args.Readings, toReadingDTO(r))
-		}
-		jsonPayload, err := json.Marshal(args)
+		jsonPayload, err := json.Marshal(ingestArgs(rs))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("binary/batch-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dec, _, rejected, err := DecodeReadings(binPayload)
+				dec, _, rejected, err := decodeIngest(binPayload, true, "")
 				if err != nil || len(rejected) != 0 || len(dec) != size {
 					b.Fatalf("decode: %d readings, %d rejected, err %v", len(dec), len(rejected), err)
 				}
@@ -96,13 +88,9 @@ func BenchmarkWireDecode(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("json/batch-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var a IngestBatchArgs
-				if err := json.Unmarshal(jsonPayload, &a); err != nil {
-					b.Fatal(err)
-				}
-				dec, _, rejected := decodeDTOBatch(a.Readings, "")
-				if len(rejected) != 0 || len(dec) != size {
-					b.Fatalf("decode: %d readings, %d rejected", len(dec), len(rejected))
+				dec, _, rejected, err := decodeIngest(jsonPayload, false, "")
+				if err != nil || len(rejected) != 0 || len(dec) != size {
+					b.Fatalf("decode: %d readings, %d rejected, err %v", len(dec), len(rejected), err)
 				}
 			}
 		})
