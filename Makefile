@@ -38,10 +38,12 @@ e2e-bench:
 
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
 # migration, snapshot-isolation, cut (TestCut*: torn batches, the open
-# bracket, a quiet shard's clone-free recapture) and serial-vs-parallel
-# determinism tests under the race detector, twice, so interleavings
-# differ between runs. Kept separate from `race` so CI can re-run just
-# these when the spatial database changes.
+# bracket, a quiet shard's clone-free recapture) and cross-shard
+# object-query tests (TestCrossShard*: queries beside object inserts and
+# deletes), plus core's serial-vs-parallel region scan, under the race
+# detector, twice, so interleavings differ between runs. Kept separate
+# from `race` so CI can re-run just these when the spatial database
+# changes.
 shard-stress:
 	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
 	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical' ./internal/core/

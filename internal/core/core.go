@@ -317,10 +317,6 @@ func newService(b *building.Building, opts []Option) (*Service, error) {
 	}
 	if s.parallelism > 1 {
 		s.pool = newWorkerPool(s.parallelism)
-		// Cross-shard object queries (Objects, IntersectingObjects,
-		// Nearest, MWQL scans) fan their per-shard searches across the
-		// same bounded pool.
-		db.SetFanout(s.pool.fanOut)
 	}
 	if s.notifyWorkers <= 0 {
 		s.notifyWorkers = s.parallelism

@@ -56,8 +56,7 @@ type Tree struct {
 // mutated, so the copy is paid at most once per (snapshot, write)
 // pair — by the writer, off the snapshot reader's path. Searching a
 // clone concurrently with mutations of the original is safe; the
-// clone's visit counter starts at zero so callers can fold the delta
-// back into the source with AddVisits.
+// clone's visit counter starts at zero.
 func (t *Tree) Clone() *Tree {
 	t.shared.Store(true)
 	c := &Tree{
@@ -69,11 +68,6 @@ func (t *Tree) Clone() *Tree {
 	c.shared.Store(true)
 	return c
 }
-
-// AddVisits folds externally observed node visits into the tree's
-// counter — used to account searches that ran on a snapshot clone back
-// to the live index the visits gauge watches.
-func (t *Tree) AddVisits(n int64) { t.visits.Add(n) }
 
 // materialize gives the tree private ownership of its nodes before a
 // mutation: if the structure is shared with a clone, every node is

@@ -193,13 +193,11 @@ func (t *readTable) resetSupport(id string, rows []model.Reading) {
 type shard struct {
 	key string
 
-	// Object table + R-tree. objFrozen marks the objects map as
-	// visible to a lock-free reader view; the next writer clones it
-	// first (the R-tree copy-on-writes itself via rtree.Clone).
-	objMu     sync.RWMutex
-	objects   map[string]*Object
-	objIdx    *rtree.Tree
-	objFrozen atomic.Bool
+	// Object table + R-tree. Writers hold objMu exclusively; every
+	// object query searches the live index under the read lock.
+	objMu   sync.RWMutex
+	objects map[string]*Object
+	objIdx  *rtree.Tree
 
 	// Reading table, copy-on-write (see readTable). readFrozen marks
 	// the current table as captured by a snapshot. The pointer is
@@ -265,53 +263,6 @@ func (sh *shard) mutableTable() *readTable {
 	return nt
 }
 
-// mutableObjects makes the object map safe to mutate. Caller holds
-// objMu exclusively. (The R-tree copy-on-writes independently: it was
-// marked shared by Clone and materializes on its next mutation.)
-func (sh *shard) mutableObjects() {
-	if !sh.objFrozen.Load() {
-		return
-	}
-	m := make(map[string]*Object, len(sh.objects))
-	for k, v := range sh.objects {
-		m[k] = v
-	}
-	sh.objects = m
-	sh.objFrozen.Store(false)
-}
-
-// objView is a lock-free read view of one shard's object table: the
-// frozen map and a copy-on-write clone of the R-tree. Searches run
-// without holding the shard lock; done() folds the clone's node visits
-// back into the live index so the rtree_node_visits gauge keeps
-// counting query work.
-type objView struct {
-	sh      *shard
-	objects map[string]*Object
-	idx     *rtree.Tree
-}
-
-func (v objView) done() {
-	if n := v.idx.Visits(); n > 0 {
-		v.sh.objIdx.AddVisits(n)
-	}
-}
-
-// objectViews captures a consistent per-shard view of every object
-// table. The capture itself is a brief read-lock per shard; searching
-// and merging happen lock-free afterwards.
-func (db *DB) objectViews() []objView {
-	shards := db.allShards()
-	views := make([]objView, len(shards))
-	for i, sh := range shards {
-		sh.objMu.RLock()
-		views[i] = objView{sh: sh, objects: sh.objects, idx: sh.objIdx.Clone()}
-		sh.objFrozen.Store(true)
-		sh.objMu.RUnlock()
-	}
-	return views
-}
-
 // shardFor returns the shard for a key if it exists.
 func (db *DB) shardFor(key string) (*shard, bool) {
 	db.shardMu.RLock()
@@ -351,34 +302,6 @@ func (db *DB) allShards() []*shard {
 	order := db.order
 	db.shardMu.RUnlock()
 	return order
-}
-
-// fanShards runs fn(0..n-1) through the installed fan-out runner when
-// one is wired and there is real fan-out to gain, serially otherwise.
-// Index-addressed result slots keep the merge deterministic either
-// way.
-func (db *DB) fanShards(n int, fn func(int)) {
-	if n > 1 {
-		if fan := db.fanout.Load(); fan != nil {
-			(*fan)(n, fn)
-			return
-		}
-	}
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// SetFanout installs a parallel runner for cross-shard queries; the
-// Location Service wires its bounded worker pool in. run must execute
-// fn(0..n-1), possibly concurrently, and return after all calls
-// complete. A nil run restores serial evaluation.
-func (db *DB) SetFanout(run func(n int, fn func(int))) {
-	if run == nil {
-		db.fanout.Store(nil)
-		return
-	}
-	db.fanout.Store(&run)
 }
 
 // ShardStat describes one shard for stats surfaces (mwctl stats).

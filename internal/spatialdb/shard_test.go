@@ -310,56 +310,119 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 	}
 }
 
-// TestCrossShardQueriesSerialParallelIdentical pins the determinism
-// contract: installing a parallel fan-out runner must not change any
-// cross-shard query result, in content or order.
-func TestCrossShardQueriesSerialParallelIdentical(t *testing.T) {
-	db := multiFloorDB(t, 4)
-	for f := 1; f <= 4; f++ {
+// TestCrossShardQueriesDuringObjectWrites runs every object query
+// against live shard indexes while other goroutines insert and delete
+// objects on the same floors. Each result must be sorted without a
+// duplicate ID, and the objects that exist for the whole run must
+// always be found.
+func TestCrossShardQueriesDuringObjectWrites(t *testing.T) {
+	const floors, writes = 4, 150
+	db := multiFloorDB(t, floors)
+	room := func(id string, x float64) Object {
+		return Object{
+			GLOB: glob.MustParse(id), Type: "Room", Kind: glob.KindPolygon,
+			LocalPoints: []geom.Point{
+				{X: x, Y: 0}, {X: x + 20, Y: 0}, {X: x + 20, Y: 20}, {X: x, Y: 20},
+			},
+		}
+	}
+	var stable []string
+	for f := 1; f <= floors; f++ {
 		for r := 0; r < 3; r++ {
-			x := float64(r * 30)
-			err := db.InsertObject(Object{
-				GLOB: glob.MustParse(fmt.Sprintf("CS/Floor%d/room%d", f, r)),
-				Type: "Room", Kind: glob.KindPolygon,
-				LocalPoints: []geom.Point{
-					{X: x, Y: 0}, {X: x + 20, Y: 0}, {X: x + 20, Y: 20}, {X: x, Y: 20},
-				},
-			})
-			if err != nil {
+			id := fmt.Sprintf("CS/Floor%d/room%d", f, r)
+			if err := db.InsertObject(room(id, float64(r*30))); err != nil {
 				t.Fatal(err)
 			}
+			stable = append(stable, id)
 		}
 	}
 	region := geom.R(0, 0, 500, 400) // spans every floor
-	probe := geom.Pt(10, 110)
+	probe := geom.Pt(10, 110)        // inside CS/Floor2/room0
+	const probeRoom = "CS/Floor2/room0"
 
-	serialObjs := db.Objects()
-	serialInter := db.IntersectingObjects(region, ObjectFilter{})
-	serialAt := db.ObjectsAt(probe, ObjectFilter{})
-	serialNear := db.Nearest(probe, 5, ObjectFilter{})
-
-	// A genuinely concurrent runner.
-	db.SetFanout(func(n int, fn func(int)) {
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) { defer wg.Done(); fn(i) }(i)
+	// checkIDs reports an unsorted or duplicated result and whether
+	// every stable object is in it.
+	checkIDs := func(what string, got []Object, less func(a, b Object) bool, want []string) {
+		seen := make(map[string]bool, len(got))
+		for i, o := range got {
+			if seen[o.ID()] {
+				t.Errorf("%s: duplicate %s", what, o.ID())
+			}
+			seen[o.ID()] = true
+			if i > 0 && less(o, got[i-1]) {
+				t.Errorf("%s: %s sorted after %s", what, o.ID(), got[i-1].ID())
+			}
 		}
-		wg.Wait()
-	})
-	defer db.SetFanout(nil)
+		for _, id := range want {
+			if !seen[id] {
+				t.Errorf("%s: stable object %s missing", what, id)
+			}
+		}
+	}
+	byID := func(a, b Object) bool { return a.ID() < b.ID() }
+	byDepth := func(a, b Object) bool {
+		if d1, d2 := a.GLOB.Depth(), b.GLOB.Depth(); d1 != d2 {
+			return d1 > d2
+		}
+		return a.ID() < b.ID()
+	}
+	byDist := func(a, b Object) bool {
+		if d1, d2 := a.Bounds.DistToPoint(probe), b.Bounds.DistToPoint(probe); d1 != d2 {
+			return d1 < d2
+		}
+		return a.ID() < b.ID()
+	}
 
-	if got := db.Objects(); !reflect.DeepEqual(got, serialObjs) {
-		t.Error("Objects() differs under parallel fan-out")
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	// Writers: transient rooms east of the stable ones, on every floor.
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < writes; i++ {
+				id := fmt.Sprintf("CS/Floor%d/tmp%d-%d", 1+i%floors, w, i)
+				if err := db.InsertObject(room(id, float64(200+w*30))); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 1 {
+					if err := db.DeleteObject(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
 	}
-	if got := db.IntersectingObjects(region, ObjectFilter{}); !reflect.DeepEqual(got, serialInter) {
-		t.Error("IntersectingObjects differs under parallel fan-out")
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				checkIDs("Objects", db.Objects(), byID, stable)
+				checkIDs("IntersectingObjects", db.IntersectingObjects(region, ObjectFilter{}), byID, stable)
+				checkIDs("ObjectsAt", db.ObjectsAt(probe, ObjectFilter{}), byDepth, []string{probeRoom})
+				checkIDs("Nearest", db.Nearest(probe, 3, ObjectFilter{}), byDist, []string{probeRoom})
+				for _, id := range stable {
+					if _, err := db.GetObject(id); err != nil {
+						t.Errorf("GetObject(%s): %v", id, err)
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 	}
-	if got := db.ObjectsAt(probe, ObjectFilter{}); !reflect.DeepEqual(got, serialAt) {
-		t.Error("ObjectsAt differs under parallel fan-out")
-	}
-	if got := db.Nearest(probe, 5, ObjectFilter{}); !reflect.DeepEqual(got, serialNear) {
-		t.Error("Nearest differs under parallel fan-out")
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	// Odd writes were deleted again; the even ones remain.
+	if got, want := len(db.Objects()), len(stable)+2*writes/2; got != want {
+		t.Errorf("objects after the run = %d, want %d", got, want)
 	}
 }
 

@@ -228,10 +228,6 @@ type DB struct {
 	hookMu sync.RWMutex
 	hooks  []func(model.Reading)
 
-	// fanout, when set, runs cross-shard query work in parallel; see
-	// SetFanout.
-	fanout atomic.Pointer[func(n int, fn func(int))]
-
 	// lastSnap is the unix-microsecond time of the last Snapshot call
 	// (creation time before the first), feeding the snapshot-age gauge.
 	lastSnap atomic.Int64
@@ -297,7 +293,6 @@ func (db *DB) InsertObject(o Object) error {
 		}
 		stored.Properties = props
 	}
-	sh.mutableObjects()
 	sh.objects[id] = &stored
 	sh.objIdx.Insert(stored.Bounds, id)
 	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
@@ -347,7 +342,6 @@ func (db *DB) DeleteObject(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: object %s", ErrNotFound, id)
 	}
-	sh.mutableObjects()
 	sh.objIdx.Delete(o.Bounds, id)
 	delete(sh.objects, id)
 	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
@@ -355,21 +349,17 @@ func (db *DB) DeleteObject(id string) error {
 	return nil
 }
 
-// Objects returns all objects sorted by ID. The scan runs against one
-// consistent cut of every shard's object table (captured lock-free via
-// copy-on-write), so a concurrent insert is either fully visible or
-// not at all — never split across shards.
+// Objects returns all objects sorted by ID. Each shard is read under
+// its own read lock, one after the other, so a concurrent insert on a
+// shard already read is not seen.
 func (db *DB) Objects() []Object {
-	views := db.objectViews()
-	var n int
-	for _, v := range views {
-		n += len(v.objects)
-	}
-	out := make([]Object, 0, n)
-	for _, v := range views {
-		for _, o := range v.objects {
+	var out []Object
+	for _, sh := range db.allShards() {
+		sh.objMu.RLock()
+		for _, o := range sh.objects {
 			out = append(out, o.clone())
 		}
+		sh.objMu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
@@ -416,39 +406,28 @@ func (f ObjectFilter) match(o *Object) bool {
 	return true
 }
 
-// searchViews fans an R-tree search across every shard's object view,
-// collecting matches into index-addressed slots — so serial and
-// parallel fan-out produce identical result sets, and the final sort
-// makes the order deterministic.
-func (db *DB) searchViews(search func(v objView) []Object) []Object {
-	views := db.objectViews()
-	perShard := make([][]Object, len(views))
-	db.fanShards(len(views), func(i int) {
-		perShard[i] = search(views[i])
-		views[i].done()
-	})
+// searchShards runs search against every shard's live object index
+// under that shard's read lock, one shard at a time, and keeps the hits
+// that pass f. The callers sort the result.
+func (db *DB) searchShards(search func(idx *rtree.Tree) []rtree.Item, f ObjectFilter) []Object {
 	var out []Object
-	for _, part := range perShard {
-		out = append(out, part...)
+	for _, sh := range db.allShards() {
+		sh.objMu.RLock()
+		for _, it := range search(sh.objIdx) {
+			if o := sh.objects[it.ID]; o != nil && f.match(o) {
+				out = append(out, o.clone())
+			}
+		}
+		sh.objMu.RUnlock()
 	}
 	return out
 }
 
 // IntersectingObjects returns objects whose universe-frame MBR
-// intersects r, filtered, sorted by ID. The search fans out across
-// shards when a parallel runner is installed (SetFanout).
+// intersects r, filtered, sorted by ID.
 func (db *DB) IntersectingObjects(r geom.Rect, f ObjectFilter) []Object {
 	defer db.observeQuery(time.Now())
-	out := db.searchViews(func(v objView) []Object {
-		var part []Object
-		for _, it := range v.idx.SearchIntersect(r) {
-			o := v.objects[it.ID]
-			if o != nil && f.match(o) {
-				part = append(part, o.clone())
-			}
-		}
-		return part
-	})
+	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchIntersect(r) }, f)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -457,16 +436,7 @@ func (db *DB) IntersectingObjects(r geom.Rect, f ObjectFilter) []Object {
 // ID.
 func (db *DB) ContainedObjects(r geom.Rect, f ObjectFilter) []Object {
 	defer db.observeQuery(time.Now())
-	out := db.searchViews(func(v objView) []Object {
-		var part []Object
-		for _, it := range v.idx.SearchContained(r) {
-			o := v.objects[it.ID]
-			if o != nil && f.match(o) {
-				part = append(part, o.clone())
-			}
-		}
-		return part
-	})
+	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchContained(r) }, f)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -475,16 +445,7 @@ func (db *DB) ContainedObjects(r geom.Rect, f ObjectFilter) []Object {
 // GLOB first — the room before the floor).
 func (db *DB) ObjectsAt(p geom.Point, f ObjectFilter) []Object {
 	defer db.observeQuery(time.Now())
-	out := db.searchViews(func(v objView) []Object {
-		var part []Object
-		for _, it := range v.idx.SearchContaining(p) {
-			o := v.objects[it.ID]
-			if o != nil && f.match(o) {
-				part = append(part, o.clone())
-			}
-		}
-		return part
-	})
+	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchContaining(p) }, f)
 	sort.Slice(out, func(i, j int) bool {
 		if d1, d2 := out[i].GLOB.Depth(), out[j].GLOB.Depth(); d1 != d2 {
 			return d1 > d2
@@ -496,18 +457,21 @@ func (db *DB) ObjectsAt(p geom.Point, f ObjectFilter) []Object {
 
 // Nearest answers property queries such as "the nearest region with
 // power outlets and high Bluetooth signal" (§5.1): the k objects
-// passing the filter closest to p. Each shard contributes its own k
-// best candidates; the merge keeps the global k by (distance, ID).
+// passing the filter closest to p, nil for k <= 0. Each shard
+// contributes its own k best candidates; the merge keeps the global k
+// by (distance, ID).
 func (db *DB) Nearest(p geom.Point, k int, f ObjectFilter) []Object {
+	if k <= 0 {
+		return nil
+	}
 	defer db.observeQuery(time.Now())
 	type cand struct {
 		obj  Object
 		dist float64
 	}
-	views := db.objectViews()
-	perShard := make([][]cand, len(views))
-	db.fanShards(len(views), func(vi int) {
-		v := views[vi]
+	var all []cand
+	for _, sh := range db.allShards() {
+		sh.objMu.RLock()
 		// Over-fetch from the index and filter; property predicates
 		// cannot be pushed into the R-tree.
 		var part []cand
@@ -516,10 +480,10 @@ func (db *DB) Nearest(p geom.Point, k int, f ObjectFilter) []Object {
 			fetch = 16
 		}
 		for len(part) < k {
-			items := v.idx.Nearest(p, fetch)
+			items := sh.objIdx.Nearest(p, fetch)
 			part = part[:0]
 			for _, it := range items {
-				o := v.objects[it.ID]
+				o := sh.objects[it.ID]
 				if o != nil && f.match(o) {
 					part = append(part, cand{obj: o.clone(), dist: it.Rect.DistToPoint(p)})
 					if len(part) == k {
@@ -532,11 +496,7 @@ func (db *DB) Nearest(p geom.Point, k int, f ObjectFilter) []Object {
 			}
 			fetch *= 2
 		}
-		v.done()
-		perShard[vi] = part
-	})
-	var all []cand
-	for _, part := range perShard {
+		sh.objMu.RUnlock()
 		all = append(all, part...)
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -196,24 +196,57 @@ func TestSpatialQueries(t *testing.T) {
 func TestNearestWithProperties(t *testing.T) {
 	db := testDB(t)
 	paperFloor(t, db)
-	// "Where is the nearest region that has power outlets and high
-	// Bluetooth signal?" (§5.1)
-	got := db.Nearest(geom.Pt(0, 0), 1, ObjectFilter{
-		Properties: map[string]string{"power-outlets": "yes", "bluetooth": "high"},
-	})
-	if len(got) != 1 || got[0].ID() != "CS/Floor3/3105" {
-		t.Errorf("nearest = %v", idsOf(got))
+	cases := []struct {
+		name string
+		p    geom.Point
+		k    int
+		f    ObjectFilter
+		want []string // the leading IDs, in order
+		n    int      // the result length
+	}{
+		// "Where is the nearest region that has power outlets and high
+		// Bluetooth signal?" (§5.1)
+		{name: "properties", p: geom.Pt(0, 0), k: 1, f: ObjectFilter{
+			Properties: map[string]string{"power-outlets": "yes", "bluetooth": "high"},
+		}, want: []string{"CS/Floor3/3105"}, n: 1},
+		// Without a property filter: k objects ordered by distance.
+		{name: "rooms", p: geom.Pt(370, 10), k: 2, f: ObjectFilter{Type: "Room"}, n: 2,
+			want: []string{"CS/Floor3/NetLab"}},
+		{name: "unsatisfiable", p: geom.Pt(0, 0), k: 3, f: ObjectFilter{
+			Properties: map[string]string{"pool": "olympic"}}},
+		{name: "zero k", p: geom.Pt(0, 0), k: 0},
+		{name: "negative k", p: geom.Pt(0, 0), k: -1},
 	}
-	// Nearest without filter returns k objects ordered by distance.
-	got = db.Nearest(geom.Pt(370, 10), 2, ObjectFilter{Type: "Room"})
-	if len(got) != 2 || got[0].ID() != "CS/Floor3/NetLab" {
-		t.Errorf("nearest rooms = %v", idsOf(got))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := db.Nearest(c.p, c.k, c.f)
+			if len(got) != c.n {
+				t.Fatalf("nearest = %v, want %d objects", idsOf(got), c.n)
+			}
+			for i, id := range c.want {
+				if got[i].ID() != id {
+					t.Errorf("nearest[%d] = %s, want %s", i, got[i].ID(), id)
+				}
+			}
+		})
 	}
-	// Unsatisfiable property.
-	got = db.Nearest(geom.Pt(0, 0), 3, ObjectFilter{
-		Properties: map[string]string{"pool": "olympic"}})
-	if len(got) != 0 {
-		t.Errorf("impossible filter returned %v", idsOf(got))
+}
+
+// TestObjectQueryRaisesVisitsGauge pins the rtree_node_visits gauge the
+// benchmark's rtree.node_visits_per_query row reads: an object query
+// counts its node visits on the live index.
+func TestObjectQueryRaisesVisitsGauge(t *testing.T) {
+	db := testDB(t)
+	paperFloor(t, db)
+	r := geom.R(0, 0, 500, 100)
+	db.IntersectingObjects(r, ObjectFilter{})
+	first := mVisitsGauge.Value()
+	if first <= 0 {
+		t.Fatalf("rtree_node_visits = %v after a query, want > 0", first)
+	}
+	db.IntersectingObjects(r, ObjectFilter{})
+	if second := mVisitsGauge.Value(); second <= first {
+		t.Errorf("rtree_node_visits %v -> %v across a query, want a rise", first, second)
 	}
 }
 
