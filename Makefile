@@ -18,16 +18,17 @@ race:
 	$(GO) test -race -timeout 120s ./...
 
 # The tests that have actually flaked or hung (ROADMAP item 0), twenty
-# times each under the race detector: the serial-vs-batch notification
-# count (needs the Quiesce barrier), the cache-freshness stress that
-# used to hang in Snapshot, the two tests of the cut itself (every
-# concurrent cut fresh, whole and returning; a cut waiting for an open
-# bracket without deadlocking the migration inside it), and the replay
-# dedup reading rows atomically with residence while the object flips
-# floors. The gate gets its own, longer timeout: a slower runner must
-# not turn the flake gate into a timeout flake.
+# times each under the race detector: the serial-vs-batch notifications
+# (needs the Quiesce barrier), the batch whose firings fan out across
+# the worker pool without cutting a snapshot, the cache-freshness
+# stress that used to hang in Snapshot, the two tests of the cut itself
+# (every concurrent cut fresh, whole and returning; a cut waiting for
+# an open bracket without deadlocking the migration inside it), and the
+# replay dedup reading rows atomically with residence while the object
+# flips floors. The gate gets its own, longer timeout: a slower runner
+# must not turn the flake gate into a timeout flake.
 concurrency-gate:
-	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestCacheNeverServesStaleUnderRace' ./internal/core/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace' ./internal/core/
 	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
@@ -37,7 +38,8 @@ e2e-bench:
 	bash benchmark/run.sh $(ARGS)
 
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
-# migration, snapshot-isolation, cut (TestCut*: torn batches, the open
+# migration, the rows a trigger firing holds (TestShardFiringRows*),
+# snapshot-isolation, cut (TestCut*: torn batches, the open
 # bracket, a quiet shard's clone-free recapture) and cross-shard
 # object-query tests (TestCrossShard*: queries beside object inserts and
 # deletes), plus core's serial-vs-parallel region scan, under the race

@@ -91,82 +91,52 @@ func (c *locateCache) put(id string, e *locEntry) {
 	c.entries[id] = e
 }
 
-// fusionState returns the object's fusion inputs at now, serving a
-// cached set while the invalidation keys prove it current. The keys
-// are read BEFORE the rows: an insert landing in between makes the
-// stored entry conservatively stale (its epoch is already outdated),
-// never the reverse — a cached answer can therefore never survive a
-// completed newer insert for the object.
-func (s *Service) fusionState(objectID string, now time.Time) ([]fusion.Reading, *locEntry) {
-	epoch := s.db.ReadingEpoch(objectID)
-	sensorGen := s.db.SensorGeneration()
+// cachedFusion returns the object's cache entry at the given reading
+// epoch and sensor generation, serving a cached one while the keys
+// prove it current and otherwise storing one built by fuse. Callers
+// read the keys BEFORE the rows fuse reduces: an insert landing in
+// between makes the stored entry conservatively stale (its epoch is
+// already outdated), never the reverse — a cached answer can therefore
+// never survive a completed newer insert for the object.
+func (s *Service) cachedFusion(objectID string, epoch, sensorGen uint64, now time.Time, fuse func() []fusion.Reading) *locEntry {
 	objGen := s.db.ObjectGeneration()
 	if e := s.cache.get(objectID); e.valid(epoch, sensorGen, objGen, now, s.quantum) {
 		mCacheHits.Inc()
-		return e.readings, e
+		return e
 	}
 	mCacheMisses.Inc()
-	readings := s.fusionReadings(objectID, now)
 	e := &locEntry{
 		epoch:     epoch,
 		sensorGen: sensorGen,
 		objGen:    objGen,
 		at:        now,
-		readings:  readings,
+		readings:  fuse(),
 	}
 	s.cache.put(objectID, e)
-	return readings, e
+	return e
+}
+
+// fusionState returns the object's fusion inputs at now from the live
+// tables, through the cache.
+func (s *Service) fusionState(objectID string, now time.Time) ([]fusion.Reading, *locEntry) {
+	e := s.cachedFusion(objectID, s.db.ReadingEpoch(objectID), s.db.SensorGeneration(), now, func() []fusion.Reading {
+		return s.fusionReadings(objectID, now)
+	})
+	return e.readings, e
 }
 
 // fusionStateSnap is fusionState evaluated against a database
 // snapshot: the rows, sensor specs, and invalidation keys all come
 // from the same consistent cut, so every object evaluated against one
-// snapshot sees the same set of completed insert batches. The shared
-// cache is consulted and refilled with the snapshot's keys — live
-// epochs only ever run ahead of a snapshot's, so a cached entry can
-// validate against a snapshot only when the object's rows have not
-// changed since the cut, never the reverse.
+// snapshot sees the same set of completed insert batches. Live epochs
+// only ever run ahead of a snapshot's, so a cached entry can validate
+// against a snapshot only when the object's rows have not changed
+// since the cut, never the reverse.
 func (s *Service) fusionStateSnap(snap *spatialdb.Snapshot, objectID string, now time.Time) []fusion.Reading {
-	epoch := snap.ReadingEpoch(objectID)
-	sensorGen := snap.SensorGeneration()
-	objGen := s.db.ObjectGeneration()
-	if e := s.cache.get(objectID); e.valid(epoch, sensorGen, objGen, now, s.quantum) {
-		mCacheHits.Inc()
-		return e.readings
-	}
-	mCacheMisses.Inc()
-	rows := snap.LatestPerSensor(objectID, now)
-	readings := fusion.FromReadings(rows, snap.SensorSpecs(), now, snap.Universe().Area())
-	s.cache.put(objectID, &locEntry{
-		epoch:     epoch,
-		sensorGen: sensorGen,
-		objGen:    objGen,
-		at:        now,
-		readings:  readings,
-	})
-	return readings
-}
-
-// classifierFor returns the §4.4 classifier for a snapshot's sensor
-// table: the live memo when the generations agree (the common case),
-// otherwise one built from the snapshot's own specs so bands always
-// reflect the cut being evaluated.
-func (s *Service) classifierFor(snap *spatialdb.Snapshot) fusion.Classifier {
-	m := &s.sensors
-	m.mu.RLock()
-	if m.ok && m.gen == snap.SensorGeneration() {
-		cls := m.cls
-		m.mu.RUnlock()
-		mSensorMemoHit.Inc()
-		return cls
-	}
-	m.mu.RUnlock()
-	specs := snap.SensorSpecs()
-	ps := make([]float64, 0, len(specs))
-	for _, spec := range specs {
-		ps = append(ps, spec.Errors.DetectProb())
-	}
-	return fusion.NewClassifier(ps)
+	return s.cachedFusion(objectID, snap.ReadingEpoch(objectID), snap.SensorGeneration(), now, func() []fusion.Reading {
+		rows := snap.LatestPerSensor(objectID, now)
+		return fusion.FromReadings(rows, snap.SensorSpecs(), now, snap.Universe().Area())
+	}).readings
 }
 
 // sensorMemo caches the sensor-spec table copy and the §4.4

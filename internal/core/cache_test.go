@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,16 +151,21 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 		return s, &got, &mu
 	}
 
-	readings := make([]model.Reading, 6)
-	for i := range readings {
-		readings[i] = model.Reading{
+	at := func(obj string, i int, x, y float64) model.Reading {
+		return model.Reading{
 			SensorID:  "ubi-1",
-			MObjectID: fmt.Sprintf("p%d", i%2),
-			Location: glob.CoordinatePoint(glob.MustParse("CS/Floor3"),
-				geom.Pt(float64(300+i*12), 15)),
-			Time: t0.Add(time.Duration(i) * time.Millisecond),
+			MObjectID: obj,
+			Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(x, y)),
+			Time:      t0.Add(time.Duration(i) * time.Millisecond),
 		}
 	}
+	var readings []model.Reading
+	for i := 0; i < 6; i++ {
+		readings = append(readings, at(fmt.Sprintf("p%d", i%2), i, float64(300+i*12), 15))
+	}
+	// p2 enters NetLab and leaves it within the batch: serial ingest
+	// notifies on the entering reading, so the batch must too.
+	readings = append(readings, at("p2", 6, 370, 15), at("p2", 7, 100, 35))
 
 	serial, serialNotes, serialMu := build(t)
 	for _, r := range readings {
@@ -172,7 +178,7 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, obj := range []string{"p0", "p1"} {
+	for _, obj := range []string{"p0", "p1", "p2"} {
 		a, err := serial.LocateObject(obj)
 		if err != nil {
 			t.Fatal(err)
@@ -185,17 +191,23 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 			t.Errorf("%s: serial %+v != batched %+v", obj, a, b)
 		}
 	}
-	// Delivery is asynchronous: count only after both notifiers drained.
+	// Delivery is asynchronous: compare only after both notifiers
+	// drained. Objects may be evaluated in parallel, so only each
+	// object's own sequence of notified probabilities is ordered.
 	serial.Quiesce()
 	batched.Quiesce()
-	serialMu.Lock()
-	ns := len(*serialNotes)
-	serialMu.Unlock()
-	batchMu.Lock()
-	nb := len(*batchNotes)
-	batchMu.Unlock()
-	if ns != nb {
-		t.Errorf("notification counts diverged: serial %d, batched %d", ns, nb)
+	perObject := func(mu *sync.Mutex, notes *[]Notification) map[string][]float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make(map[string][]float64)
+		for _, n := range *notes {
+			out[n.Object] = append(out[n.Object], n.Prob)
+		}
+		return out
+	}
+	ns, nb := perObject(serialMu, serialNotes), perObject(batchMu, batchNotes)
+	if !reflect.DeepEqual(ns, nb) {
+		t.Errorf("notifications diverged: serial %v, batched %v", ns, nb)
 	}
 }
 

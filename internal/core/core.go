@@ -897,26 +897,17 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 	return id, nil
 }
 
-// onTrigger adapts a subscription to a database trigger callback; the
-// single-insert path evaluates against the live tables.
+// onTrigger adapts a subscription to a database trigger callback.
 func (s *Service) onTrigger(sub *subscription) spatialdb.TriggerFunc {
-	return func(ev spatialdb.TriggerEvent) { s.evalTrigger(sub, ev, nil) }
-}
-
-// subFor maps a fired trigger back to its subscription (trigger IDs
-// are subscription IDs); nil when it was unsubscribed concurrently.
-func (s *Service) subFor(triggerID string) *subscription {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.subs[triggerID]
+	return func(ev spatialdb.TriggerEvent) { s.evalTrigger(sub, ev) }
 }
 
 // evalTrigger evaluates a fired database trigger against the
-// subscription's probability condition. A non-nil snap evaluates the
-// probability against that consistent cut (the batched dispatch path
-// takes one snapshot per batch); nil evaluates against the live
-// tables.
-func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap *spatialdb.Snapshot) {
+// subscription's probability condition. It fuses the rows the event
+// carries — the object as the firing reading's own insert left it —
+// through the cache keyed on the event's epoch, so a batch is judged
+// reading by reading, exactly as serial ingest would judge it.
+func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent) {
 	start := time.Now()
 	trace := ev.Reading.Trace
 	mTriggerEvals.Inc()
@@ -928,26 +919,18 @@ func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap
 		obs.SpanSince(trace, "trigger_eval", start)
 	}
 	obj := ev.Reading.MObjectID
-	var (
-		p    float64
-		band fusion.Band
-	)
-	if snap != nil {
-		readings := s.fusionStateSnap(snap, obj, s.now())
-		if len(readings) == 0 {
-			evalDone()
-			return
-		}
-		p = fusion.ProbRegion(snap.Universe(), readings, sub.region)
-		band = s.classifierFor(snap).Classify(p)
-	} else {
-		var err error
-		p, band, err = s.probInRect(obj, sub.region)
-		if err != nil {
-			evalDone()
-			return
-		}
+	now := s.now()
+	sensorGen := s.db.SensorGeneration()
+	specs, cls := s.sensorView()
+	readings := s.cachedFusion(obj, ev.Epoch, sensorGen, now, func() []fusion.Reading {
+		return fusion.FromReadings(ev.LatestPerSensor(specs, now), specs, now, s.db.Universe().Area())
+	}).readings
+	if len(readings) == 0 {
+		evalDone()
+		return
 	}
+	p := fusion.ProbRegion(s.db.Universe(), readings, sub.region)
+	band := cls.Classify(p)
 	qualifies := sub.qualifies(p, band)
 	s.mu.Lock()
 	was, ok := s.setHeld(sub, obj, qualifies)

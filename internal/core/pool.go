@@ -149,50 +149,35 @@ func (p *workerPool) fanOutChunked(n, chunks int, fn func(int)) {
 	})
 }
 
-// dispatchFirings evaluates a batch's trigger firings, fanning out
-// across mobile objects while keeping each object's firings in
-// reading order (the entry/exit edge detection in evalTrigger depends
-// on per-object ordering; different objects are independent). The
-// parallel path takes one database snapshot for the whole batch: every
-// firing fuses against the same consistent cut — which includes the
-// batch that provoked it — instead of racing concurrent inserts, and
-// the evaluation holds no reading-table locks.
+// dispatchFirings runs a batch's trigger firings, fanning out across
+// mobile objects while keeping each object's firings in reading order
+// (the entry/exit edge detection in evalTrigger depends on per-object
+// ordering; different objects are independent). Every firing carries
+// the rows its own insert stored, so scheduling is all that happens
+// here: no snapshot is cut and no table is read.
 func (s *Service) dispatchFirings(fs []spatialdb.TriggerFiring) {
-	if s.pool == nil || len(fs) < 2 {
+	var order []string
+	var groups map[string][]spatialdb.TriggerFiring
+	if s.pool != nil && len(fs) > 1 {
+		order = make([]string, 0, 8)
+		groups = make(map[string][]spatialdb.TriggerFiring, 8)
+		for _, f := range fs {
+			id := f.Event.Reading.MObjectID
+			if _, ok := groups[id]; !ok {
+				order = append(order, id)
+			}
+			groups[id] = append(groups[id], f)
+		}
+	}
+	if len(order) < 2 {
 		for _, f := range fs {
 			f.Fn(f.Event)
 		}
 		return
 	}
-	order := make([]string, 0, 8)
-	groups := make(map[string][]spatialdb.TriggerFiring, 8)
-	for _, f := range fs {
-		id := f.Event.Reading.MObjectID
-		if _, ok := groups[id]; !ok {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], f)
-	}
-	snap := s.db.Snapshot()
-	defer snap.Close()
-	run := func(f spatialdb.TriggerFiring) {
-		if sub := s.subFor(f.Event.TriggerID); sub != nil {
-			s.evalTrigger(sub, f.Event, snap)
-			return
-		}
-		// Not one of ours (a trigger registered directly on the DB, or
-		// unsubscribed mid-flight): fall back to the raw callback.
-		f.Fn(f.Event)
-	}
-	if len(order) == 1 {
-		for _, f := range fs {
-			run(f)
-		}
-		return
-	}
 	s.pool.fanOut(len(order), func(i int) {
 		for _, f := range groups[order[i]] {
-			run(f)
+			f.Fn(f.Event)
 		}
 	})
 }

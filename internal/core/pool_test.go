@@ -5,6 +5,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"middlewhere/internal/building"
+	"middlewhere/internal/geom"
+	"middlewhere/internal/glob"
+	"middlewhere/internal/model"
+	"middlewhere/internal/obs"
 )
 
 // TestWorkerPoolFanOutDuringClose is the regression test for the
@@ -50,5 +56,55 @@ func TestWorkerPoolFanOutAfterClose(t *testing.T) {
 	p.fanOut(16, func(int) { ran.Add(1) })
 	if got := ran.Load(); got != 16 {
 		t.Fatalf("ran %d tasks after close, want 16", got)
+	}
+}
+
+// TestIngestBatchCutsNoSnapshot: a batch whose firings fan out across
+// objects on the worker pool evaluates each firing from the rows its
+// own insert stored, so ingest never cuts a database snapshot.
+func TestIngestBatchCutsNoSnapshot(t *testing.T) {
+	clock := &testClock{now: t0}
+	s, err := New(building.PaperFloor(), WithClock(clock.Now), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.RegisterSensor("ubi-1", model.UbisenseSpec(0.9)); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	notified := make(map[string]bool)
+	if _, err := s.Subscribe(Subscription{
+		Region: glob.MustParse("CS/Floor3/NetLab"),
+		Handler: func(n Notification) {
+			mu.Lock()
+			notified[n.Object] = true
+			mu.Unlock()
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []model.Reading
+	for i, obj := range []string{"a", "b", "c", "a", "b", "c"} {
+		batch = append(batch, model.Reading{
+			SensorID:  "ubi-1",
+			MObjectID: obj,
+			Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(float64(365+i), 15)),
+			Time:      t0,
+		})
+	}
+	cuts := obs.Default().Counter("spatialdb_snapshots_total")
+	before := cuts.Value()
+	if err := s.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if after := cuts.Value(); after != before {
+		t.Errorf("IngestBatch cut %d snapshots, want none", after-before)
+	}
+	s.Quiesce()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(notified) != 3 {
+		t.Errorf("notified objects %v, want a, b and c", notified)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,4 +222,113 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	if key, _ := db.ObjectShardKey("walker"); key != "CS/Floor2" {
 		t.Fatalf("walker resident on %q, want the migration to CS/Floor2", key)
 	}
+}
+
+// TestShardFiringRowsStable: a trigger firing carries the object's rows
+// exactly as its own reading's append left them — within a batch, the
+// first reading's firing does not see the second — and a held Rows
+// header stays element-wise equal while a concurrent inserter drives
+// the ring past its cap (trim and re-base) and TTL prunes install
+// fresh slices. The race detector also reports any write into a held
+// slot.
+func TestShardFiringRowsStable(t *testing.T) {
+	db := multiFloorDB(t, 1)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	short := longSpec()
+	short.TTL = time.Minute
+	if err := db.RegisterSensor("s2", short); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the ring past its cap first, so the held headers share their
+	// backing array with the appends that follow.
+	for i := 0; i < maxReadingsPerObject+6; i++ {
+		if err := db.InsertReading(floorReading("s1", "walker", 1, float64(i), 1,
+			t0.Add(time.Duration(i-100)*time.Millisecond))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var events []TriggerEvent
+	if err := db.AddTrigger("t", "walker", geom.R(0, 0, 500, 100), func(ev TriggerEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InsertReadings([]model.Reading{
+		floorReading("s2", "walker", 1, 10, 10, t0),
+		floorReading("s1", "walker", 1, 20, 10, t0.Add(time.Millisecond)),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if len(events) != 2 {
+		t.Fatalf("batch fired %d events, want 2", len(events))
+	}
+	first, second := events[0], events[1]
+	mu.Unlock()
+	n1, n2 := len(first.Rows), len(second.Rows)
+	if n1 < 1 || n2 < 2 {
+		t.Fatalf("firings hold %d and %d rows", n1, n2)
+	}
+	if !reflect.DeepEqual(first.Rows[n1-1], first.Reading) {
+		t.Errorf("first firing's rows end at %+v, want its own reading", first.Rows[n1-1])
+	}
+	if !reflect.DeepEqual(second.Rows[n2-2:], []model.Reading{first.Reading, second.Reading}) {
+		t.Errorf("second firing's rows end at %+v, want both readings", second.Rows[n2-2:])
+	}
+	if first.Epoch+1 != second.Epoch || second.Epoch != db.ReadingEpoch("walker") {
+		t.Errorf("epochs %d, %d (live %d), want consecutive ending at the live epoch",
+			first.Epoch, second.Epoch, db.ReadingEpoch("walker"))
+	}
+	held := []TriggerEvent{first, second}
+	want := [][]model.Reading{
+		append([]model.Reading(nil), first.Rows...),
+		append([]model.Reading(nil), second.Rows...),
+	}
+	check := func(when string) {
+		for i, ev := range held {
+			if !reflect.DeepEqual(ev.Rows, want[i]) {
+				t.Errorf("%s: firing %d's rows changed", when, i)
+			}
+		}
+	}
+
+	// Every fifth reading is from the short-TTL sensor, so a prune at
+	// an hour past t0 always has rows to drop.
+	const further = 3 * maxReadingsPerObject
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < further; i++ {
+			sensor := "s1"
+			if i%5 == 0 {
+				sensor = "s2"
+			}
+			if err := db.InsertReading(floorReading(sensor, "walker", 1, float64(30+i), 10,
+				t0.Add(time.Duration(2+i)*time.Millisecond))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	later := t0.Add(time.Hour)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check("during inserts")
+		db.ReadingsFor("walker", later) // prunes the expired s2 rows
+	}
+	for _, r := range db.ReadingsFor("walker", later) {
+		if r.SensorID == "s2" {
+			t.Fatalf("expired row %+v survived the prune", r)
+		}
+	}
+	check("after inserts and prune")
 }

@@ -90,10 +90,12 @@ type TriggerFiring struct {
 // FiringDispatcher runs a batch's trigger firings. It is called at
 // most once per InsertReadings call, after the rows are stored and all
 // table locks are released, and must run every firing before
-// returning. Firings for the same mobile object appear in reading
-// order; a dispatcher may parallelize across objects but should
-// preserve that per-object order (entry/exit edge detection depends on
-// it).
+// returning. Each firing's event carries the object's rows as its own
+// reading left them, so evaluating it reads no table and sees exactly
+// what a single InsertReading of that reading would have. Firings for
+// the same mobile object appear in reading order; a dispatcher may
+// parallelize across objects but should preserve that per-object order
+// (entry/exit edge detection depends on it).
 type FiringDispatcher func([]TriggerFiring)
 
 // RejectedError reports the readings of an insert that failed
@@ -225,10 +227,12 @@ func (db *DB) rlockResident(id string) *shard {
 // ever observes part of a batch.
 //
 // Trigger firings for the whole batch are collected and then run via
-// dispatch; a nil dispatch runs them serially in insertion order,
-// which makes InsertReadings(rs, nil) observably equivalent to
-// len(rs) InsertReading calls. Insert hooks run last, per stored
-// reading in order, as in the single-insert path.
+// dispatch; a nil dispatch runs them serially in insertion order. Each
+// firing carries the object's rows and epoch as they stood right after
+// its own reading's append, so a trigger evaluated from its event sees
+// the object as len(rs) InsertReading calls would have shown it at
+// that reading, however dispatch schedules it. Insert hooks run last,
+// per stored reading in order, as in the single-insert path.
 func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int, error) {
 	if len(rs) == 0 {
 		return 0, nil
@@ -322,6 +326,13 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 	for i, g := range groups {
 		shs[i] = db.ensureShard(g.key)
 	}
+	// stored[i] is the object's rows and epoch right after prepared[i]
+	// was appended: what that reading's trigger firings evaluate.
+	type storedRows struct {
+		rows  []model.Reading
+		epoch uint64
+	}
+	stored := make([]storedRows, len(prepared))
 	db.beginBatch()
 	for gi, g := range groups {
 		sh := shs[gi]
@@ -369,12 +380,16 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 			// buffer: re-slicing off the head is O(1) and the append below
 			// reuses the backing array's spare capacity, re-basing (one
 			// O(cap) copy into a new array) only every ~cap inserts.
-			// Neither step touches a row a snapshot can see (readTable).
+			// Neither step touches a row a snapshot or a firing can see
+			// (readTable).
 			if len(rows) >= maxReadingsPerObject {
 				rows = rows[len(rows)-maxReadingsPerObject+1:]
 			}
-			t.rows[r.MObjectID] = append(rows, *r)
-			t.epochs[r.MObjectID]++
+			rows = append(rows, *r)
+			epoch := t.epochs[r.MObjectID] + 1
+			t.rows[r.MObjectID] = rows
+			t.epochs[r.MObjectID] = epoch
+			stored[i] = storedRows{rows: rows, epoch: epoch}
 			// Insert keeps the support index a conservative superset:
 			// union-only growth here, exact recompute on prune/expiry.
 			t.growSupport(r.MObjectID, r.Region)
@@ -393,7 +408,7 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 	visits0 := db.triggerIdx.Visits()
 	var firings []TriggerFiring
 	db.trigMu.RLock()
-	for _, r := range prepared {
+	for i, r := range prepared {
 		for _, it := range db.triggerIdx.SearchIntersect(r.Region) {
 			tr := db.triggers[it.ID]
 			if tr == nil {
@@ -402,10 +417,13 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 			if tr.mobject != "" && tr.mobject != r.MObjectID {
 				continue
 			}
-			firings = append(firings, TriggerFiring{
-				Fn:    tr.fn,
-				Event: TriggerEvent{TriggerID: tr.id, Reading: r, Region: tr.region},
-			})
+			firings = append(firings, TriggerFiring{Fn: tr.fn, Event: TriggerEvent{
+				TriggerID: tr.id,
+				Reading:   r,
+				Region:    tr.region,
+				Rows:      stored[i].rows,
+				Epoch:     stored[i].epoch,
+			}})
 		}
 	}
 	visitDelta := db.triggerIdx.Visits() - visits0
@@ -585,11 +603,11 @@ func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 
 // latestRows reduces an object's stored rows to the newest unexpired
 // row per registered sensor, sorted by sensor ID (shared by the live
-// path and Snapshot). Of two rows with equal times the earlier-stored
-// wins. stale reports that some row was expired or had no spec — what
-// ReadingsFor would prune. One pass, copying only the winners: an
-// object reports through a handful of sensors, so the winners are
-// tracked as row indices in a small stack-backed slice.
+// path, Snapshot and TriggerEvent). Of two rows with equal times the
+// earlier-stored wins. stale reports that some row was expired or had
+// no spec — what ReadingsFor would prune. One pass, copying only the
+// winners: an object reports through a handful of sensors, so the
+// winners are tracked as row indices in a small stack-backed slice.
 func latestRows(rows []model.Reading, specs map[string]model.SensorSpec, now time.Time) (out []model.Reading, stale bool) {
 	var buf [8]int
 	win := buf[:0]

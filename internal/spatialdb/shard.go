@@ -105,9 +105,13 @@ func shardKeyForID(id string) string {
 //     slice header (a migration moves the header to the new resident;
 //     frozen tables never write). Every frozen header was the live one
 //     at some cut, so its end is at or before the live header's end.
+//   - Trigger firings hold such headers too: TriggerEvent.Rows is the
+//     live header right after its reading's append, so its end is at
+//     or before the live header's end as well, and its holder never
+//     writes through it.
 //   - An append writes the slot just past the live header's end — past
-//     every frozen header's end — or, with capacity exhausted, copies
-//     into a new array and leaves the old one untouched.
+//     every frozen or held header's end — or, with capacity exhausted,
+//     copies into a new array and leaves the old one untouched.
 //   - The ring trim at maxReadingsPerObject only re-slices the live
 //     header's head forward; it writes nothing.
 //   - Everything else that changes an object's rows (TTL prune, forced

@@ -16,7 +16,7 @@
 // population (the role table partitioning plays for the paper's
 // PostGIS deployment). A copy-on-write snapshot layer (Snapshot) cuts
 // a consistent, immutable view across every shard for region queries
-// and batched trigger evaluation.
+// and heatmaps.
 //
 // Geometry is indexed with an R-tree so containment/intersection
 // queries and trigger matching stay sub-linear in table size, the role
@@ -119,7 +119,9 @@ var (
 )
 
 // TriggerEvent is delivered to a trigger's callback when a matching
-// sensor reading is inserted (§5.3).
+// sensor reading is inserted (§5.3). It describes the object as that
+// one reading left it: a firing for an earlier reading of a batch does
+// not see the batch's later readings.
 type TriggerEvent struct {
 	// TriggerID identifies the fired trigger.
 	TriggerID string
@@ -128,6 +130,22 @@ type TriggerEvent struct {
 	Reading model.Reading
 	// Region is the trigger's region.
 	Region geom.Rect
+	// Rows is the object's stored rows right after Reading was
+	// appended: the live slice header, shared without a copy (readTable
+	// guarantees no slot it covers is ever rewritten). It must not be
+	// appended to or modified.
+	Rows []model.Reading
+	// Epoch is the object's reading epoch at the same moment, the
+	// cache key of a fusion result derived from Rows.
+	Epoch uint64
+}
+
+// LatestPerSensor reduces the event's Rows to the fusion working set
+// at now, as DB.LatestPerSensor does for the live rows: the newest
+// unexpired row per sensor registered in specs, sorted by sensor ID.
+func (ev *TriggerEvent) LatestPerSensor(specs map[string]model.SensorSpec, now time.Time) []model.Reading {
+	out, _ := latestRows(ev.Rows, specs, now)
+	return out
 }
 
 // TriggerFunc receives trigger events. It is called synchronously on
