@@ -42,13 +42,14 @@ e2e-bench:
 # snapshot-isolation, cut (TestCut*: torn batches, the open
 # bracket, a quiet shard's clone-free recapture) and cross-shard
 # object-query tests (TestCrossShard*: queries beside object inserts and
-# deletes), plus core's serial-vs-parallel region scan, under the race
+# deletes), plus core's serial-vs-parallel region scan and its scans
+# beside batched ingest and floor flips, under the race
 # detector, twice, so interleavings differ between runs. Kept separate
 # from `race` so CI can re-run just these when the spatial database
 # changes.
 shard-stress:
 	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
-	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical' ./internal/core/
+	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical|TestRegionScanDuringIngestAndMigration' ./internal/core/
 
 # One iteration per benchmark: a smoke run that keeps every testing.B
 # benchmark compiling and executable without burning CI minutes.
@@ -58,11 +59,13 @@ bench:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: every wire-protocol decode surface fuzzes for FUZZTIME
-# from its seed corpus (internal/*/testdata/fuzz/). `go test -fuzz`
-# takes exactly one target per invocation, hence the list. A malformed
-# frame must error — never panic, over-read, or accept a payload past
-# the frame cap. Regenerate the seed corpora after a wire change with:
+# Fuzz smoke: every wire-protocol decode surface, and the fusion
+# kernel ProbRegion, fuzzes for FUZZTIME from its seed corpus
+# (internal/*/testdata/fuzz/). `go test -fuzz` takes exactly one target
+# per invocation, hence the list. A malformed frame must error — never
+# panic, over-read, or accept a payload past the frame cap; ProbRegion
+# must return a probability that matches its log-space reference.
+# Regenerate the wire seed corpora after a wire change with:
 #   MW_WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/mwrpc ./internal/remote
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -74,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngestReply$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegionQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryReplies$$' -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzProbRegion$$' -fuzztime $(FUZZTIME) ./internal/fusion
 
 # Protocol-compat suite: the remote integration/chaos/stream tests and
 # the adapter layer under one MW_WIRE pairing ("client/daemon"). CI

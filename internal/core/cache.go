@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"middlewhere/internal/fusion"
+	"middlewhere/internal/geom"
 	"middlewhere/internal/model"
 	"middlewhere/internal/obs"
 	"middlewhere/internal/spatialdb"
@@ -47,6 +48,10 @@ type locEntry struct {
 	// within the cache quantum of it.
 	at       time.Time
 	readings []fusion.Reading
+	// support is fusion.SupportBounds(readings), computed once when the
+	// entry is built: every region scan that hits the entry gates and
+	// clips on it (DESIGN.md §17). Zero when readings is empty.
+	support geom.Rect
 	// hasLoc marks that loc carries the full fused location (computed
 	// lazily by LocateObject; probInRect-only entries never pay for
 	// the lattice).
@@ -65,6 +70,14 @@ func (e *locEntry) valid(epoch, sensorGen, objGen uint64, now time.Time, quantum
 	return d == 0 || (d > 0 && d < quantum)
 }
 
+// supports gates the entry's live support — the bounding box of its
+// TTL-filtered fusion readings — against the queried region: false when
+// the object has no readings or its support does not touch the region,
+// and the object contributes no mass under the support-gated semantics.
+func (e *locEntry) supports(rect geom.Rect) bool {
+	return len(e.readings) > 0 && e.support.Intersects(rect)
+}
+
 // locateCache maps object IDs to their cached fusion state.
 type locateCache struct {
 	mu      sync.RWMutex
@@ -77,15 +90,24 @@ func (c *locateCache) get(id string) *locEntry {
 	return c.entries[id]
 }
 
+// put stores e unless the entry already cached for id is newer: a
+// higher reading epoch, or the same epoch and a higher sensor
+// generation. A region scan fuses each object at its snapshot's epoch
+// and may finish after a Locate stored the object's newer live state;
+// replacing that would make the next Locate miss. (An epoch restarts
+// lower only after a federation DropObject; the older entry then loses
+// its place as soon as the object's live epoch passes it.)
 func (c *locateCache) put(id string, e *locEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) >= maxCachedObjects {
-		if _, ok := c.entries[id]; !ok {
-			for k := range c.entries {
-				delete(c.entries, k)
-				break
-			}
+	cur, ok := c.entries[id]
+	if ok && (cur.epoch > e.epoch || cur.epoch == e.epoch && cur.sensorGen > e.sensorGen) {
+		return
+	}
+	if !ok && len(c.entries) >= maxCachedObjects {
+		for k := range c.entries {
+			delete(c.entries, k)
+			break
 		}
 	}
 	c.entries[id] = e
@@ -105,12 +127,15 @@ func (s *Service) cachedFusion(objectID string, epoch, sensorGen uint64, now tim
 		return e
 	}
 	mCacheMisses.Inc()
+	readings := fuse()
+	support, _ := fusion.SupportBounds(readings)
 	e := &locEntry{
 		epoch:     epoch,
 		sensorGen: sensorGen,
 		objGen:    objGen,
 		at:        now,
-		readings:  fuse(),
+		readings:  readings,
+		support:   support,
 	}
 	s.cache.put(objectID, e)
 	return e
@@ -125,18 +150,19 @@ func (s *Service) fusionState(objectID string, now time.Time) ([]fusion.Reading,
 	return e.readings, e
 }
 
-// fusionStateSnap is fusionState evaluated against a database
-// snapshot: the rows, sensor specs, and invalidation keys all come
-// from the same consistent cut, so every object evaluated against one
-// snapshot sees the same set of completed insert batches. Live epochs
-// only ever run ahead of a snapshot's, so a cached entry can validate
-// against a snapshot only when the object's rows have not changed
-// since the cut, never the reverse.
-func (s *Service) fusionStateSnap(snap *spatialdb.Snapshot, objectID string, now time.Time) []fusion.Reading {
-	return s.cachedFusion(objectID, snap.ReadingEpoch(objectID), snap.SensorGeneration(), now, func() []fusion.Reading {
-		rows := snap.LatestPerSensor(objectID, now)
-		return fusion.FromReadings(rows, snap.SensorSpecs(), now, snap.Universe().Area())
-	}).readings
+// fusionStateSnap is fusionState evaluated for a region-scan candidate
+// of a database snapshot: the rows, sensor specs, and invalidation keys
+// all come from the same consistent cut, so every object evaluated
+// against one snapshot sees the same set of completed insert batches.
+// The candidate reads its rows and epoch from the one frozen table that
+// indexed it. Live epochs only ever run ahead of a snapshot's, so a
+// cached entry can validate against a snapshot only when the object's
+// rows have not changed since the cut, never the reverse.
+func (s *Service) fusionStateSnap(snap *spatialdb.Snapshot, c *spatialdb.Candidate, now time.Time) *locEntry {
+	return s.cachedFusion(c.ID, c.Epoch(), snap.SensorGeneration(), now, func() []fusion.Reading {
+		specs := snap.SensorSpecs()
+		return fusion.FromReadings(c.LatestPerSensor(specs, now), specs, now, snap.Universe().Area())
+	})
 }
 
 // sensorMemo caches the sensor-spec table copy and the §4.4

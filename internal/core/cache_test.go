@@ -315,3 +315,59 @@ func TestCacheNeverServesStaleUnderRace(t *testing.T) {
 		t.Fatal("stale cache entry served after a completed insert")
 	}
 }
+
+// TestCachePutKeepsNewerEpoch: a region scan on an older snapshot
+// fuses the object at the snapshot's epoch and stores that entry on its
+// miss path. It must not replace the newer entry a Locate stored since,
+// or the next Locate misses.
+func TestCachePutKeepsNewerEpoch(t *testing.T) {
+	s, _ := newTestService(t)
+	ingestAt(t, s, "ubi-1", "alice", 370, 15, t0)
+	snap := s.db.Snapshot()
+	defer snap.Close()
+	ingestAt(t, s, "ubi-1", "alice", 372, 15, t0)
+	if _, err := s.LocateObject("alice"); err != nil {
+		t.Fatal(err)
+	}
+	live := s.cache.get("alice")
+	if live == nil || !live.hasLoc || live.epoch != s.db.ReadingEpoch("alice") {
+		t.Fatalf("Locate cached %+v, want a located entry at the live epoch", live)
+	}
+	room, err := s.db.ResolveGLOB(glob.MustParse("CS/Floor3/NetLab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.objectsInRegionOn(snap, room, 0, t0, snap.SupportCandidates(room)); len(got) != 1 {
+		t.Fatalf("scan of the old snapshot = %v, want alice", got)
+	}
+	if e := s.cache.get("alice"); e != live {
+		t.Fatalf("old-snapshot scan replaced the live entry (epoch %d) with epoch %d", live.epoch, e.epoch)
+	}
+	hits := mCacheHits.Value()
+	if _, err := s.LocateObject("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if mCacheHits.Value() == hits {
+		t.Error("Locate after the old-snapshot scan missed the cache")
+	}
+
+	// Same epoch: the higher sensor generation stays, a refresh at the
+	// same keys replaces.
+	var c locateCache
+	c.entries = make(map[string]*locEntry)
+	newer := &locEntry{epoch: 4, sensorGen: 2}
+	c.put("o", newer)
+	c.put("o", &locEntry{epoch: 4, sensorGen: 1})
+	if c.get("o") != newer {
+		t.Error("put replaced an entry with a higher sensor generation")
+	}
+	refresh := &locEntry{epoch: 4, sensorGen: 2}
+	c.put("o", refresh)
+	if c.get("o") != refresh {
+		t.Error("put kept the old entry over one with equal keys")
+	}
+	c.put("o", &locEntry{epoch: 3, sensorGen: 9})
+	if c.get("o") != refresh {
+		t.Error("put replaced an entry with a higher epoch")
+	}
+}

@@ -819,49 +819,37 @@ func (s *Service) ObjectsInRegion(region glob.GLOB, minProb float64) (map[string
 	// it fuses, so concurrent per-floor ingest proceeds unimpeded.
 	snap := s.db.Snapshot()
 	defer snap.Close()
-	return s.objectsInRegionOn(snap, rect, minProb, s.now(), supportIDs(snap, rect)), nil
+	return s.objectsInRegionOn(snap, rect, minProb, s.now(), snap.SupportCandidates(rect)), nil
 }
 
-// supportIDs returns the IDs of the objects whose support rectangle
-// intersects rect at the cut: the candidate list of every region scan.
-func supportIDs(snap *spatialdb.Snapshot, rect geom.Rect) []string {
-	cands := snap.SupportCandidates(rect)
-	ids := make([]string, len(cands))
-	for i, c := range cands {
-		ids[i] = c.ID
-	}
-	return ids
-}
-
-// objectsInRegionOn runs the region scan over the candidate objects ids
+// objectsInRegionOn runs the region scan over the candidates cands
 // against one snapshot. Each candidate is gated on its live support, so
-// any superset of the support candidates gives the same result.
-func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time, ids []string) map[string]float64 {
-	// Results land in index-addressed slots, so the merge below is
-	// deterministic no matter which worker finishes first.
-	probs := make([]float64, len(ids))
-	hit := make([]bool, len(ids))
+// any superset of the support candidates, in any order, gives the same
+// result: each object's probability depends on that object alone.
+func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time, cands []spatialdb.Candidate) map[string]float64 {
+	// Workers write only their own slot; the merge below reads them
+	// after the fan-out returns.
+	probs := make([]float64, len(cands))
 	eval := func(i int) {
-		readings := s.fusionStateSnap(snap, ids[i], now)
-		if _, ok := liveSupport(readings, rect); !ok {
+		e := s.fusionStateSnap(snap, &cands[i], now)
+		if !e.supports(rect) {
 			return
 		}
-		p := fusion.ProbRegion(snap.Universe(), readings, rect)
-		if p >= minProb && p > 0 {
-			probs[i], hit[i] = p, true
+		if p := fusion.ProbRegion(snap.Universe(), e.readings, rect); p >= minProb && p > 0 {
+			probs[i] = p
 		}
 	}
-	if s.pool != nil && len(ids) >= parallelFanThreshold {
-		s.pool.fanOutChunked(len(ids), s.parallelism, eval)
+	if s.pool != nil && len(cands) >= parallelFanThreshold {
+		s.pool.fanOutChunked(len(cands), s.parallelism, eval)
 	} else {
-		for i := range ids {
+		for i := range cands {
 			eval(i)
 		}
 	}
 	out := make(map[string]float64)
-	for i, id := range ids {
-		if hit[i] {
-			out[id] = probs[i]
+	for i, p := range probs {
+		if p > 0 {
+			out[cands[i].ID] = p
 		}
 	}
 	return out

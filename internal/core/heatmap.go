@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"middlewhere/internal/fusion"
@@ -106,14 +108,16 @@ func (s *Service) OccupancyHeatmap(region glob.GLOB, rows, cols int) (*Heatmap, 
 	}
 	snap := s.db.Snapshot()
 	defer snap.Close()
-	return s.heatmapOn(snap, rect, rows, cols, s.now(), supportIDs(snap, rect)), nil
+	return s.heatmapOn(snap, rect, rows, cols, s.now(), snap.SupportCandidates(rect)), nil
 }
 
-// heatmapOn computes the occupancy grid over rect from the candidate
-// objects ids against one snapshot. Each candidate is gated on its live
+// heatmapOn computes the occupancy grid over rect from the candidates
+// cands against one snapshot. Each candidate is gated on its live
 // support, so any superset of the support candidates — every mobile
-// object, in the equivalence tests — gives a cell-identical grid.
-func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time, ids []string) *Heatmap {
+// object, in the equivalence tests — gives a cell-identical grid, in
+// any order: heatmapOn sorts cands by ID in place, so the float sums
+// of the merge run in one order.
+func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time, cands []spatialdb.Candidate) *Heatmap {
 	h := &Heatmap{Region: rect, Rows: rows, Cols: cols, At: now}
 	h.Cells = make([][]float64, rows)
 	for r := range h.Cells {
@@ -125,25 +129,24 @@ func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols
 		return h
 	}
 
-	mHeatCandidates.Add(uint64(len(ids)))
+	mHeatCandidates.Add(uint64(len(cands)))
+	slices.SortFunc(cands, func(a, b spatialdb.Candidate) int { return strings.Compare(a.ID, b.ID) })
 
 	cellW := rect.Width() / float64(cols)
 	cellH := rect.Height() / float64(rows)
-	grids := make([]objGrid, len(ids)) // index-addressed, deterministic merge
+	grids := make([]objGrid, len(cands)) // index-addressed, deterministic merge
 	var culled int
 	eval := func(i int) {
-		readings := s.fusionStateSnap(snap, ids[i], now)
-		sup, ok := liveSupport(readings, rect)
-		if !ok {
+		e := s.fusionStateSnap(snap, &cands[i], now)
+		if !e.supports(rect) {
 			return
 		}
-		g := rasterizeClipped(snap.Universe(), readings, sup, rect, rows, cols, cellW, cellH)
-		grids[i] = g
+		grids[i] = rasterizeClipped(snap.Universe(), e.readings, e.support, rect, rows, cols, cellW, cellH)
 	}
-	if s.pool != nil && len(ids) >= parallelFanThreshold {
-		s.pool.fanOutChunked(len(ids), s.parallelism, eval)
+	if s.pool != nil && len(cands) >= parallelFanThreshold {
+		s.pool.fanOutChunked(len(cands), s.parallelism, eval)
 	} else {
-		for i := range ids {
+		for i := range cands {
 			eval(i)
 		}
 	}
@@ -163,19 +166,6 @@ func (s *Service) heatmapOn(snap *spatialdb.Snapshot, rect geom.Rect, rows, cols
 	}
 	mHeatCulled.Add(uint64(culled))
 	return h
-}
-
-// liveSupport computes the bounding box of the object's live
-// (TTL-filtered) fusion readings and gates it against the queried
-// region: ok is false when the object has no readings or its support
-// does not touch the region — the object contributes no mass under the
-// support-gated semantics.
-func liveSupport(readings []fusion.Reading, rect geom.Rect) (geom.Rect, bool) {
-	sup, ok := fusion.SupportBounds(readings)
-	if !ok || !sup.Intersects(rect) {
-		return geom.Rect{}, false
-	}
-	return sup, true
 }
 
 // rasterizeClipped integrates one object's probability mass into the

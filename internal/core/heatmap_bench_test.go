@@ -14,19 +14,20 @@ import (
 	"middlewhere/internal/model"
 )
 
-// benchCity builds a 16-floor tower of 640 objects with every mobile
-// object's probability mass concentrated in the bottom two floors (1/8
-// of the building). Heatmap queries round-robin over all floors, so a
+// benchCity builds a 16-floor tower of 640 objects spread over the
+// bottom hot floors. BenchmarkHeatmapPrefiltered concentrates every
+// object's probability mass in the bottom two floors (1/8 of the
+// building). Heatmap queries round-robin over all floors, so a
 // pre-filter-free scan would pay the full population on the 14 empty
 // floors while the support index returns (near) nothing there; the
 // measured 58x over that scan is EXPERIMENTS.md §PERF-10.
 const (
 	benchFloors  = 16
 	benchObjects = 640
-	benchHotNum  = 2 // objects live on floors 0..benchHotNum-1
+	benchHotNum  = 2 // the heatmap's objects live on floors 0..benchHotNum-1
 )
 
-func benchCity(b *testing.B, opts ...Option) (*Service, []geom.Rect, time.Time) {
+func benchCity(b *testing.B, hot int, opts ...Option) (*Service, []geom.Rect, time.Time) {
 	b.Helper()
 	clock := &testClock{now: t0}
 	s, err := New(building.MultiStorey("C", benchFloors, 2, 3, 12, 10, 5),
@@ -43,7 +44,7 @@ func benchCity(b *testing.B, opts ...Option) (*Service, []geom.Rect, time.Time) 
 	rng := rand.New(rand.NewSource(5))
 	batch := make([]model.Reading, 0, benchObjects)
 	for i := 0; i < benchObjects; i++ {
-		floor := i % benchHotNum
+		floor := i % hot
 		batch = append(batch, model.Reading{
 			SensorID:  "ubi",
 			MObjectID: fmt.Sprintf("p%04d", i),
@@ -68,17 +69,44 @@ func benchCity(b *testing.B, opts ...Option) (*Service, []geom.Rect, time.Time) 
 
 func BenchmarkHeatmapPrefiltered(b *testing.B) {
 	b.Run(fmt.Sprintf("floors-%d-objects-%d", benchFloors, benchObjects), func(b *testing.B) {
-		s, rects, now := benchCity(b)
+		s, rects, now := benchCity(b, benchHotNum)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			snap := s.db.Snapshot()
 			rect := rects[i%benchFloors]
-			h := s.heatmapOn(snap, rect, 4, 6, now, supportIDs(snap, rect))
+			h := s.heatmapOn(snap, rect, 4, 6, now, snap.SupportCandidates(rect))
 			snap.Close()
 			_ = h.Objects
 		}
 	})
 }
+
+// BenchmarkObjectsInRegionFloor is "who is on floor F?" through the
+// public query with a warm fusion cache: 40 people on each of the 16
+// floors, and the query round-robins over the floors at the benchmark
+// workloads' minimum probability, so each op is one snapshot cut, one
+// support search, and 40-odd cache hits each gated and scored by
+// ProbRegion (EXPERIMENTS.md §PERF-37).
+func BenchmarkObjectsInRegionFloor(b *testing.B) {
+	s, _, _ := benchCity(b, benchFloors)
+	floors := make([]glob.GLOB, benchFloors)
+	for f := range floors {
+		floors[f] = glob.MustParse(fmt.Sprintf("C/F%d", f))
+		if _, err := s.ObjectsInRegion(floors[f], 0.5); err != nil { // warm the cache
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := s.ObjectsInRegion(floors[i%benchFloors], 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		regionSink = got
+	}
+}
+
+var regionSink map[string]float64
 
 // BenchmarkNotifyDispatch measures end-to-end subscription dispatch:
 // one qualifying reading fans out to 32 every-reading subscriptions

@@ -31,10 +31,10 @@ func naiveGatedHeatmap(s *Service, snap *spatialdb.Snapshot, rect geom.Rect, row
 	}
 	cellW := rect.Width() / float64(cols)
 	cellH := rect.Height() / float64(rows)
-	for _, id := range snap.MobileObjects() {
-		readings := s.fusionStateSnap(snap, id, now)
-		sup, ok := liveSupport(readings, rect)
-		if !ok {
+	for _, c := range snap.MobileObjects() {
+		readings := s.fusionStateSnap(snap, &c, now).readings
+		sup, ok := fusion.SupportBounds(readings)
+		if !ok || !sup.Intersects(rect) {
 			continue
 		}
 		h.Objects++
@@ -140,7 +140,7 @@ func TestHeatmapPrefilterEquivalenceRandom(t *testing.T) {
 			for ri, rect := range regions {
 				rows, cols := 2+rng.Intn(5), 2+rng.Intn(7)
 				want := naiveGatedHeatmap(s, snap, rect, rows, cols, now)
-				pre := s.heatmapOn(snap, rect, rows, cols, now, supportIDs(snap, rect))
+				pre := s.heatmapOn(snap, rect, rows, cols, now, snap.SupportCandidates(rect))
 				exh := s.heatmapOn(snap, rect, rows, cols, now, snap.MobileObjects())
 				sameGrid(t, fmt.Sprintf("region %d prefiltered", ri), want, pre)
 				sameGrid(t, fmt.Sprintf("region %d exhaustive", ri), want, exh)
@@ -209,7 +209,7 @@ func TestHeatmapPrefilterEquivalenceDuringMigration(t *testing.T) {
 			rect = floor1
 		}
 		snap := s.db.Snapshot()
-		pre := s.heatmapOn(snap, rect, 3, 4, now, supportIDs(snap, rect))
+		pre := s.heatmapOn(snap, rect, 3, 4, now, snap.SupportCandidates(rect))
 		exh := s.heatmapOn(snap, rect, 3, 4, now, snap.MobileObjects())
 		snap.Close()
 		sameGrid(t, fmt.Sprintf("query %d", q), exh, pre)
@@ -258,7 +258,7 @@ func TestObjectsInRegionPrefilterEquivalence(t *testing.T) {
 	now := clock.Now()
 	for _, rect := range []geom.Rect{uni, geom.R(0, 0, uni.Width(), floorH), geom.R(3, floorH-2, 15, floorH+6)} {
 		for _, minProb := range []float64{0, 0.3, 0.7} {
-			pre := s.objectsInRegionOn(snap, rect, minProb, now, supportIDs(snap, rect))
+			pre := s.objectsInRegionOn(snap, rect, minProb, now, snap.SupportCandidates(rect))
 			exh := s.objectsInRegionOn(snap, rect, minProb, now, snap.MobileObjects())
 			if len(pre) != len(exh) {
 				t.Fatalf("rect %v minProb %v: prefiltered %d objects, exhaustive %d", rect, minProb, len(pre), len(exh))

@@ -21,13 +21,25 @@
 //	P(s_i | ¬R) = [p_i·(aAi − aInt) + q_i·(aU − aR − aAi + aInt)] / (aU − aR)
 //	P(R) = aR/aU
 //
-// with aInt = area(Ai ∩ R). This reproduces the paper's Eq. 4 and
-// Eq. 5 exactly. The paper's printed Eq. 6 and Eq. 7 drop the
-// (aU − aR) normalizer from the ¬R branch and are therefore
-// inconsistent with its own Eq. 4/5 (substituting n=2, R=B into the
-// printed Eq. 7 does not yield Eq. 4); ProbRegionPrinted implements
-// the literal printed Eq. 7 for comparison, and the exact form is used
-// everywhere else. See DESIGN.md §4.
+// with aInt = area(Ai ∩ R), combined as posterior odds:
+//
+//	P = 1 / (1 + (1 − P(R))/P(R) · Π_i P(s_i | ¬R)/P(s_i | R))
+//
+// The odds product of many readings with small rectangles leaves the
+// float64 range quickly, so ProbRegion keeps it as a mantissa and a
+// binary exponent: whenever the running product leaves [2⁻⁵⁰⁰, 2⁵⁰⁰]
+// math.Frexp folds its exponent out, and the result is
+// 1/(1 + Ldexp(mantissa, exponent)). This takes no logarithm, and it
+// is no less accurate than summing logarithms, whose own rounding it
+// avoids (DESIGN.md §4).
+//
+// This reproduces the paper's Eq. 4 and Eq. 5 exactly. The paper's
+// printed Eq. 6 and Eq. 7 drop the (aU − aR) normalizer from the ¬R
+// branch and are therefore inconsistent with its own Eq. 4/5
+// (substituting n=2, R=B into the printed Eq. 7 does not yield Eq. 4);
+// ProbRegionPrinted implements the literal printed Eq. 7 for
+// comparison, and the exact form is used everywhere else. See
+// DESIGN.md §4.
 package fusion
 
 import (
@@ -85,10 +97,9 @@ func ProbRegion(universe geom.Rect, readings []Reading, region geom.Rect) float6
 		return prior
 	}
 
-	// Work in log space: the likelihood products underflow quickly for
-	// many readings with small rectangles.
-	logIn := math.Log(prior)
-	logOut := math.Log(1 - prior)
+	// Accumulate the posterior odds against R, P(¬R)/P(R) · Π pOut/pIn,
+	// as ratio·2^exp (see the package comment).
+	ratio, exp := quotient(1-prior, prior)
 	for _, rd := range readings {
 		aAi := rd.Rect.IntersectionArea(universe)
 		aInt := rd.Rect.IntersectionArea(region)
@@ -105,18 +116,41 @@ func ProbRegion(universe geom.Rect, readings []Reading, region geom.Rect) float6
 		if pOut <= 0 {
 			return 1
 		}
-		logIn += math.Log(pIn)
-		logOut += math.Log(pOut)
+		f := pOut / pIn
+		if f < oddsMin || f > oddsMax {
+			// The quotient itself may have left the float64 range.
+			var e int
+			f, e = quotient(pOut, pIn)
+			exp += e
+		}
+		ratio *= f
+		if ratio < oddsMin || ratio > oddsMax {
+			var e int
+			ratio, e = math.Frexp(ratio)
+			exp += e
+		}
 	}
-	// P = e^logIn / (e^logIn + e^logOut), computed stably.
-	d := logOut - logIn
-	if d > 700 {
-		return 0
-	}
-	if d < -700 {
-		return 1
-	}
-	return 1 / (1 + math.Exp(d))
+	// An exponent past the float64 range gives odds of +Inf (P = 0)
+	// or 0 (P = 1).
+	return 1 / (1 + math.Ldexp(ratio, exp))
+}
+
+// oddsMin and oddsMax bound ProbRegion's running odds product: once it
+// leaves [2⁻⁵⁰⁰, 2⁵⁰⁰] its exponent is folded out, so that the next
+// factor, also within those bounds, can neither underflow nor
+// overflow it.
+const (
+	oddsMin = 0x1p-500
+	oddsMax = 0x1p500
+)
+
+// quotient returns num/den as a mantissa ratio in (1/2, 2) and a binary
+// exponent, without overflow or underflow for any positive finite
+// operands.
+func quotient(num, den float64) (float64, int) {
+	fn, en := math.Frexp(num)
+	fd, ed := math.Frexp(den)
+	return fn / fd, en - ed
 }
 
 // SupportBounds returns the bounding box of the readings' rectangles —

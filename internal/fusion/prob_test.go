@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -242,4 +243,152 @@ func TestQuickComplementConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// probRegionLogSpace is ProbRegion as it was evaluated before the
+// odds-product kernel, kept verbatim as the reference: the same Bayes
+// factors, accumulated as sums of logarithms.
+func probRegionLogSpace(universe geom.Rect, readings []Reading, region geom.Rect) float64 {
+	region, ok := region.Intersect(universe)
+	if !ok {
+		return 0
+	}
+	aU := universe.Area()
+	if aU <= 0 {
+		return 0
+	}
+	aR := region.Area()
+	if aR <= 0 {
+		return 0
+	}
+	if aU-aR <= geom.Eps {
+		return 1
+	}
+	prior := aR / aU
+	if len(readings) == 0 {
+		return prior
+	}
+
+	// Work in log space: the likelihood products underflow quickly for
+	// many readings with small rectangles.
+	logIn := math.Log(prior)
+	logOut := math.Log(1 - prior)
+	for _, rd := range readings {
+		aAi := rd.Rect.IntersectionArea(universe)
+		aInt := rd.Rect.IntersectionArea(region)
+		pIn := (rd.P*aInt + rd.Q*(aR-aInt)) / aR
+		pOut := (rd.P*(aAi-aInt) + rd.Q*(aU-aR-aAi+aInt)) / (aU - aR)
+		if pIn <= 0 && pOut <= 0 {
+			// The reading is impossible under both hypotheses (p=q=0);
+			// it carries no information.
+			continue
+		}
+		if pIn <= 0 {
+			return 0
+		}
+		if pOut <= 0 {
+			return 1
+		}
+		logIn += math.Log(pIn)
+		logOut += math.Log(pOut)
+	}
+	// P = e^logIn / (e^logIn + e^logOut), computed stably.
+	d := logOut - logIn
+	if d > 700 {
+		return 0
+	}
+	if d < -700 {
+		return 1
+	}
+	return 1 / (1 + math.Exp(d))
+}
+
+// randomCase draws a universe-clipped query against n readings: sensor
+// rectangles from room-sized down to tag-sized, p in (0, 1] and q
+// either a raw false-report rate or one scaled by area(A)/area(U) as
+// FromReadings scales it. With cluster set, every reading sits in one
+// 3 m spot, so a few hundred of them drive the likelihood products far
+// below the float64 range.
+func randomCase(rng *rand.Rand, uni geom.Rect, n int, cluster bool) ([]Reading, geom.Rect) {
+	cx, cy := uni.Min.X+rng.Float64()*uni.Width(), uni.Min.Y+rng.Float64()*uni.Height()
+	readings := make([]Reading, n)
+	for i := range readings {
+		x, y := uni.Min.X+rng.Float64()*uni.Width(), uni.Min.Y+rng.Float64()*uni.Height()
+		w, h := 0.2+rng.Float64()*30, 0.2+rng.Float64()*30
+		if cluster {
+			x, y = cx+rng.Float64()*3, cy+rng.Float64()*3
+			w, h = 0.2+rng.Float64()*2, 0.2+rng.Float64()*2
+		}
+		rect := geom.R(x, y, x+w, y+h)
+		q := rng.Float64() * 0.3
+		if rng.Intn(2) == 0 {
+			q *= rect.Area() / uni.Area()
+		}
+		readings[i] = Reading{ID: "r", Rect: rect, P: 0.05 + rng.Float64()*0.95, Q: q}
+	}
+	x, y := uni.Min.X+rng.Float64()*uni.Width(), uni.Min.Y+rng.Float64()*uni.Height()
+	if cluster && rng.Intn(2) == 0 {
+		x, y = cx-rng.Float64()*2, cy-rng.Float64()*2
+	}
+	size := []float64{1, 5, 40, 400}[rng.Intn(4)]
+	return readings, geom.R(x, y, x+rng.Float64()*size+0.1, y+rng.Float64()*size+0.1)
+}
+
+// TestProbRegionMatchesLogSpace pins the odds-product kernel to the
+// log-space reference on seeded queries: room-scale and city-scale
+// universes, up to 12 scattered readings, and 300-reading clusters
+// whose likelihood products underflow float64.
+func TestProbRegionMatchesLogSpace(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	universes := []geom.Rect{universe, geom.R(0, 0, 6000, 4000)}
+	var worst float64
+	for i := 0; i < 20000; i++ {
+		uni := universes[i%len(universes)]
+		n, cluster := rng.Intn(13), false
+		if i%10 == 0 {
+			n, cluster = 300, true
+		}
+		readings, region := randomCase(rng, uni, n, cluster)
+		got, want := ProbRegion(uni, readings, region), probRegionLogSpace(uni, readings, region)
+		d := math.Abs(got - want)
+		if !(d <= 1e-12) {
+			t.Fatalf("case %d (%d readings, region %v): ProbRegion = %v, log space = %v", i, n, region, got, want)
+		}
+		worst = math.Max(worst, d)
+	}
+	t.Logf("max |ProbRegion − log space| = %.3g", worst)
+}
+
+// FuzzProbRegion feeds the kernel adversarial but well-formed inputs —
+// any rectangles in a 1000×1000 universe, zero-area ones included, p in
+// [0, 1] and q down to 2⁻⁶³ — and checks the answer is a probability
+// within 1e-9 of the log-space reference. The bound is looser than
+// TestProbRegionMatchesLogSpace's because on adversarial inputs the
+// reference's own rounding (sums of 300 logarithms near −10⁴) reaches
+// 1e-10. Each reading is 10 bytes of data: x, y (uint16), w, h (uint8),
+// p (uint16 over 65535), then q as a mantissa byte over 255 times
+// 2^-(exponent byte mod 64).
+func FuzzProbRegion(f *testing.F) {
+	uni := geom.R(0, 0, 1000, 1000)
+	f.Fuzz(func(t *testing.T, rx, ry uint16, rw, rh uint16, data []byte) {
+		region := geom.R(float64(rx%1000), float64(ry%1000), float64(rx%1000)+float64(rw%1000), float64(ry%1000)+float64(rh%1000))
+		var readings []Reading
+		for len(data) >= 10 && len(readings) < 300 {
+			x, y := float64(binary.BigEndian.Uint16(data)%1000), float64(binary.BigEndian.Uint16(data[2:])%1000)
+			readings = append(readings, Reading{
+				ID:   "f",
+				Rect: geom.R(x, y, x+float64(data[4]), y+float64(data[5])),
+				P:    float64(binary.BigEndian.Uint16(data[6:])) / 65535,
+				Q:    math.Ldexp(float64(data[8])/255, -int(data[9]%64)),
+			})
+			data = data[10:]
+		}
+		got := ProbRegion(uni, readings, region)
+		if !(got >= 0 && got <= 1) {
+			t.Fatalf("ProbRegion = %v, not a probability", got)
+		}
+		if want := probRegionLogSpace(uni, readings, region); !(math.Abs(got-want) <= 1e-9) {
+			t.Fatalf("ProbRegion = %v, log space = %v (%d readings, region %v)", got, want, len(readings), region)
+		}
+	})
 }

@@ -74,7 +74,7 @@ func TestCutConcurrentIngestNeverTorn(t *testing.T) {
 				for f := 1; f <= floors; f++ {
 					for o := 0; o < objPerFlr; o++ {
 						obj := fmt.Sprintf("obj-%d-%d", f, o)
-						if n := len(snap.ReadingsFor(obj, t0)); n%batchLen != 0 {
+						if n := len(snapLive(snap, obj, t0)); n%batchLen != 0 {
 							t.Errorf("cut saw %d rows for %s: torn batch", n, obj)
 							snap.Close()
 							return
@@ -99,7 +99,7 @@ func TestCutConcurrentIngestNeverTorn(t *testing.T) {
 	for f := 1; f <= floors; f++ {
 		for o := 0; o < objPerFlr; o++ {
 			obj := fmt.Sprintf("obj-%d-%d", f, o)
-			if n := len(final.ReadingsFor(obj, t0)); n != batchLen*batches {
+			if n := len(snapLive(final, obj, t0)); n != batchLen*batches {
 				t.Errorf("%s: final rows = %d, want %d", obj, n, batchLen*batches)
 			}
 		}
@@ -212,7 +212,8 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 	// batch is stored, so a row's time says which batch it came from.
 	var stored [writers]atomic.Int64
 	newest := func(snap *Snapshot, w, f int) int64 {
-		rows := snap.LatestPerSensor(fmt.Sprintf("w%d-f%d", w, f), t0)
+		c := candidateFor(snap, fmt.Sprintf("w%d-f%d", w, f))
+		rows := c.LatestPerSensor(snap.SensorSpecs(), t0)
 		if len(rows) == 0 {
 			return 0
 		}
@@ -370,7 +371,7 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 	for c := 0; c < cutters; c++ {
 		select {
 		case snap := <-cuts:
-			if n := len(snap.ReadingsFor("held", t0)); n != 1 {
+			if n := len(snapLive(snap, "held", t0)); n != 1 {
 				t.Errorf("cut holds %d rows of the bracket's insert, want 1", n)
 			}
 			if len(snap.shards) != len(shards) {
@@ -393,7 +394,7 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 	}
 	final := db.Snapshot()
 	defer final.Close()
-	if n := len(final.ReadingsFor("late", t0)); n != 1 {
+	if n := len(snapLive(final, "late", t0)); n != 1 {
 		t.Errorf("late: %d rows in a cut taken after its insert returned, want 1", n)
 	}
 }

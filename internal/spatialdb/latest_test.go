@@ -39,6 +39,35 @@ func sameRows(a, b []model.Reading) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+// candidateFor returns id's candidate at the cut: the frozen table
+// that holds its rows, or an empty table when the object had none.
+func candidateFor(snap *Snapshot, id string) Candidate {
+	for _, t := range snap.shards {
+		if _, ok := t.rows[id]; ok {
+			return Candidate{ID: id, table: t}
+		}
+	}
+	return Candidate{ID: id, table: newReadTable()}
+}
+
+// snapRows returns id's raw rows at the cut.
+func snapRows(snap *Snapshot, id string) []model.Reading {
+	c := candidateFor(snap, id)
+	return c.table.rows[id]
+}
+
+// snapLive returns id's rows at the cut that are unexpired at now under
+// the captured sensor TTLs.
+func snapLive(snap *Snapshot, id string, now time.Time) []model.Reading {
+	var live []model.Reading
+	for _, r := range snapRows(snap, id) {
+		if spec, ok := snap.SensorSpecs()[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
+			live = append(live, r)
+		}
+	}
+	return live
+}
+
 // randomRing draws up to maxReadingsPerObject rows for one object from
 // sensors s0..s4 (TTLs 2 s, 5 s, 1 min) and the unregistered "ghost":
 // runs of one sensor and switches, times out of order on a half-second
@@ -87,7 +116,7 @@ func plantRows(db *DB, obj string, rows []model.Reading) {
 
 // TestLatestPerSensorMatchesReference pins the one-pass reduction to
 // what it replaced, latestPerSensor(ReadingsFor(...)), on the live path
-// (including the prune it falls back to) and on a snapshot.
+// (including the prune it falls back to) and on a snapshot candidate.
 func TestLatestPerSensorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	db := multiFloorDB(t, 1)
@@ -99,7 +128,8 @@ func TestLatestPerSensorMatchesReference(t *testing.T) {
 		plantRows(db, obj, rows)
 
 		snap := db.Snapshot()
-		if got, want := snap.LatestPerSensor(obj, now), latestPerSensorRef(snap.ReadingsFor(obj, now)); !sameRows(got, want) {
+		c := candidateFor(snap, obj)
+		if got, want := c.LatestPerSensor(snap.SensorSpecs(), now), latestPerSensorRef(snapLive(snap, obj, now)); !sameRows(got, want) {
 			t.Fatalf("round %d snapshot:\n got  %v\n want %v\n rows %v", round, got, want, rows)
 		}
 		snap.Close()
@@ -130,14 +160,15 @@ func TestLatestPerSensorAllocations(t *testing.T) {
 	}
 	snap := db.Snapshot()
 	defer snap.Close()
-	if n := len(snap.rowsFor("full")); n != maxReadingsPerObject {
+	if n := len(snapRows(snap, "full")); n != maxReadingsPerObject {
 		t.Fatalf("ring holds %d rows, want %d", n, maxReadingsPerObject)
 	}
 	var sink []model.Reading
 	if a := testing.AllocsPerRun(100, func() { sink = db.LatestPerSensor("full", now) }); a > 2 {
 		t.Errorf("live LatestPerSensor: %v allocs per call, want <= 2", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { sink = snap.LatestPerSensor("full", now) }); a > 2 {
+	c, specs := candidateFor(snap, "full"), snap.SensorSpecs()
+	if a := testing.AllocsPerRun(100, func() { sink = c.LatestPerSensor(specs, now) }); a > 2 {
 		t.Errorf("snapshot LatestPerSensor: %v allocs per call, want <= 2", a)
 	}
 	if len(sink) != 2 {
@@ -169,7 +200,7 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	}
 	pinNow := func() pin {
 		s := db.Snapshot()
-		return pin{s, append([]model.Reading(nil), s.rowsFor("walker")...)}
+		return pin{s, append([]model.Reading(nil), snapRows(s, "walker")...)}
 	}
 	// Fill the ring past the cap so the pinned slice starts mid-array.
 	n := 0
@@ -187,7 +218,7 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if !reflect.DeepEqual(first.snap.rowsFor("walker"), first.want) {
+			if !reflect.DeepEqual(snapRows(first.snap, "walker"), first.want) {
 				t.Error("pinned rows changed while the ring was written")
 				return
 			}
@@ -214,7 +245,7 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	close(stop)
 	<-done
 	for i, p := range pins {
-		if !reflect.DeepEqual(p.snap.rowsFor("walker"), p.want) {
+		if !reflect.DeepEqual(snapRows(p.snap, "walker"), p.want) {
 			t.Errorf("pin %d: rows differ from what the snapshot captured", i)
 		}
 		p.snap.Close()

@@ -603,7 +603,7 @@ func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 
 // latestRows reduces an object's stored rows to the newest unexpired
 // row per registered sensor, sorted by sensor ID (shared by the live
-// path, Snapshot and TriggerEvent). Of two rows with equal times the
+// path, Candidate and TriggerEvent). Of two rows with equal times the
 // earlier-stored wins. stale reports that some row was expired or had
 // no spec — what ReadingsFor would prune. One pass, copying only the
 // winners: an object reports through a handful of sensors, so the

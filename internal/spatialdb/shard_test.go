@@ -175,7 +175,8 @@ func TestSnapshotIsImmutableCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
-	epochAtCut := snap.ReadingEpoch("anna")
+	anna := candidateFor(snap, "anna")
+	epochAtCut := anna.Epoch()
 
 	// Mutate after the cut: new rows for anna, a brand-new object on
 	// the other floor, and a forced expiry.
@@ -187,13 +188,13 @@ func TestSnapshotIsImmutableCut(t *testing.T) {
 	}
 	db.ExpireReadings(t0.Add(2*time.Second), func(r model.Reading) bool { return r.MObjectID == "anna" })
 
-	if got := snap.ReadingsFor("anna", t0); len(got) != 1 {
+	if got := snapLive(snap, "anna", t0); len(got) != 1 {
 		t.Errorf("snapshot rows for anna = %v, want the 1 pre-cut row", got)
 	}
-	if got := snap.ReadingEpoch("anna"); got != epochAtCut {
+	if got := anna.Epoch(); got != epochAtCut {
 		t.Errorf("snapshot epoch moved: %d -> %d", epochAtCut, got)
 	}
-	if got := snap.MobileObjects(); !reflect.DeepEqual(got, []string{"anna"}) {
+	if got := snap.MobileObjects(); len(got) != 1 || got[0].ID != "anna" {
 		t.Errorf("snapshot MobileObjects = %v, want [anna]", got)
 	}
 	// The live table moved on.
@@ -276,7 +277,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 				}
 				snap := db.Snapshot()
 				for _, obj := range objects {
-					if n := len(snap.ReadingsFor(obj, t0)); n%batchLen != 0 {
+					if n := len(snapLive(snap, obj, t0)); n%batchLen != 0 {
 						torn.Add(1)
 						t.Errorf("snapshot saw %d rows for %s: partial batch visible", n, obj)
 						return
@@ -304,7 +305,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 	// Every batch eventually landed.
 	final := db.Snapshot()
 	for _, obj := range objects {
-		if n := len(final.ReadingsFor(obj, t0)); n != batchLen*batches {
+		if n := len(snapLive(final, obj, t0)); n != batchLen*batches {
 			t.Errorf("%s: final rows = %d, want %d", obj, n, batchLen*batches)
 		}
 	}

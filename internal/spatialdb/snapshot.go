@@ -1,7 +1,8 @@
 package spatialdb
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -112,100 +113,68 @@ func (s *Snapshot) SensorSpecs() map[string]model.SensorSpec { return s.sensors.
 // SensorGeneration returns the sensor-table generation at the cut.
 func (s *Snapshot) SensorGeneration() uint64 { return s.sensors.gen }
 
-// rowsFor returns the object's raw rows at the cut. An object's rows
-// live in exactly one shard at any cut (floor migration moves them
-// atomically), so the first table that knows the object wins.
-func (s *Snapshot) rowsFor(mobjectID string) []model.Reading {
-	for _, t := range s.shards {
-		if rows, ok := t.rows[mobjectID]; ok {
-			return rows
-		}
-	}
-	return nil
-}
-
-// ReadingEpoch returns the object's reading epoch at the cut, 0 when
-// the object had no rows. Epochs are strictly monotonic across floor
-// migrations, so a cached result stamped with this value stays
-// comparable against the live table.
-func (s *Snapshot) ReadingEpoch(mobjectID string) uint64 {
-	for _, t := range s.shards {
-		if e, ok := t.epochs[mobjectID]; ok {
-			return e
-		}
-	}
-	return 0
-}
-
-// ReadingsFor returns the object's rows at the cut that are unexpired
-// at time now, applying each sensor's TTL from the captured metadata
-// table. Unlike the live path it never prunes — the snapshot is
-// immutable.
-func (s *Snapshot) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
-	rows := s.rowsFor(mobjectID)
-	if len(rows) == 0 {
-		return nil
-	}
-	live := make([]model.Reading, 0, len(rows))
-	for _, r := range rows {
-		spec, ok := s.sensors.specs[r.SensorID]
-		if !ok || r.Expired(now, spec.TTL) {
-			continue
-		}
-		live = append(live, r)
-	}
-	return live
-}
-
-// LatestPerSensor returns, for each sensor with an unexpired reading
-// for the object at the cut, only its newest one — the fusion working
-// set, identical in shape to DB.LatestPerSensor.
-func (s *Snapshot) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
-	out, _ := latestRows(s.rowsFor(mobjectID), s.sensors.specs, now)
-	return out
-}
-
-// MobileObjects returns the IDs of all objects with stored readings at
-// the cut, sorted.
-func (s *Snapshot) MobileObjects() []string {
-	var out []string
+// MobileObjects returns every object with stored readings at the cut
+// as a candidate, sorted by ID: the exhaustive candidate list the
+// region-scan tests compare the support pre-filter against.
+func (s *Snapshot) MobileObjects() []Candidate {
+	var out []Candidate
 	for _, t := range s.shards {
 		for id := range t.rows {
-			out = append(out, id)
+			out = append(out, Candidate{ID: id, table: t})
 		}
 	}
-	sort.Strings(out)
+	slices.SortFunc(out, func(a, b Candidate) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
 // Candidate is one support-index hit: a mobile object whose indexed
-// support rectangle intersects a queried region. Support is the
-// indexed rectangle — a conservative superset of the bounding box of
-// the object's live readings at the cut (see readTable.support).
+// support rectangle — a conservative superset of the bounding box of
+// its live readings at the cut (see readTable.support) — intersects a
+// queried region.
+//
+// A candidate remembers the frozen table that indexed it. An object's
+// rows live in exactly one shard at any cut (floor migration moves
+// them atomically), so that table is the only one holding its rows,
+// and Epoch and LatestPerSensor read them without visiting any other
+// shard. Like TriggerEvent, a candidate is read-only and stays valid
+// for as long as it is held.
 type Candidate struct {
-	ID      string
-	Support geom.Rect
+	ID    string
+	table *readTable
 }
 
-// SupportCandidates returns every mobile object whose support
-// rectangle intersects region at the cut, sorted by ID. This is the
-// region-query pre-filter: an object NOT returned is guaranteed to
+// Epoch returns the candidate's reading epoch at the cut. Epochs are
+// strictly monotonic across floor migrations, so a cached result
+// stamped with this value stays comparable against the live table.
+func (c *Candidate) Epoch() uint64 { return c.table.epochs[c.ID] }
+
+// LatestPerSensor reduces the candidate's rows at the cut to the
+// fusion working set at now, as TriggerEvent.LatestPerSensor does: the
+// newest unexpired row per sensor registered in specs, sorted by
+// sensor ID. It never prunes — the snapshot is immutable.
+func (c *Candidate) LatestPerSensor(specs map[string]model.SensorSpec, now time.Time) []model.Reading {
+	out, _ := latestRows(c.table.rows[c.ID], specs, now)
+	return out
+}
+
+// SupportCandidates returns, in no particular order, every mobile
+// object whose support rectangle intersects region at the cut. This is
+// the region-query pre-filter: an object NOT returned is guaranteed to
 // have no reading rectangle intersecting region, so support-gated
 // aggregate queries (occupancy heatmaps, ObjectsInRegion) can skip it
 // without changing their result. Objects returned are candidates only
-// — the caller still gates on the live (TTL-filtered) support. The
-// search runs lock-free on the frozen per-shard support R-trees; cost
-// is O(log n + hits) per shard rather than O(all objects).
+// — the caller still gates on the live (TTL-filtered) support, and
+// sorts them where its merge needs an order. The search runs lock-free
+// on the frozen per-shard support R-trees; cost is O(log n + hits) per
+// shard rather than O(all objects). IDs are unique: an object's rows
+// live in exactly one shard at any cut.
 func (s *Snapshot) SupportCandidates(region geom.Rect) []Candidate {
 	var out []Candidate
 	for _, t := range s.shards {
-		t.support.SearchIntersectFunc(region, func(r geom.Rect, id string) bool {
-			out = append(out, Candidate{ID: id, Support: r})
+		t.support.SearchIntersectFunc(region, func(_ geom.Rect, id string) bool {
+			out = append(out, Candidate{ID: id, table: t})
 			return true
 		})
 	}
-	// An object's rows live in exactly one shard at any cut, so IDs
-	// are unique; sort for a deterministic fan-out and merge order.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

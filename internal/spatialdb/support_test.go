@@ -1,7 +1,6 @@
 package spatialdb
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -296,31 +295,5 @@ func TestSupportSurvivesRingTrim(t *testing.T) {
 	}
 	if ids := candidateIDs(db, geom.R(0, 0, 500, 100)); !ids["walker"] {
 		t.Fatal("walker lost its support entry across trims")
-	}
-}
-
-// TestSupportCandidatesSorted pins the deterministic ordering the
-// heatmap's index-addressed merge depends on.
-func TestSupportCandidatesSorted(t *testing.T) {
-	db := multiFloorDB(t, 3)
-	if err := db.RegisterSensor("s1", longSpec()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		obj := fmt.Sprintf("p%d", 8-i) // insert in reverse name order
-		if err := db.InsertReading(floorReading("s1", obj, 1+i%3, float64(20+i*40), 50, t0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := db.Snapshot()
-	defer snap.Close()
-	cands := snap.SupportCandidates(db.Universe())
-	if len(cands) != 9 {
-		t.Fatalf("candidates = %d, want 9", len(cands))
-	}
-	for i := 1; i < len(cands); i++ {
-		if cands[i-1].ID >= cands[i].ID {
-			t.Fatalf("candidates not sorted: %q before %q", cands[i-1].ID, cands[i].ID)
-		}
 	}
 }
