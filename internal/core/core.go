@@ -738,21 +738,41 @@ func (s *Service) LocateObject(objectID string) (Location, error) {
 
 // symbolicRegion finds the deepest symbolic region whose bounds
 // contain the estimate (falling back to the region containing its
-// centre).
+// centre); the lowest ID breaks a depth tie. It reads the stored rows
+// in place and copies out only the winner's GLOB; an ID is formatted
+// only on a depth tie.
 func (s *Service) symbolicRegion(r geom.Rect) glob.GLOB {
-	best := glob.GLOB{}
+	var best glob.GLOB
+	var bestID string // best's ID once a tie needed it, else ""
 	bestDepth := -1
-	for _, o := range s.db.IntersectingObjects(r, spatialdb.ObjectFilter{}) {
+	centre := r.Center()
+	s.db.VisitIntersecting(r, func(o *spatialdb.Object) {
 		switch o.Type {
 		case "Room", "Corridor", "Floor":
 		default:
-			continue
+			return
 		}
-		contains := o.Bounds.ContainsRect(r) || o.Bounds.ContainsPoint(r.Center())
-		if contains && o.GLOB.Depth() > bestDepth {
-			best, bestDepth = o.GLOB, o.GLOB.Depth()
+		if !o.Bounds.ContainsRect(r) && !o.Bounds.ContainsPoint(centre) {
+			return
 		}
-	}
+		d := o.GLOB.Depth()
+		switch {
+		case d < bestDepth:
+			return
+		case d == bestDepth:
+			if bestID == "" {
+				bestID = best.String()
+			}
+			id := o.ID()
+			if id >= bestID {
+				return
+			}
+			bestID = id
+		default:
+			bestID = ""
+		}
+		best, bestDepth = o.GLOB, d
+	})
 	return best
 }
 

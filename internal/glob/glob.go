@@ -95,11 +95,20 @@ type Coord struct {
 func (c Coord) Point() geom.Point { return geom.Pt(c.X, c.Y) }
 
 // String implements fmt.Stringer.
-func (c Coord) String() string {
+func (c Coord) String() string { return string(c.appendText(make([]byte, 0, 32))) }
+
+// appendText appends the tuple's textual form, "(x,y)" or "(x,y,z)",
+// with each component in strconv's shortest 'g' form.
+func (c Coord) appendText(b []byte) []byte {
+	b = append(b, '(')
+	b = strconv.AppendFloat(b, c.X, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, c.Y, 'g', -1, 64)
 	if c.Has3D {
-		return fmt.Sprintf("(%s,%s,%s)", ftoa(c.X), ftoa(c.Y), ftoa(c.Z))
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, c.Z, 'g', -1, 64)
 	}
-	return fmt.Sprintf("(%s,%s)", ftoa(c.X), ftoa(c.Y))
+	return append(b, ')')
 }
 
 // GLOB is a parsed Gaia LOcation Byte-string: a symbolic path plus an
@@ -245,9 +254,16 @@ func parseCoords(s string) ([]Coord, error) {
 	return out, nil
 }
 
-// String renders g back to its textual form.
+// String renders g back to its textual form. The builder is sized for
+// the path plus ~16 bytes per coordinate tuple and each tuple is
+// formatted on the stack first, so a GLOB usually costs one allocation.
 func (g GLOB) String() string {
+	n := 16 * len(g.Coords)
+	for _, seg := range g.Path {
+		n += len(seg) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, seg := range g.Path {
 		if i > 0 {
 			b.WriteByte('/')
@@ -258,11 +274,12 @@ func (g GLOB) String() string {
 		if len(g.Path) > 0 {
 			b.WriteByte('/')
 		}
+		var tuple [80]byte
 		for i, c := range g.Coords {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(c.String())
+			b.Write(c.appendText(tuple[:0]))
 		}
 	}
 	return b.String()
@@ -411,6 +428,3 @@ func (g GLOB) Bounds() (geom.Rect, bool) {
 	}
 	return geom.BoundsOfPoints(pts...), true
 }
-
-// ftoa formats a float compactly (no trailing zeros).
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

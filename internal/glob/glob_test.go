@@ -2,6 +2,11 @@ package glob
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +152,74 @@ func TestStringRoundTrip(t *testing.T) {
 		again := MustParse(g.String())
 		if !again.Equal(g) {
 			t.Errorf("reparse of %q differs", in)
+		}
+	}
+}
+
+// fmtCoord and fmtGLOB are the fmt.Sprintf formatting that
+// Coord.String and GLOB.String replaced; the appending form must match
+// them byte for byte.
+func fmtCoord(c Coord) string {
+	ftoa := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	if c.Has3D {
+		return fmt.Sprintf("(%s,%s,%s)", ftoa(c.X), ftoa(c.Y), ftoa(c.Z))
+	}
+	return fmt.Sprintf("(%s,%s)", ftoa(c.X), ftoa(c.Y))
+}
+
+func fmtGLOB(g GLOB) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(g.Path, "/"))
+	if len(g.Coords) > 0 {
+		if len(g.Path) > 0 {
+			b.WriteByte('/')
+		}
+		for i, c := range g.Coords {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(fmtCoord(c))
+		}
+	}
+	return b.String()
+}
+
+func TestStringMatchesFmtForm(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	coords := []Coord{
+		{X: 370, Y: 15},                          // 2-D
+		{X: 12, Y: 3, Z: 4, Has3D: true},         // 3-D
+		{X: -45.25, Y: -0.5, Z: -7, Has3D: true}, // negative
+		{X: negZero, Y: 0, Z: negZero, Has3D: true},
+		{X: 1e21, Y: 1.5e-7}, // exponent form
+		{X: -math.MaxFloat64, Y: math.SmallestNonzeroFloat64, Z: 2.5e300, Has3D: true},
+		{X: 0.1 + 0.2, Y: 1.0 / 3}, // 17 significant digits
+		{X: math.Inf(1), Y: math.NaN()},
+	}
+	for _, c := range coords {
+		if got, want := c.String(), fmtCoord(c); got != want {
+			t.Errorf("Coord.String = %q, fmt form %q", got, want)
+		}
+	}
+	globs := []GLOB{
+		Symbolic("CS", "Floor3", "NetLab"),
+		{Coords: coords[:1]},
+		{Path: []string{"SC", "3"}, Coords: coords},
+		CoordinateRect(Symbolic("CS"), geom.R(-1e-9, negZero, 370.125, 4.5e22)),
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 200; i++ {
+		g := GLOB{Path: []string{"B", "F" + strconv.Itoa(i)}}
+		for j := rng.Intn(5); j >= 0; j-- {
+			c := Coord{X: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)),
+				Y: -rng.ExpFloat64(), Z: float64(rng.Intn(100)), Has3D: rng.Intn(2) == 0}
+			g.Coords = append(g.Coords, c)
+		}
+		globs = append(globs, g)
+	}
+	for _, g := range globs {
+		if got, want := g.String(), fmtGLOB(g); got != want {
+			t.Errorf("GLOB.String = %q, fmt form %q", got, want)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Binary payload codecs for the hot remote frames: batched/streamed
-// ingest, trigger-notification pushes, region queries, and stream
-// acknowledgements. These are the payloads mwrpc carries with the
+// ingest, trigger-notification pushes, Locate, region queries, and
+// stream acknowledgements. These are the payloads mwrpc carries with the
 // flagBinaryPayload bit set after a connection negotiates the binary
 // codec; everything else keeps the JSON DTOs.
 //
@@ -441,6 +441,97 @@ func decodeObjectsReply(payload []byte) (map[string]float64, error) {
 			return nil, err
 		}
 		out[obj] = p
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// Locate (mw.locate)
+
+// appendLocation encodes a Locate answer straight from the core form,
+// in field order: object, rect (4× f64), prob, band (uvarint),
+// symbolic and coordinate GLOB text, support and discarded reading IDs
+// (counted string lists), and the evaluation time as i64 UnixNano.
+func appendLocation(b []byte, l core.Location) []byte {
+	b = mwrpc.AppendString(b, l.Object)
+	b = mwrpc.AppendF64(b, l.Rect.Min.X)
+	b = mwrpc.AppendF64(b, l.Rect.Min.Y)
+	b = mwrpc.AppendF64(b, l.Rect.Max.X)
+	b = mwrpc.AppendF64(b, l.Rect.Max.Y)
+	b = mwrpc.AppendF64(b, l.Prob)
+	b = mwrpc.AppendUvarint(b, uint64(l.Band))
+	b = mwrpc.AppendString(b, l.Symbolic.String())
+	b = mwrpc.AppendString(b, l.Coordinate.String())
+	b = appendStrings(b, l.Support)
+	b = appendStrings(b, l.Discarded)
+	return mwrpc.AppendI64(b, l.At.UnixNano())
+}
+
+// decodeLocation decodes a binary Locate answer into the DTO the JSON
+// path returns, formatting the time as RFC 3339 on this side. A band
+// outside §4.4's four (or the unclassified zero) is corrupt.
+func decodeLocation(payload []byte) (LocationDTO, error) {
+	r := mwrpc.NewBinReader(payload)
+	var l LocationDTO
+	var err error
+	if l.Object, err = r.String(); err != nil {
+		return l, err
+	}
+	for _, f := range []*float64{&l.Rect.MinX, &l.Rect.MinY, &l.Rect.MaxX, &l.Rect.MaxY, &l.Prob} {
+		if *f, err = r.F64(); err != nil {
+			return l, err
+		}
+	}
+	band, err := r.Uvarint()
+	if err != nil {
+		return l, err
+	}
+	if band > uint64(fusion.BandVeryHigh) {
+		return l, fmt.Errorf("%w: band %d", mwrpc.ErrCorrupt, band)
+	}
+	l.Band = fusion.Band(band).String()
+	if l.Symbolic, err = r.String(); err != nil {
+		return l, err
+	}
+	if l.Coordinate, err = r.String(); err != nil {
+		return l, err
+	}
+	if l.Support, err = readStrings(r); err != nil {
+		return l, err
+	}
+	if l.Discarded, err = readStrings(r); err != nil {
+		return l, err
+	}
+	ns, err := r.I64()
+	if err != nil {
+		return l, err
+	}
+	l.Time = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
+	return l, nil
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = mwrpc.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = mwrpc.AppendString(b, s)
+	}
+	return b
+}
+
+// readStrings decodes a counted string list; an empty list is nil, as
+// the JSON path leaves an omitted list.
+func readStrings(r *mwrpc.BinReader) ([]string, error) {
+	n, err := r.Len(1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		s, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
 	}
 	return out, nil
 }

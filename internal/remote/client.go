@@ -702,7 +702,16 @@ func (c *LocationClient) RegisterSensor(sensorID string, spec model.SensorSpec) 
 // Locate asks where an object is.
 func (c *LocationClient) Locate(object string) (LocationDTO, error) {
 	var out LocationDTO
-	err := c.call("mw.locate", objectArgs{Object: object}, &out)
+	err := c.callMaybeBinary("mw.locate", "",
+		func(b []byte) []byte { return mwrpc.AppendString(b, object) },
+		func(payload []byte) error {
+			var derr error
+			out, derr = decodeLocation(payload)
+			return derr
+		},
+		func(rpc *mwrpc.Client) error {
+			return rpc.Call("mw.locate", objectArgs{Object: object}, &out)
+		})
 	return out, err
 }
 

@@ -238,7 +238,9 @@ func toLocationDTO(l core.Location) LocationDTO {
 		Coordinate: l.Coordinate.String(),
 		Support:    l.Support,
 		Discarded:  l.Discarded,
-		Time:       l.At.Format(time.RFC3339Nano),
+		// UTC, as the binary decoder formats it: both codecs return
+		// the same string for the same instant.
+		Time: l.At.UTC().Format(time.RFC3339Nano),
 	}
 }
 

@@ -8,10 +8,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	"middlewhere/internal/core"
+	"middlewhere/internal/fusion"
+	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 )
@@ -141,17 +145,63 @@ func regionQuerySeeds() [][]byte {
 
 func queryReplySeeds() [][]byte {
 	objs := appendObjectsReply(nil, map[string]float64{"alice": 0.9, "bob": 0.4})
+	loc := appendLocation(nil, core.Location{
+		Object: "carol", Rect: geom.R(109.5, 34.5, 110.5, 35.5), Prob: 0.86,
+		Band:       fusion.BandHigh,
+		Symbolic:   glob.MustParse("CS/Floor3/MainCorridor"),
+		Coordinate: glob.CoordinateRect(glob.Symbolic("CS"), geom.R(109.5, 34.5, 110.5, 35.5)),
+		Support:    []string{"ubi"}, Discarded: []string{"rf", "card-3105"},
+		At: time.Date(2026, 8, 8, 12, 0, 0, 5, time.UTC),
+	})
 	return [][]byte{
 		appendProbReply(nil, 0.75, "high"),
 		objs,
 		objs[:len(objs)-5], // truncated mid-entry
 		appendObjectsReply(nil, nil),
 		{},
+		loc,
+		loc[:len(loc)-4], // truncated time
+		appendLocation(nil, core.Location{Object: "far"}), // no regions, no readings
 	}
+}
+
+// locationOf is the core.Location that appendLocation encodes as d: a
+// one-segment GLOB formats as its segment verbatim, and the band and
+// time strings parse back to the values decodeLocation formatted.
+func locationOf(t *testing.T, d LocationDTO) core.Location {
+	l := core.Location{
+		Object: d.Object,
+		Rect:   geom.Rect{Min: geom.Pt(d.Rect.MinX, d.Rect.MinY), Max: geom.Pt(d.Rect.MaxX, d.Rect.MaxY)},
+		Prob:   d.Prob, Band: bandFromString(d.Band),
+		Support: d.Support, Discarded: d.Discarded,
+	}
+	if d.Symbolic != "" {
+		l.Symbolic = glob.GLOB{Path: []string{d.Symbolic}}
+	}
+	if d.Coordinate != "" {
+		l.Coordinate = glob.GLOB{Path: []string{d.Coordinate}}
+	}
+	at, err := time.Parse(time.RFC3339Nano, d.Time)
+	if err != nil {
+		t.Fatalf("decoded time %q does not parse: %v", d.Time, err)
+	}
+	l.At = at
+	return l
 }
 
 // sameF64 compares floats bit for bit, so a fuzzed NaN round-trips.
 func sameF64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameLocation compares two decoded Locate replies, floats bit for bit.
+func sameLocation(a, b LocationDTO) bool {
+	if !sameF64(a.Rect.MinX, b.Rect.MinX) || !sameF64(a.Rect.MinY, b.Rect.MinY) ||
+		!sameF64(a.Rect.MaxX, b.Rect.MaxX) || !sameF64(a.Rect.MaxY, b.Rect.MaxY) ||
+		!sameF64(a.Prob, b.Prob) {
+		return false
+	}
+	a.Rect, a.Prob, b.Rect, b.Prob = RectDTO{}, 0, RectDTO{}, 0
+	return reflect.DeepEqual(a, b)
+}
 
 // FuzzDecodeRegionQuery covers the daemon-side decoder of binary
 // mw.probInRegion / mw.objectsInRegion requests (socket bytes).
@@ -175,13 +225,20 @@ func FuzzDecodeRegionQuery(f *testing.F) {
 }
 
 // FuzzDecodeQueryReplies covers the client-side decoders of binary
-// region-query replies, which run on reply bytes from the daemon.
-// Every input goes through both: the payload carries no type tag.
+// Locate and region-query replies, which run on reply bytes from the
+// daemon. Every input goes through all three: the payload carries no
+// type tag.
 func FuzzDecodeQueryReplies(f *testing.F) {
 	for _, s := range queryReplySeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if l, err := decodeLocation(data); err == nil {
+			l2, err := decodeLocation(appendLocation(nil, locationOf(t, l)))
+			if err != nil || !sameLocation(l2, l) {
+				t.Fatalf("locate reply round trip drifted: %+v -> %+v (%v)", l, l2, err)
+			}
+		}
 		if p, err := decodeProbReply(data); err == nil {
 			p2, err := decodeProbReply(appendProbReply(nil, p.Prob, p.Band))
 			if err != nil || !sameF64(p2.Prob, p.Prob) || p2.Band != p.Band {

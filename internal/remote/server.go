@@ -75,6 +75,7 @@ func NewServer(svc *core.Service) *Server {
 	s.rpc.SetWire(daemonWire)
 	s.rpc.RegisterTraced("mw.ingestBatch", s.handleIngestBatch)
 	s.rpc.RegisterBinary("mw.ingestBatch", s.handleIngestBatchBin)
+	s.rpc.RegisterBinary("mw.locate", s.handleLocateBin)
 	s.rpc.RegisterBinary("mw.probInRegion", s.handleProbInRegionBin)
 	s.rpc.RegisterBinary("mw.objectsInRegion", s.handleObjectsInRegionBin)
 	s.rpc.Register("mw.streamOpen", s.handleStreamOpen)
@@ -356,6 +357,20 @@ func (s *Server) handleLocate(_ *mwrpc.ServerConn, params json.RawMessage) (inte
 		return nil, err
 	}
 	return toLocationDTO(loc), nil
+}
+
+// handleLocateBin answers a binary-payload Locate. The request is the
+// object ID; the reply is encoded straight from core.Location.
+func (s *Server) handleLocateBin(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
+	object, err := mwrpc.NewBinReader(payload).String()
+	if err != nil {
+		return nil, err
+	}
+	loc, err := s.svc.LocateObject(object)
+	if err != nil {
+		return nil, err
+	}
+	return func(b []byte) []byte { return appendLocation(b, loc) }, nil
 }
 
 type regionQueryArgs struct {

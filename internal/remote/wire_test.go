@@ -3,12 +3,14 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"middlewhere/internal/building"
 	"middlewhere/internal/core"
+	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 	"middlewhere/internal/mwrpc"
@@ -175,5 +177,89 @@ func TestWireBinaryStrictFailsOnDecline(t *testing.T) {
 	if err == nil {
 		c.Close()
 		t.Fatal("strict-binary dial against a JSON-only daemon succeeded")
+	}
+}
+
+// TestLocateBinaryMatchesJSON: one daemon answers a binary client and
+// a JSON client with the identical LocationDTO, for a fused estimate
+// with both supporting and discarded readings, for an estimate off
+// every room and floor (empty Symbolic), and for an unknown object
+// (identical error text).
+func TestLocateBinaryMatchesJSON(t *testing.T) {
+	// The daemon offers binary whatever pairing the compat run sets.
+	t.Setenv(mwrpc.WireEnv, "binary/binary")
+	bld := building.PaperFloor()
+	bld.Universe = geom.R(0, 0, 500, 200) // room for an estimate off the floor
+	svc, err := core.New(bld, core.WithClock(func() time.Time { return t0 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := NewServer(svc)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	clients := map[mwrpc.Codec]*LocationClient{}
+	for _, wire := range []mwrpc.WirePref{mwrpc.WireBinary, mwrpc.WireJSON} {
+		c, err := DialLocationOptions(addr, DialOptions{Wire: wire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		clients[c.WireCodec()] = c
+	}
+	bin, js := clients[mwrpc.CodecBinary], clients[mwrpc.CodecJSON]
+	if bin == nil || js == nil {
+		t.Fatalf("want one binary and one JSON client, got %v", clients)
+	}
+
+	ubi := model.UbisenseSpec(0.9)
+	ubi.TTL = time.Minute
+	for id, spec := range map[string]model.SensorSpec{"ubi": ubi, "rf": model.RFIDSpec(0.8)} {
+		if err := svc.RegisterSensor(id, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// carol's badge sits in 3105 while her Ubisense tag walks the
+	// corridor: conflict resolution keeps the tag and discards the
+	// badge. far is fixed outside the floor.
+	for _, r := range []model.Reading{
+		{SensorID: "rf", MObjectID: "carol", Location: glob.MustParse("CS/Floor3/(340,15)"), Time: t0},
+		{SensorID: "ubi", MObjectID: "carol", Location: glob.MustParse("CS/Floor3/(100,35)"), Time: t0},
+		{SensorID: "ubi", MObjectID: "carol", Location: glob.MustParse("CS/Floor3/(110,35)"), Time: t0.Add(time.Second)},
+		{SensorID: "ubi", MObjectID: "far", Location: glob.MustParse("CS/(250,150)"), Time: t0},
+	} {
+		if err := svc.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, object := range []string{"carol", "far", "nobody"} {
+		b, berr := bin.Locate(object)
+		j, jerr := js.Locate(object)
+		if object == "nobody" {
+			if berr == nil || jerr == nil || berr.Error() != jerr.Error() {
+				t.Fatalf("Locate(nobody): binary err %v, JSON err %v", berr, jerr)
+			}
+			continue
+		}
+		if berr != nil || jerr != nil {
+			t.Fatalf("Locate(%s): binary err %v, JSON err %v", object, berr, jerr)
+		}
+		if !reflect.DeepEqual(b, j) {
+			t.Fatalf("Locate(%s) differs:\nbinary %+v\nJSON   %+v", object, b, j)
+		}
+		switch object {
+		case "carol":
+			if len(b.Support) == 0 || len(b.Discarded) == 0 || b.Symbolic != "CS/Floor3/MainCorridor" {
+				t.Fatalf("carol: want support, discards and the corridor, got %+v", b)
+			}
+		case "far":
+			if b.Symbolic != "" || b.Coordinate == "" {
+				t.Fatalf("far: want no symbolic region and a coordinate, got %+v", b)
+			}
+		}
 	}
 }

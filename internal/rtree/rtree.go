@@ -97,7 +97,7 @@ func copyNodes(n *node) *node {
 }
 
 // Visits returns the cumulative number of tree nodes touched by
-// SearchIntersect/SearchContained/SearchContaining/Nearest calls.
+// SearchIntersect/SearchIntersectFunc/Nearest calls.
 // Callers that want per-query costs record the delta around a call.
 func (t *Tree) Visits() int64 { return t.visits.Load() }
 
@@ -370,29 +370,6 @@ func (t *Tree) SearchIntersectFunc(q geom.Rect, fn func(r geom.Rect, id string) 
 		return true
 	}
 	walk(t.root)
-}
-
-// SearchContained returns all entries fully contained in q.
-func (t *Tree) SearchContained(q geom.Rect) []Item {
-	var out []Item
-	for _, it := range t.SearchIntersect(q) {
-		if q.ContainsRect(it.Rect) {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// SearchContaining returns all entries whose rectangle contains the
-// point p.
-func (t *Tree) SearchContaining(p geom.Point) []Item {
-	var out []Item
-	for _, it := range t.SearchIntersect(geom.Rect{Min: p, Max: p}) {
-		if it.Rect.ContainsPoint(p) {
-			out = append(out, it)
-		}
-	}
-	return out
 }
 
 // Nearest returns up to k entries closest to point p by rectangle

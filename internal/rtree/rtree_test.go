@@ -62,17 +62,9 @@ func TestInsertAndSearchSmall(t *testing.T) {
 	if !equalIDs(got, want) {
 		t.Errorf("intersect = %v, want %v", got, want)
 	}
-	got = ids(tr.SearchContained(geom.R(0, 0, 16, 16)))
-	if !equalIDs(got, []string{"a", "b"}) {
-		t.Errorf("contained = %v", got)
-	}
-	got = ids(tr.SearchContaining(geom.Pt(7, 7)))
-	if !equalIDs(got, []string{"a", "b"}) {
-		t.Errorf("containing = %v", got)
-	}
-	got = ids(tr.SearchContaining(geom.Pt(25, 25)))
+	got = ids(tr.SearchIntersect(geom.R(25, 25, 25, 25)))
 	if !equalIDs(got, []string{"c"}) {
-		t.Errorf("containing(25,25) = %v", got)
+		t.Errorf("intersect point (25,25) = %v", got)
 	}
 	b, ok := tr.Bounds()
 	if !ok || !b.Eq(geom.R(0, 0, 101, 101)) {

@@ -424,28 +424,44 @@ func (f ObjectFilter) match(o *Object) bool {
 	return true
 }
 
-// searchShards runs search against every shard's live object index
-// under that shard's read lock, one shard at a time, and keeps the hits
-// that pass f. The callers sort the result.
-func (db *DB) searchShards(search func(idx *rtree.Tree) []rtree.Item, f ObjectFilter) []Object {
-	var out []Object
+// VisitIntersecting calls fn for every object whose universe-frame MBR
+// intersects r, shard by shard, under that shard's read lock and in no
+// particular order. It is the object table's one range search: the
+// copying queries below clone what fn keeps. fn sees the stored
+// row: it must not modify o, keep the pointer, or call back into the
+// DB's object table. Field values it copies out (a GLOB, a Rect) stay
+// valid, because a stored row is never modified in place — an object
+// is only inserted or deleted.
+func (db *DB) VisitIntersecting(r geom.Rect, fn func(o *Object)) {
+	defer db.observeQuery(time.Now())
 	for _, sh := range db.allShards() {
 		sh.objMu.RLock()
-		for _, it := range search(sh.objIdx) {
-			if o := sh.objects[it.ID]; o != nil && f.match(o) {
-				out = append(out, o.clone())
+		sh.objIdx.SearchIntersectFunc(r, func(_ geom.Rect, id string) bool {
+			if o := sh.objects[id]; o != nil {
+				fn(o)
 			}
-		}
+			return true
+		})
 		sh.objMu.RUnlock()
 	}
+}
+
+// collect clones the objects VisitIntersecting finds in r that pass
+// keep and f.
+func (db *DB) collect(r geom.Rect, keep func(o *Object) bool, f ObjectFilter) []Object {
+	var out []Object
+	db.VisitIntersecting(r, func(o *Object) {
+		if keep(o) && f.match(o) {
+			out = append(out, o.clone())
+		}
+	})
 	return out
 }
 
 // IntersectingObjects returns objects whose universe-frame MBR
 // intersects r, filtered, sorted by ID.
 func (db *DB) IntersectingObjects(r geom.Rect, f ObjectFilter) []Object {
-	defer db.observeQuery(time.Now())
-	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchIntersect(r) }, f)
+	out := db.collect(r, func(*Object) bool { return true }, f)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -453,8 +469,7 @@ func (db *DB) IntersectingObjects(r geom.Rect, f ObjectFilter) []Object {
 // ContainedObjects returns objects fully inside r, filtered, sorted by
 // ID.
 func (db *DB) ContainedObjects(r geom.Rect, f ObjectFilter) []Object {
-	defer db.observeQuery(time.Now())
-	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchContained(r) }, f)
+	out := db.collect(r, func(o *Object) bool { return r.ContainsRect(o.Bounds) }, f)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -462,8 +477,7 @@ func (db *DB) ContainedObjects(r geom.Rect, f ObjectFilter) []Object {
 // ObjectsAt returns the objects whose MBR contains the point (deepest
 // GLOB first — the room before the floor).
 func (db *DB) ObjectsAt(p geom.Point, f ObjectFilter) []Object {
-	defer db.observeQuery(time.Now())
-	out := db.searchShards(func(idx *rtree.Tree) []rtree.Item { return idx.SearchContaining(p) }, f)
+	out := db.collect(geom.Rect{Min: p, Max: p}, func(o *Object) bool { return o.Bounds.ContainsPoint(p) }, f)
 	sort.Slice(out, func(i, j int) bool {
 		if d1, d2 := out[i].GLOB.Depth(), out[j].GLOB.Depth(); d1 != d2 {
 			return d1 > d2
