@@ -19,16 +19,19 @@ race:
 
 # The tests that have actually flaked or hung (ROADMAP item 0), twenty
 # times each under the race detector: the serial-vs-batch notifications
-# (needs the Quiesce barrier), the batch whose firings fan out across
-# the worker pool without cutting a snapshot, the cache-freshness
-# stress that used to hang in Snapshot, the two tests of the cut itself
-# (every concurrent cut fresh, whole and returning; a cut waiting for
-# an open bracket without deadlocking the migration inside it), and the
-# replay dedup reading rows atomically with residence while the object
-# flips floors. The gate gets its own, longer timeout: a slower runner
-# must not turn the flake gate into a timeout flake.
+# and history (needs the Quiesce barrier), the batch whose stored
+# readings fan out across the worker pool without cutting a snapshot,
+# the exit checks that run on pool workers (the held index against the
+# scan of every subscription; a return after expiry is an entry), the
+# cache-freshness stress that used to hang in Snapshot, the two tests
+# of the cut itself (every concurrent cut fresh, whole and returning; a
+# cut waiting for an open bracket without deadlocking the migration
+# inside it), and the replay dedup reading rows atomically with
+# residence while the object flips floors. The gate gets its own,
+# longer timeout: a slower runner must not turn the flake gate into a
+# timeout flake.
 concurrency-gate:
-	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace' ./internal/core/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace|TestHeldIndexMatchesSubscriptionScan|TestReturnAfterExpiryIsAnEntry' ./internal/core/
 	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as

@@ -4,12 +4,11 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"middlewhere/internal/model"
 )
 
 // historyRecorder keeps a bounded per-object trail of fused location
-// estimates, recorded after every reading insert. It powers the
+// estimates, one per stored reading, each fused from the rows that
+// reading's own insert stored (observeStored). It powers the
 // History API (trajectory queries — the natural extension of the
 // paper's object tracking, cf. the Location Stack comparison in §10).
 type historyRecorder struct {
@@ -47,16 +46,6 @@ func (h *historyRecorder) record(loc Location) {
 		trail = trail[len(trail)-h.depth:]
 	}
 	h.trails[loc.Object] = trail
-}
-
-// observeForHistory is chained onto the DB insert hook when history is
-// enabled.
-func (s *Service) observeForHistory(r model.Reading) {
-	loc, err := s.LocateObject(r.MObjectID)
-	if err != nil {
-		return
-	}
-	s.history.record(loc)
 }
 
 // History returns the recorded trail for an object, oldest first. It

@@ -149,35 +149,45 @@ func (p *workerPool) fanOutChunked(n, chunks int, fn func(int)) {
 	})
 }
 
-// dispatchFirings runs a batch's trigger firings, fanning out across
-// mobile objects while keeping each object's firings in reading order
-// (the entry/exit edge detection in evalTrigger depends on per-object
-// ordering; different objects are independent). Every firing carries
-// the rows its own insert stored, so scheduling is all that happens
-// here: no snapshot is cut and no table is read.
-func (s *Service) dispatchFirings(fs []spatialdb.TriggerFiring) {
+// dispatchStored is the service's database Dispatcher. It schedules
+// only the objects with work — a matched trigger, a held subscription,
+// or history on — deciding under one s.mu acquisition per batch, and
+// runs each such object's stored readings through observeStored in
+// reading order (entry/exit edge detection depends on it), fanning out
+// across objects on the pool. Every entry carries the rows its own
+// insert stored, so no snapshot is cut and no table is read.
+func (s *Service) dispatchStored(stored []spatialdb.StoredReading) {
 	var order []string
-	var groups map[string][]spatialdb.TriggerFiring
-	if s.pool != nil && len(fs) > 1 {
-		order = make([]string, 0, 8)
-		groups = make(map[string][]spatialdb.TriggerFiring, 8)
-		for _, f := range fs {
-			id := f.Event.Reading.MObjectID
-			if _, ok := groups[id]; !ok {
-				order = append(order, id)
+	var groups map[string][]*spatialdb.StoredReading
+	s.mu.Lock()
+	for i := range stored {
+		ev := &stored[i]
+		obj := ev.Reading.MObjectID
+		g, ok := groups[obj]
+		// Once an object has work, its later readings all go with it: an
+		// earlier one may leave it held.
+		if !ok && len(ev.Triggers) == 0 && s.history == nil && len(s.heldOf(obj)) == 0 {
+			continue
+		}
+		if !ok {
+			if groups == nil {
+				groups = make(map[string][]*spatialdb.StoredReading, 8)
 			}
-			groups[id] = append(groups[id], f)
+			order = append(order, obj)
+		}
+		groups[obj] = append(g, ev)
+	}
+	s.mu.Unlock()
+	run := func(i int) {
+		for _, ev := range groups[order[i]] {
+			s.observeStored(ev)
 		}
 	}
-	if len(order) < 2 {
-		for _, f := range fs {
-			f.Fn(f.Event)
+	if s.pool == nil || len(order) < 2 {
+		for i := range order {
+			run(i)
 		}
 		return
 	}
-	s.pool.fanOut(len(order), func(i int) {
-		for _, f := range groups[order[i]] {
-			f.Fn(f.Event)
-		}
-	})
+	s.pool.fanOut(len(order), run)
 }

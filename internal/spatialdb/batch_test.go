@@ -111,8 +111,8 @@ func TestInsertReadingsBatch(t *testing.T) {
 }
 
 // TestInsertReadingsTriggerParity checks that a dispatcher receives
-// the same firings, in the same per-object order, as the serial path
-// produces.
+// the same trigger matches, in the same per-object order, as the
+// serial path fires.
 func TestInsertReadingsTriggerParity(t *testing.T) {
 	db := testDB(t)
 	paperFloor(t, db)
@@ -157,13 +157,22 @@ func TestInsertReadingsTriggerParity(t *testing.T) {
 	if err := db2.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100), record2); err != nil {
 		t.Fatal(err)
 	}
-	dispatch := func(fs []TriggerFiring) {
-		for _, f := range fs {
-			f.Fn(f.Event)
+	// An explicit dispatcher that records each stored reading's matched
+	// trigger IDs, as a Dispatcher-driven consumer sees them.
+	entries := 0
+	dispatch := func(stored []StoredReading) {
+		entries += len(stored)
+		for _, ev := range stored {
+			for _, id := range ev.Triggers {
+				record2(TriggerEvent{TriggerID: id, StoredReading: ev})
+			}
 		}
 	}
 	if _, err := db2.InsertReadings(rs, dispatch); err != nil {
 		t.Fatal(err)
+	}
+	if entries != len(rs) {
+		t.Errorf("dispatcher got %d stored readings, want %d", entries, len(rs))
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -136,7 +136,7 @@ func (s *Snapshot) MobileObjects() []Candidate {
 // rows live in exactly one shard at any cut (floor migration moves
 // them atomically), so that table is the only one holding its rows,
 // and Epoch and LatestPerSensor read them without visiting any other
-// shard. Like TriggerEvent, a candidate is read-only and stays valid
+// shard. Like a StoredReading, a candidate is read-only and stays valid
 // for as long as it is held.
 type Candidate struct {
 	ID    string
@@ -149,7 +149,7 @@ type Candidate struct {
 func (c *Candidate) Epoch() uint64 { return c.table.epochs[c.ID] }
 
 // LatestPerSensor reduces the candidate's rows at the cut to the
-// fusion working set at now, as TriggerEvent.LatestPerSensor does: the
+// fusion working set at now, as StoredReading.LatestPerSensor does: the
 // newest unexpired row per sensor registered in specs, sorted by
 // sensor ID. It never prunes — the snapshot is immutable.
 func (c *Candidate) LatestPerSensor(specs map[string]model.SensorSpec, now time.Time) []model.Reading {

@@ -119,38 +119,24 @@ var (
 )
 
 // TriggerEvent is delivered to a trigger's callback when a matching
-// sensor reading is inserted (§5.3). It describes the object as that
-// one reading left it: a firing for an earlier reading of a batch does
-// not see the batch's later readings.
+// sensor reading is inserted (§5.3). Its StoredReading describes the
+// object as that one reading left it: a firing for an earlier reading
+// of a batch does not see the batch's later readings.
 type TriggerEvent struct {
 	// TriggerID identifies the fired trigger.
 	TriggerID string
-	// Reading is the inserted reading that satisfied the spatial
-	// condition.
-	Reading model.Reading
 	// Region is the trigger's region.
 	Region geom.Rect
-	// Rows is the object's stored rows right after Reading was
-	// appended: the live slice header, shared without a copy (readTable
-	// guarantees no slot it covers is ever rewritten). It must not be
-	// appended to or modified.
-	Rows []model.Reading
-	// Epoch is the object's reading epoch at the same moment, the
-	// cache key of a fusion result derived from Rows.
-	Epoch uint64
+	// StoredReading is the reading that matched, with the rows and
+	// epoch its insert left.
+	StoredReading
 }
 
-// LatestPerSensor reduces the event's Rows to the fusion working set
-// at now, as DB.LatestPerSensor does for the live rows: the newest
-// unexpired row per sensor registered in specs, sorted by sensor ID.
-func (ev *TriggerEvent) LatestPerSensor(specs map[string]model.SensorSpec, now time.Time) []model.Reading {
-	out, _ := latestRows(ev.Rows, specs, now)
-	return out
-}
-
-// TriggerFunc receives trigger events. It is called synchronously on
-// the inserting goroutine; long-running work must be handed off by the
-// callee (the Location Service hands events to its notifier).
+// TriggerFunc receives trigger events when InsertReadings runs with a
+// nil Dispatcher. It is called synchronously on the inserting
+// goroutine; long-running work must be handed off by the callee. A
+// Dispatcher receives the matched trigger IDs instead and evaluates
+// them itself (the Location Service does).
 type TriggerFunc func(TriggerEvent)
 
 // trigger is a registered spatial trigger condition.
@@ -177,13 +163,12 @@ type sensorTable struct {
 }
 
 // DB is the spatial database: a router over per-floor shards (see
-// shard) plus the tables that are genuinely global — sensor metadata,
-// triggers, and insert hooks. Locks nest in the fixed order
+// shard) plus the tables that are genuinely global — sensor metadata
+// and triggers. Locks nest in the fixed order
 //
 //	cutMu → migMu → shard.readMu
 //
-// for reading writes; shard.objMu and trigMu are only ever held alone
-// (hookMu is independent and never held together with the others).
+// for reading writes; shard.objMu and trigMu are only ever held alone.
 type DB struct {
 	// frames is immutable after New; symbolic GLOB resolution walks
 	// objects and frames together.
@@ -240,11 +225,6 @@ type DB struct {
 	trigMu     sync.RWMutex
 	triggers   map[string]*trigger
 	triggerIdx *rtree.Tree
-
-	// hooks run after every successful reading insert (and after the
-	// matching triggers), outside all table locks.
-	hookMu sync.RWMutex
-	hooks  []func(model.Reading)
 
 	// lastSnap is the unix-microsecond time of the last Snapshot call
 	// (creation time before the first), feeding the snapshot-age gauge.
@@ -618,18 +598,4 @@ func (db *DB) TriggerCount() int {
 	db.trigMu.RLock()
 	defer db.trigMu.RUnlock()
 	return len(db.triggers)
-}
-
-// AddInsertHook registers a callback invoked after every successful
-// reading insert, once the matching triggers have fired. Hooks run on
-// the inserting goroutine outside the table locks. The Location
-// Service uses one to observe readings that fall outside any trigger
-// region (exit detection for entry/exit subscriptions).
-func (db *DB) AddInsertHook(fn func(model.Reading)) {
-	if fn == nil {
-		return
-	}
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	db.hooks = append(db.hooks, fn)
 }
