@@ -18,10 +18,6 @@ import (
 // partitions daemons by the same key the in-process shards use.
 func ShardKeyForGLOB(g glob.GLOB) string { return shardKeyForGLOB(g) }
 
-// ShardKeyForID maps an object GLOB string to its floor shard key
-// without parsing.
-func ShardKeyForID(id string) string { return shardKeyForID(id) }
-
 // ObjectShardKey reports which local shard currently holds the
 // object's reading rows, if any.
 func (db *DB) ObjectShardKey(id string) (string, bool) {
