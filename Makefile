@@ -8,9 +8,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# -timeout is per package: a hang (a cut and a bracket deadlocked on
-# cutMu, a notifier that never drains) costs two minutes with every
-# stack printed, not the ten-minute default.
+# -timeout is per package: a hang (a snapshot left open while its
+# goroutine writes, a notifier that never drains) costs two minutes
+# with every stack printed, not the ten-minute default.
 test:
 	$(GO) test -timeout 120s ./...
 
@@ -23,16 +23,18 @@ race:
 # readings fan out across the worker pool without cutting a snapshot,
 # the exit checks that run on pool workers (the held index against the
 # scan of every subscription; a return after expiry is an entry), the
-# cache-freshness stress that used to hang in Snapshot, the two tests
-# of the cut itself (every concurrent cut fresh, whole and returning; a
-# cut waiting for an open bracket without deadlocking the migration
-# inside it), and the replay dedup reading rows atomically with
-# residence while the object flips floors. The gate gets its own,
+# cache-freshness stress that used to hang in Snapshot, the three tests
+# of the cut itself (every concurrent cut fresh, a prefix of each
+# cross-floor batch, a migrating object seen once, and returning; a cut
+# waiting for a shard write lock held mid-store and a writer waiting
+# behind the open cut; no cut tearing a single-floor batch), and the
+# replay dedup reading rows atomically with residence while the object
+# flips floors. The gate gets its own,
 # longer timeout: a slower runner must not turn the flake gate into a
 # timeout flake.
 concurrency-gate:
 	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace|TestHeldIndexMatchesSubscriptionScan|TestReturnAfterExpiryIsAnEntry' ./internal/core/
-	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestCutConcurrentIngestNeverTorn|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
 # the driver runs it (benchmark/README.md); arguments via ARGS, e.g.
@@ -42,8 +44,8 @@ e2e-bench:
 
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
 # migration, the rows a trigger firing holds (TestShardFiringRows*),
-# snapshot-isolation, cut (TestCut*: torn batches, the open
-# bracket, a quiet shard's clone-free recapture) and cross-shard
+# snapshot-isolation, cut (TestCut*: torn batches, a cut waiting for a
+# shard write lock and a writer waiting for the cut) and cross-shard
 # object-query tests (TestCrossShard*: queries beside object inserts and
 # deletes), plus core's serial-vs-parallel region scan and its scans
 # beside batched ingest and floor flips, under the race

@@ -154,10 +154,11 @@ func (s *Service) fusionState(objectID string, now time.Time) ([]fusion.Reading,
 // of a database snapshot: the rows, sensor specs, and invalidation keys
 // all come from the same consistent cut, so every object evaluated
 // against one snapshot sees the same set of completed insert batches.
-// The candidate reads its rows and epoch from the one frozen table that
-// indexed it. Live epochs only ever run ahead of a snapshot's, so a
-// cached entry can validate against a snapshot only when the object's
-// rows have not changed since the cut, never the reverse.
+// The candidate carries its rows and epoch from the cut, and the
+// snapshot may already be closed. Live epochs only ever run ahead of a
+// snapshot's, so a cached entry can validate against a snapshot only
+// when the object's rows have not changed since the cut, never the
+// reverse.
 func (s *Service) fusionStateSnap(snap *spatialdb.Snapshot, c *spatialdb.Candidate, now time.Time) *locEntry {
 	return s.cachedFusion(c.ID, c.Epoch(), snap.SensorGeneration(), now, func() []fusion.Reading {
 		specs := snap.SensorSpecs()

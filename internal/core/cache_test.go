@@ -343,8 +343,13 @@ func TestCacheNeverServesStaleUnderRace(t *testing.T) {
 func TestCachePutKeepsNewerEpoch(t *testing.T) {
 	s, _ := newTestService(t)
 	ingestAt(t, s, "ubi-1", "alice", 370, 15, t0)
+	room, err := s.db.ResolveGLOB(glob.MustParse("CS/Floor3/NetLab"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := s.db.Snapshot()
-	defer snap.Close()
+	cands := snap.SupportCandidates(room)
+	snap.Close()
 	ingestAt(t, s, "ubi-1", "alice", 372, 15, t0)
 	if _, err := s.LocateObject("alice"); err != nil {
 		t.Fatal(err)
@@ -353,11 +358,7 @@ func TestCachePutKeepsNewerEpoch(t *testing.T) {
 	if live == nil || !live.hasLoc || live.epoch != s.db.ReadingEpoch("alice") {
 		t.Fatalf("Locate cached %+v, want a located entry at the live epoch", live)
 	}
-	room, err := s.db.ResolveGLOB(glob.MustParse("CS/Floor3/NetLab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.objectsInRegionOn(snap, room, 0, t0, snap.SupportCandidates(room)); len(got) != 1 {
+	if got := s.objectsInRegionOn(snap, room, 0, t0, cands); len(got) != 1 {
 		t.Fatalf("scan of the old snapshot = %v, want alice", got)
 	}
 	if e := s.cache.get("alice"); e != live {

@@ -809,16 +809,17 @@ func (s *Service) ObjectsInRegion(region glob.GLOB, minProb float64) (map[string
 		return nil, fmt.Errorf("region query: %w", err)
 	}
 	// One snapshot pins the whole scan to a consistent cut of the
-	// reading tables: every object is evaluated against the same set of
-	// completed insert batches, and the scan holds no table locks while
-	// it fuses, so concurrent per-floor ingest proceeds unimpeded.
+	// reading tables. It blocks writers only while the candidates are
+	// collected: each candidate carries its rows and epoch at the cut,
+	// so the fusion runs after Close, outside every lock.
 	snap := s.db.Snapshot()
-	defer snap.Close()
-	return s.objectsInRegionOn(snap, rect, minProb, s.now(), snap.SupportCandidates(rect)), nil
+	cands := snap.SupportCandidates(rect)
+	snap.Close()
+	return s.objectsInRegionOn(snap, rect, minProb, s.now(), cands), nil
 }
 
 // objectsInRegionOn runs the region scan over the candidates cands
-// against one snapshot. Each candidate is gated on its live support, so
+// of one snapshot. Each candidate is gated on its live support, so
 // any superset of the support candidates, in any order, gives the same
 // result: each object's probability depends on that object alone.
 func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time, cands []spatialdb.Candidate) map[string]float64 {
@@ -871,7 +872,7 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 	s.lastTrue[id] = make(map[string]bool)
 	s.mu.Unlock()
 
-	if err := s.db.AddTrigger(id, spec.Object, rect, viaDispatcher); err != nil {
+	if err := s.db.AddTrigger(id, spec.Object, rect); err != nil {
 		s.mu.Lock()
 		s.dropSub(id)
 		s.mu.Unlock()
@@ -879,12 +880,6 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 	}
 	return id, nil
 }
-
-// viaDispatcher is every subscription's trigger callback. The service
-// inserts with its own Dispatcher, which hands it the matched trigger
-// IDs (subscription IDs) to evaluate in observeStored, so the callback
-// never runs.
-func viaDispatcher(spatialdb.TriggerEvent) {}
 
 // observeStored is the one consumer of a stored reading. It fuses the
 // rows the reading's own insert stored, once, through the cache keyed

@@ -90,7 +90,8 @@ type objGrid struct {
 //
 // The whole scan is pinned to one database snapshot, so the map is a
 // consistent cut: each object is evaluated against the same set of
-// completed insert batches, and grid fusion holds no table locks.
+// completed insert batches. The snapshot is closed once the candidates
+// are collected, so grid fusion holds no table locks.
 // Candidates fan out across the service's worker pool exactly like
 // ObjectsInRegion; per-object results land in index-addressed slots,
 // so the merged grid is deterministic.
@@ -107,12 +108,13 @@ func (s *Service) OccupancyHeatmap(region glob.GLOB, rows, cols int) (*Heatmap, 
 		return nil, fmt.Errorf("heatmap: %w", err)
 	}
 	snap := s.db.Snapshot()
-	defer snap.Close()
-	return s.heatmapOn(snap, rect, rows, cols, s.now(), snap.SupportCandidates(rect)), nil
+	cands := snap.SupportCandidates(rect)
+	snap.Close()
+	return s.heatmapOn(snap, rect, rows, cols, s.now(), cands), nil
 }
 
 // heatmapOn computes the occupancy grid over rect from the candidates
-// cands against one snapshot. Each candidate is gated on its live
+// cands of one snapshot. Each candidate is gated on its live
 // support, so any superset of the support candidates — every mobile
 // object, in the equivalence tests — gives a cell-identical grid, in
 // any order: heatmapOn sorts cands by ID in place, so the float sums

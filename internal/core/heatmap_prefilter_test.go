@@ -16,11 +16,11 @@ import (
 )
 
 // naiveGatedHeatmap is the brute-force reference for the clipped
-// rasterizer's window math: every object, every cell, no R-tree and no
-// window — but the same support-gate semantics (a cell an object's
+// rasterizer's window math: every candidate in all, every cell, no
+// R-tree and no window — but the same support-gate semantics (a cell an object's
 // live support does not intersect contributes zero). heatmapOn over
 // either candidate list must reproduce it cell-for-cell.
-func naiveGatedHeatmap(s *Service, snap *spatialdb.Snapshot, rect geom.Rect, rows, cols int, now time.Time) *Heatmap {
+func naiveGatedHeatmap(s *Service, snap *spatialdb.Snapshot, all []spatialdb.Candidate, rect geom.Rect, rows, cols int, now time.Time) *Heatmap {
 	h := &Heatmap{Region: rect, Rows: rows, Cols: cols, At: now}
 	h.Cells = make([][]float64, rows)
 	for r := range h.Cells {
@@ -31,7 +31,7 @@ func naiveGatedHeatmap(s *Service, snap *spatialdb.Snapshot, rect geom.Rect, row
 	}
 	cellW := rect.Width() / float64(cols)
 	cellH := rect.Height() / float64(rows)
-	for _, c := range snap.MobileObjects() {
+	for _, c := range all {
 		readings := s.fusionStateSnap(snap, &c, now).readings
 		sup, ok := fusion.SupportBounds(readings)
 		if !ok || !sup.Intersects(rect) {
@@ -139,7 +139,7 @@ func TestHeatmapPrefilterEquivalenceRandom(t *testing.T) {
 			now := clock.Now()
 			for ri, rect := range regions {
 				rows, cols := 2+rng.Intn(5), 2+rng.Intn(7)
-				want := naiveGatedHeatmap(s, snap, rect, rows, cols, now)
+				want := naiveGatedHeatmap(s, snap, snap.MobileObjects(), rect, rows, cols, now)
 				pre := s.heatmapOn(snap, rect, rows, cols, now, snap.SupportCandidates(rect))
 				exh := s.heatmapOn(snap, rect, rows, cols, now, snap.MobileObjects())
 				sameGrid(t, fmt.Sprintf("region %d prefiltered", ri), want, pre)
@@ -153,9 +153,10 @@ func TestHeatmapPrefilterEquivalenceRandom(t *testing.T) {
 // migrating between floor shards while queries run: every query pins
 // one snapshot and evaluates both the prefiltered and the exhaustive
 // scan against it, so the two must agree cell-for-cell no matter where
-// the migration was mid-flight when the cut landed. Run under -race
-// this also exercises the COW support-tree clone against concurrent
-// writers.
+// the migration was mid-flight when the cut landed. Both candidate
+// lists are collected under the cut and fused after it is closed, with
+// the writer running again; -race reports any read of a row the writer
+// is changing.
 func TestHeatmapPrefilterEquivalenceDuringMigration(t *testing.T) {
 	bld := building.MultiStorey("C", 3, 2, 3, 12, 10, 5)
 	clock := &testClock{now: t0}
@@ -209,9 +210,10 @@ func TestHeatmapPrefilterEquivalenceDuringMigration(t *testing.T) {
 			rect = floor1
 		}
 		snap := s.db.Snapshot()
-		pre := s.heatmapOn(snap, rect, 3, 4, now, snap.SupportCandidates(rect))
-		exh := s.heatmapOn(snap, rect, 3, 4, now, snap.MobileObjects())
+		preCands, all := snap.SupportCandidates(rect), snap.MobileObjects()
 		snap.Close()
+		pre := s.heatmapOn(snap, rect, 3, 4, now, preCands)
+		exh := s.heatmapOn(snap, rect, 3, 4, now, all)
 		sameGrid(t, fmt.Sprintf("query %d", q), exh, pre)
 		if t.Failed() {
 			break

@@ -22,10 +22,10 @@ import (
 // every object with rows at the cut, fused straight from its rows with
 // no cache entry and no support index, then gated on the bounding box
 // of its fusion readings.
-func exhaustiveRegionScan(snap *spatialdb.Snapshot, rect geom.Rect, minProb float64, now time.Time) map[string]float64 {
+func exhaustiveRegionScan(snap *spatialdb.Snapshot, all []spatialdb.Candidate, rect geom.Rect, minProb float64, now time.Time) map[string]float64 {
 	specs := snap.SensorSpecs()
 	out := make(map[string]float64)
-	for _, c := range snap.MobileObjects() {
+	for _, c := range all {
 		readings := fusion.FromReadings(c.LatestPerSensor(specs, now), specs, now, snap.Universe().Area())
 		if sup, ok := fusion.SupportBounds(readings); !ok || !sup.Intersects(rect) {
 			continue
@@ -105,10 +105,10 @@ func TestRegionScanCandidateOrderIndependent(t *testing.T) {
 // TestRegionScanDuringIngestAndMigration runs region scans on the pool
 // while a writer ingests batches whose objects flip floors, migrating
 // their rows between shards. Every scan must equal the uncached
-// exhaustive evaluation of the same snapshot: a candidate reads its
-// rows and epoch only from the frozen table that indexed it, never from
-// a live table a migration or an append is changing, which -race would
-// report.
+// exhaustive evaluation of the same snapshot: a candidate carries its
+// rows and epoch from the cut, and the scan fuses after the snapshot is
+// closed, never reading a table a migration or an append is changing,
+// which -race would report.
 func TestRegionScanDuringIngestAndMigration(t *testing.T) {
 	s, clock := scanService(t)
 	const movers = 24
@@ -149,9 +149,10 @@ func TestRegionScanDuringIngestAndMigration(t *testing.T) {
 	for q := 0; (q < 90 || batches.Load() < 60) && !t.Failed(); q++ {
 		rect := regions[q%len(regions)]
 		snap := s.db.Snapshot()
-		got := s.objectsInRegionOn(snap, rect, 0, now, snap.SupportCandidates(rect))
-		want := exhaustiveRegionScan(snap, rect, 0, now)
+		cands, all := snap.SupportCandidates(rect), snap.MobileObjects()
 		snap.Close()
+		got := s.objectsInRegionOn(snap, rect, 0, now, cands)
+		want := exhaustiveRegionScan(snap, all, rect, 0, now)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("scan %d over %v: got %v, want %v", q, rect, got, want)
 		}

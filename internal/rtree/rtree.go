@@ -40,60 +40,6 @@ type Tree struct {
 	// atomic because the spatial database allows concurrent readers
 	// (RLock) even though mutations are serialized.
 	visits atomic.Int64
-	// shared marks the node structure as co-owned with at least one
-	// Clone. A shared tree deep-copies its nodes before the first
-	// mutation (copy-on-write), so clones stay immutable snapshots no
-	// matter what happens to the original. It is atomic because Clone
-	// may run under a shared (read) lock in the spatial database while
-	// other snapshots are being taken.
-	shared atomic.Bool
-}
-
-// Clone returns a read-only view of the tree at the current instant in
-// O(1): the clone shares the node structure with the receiver, and the
-// first subsequent mutation of either tree deep-copies the nodes it
-// owns first (copy-on-write). Clones taken for snapshots are never
-// mutated, so the copy is paid at most once per (snapshot, write)
-// pair — by the writer, off the snapshot reader's path. Searching a
-// clone concurrently with mutations of the original is safe; the
-// clone's visit counter starts at zero.
-func (t *Tree) Clone() *Tree {
-	t.shared.Store(true)
-	c := &Tree{
-		root:       t.root,
-		size:       t.size,
-		maxEntries: t.maxEntries,
-		minEntries: t.minEntries,
-	}
-	c.shared.Store(true)
-	return c
-}
-
-// materialize gives the tree private ownership of its nodes before a
-// mutation: if the structure is shared with a clone, every node is
-// copied. Mutating methods call it first.
-func (t *Tree) materialize() {
-	if !t.shared.Load() {
-		return
-	}
-	t.root = copyNodes(t.root)
-	t.shared.Store(false)
-}
-
-// copyNodes deep-copies a subtree (nodes and entry slices; IDs and
-// rectangles are values).
-func copyNodes(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	c := &node{leaf: n.leaf, entries: make([]entry, len(n.entries))}
-	copy(c.entries, n.entries)
-	if !n.leaf {
-		for i := range c.entries {
-			c.entries[i].child = copyNodes(c.entries[i].child)
-		}
-	}
-	return c
 }
 
 // Visits returns the cumulative number of tree nodes touched by
@@ -160,7 +106,6 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 // without any whole-tree pass — keeping Insert O(log n) amortized
 // (Guttman's AdjustTree).
 func (t *Tree) Insert(r geom.Rect, id string) {
-	t.materialize()
 	if t.root == nil {
 		t.root = &node{leaf: true}
 	}
@@ -437,7 +382,6 @@ func (t *Tree) Nearest(p geom.Point, k int) []Item {
 // whether an entry was removed. Underfull nodes are condensed by
 // reinserting their remaining entries, per Guttman's CondenseTree.
 func (t *Tree) Delete(r geom.Rect, id string) bool {
-	t.materialize()
 	if t.root == nil {
 		return false
 	}

@@ -311,87 +311,3 @@ func equalIDs(a, b []string) bool {
 	}
 	return true
 }
-
-func TestCloneIsImmutableSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	tr := New()
-	type row struct {
-		r  geom.Rect
-		id string
-	}
-	var rows []row
-	for i := 0; i < 200; i++ {
-		x, y := rng.Float64()*100, rng.Float64()*100
-		r := geom.R(x, y, x+rng.Float64()*10, y+rng.Float64()*10)
-		id := fmt.Sprintf("o%d", i)
-		tr.Insert(r, id)
-		rows = append(rows, row{r, id})
-	}
-	snap := tr.Clone()
-	if snap.Len() != tr.Len() {
-		t.Fatalf("clone Len = %d, want %d", snap.Len(), tr.Len())
-	}
-
-	// Mutate the original heavily: delete half, insert new entries.
-	for i := 0; i < 100; i++ {
-		if !tr.Delete(rows[i].r, rows[i].id) {
-			t.Fatalf("delete %s failed", rows[i].id)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		tr.Insert(geom.R(200, 200, 201, 201), fmt.Sprintf("n%d", i))
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatalf("original after mutation: %v", err)
-	}
-	if err := snap.checkInvariants(); err != nil {
-		t.Fatalf("clone after source mutation: %v", err)
-	}
-
-	// The clone still answers with the pre-mutation rows.
-	if snap.Len() != 200 {
-		t.Fatalf("clone Len after source mutation = %d, want 200", snap.Len())
-	}
-	got := ids(snap.SearchIntersect(geom.R(-1, -1, 200, 200)))
-	if len(got) != 200 {
-		t.Fatalf("clone search returned %d entries, want 200", len(got))
-	}
-	for _, id := range got {
-		if id[0] == 'n' {
-			t.Fatalf("clone observed post-snapshot insert %s", id)
-		}
-	}
-}
-
-func TestCloneMutationDoesNotAffectSource(t *testing.T) {
-	tr := New()
-	for i := 0; i < 64; i++ {
-		tr.Insert(geom.R(float64(i), 0, float64(i)+1, 1), fmt.Sprintf("o%d", i))
-	}
-	c := tr.Clone()
-	// Mutating the clone materializes it; the source must stay intact.
-	c.Insert(geom.R(500, 500, 501, 501), "extra")
-	if !c.Delete(geom.R(0, 0, 1, 1), "o0") {
-		t.Fatal("clone delete failed")
-	}
-	if tr.Len() != 64 {
-		t.Fatalf("source Len = %d, want 64", tr.Len())
-	}
-	if got := ids(tr.SearchIntersect(geom.R(499, 499, 502, 502))); len(got) != 0 {
-		t.Fatalf("source observed clone insert: %v", got)
-	}
-	if got := ids(tr.SearchIntersect(geom.R(0, 0, 1, 1))); len(got) == 0 {
-		t.Fatal("source lost entry deleted on clone")
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// A second clone of a clone works too.
-	cc := c.Clone()
-	if cc.Len() != c.Len() {
-		t.Fatalf("clone-of-clone Len = %d, want %d", cc.Len(), c.Len())
-	}
-}

@@ -2,7 +2,6 @@ package spatialdb
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -110,78 +109,59 @@ func TestInsertReadingsBatch(t *testing.T) {
 	}
 }
 
-// TestInsertReadingsTriggerParity checks that a dispatcher receives
-// the same trigger matches, in the same per-object order, as the
-// serial path fires.
+// TestInsertReadingsTriggerParity checks that a batch hands its
+// Dispatcher the same trigger matches, in the same per-object order,
+// as the same readings inserted one at a time.
 func TestInsertReadingsTriggerParity(t *testing.T) {
-	db := testDB(t)
-	paperFloor(t, db)
-	if err := db.RegisterSensor("s1", ubiSpec()); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var serialIDs, dispatchedIDs []string
-	record := func(ev TriggerEvent) {
-		mu.Lock()
-		serialIDs = append(serialIDs, ev.TriggerID+"/"+ev.Reading.MObjectID)
-		mu.Unlock()
-	}
-	if err := db.AddTrigger("t-room", "", geom.R(330, 0, 350, 30), record); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100), record); err != nil {
-		t.Fatal(err)
-	}
 	rs := []model.Reading{
 		{SensorID: "s1", MObjectID: "bob", Location: glob.MustParse("CS/Floor3/3105/(5,5)"), Time: t0},
 		{SensorID: "s1", MObjectID: "alice", Location: glob.MustParse("CS/Floor3/(50,50)"), Time: t0.Add(time.Millisecond)},
 	}
-	// Serial (nil dispatcher) — the baseline.
-	if _, err := db.InsertReadings(rs, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh DB, explicit dispatcher running everything inline.
-	db2 := testDB(t)
-	paperFloor(t, db2)
-	if err := db2.RegisterSensor("s1", ubiSpec()); err != nil {
-		t.Fatal(err)
-	}
-	record2 := func(ev TriggerEvent) {
-		mu.Lock()
-		dispatchedIDs = append(dispatchedIDs, ev.TriggerID+"/"+ev.Reading.MObjectID)
-		mu.Unlock()
-	}
-	if err := db2.AddTrigger("t-room", "", geom.R(330, 0, 350, 30), record2); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100), record2); err != nil {
-		t.Fatal(err)
-	}
-	// An explicit dispatcher that records each stored reading's matched
-	// trigger IDs, as a Dispatcher-driven consumer sees them.
-	entries := 0
-	dispatch := func(stored []StoredReading) {
-		entries += len(stored)
-		for _, ev := range stored {
-			for _, id := range ev.Triggers {
-				record2(TriggerEvent{TriggerID: id, StoredReading: ev})
+	run := func(batched bool) []string {
+		db := testDB(t)
+		paperFloor(t, db)
+		if err := db.RegisterSensor("s1", ubiSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddTrigger("t-room", "", geom.R(330, 0, 350, 30)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100)); err != nil {
+			t.Fatal(err)
+		}
+		var rec recorder
+		entries := 0
+		dispatch := func(stored []StoredReading) {
+			entries += len(stored)
+			rec.dispatch(stored)
+		}
+		if batched {
+			if _, err := db.InsertReadings(rs, dispatch); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, r := range rs {
+				if _, err := db.InsertReadings([]model.Reading{r}, dispatch); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		if entries != len(rs) {
+			t.Errorf("batched=%v: dispatcher got %d stored readings, want %d", batched, entries, len(rs))
+		}
+		var ids []string
+		for _, ev := range rec.take() {
+			ids = append(ids, ev.trigger+"/"+ev.Reading.MObjectID)
+		}
+		return ids
 	}
-	if _, err := db2.InsertReadings(rs, dispatch); err != nil {
-		t.Fatal(err)
-	}
-	if entries != len(rs) {
-		t.Errorf("dispatcher got %d stored readings, want %d", entries, len(rs))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(serialIDs) != 2 || len(dispatchedIDs) != 2 {
-		t.Fatalf("firings: serial %v, dispatched %v", serialIDs, dispatchedIDs)
+	serialIDs, batchIDs := run(false), run(true)
+	if len(serialIDs) != 2 || len(batchIDs) != 2 {
+		t.Fatalf("firings: serial %v, batched %v", serialIDs, batchIDs)
 	}
 	for i := range serialIDs {
-		if serialIDs[i] != dispatchedIDs[i] {
-			t.Errorf("firing %d: serial %s != dispatched %s", i, serialIDs[i], dispatchedIDs[i])
+		if serialIDs[i] != batchIDs[i] {
+			t.Errorf("firing %d: serial %s != batched %s", i, serialIDs[i], batchIDs[i])
 		}
 	}
 }

@@ -35,7 +35,7 @@ func (db *DB) DumpReadingTable() string {
 	byID := make(map[string][]model.Reading)
 	for _, sh := range db.allShards() {
 		sh.readMu.RLock()
-		for id, rs := range sh.table.Load().rows {
+		for id, rs := range sh.table.rows {
 			byID[id] = append(byID[id], rs...)
 		}
 		sh.readMu.RUnlock()

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,21 +38,20 @@ func sameRows(a, b []model.Reading) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// candidateFor returns id's candidate at the cut: the frozen table
-// that holds its rows, or an empty table when the object had none.
+// candidateFor returns id's candidate at the cut, or one without rows
+// when the object had none. The snapshot must be open.
 func candidateFor(snap *Snapshot, id string) Candidate {
-	for _, t := range snap.shards {
-		if _, ok := t.rows[id]; ok {
-			return Candidate{ID: id, table: t}
+	for _, c := range snap.MobileObjects() {
+		if c.ID == id {
+			return c
 		}
 	}
-	return Candidate{ID: id, table: newReadTable()}
+	return Candidate{ID: id}
 }
 
 // snapRows returns id's raw rows at the cut.
 func snapRows(snap *Snapshot, id string) []model.Reading {
-	c := candidateFor(snap, id)
-	return c.table.rows[id]
+	return candidateFor(snap, id).rows
 }
 
 // snapLive returns id's rows at the cut that are unexpired at now under
@@ -109,7 +107,7 @@ func registerRingSensors(t testing.TB, db *DB) {
 func plantRows(db *DB, obj string, rows []model.Reading) {
 	sh := db.ensureShard("CS/Floor1")
 	sh.readMu.Lock()
-	sh.mutableTable().rows[obj] = rows
+	sh.table.rows[obj] = rows
 	sh.readMu.Unlock()
 	db.residence.Store(obj, sh)
 }
@@ -159,15 +157,15 @@ func TestLatestPerSensorAllocations(t *testing.T) {
 		}
 	}
 	snap := db.Snapshot()
-	defer snap.Close()
-	if n := len(snapRows(snap, "full")); n != maxReadingsPerObject {
+	c, specs := candidateFor(snap, "full"), snap.SensorSpecs()
+	snap.Close()
+	if n := len(c.rows); n != maxReadingsPerObject {
 		t.Fatalf("ring holds %d rows, want %d", n, maxReadingsPerObject)
 	}
 	var sink []model.Reading
 	if a := testing.AllocsPerRun(100, func() { sink = db.LatestPerSensor("full", now) }); a > 2 {
 		t.Errorf("live LatestPerSensor: %v allocs per call, want <= 2", a)
 	}
-	c, specs := candidateFor(snap, "full"), snap.SensorSpecs()
 	if a := testing.AllocsPerRun(100, func() { sink = c.LatestPerSensor(specs, now) }); a > 2 {
 		t.Errorf("snapshot LatestPerSensor: %v allocs per call, want <= 2", a)
 	}
@@ -177,11 +175,13 @@ func TestLatestPerSensorAllocations(t *testing.T) {
 }
 
 // TestPinnedSnapshotRowsSurviveRingWrites is the single-writer
-// invariant of readTable under -race: rows a snapshot pinned stay
+// invariant of readTable under -race: rows a cut collected stay
 // bit-identical while the live ring slides and re-bases under 300
-// further inserts, cuts that freeze the table in between, and a floor
-// migration that hands the array to another shard. A reader compares
-// throughout, so a write into a pinned slot is also a detected race.
+// further inserts, cuts in between, and a floor migration that hands
+// the array to another shard. Each cut is closed as soon as its
+// candidate is collected, as a region scan closes it; a reader compares
+// the first candidate throughout, so a write into a collected slot is
+// also a detected race.
 func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -195,12 +195,14 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 		}
 	}
 	type pin struct {
-		snap *Snapshot
+		c    Candidate
 		want []model.Reading
 	}
 	pinNow := func() pin {
 		s := db.Snapshot()
-		return pin{s, append([]model.Reading(nil), snapRows(s, "walker")...)}
+		defer s.Close()
+		c := candidateFor(s, "walker")
+		return pin{c, append([]model.Reading(nil), c.rows...)}
 	}
 	// Fill the ring past the cap so the pinned slice starts mid-array.
 	n := 0
@@ -218,7 +220,7 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if !reflect.DeepEqual(snapRows(first.snap, "walker"), first.want) {
+			if !reflect.DeepEqual(first.c.rows, first.want) {
 				t.Error("pinned rows changed while the ring was written")
 				return
 			}
@@ -239,16 +241,15 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 		case i%50 == 25:
 			pins = append(pins, pinNow())
 		case i%7 == 0:
-			db.Snapshot().Close() // freeze: the next insert clones the table maps
+			db.Snapshot().Close()
 		}
 	}
 	close(stop)
 	<-done
 	for i, p := range pins {
-		if !reflect.DeepEqual(snapRows(p.snap, "walker"), p.want) {
-			t.Errorf("pin %d: rows differ from what the snapshot captured", i)
+		if !reflect.DeepEqual(p.c.rows, p.want) {
+			t.Errorf("pin %d: rows differ from what the cut collected", i)
 		}
-		p.snap.Close()
 	}
 	if key, _ := db.ObjectShardKey("walker"); key != "CS/Floor2" {
 		t.Fatalf("walker resident on %q, want the migration to CS/Floor2", key)
@@ -280,27 +281,21 @@ func TestShardFiringRowsStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var mu sync.Mutex
-	var events []TriggerEvent
-	if err := db.AddTrigger("t", "walker", geom.R(0, 0, 500, 100), func(ev TriggerEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}); err != nil {
+	if err := db.AddTrigger("t", "walker", geom.R(0, 0, 500, 100)); err != nil {
 		t.Fatal(err)
 	}
+	var rec recorder
 	if _, err := db.InsertReadings([]model.Reading{
 		floorReading("s2", "walker", 1, 10, 10, t0),
 		floorReading("s1", "walker", 1, 20, 10, t0.Add(time.Millisecond)),
-	}, nil); err != nil {
+	}, rec.dispatch); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
+	events := rec.take()
 	if len(events) != 2 {
 		t.Fatalf("batch fired %d events, want 2", len(events))
 	}
 	first, second := events[0], events[1]
-	mu.Unlock()
 	n1, n2 := len(first.Rows), len(second.Rows)
 	if n1 < 1 || n2 < 2 {
 		t.Fatalf("firings hold %d and %d rows", n1, n2)
@@ -315,7 +310,7 @@ func TestShardFiringRowsStable(t *testing.T) {
 		t.Errorf("epochs %d, %d (live %d), want consecutive ending at the live epoch",
 			first.Epoch, second.Epoch, db.ReadingEpoch("walker"))
 	}
-	held := []TriggerEvent{first, second}
+	held := []firing{first, second}
 	want := [][]model.Reading{
 		append([]model.Reading(nil), first.Rows...),
 		append([]model.Reading(nil), second.Rows...),

@@ -166,6 +166,10 @@ func TestFloorMigrationKeepsEpochMonotonic(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsImmutableCut: what a cut collected never changes.
+// Candidates taken before Close keep their rows and epoch through
+// later inserts, a new object and a forced expiry, while the live
+// table moves on.
 func TestSnapshotIsImmutableCut(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -175,7 +179,13 @@ func TestSnapshotIsImmutableCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
-	anna := candidateFor(snap, "anna")
+	all := snap.MobileObjects()
+	snap.Close()
+	if len(all) != 1 || all[0].ID != "anna" {
+		t.Fatalf("snapshot MobileObjects = %v, want [anna]", all)
+	}
+	anna := all[0]
+	rowsAtCut := append([]model.Reading(nil), anna.rows...)
 	epochAtCut := anna.Epoch()
 
 	// Mutate after the cut: new rows for anna, a brand-new object on
@@ -188,14 +198,14 @@ func TestSnapshotIsImmutableCut(t *testing.T) {
 	}
 	db.ExpireReadings(t0.Add(2*time.Second), func(r model.Reading) bool { return r.MObjectID == "anna" })
 
-	if got := snapLive(snap, "anna", t0); len(got) != 1 {
-		t.Errorf("snapshot rows for anna = %v, want the 1 pre-cut row", got)
+	if len(rowsAtCut) != 1 || !reflect.DeepEqual(anna.rows, rowsAtCut) {
+		t.Errorf("collected rows for anna = %v, want the 1 pre-cut row %v", anna.rows, rowsAtCut)
+	}
+	if got := anna.LatestPerSensor(snap.SensorSpecs(), t0); len(got) != 1 || !got[0].Time.Equal(t0) {
+		t.Errorf("collected latest rows for anna = %v, want the pre-cut row", got)
 	}
 	if got := anna.Epoch(); got != epochAtCut {
-		t.Errorf("snapshot epoch moved: %d -> %d", epochAtCut, got)
-	}
-	if got := snap.MobileObjects(); len(got) != 1 || got[0].ID != "anna" {
-		t.Errorf("snapshot MobileObjects = %v, want [anna]", got)
+		t.Errorf("collected epoch moved: %d -> %d", epochAtCut, got)
 	}
 	// The live table moved on.
 	if got := db.ReadingsFor("anna", t0.Add(2*time.Second)); len(got) != 0 {
@@ -280,9 +290,11 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 					if n := len(snapLive(snap, obj, t0)); n%batchLen != 0 {
 						torn.Add(1)
 						t.Errorf("snapshot saw %d rows for %s: partial batch visible", n, obj)
+						snap.Close()
 						return
 					}
 				}
+				snap.Close()
 			}
 		}()
 	}
@@ -304,6 +316,7 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 	}
 	// Every batch eventually landed.
 	final := db.Snapshot()
+	defer final.Close()
 	for _, obj := range objects {
 		if n := len(snapLive(final, obj, t0)); n != batchLen*batches {
 			t.Errorf("%s: final rows = %d, want %d", obj, n, batchLen*batches)
@@ -442,7 +455,7 @@ func TestShardMetricNamesStable(t *testing.T) {
 	if err := db.InsertReading(floorReading("s1", "m", 2, 5, 5, t0)); err != nil {
 		t.Fatal(err)
 	}
-	db.Snapshot()
+	db.Snapshot().Close()
 	snap := obs.Default().Snapshot()
 	names := make(map[string]bool)
 	for _, c := range snap.Counters {
@@ -455,8 +468,6 @@ func TestShardMetricNamesStable(t *testing.T) {
 		"spatialdb_shards",
 		"spatialdb_shard_migrations_total",
 		"spatialdb_snapshots_total",
-		"spatialdb_snapshot_clones_total",
-		"spatialdb_snapshot_age_us",
 		"spatialdb_snapshot_pool_live",
 		`spatialdb_shard_inserts_total{shard="CS/Floor2"}`,
 		`spatialdb_shard_rtree_nodes{shard="CS/Floor2"}`,
@@ -468,37 +479,5 @@ func TestShardMetricNamesStable(t *testing.T) {
 	after := obs.Default().Counter(ShardMetricName("spatialdb_shard_inserts_total", "CS/Floor2")).Value()
 	if after != before+1 {
 		t.Errorf("per-shard insert counter moved %d -> %d, want +1", before, after)
-	}
-}
-
-// TestSnapshotCOWCloneOnlyOnWrite checks the cost model: taking a
-// snapshot is free for writers until they actually write, and exactly
-// one clone per shard per snapshot is paid.
-func TestSnapshotCOWCloneOnlyOnWrite(t *testing.T) {
-	db := multiFloorDB(t, 2)
-	if err := db.RegisterSensor("s1", longSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertReading(floorReading("s1", "m", 1, 5, 5, t0)); err != nil {
-		t.Fatal(err)
-	}
-	base := mSnapClones.Value()
-	db.Snapshot()
-	if got := mSnapClones.Value(); got != base {
-		t.Fatalf("snapshot alone cloned a table (%d -> %d)", base, got)
-	}
-	// First write on floor 1 after the snapshot pays one clone...
-	if err := db.InsertReading(floorReading("s1", "m", 1, 6, 5, t0.Add(time.Second))); err != nil {
-		t.Fatal(err)
-	}
-	if got := mSnapClones.Value(); got != base+1 {
-		t.Fatalf("first post-snapshot write: clones %d -> %d, want +1", base, got)
-	}
-	// ...and the second write on the same shard is clone-free.
-	if err := db.InsertReading(floorReading("s1", "m", 1, 7, 5, t0.Add(2*time.Second))); err != nil {
-		t.Fatal(err)
-	}
-	if got := mSnapClones.Value(); got != base+1 {
-		t.Fatalf("steady-state write cloned again (%d -> %d)", base, got)
 	}
 }

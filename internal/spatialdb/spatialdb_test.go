@@ -496,58 +496,89 @@ func TestMovementDetection(t *testing.T) {
 	}
 }
 
+// firing is one trigger match a recorder saw: the matched trigger and
+// the stored reading that matched it.
+type firing struct {
+	trigger string
+	StoredReading
+}
+
+// recorder is a Dispatcher that records each stored reading's matched
+// triggers, in submission order.
+type recorder struct {
+	mu     sync.Mutex
+	events []firing
+}
+
+func (r *recorder) dispatch(stored []StoredReading) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ev := range stored {
+		for _, id := range ev.Triggers {
+			r.events = append(r.events, firing{trigger: id, StoredReading: ev})
+		}
+	}
+}
+
+// take returns the firings recorded so far and forgets them.
+func (r *recorder) take() []firing {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.events
+	r.events = nil
+	return out
+}
+
 func TestTriggersFireOnInsert(t *testing.T) {
 	db := testDB(t)
 	paperFloor(t, db)
 	if err := db.RegisterSensor("s1", ubiSpec()); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var events []TriggerEvent
-	record := func(ev TriggerEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		events = append(events, ev)
+	var rec recorder
+	insert := func(r model.Reading) {
+		t.Helper()
+		if _, err := db.InsertReadings([]model.Reading{r}, rec.dispatch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Trigger on room 3105 for anyone.
-	if err := db.AddTrigger("t-room", "", geom.R(330, 0, 350, 30), record); err != nil {
+	if err := db.AddTrigger("t-room", "", geom.R(330, 0, 350, 30)); err != nil {
 		t.Fatal(err)
 	}
 	// Trigger only for alice anywhere on the floor.
-	if err := db.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100), record); err != nil {
+	if err := db.AddTrigger("t-alice", "alice", geom.R(0, 0, 500, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// bob walks into 3105: only t-room fires.
-	if err := db.InsertReading(model.Reading{SensorID: "s1", MObjectID: "bob",
-		Location: glob.MustParse("CS/Floor3/3105/(5,5)"), Time: t0}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(events) != 1 || events[0].TriggerID != "t-room" || events[0].Reading.MObjectID != "bob" {
+	insert(model.Reading{SensorID: "s1", MObjectID: "bob",
+		Location: glob.MustParse("CS/Floor3/3105/(5,5)"), Time: t0})
+	if events := rec.take(); len(events) != 1 || events[0].trigger != "t-room" || events[0].Reading.MObjectID != "bob" {
 		t.Errorf("events = %+v", events)
 	}
-	events = nil
-	mu.Unlock()
 	// alice appears in the west wing: only t-alice fires.
-	if err := db.InsertReading(model.Reading{SensorID: "s1", MObjectID: "alice",
-		Location: glob.MustParse("CS/Floor3/(50,50)"), Time: t0}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(events) != 1 || events[0].TriggerID != "t-alice" {
+	insert(model.Reading{SensorID: "s1", MObjectID: "alice",
+		Location: glob.MustParse("CS/Floor3/(50,50)"), Time: t0})
+	if events := rec.take(); len(events) != 1 || events[0].trigger != "t-alice" {
 		t.Errorf("events = %+v", events)
 	}
-	mu.Unlock()
+	// Without a Dispatcher a stored reading reaches no consumer.
+	if err := db.InsertReading(model.Reading{SensorID: "s1", MObjectID: "alice",
+		Location: glob.MustParse("CS/Floor3/(60,50)"), Time: t0}); err != nil {
+		t.Fatal(err)
+	}
+	if events := rec.take(); len(events) != 0 {
+		t.Errorf("nil-dispatcher insert delivered %+v", events)
+	}
 }
 
 func TestTriggerLifecycle(t *testing.T) {
 	db := testDB(t)
-	noop := func(TriggerEvent) {}
 	region := geom.R(0, 0, 10, 10)
-	if err := db.AddTrigger("t1", "", region, noop); err != nil {
+	if err := db.AddTrigger("t1", "", region); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddTrigger("t1", "", region, noop); !errors.Is(err, ErrDuplicate) {
+	if err := db.AddTrigger("t1", "", region); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate trigger err = %v", err)
 	}
 	if db.TriggerCount() != 1 {
@@ -559,14 +590,11 @@ func TestTriggerLifecycle(t *testing.T) {
 	if err := db.RemoveTrigger("t1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("remove missing err = %v", err)
 	}
-	if err := db.AddTrigger("", "", region, noop); !errors.Is(err, ErrBadTrigger) {
+	if err := db.AddTrigger("", "", region); !errors.Is(err, ErrBadTrigger) {
 		t.Errorf("empty id err = %v", err)
 	}
-	if err := db.AddTrigger("t2", "", geom.Rect{}, noop); !errors.Is(err, ErrBadTrigger) {
+	if err := db.AddTrigger("t2", "", geom.Rect{}); !errors.Is(err, ErrBadTrigger) {
 		t.Errorf("degenerate region err = %v", err)
-	}
-	if err := db.AddTrigger("t3", "", region, nil); !errors.Is(err, ErrBadTrigger) {
-		t.Errorf("nil callback err = %v", err)
 	}
 }
 
@@ -578,7 +606,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	if err := db.RegisterSensor("s1", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddTrigger("t", "", geom.R(0, 0, 500, 100), func(TriggerEvent) {}); err != nil {
+	if err := db.AddTrigger("t", "", geom.R(0, 0, 500, 100)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

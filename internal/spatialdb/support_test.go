@@ -19,7 +19,7 @@ import (
 func checkSupportInvariant(t *testing.T, db *DB) {
 	t.Helper()
 	for _, sh := range db.allShards() {
-		tbl := sh.table.Load()
+		tbl := sh.table
 		if got, want := tbl.support.Len(), len(tbl.supRect); got != want {
 			t.Fatalf("shard %s: support tree has %d entries, supRect has %d", sh.key, got, want)
 		}
@@ -141,10 +141,10 @@ func TestSupportIndexTracksMutations(t *testing.T) {
 	}
 }
 
-// TestSupportCandidatesSnapshotIsolation pins the COW contract: a
-// frozen snapshot's candidate set must not change when writers keep
-// mutating the live table — the support R-tree rides the same
-// clone-on-freeze machinery as the reading rows.
+// TestSupportCandidatesSnapshotIsolation: candidates a cut collected
+// never change when writers keep mutating the live table — neither the
+// set nor a candidate's rows and epoch — while a fresh cut sees the
+// writes.
 func TestSupportCandidatesSnapshotIsolation(t *testing.T) {
 	db := testDB(t)
 	paperFloor(t, db)
@@ -165,8 +165,14 @@ func TestSupportCandidatesSnapshotIsolation(t *testing.T) {
 	}
 	ingest("ann", 10, 10, t0)
 
+	far := geom.R(450, 0, 500, 100)
 	snap := db.Snapshot()
-	defer snap.Close()
+	farCands, near := snap.SupportCandidates(far), snap.SupportCandidates(geom.R(0, 0, 20, 20))
+	snap.Close()
+	if len(farCands) != 0 || len(near) != 1 || near[0].ID != "ann" {
+		t.Fatalf("cut candidates: far %v, near %v; want none and ann", farCands, near)
+	}
+	ann, annEpoch := near[0], near[0].Epoch()
 
 	// Grow ann's support to the far corner and add a new object after
 	// the cut.
@@ -174,13 +180,11 @@ func TestSupportCandidatesSnapshotIsolation(t *testing.T) {
 	ingest("late", 480, 10, t0.Add(time.Second))
 	checkSupportInvariant(t, db)
 
-	far := geom.R(450, 0, 500, 100)
-	old := map[string]bool{}
-	for _, c := range snap.SupportCandidates(far) {
-		old[c.ID] = true
+	if got := ann.LatestPerSensor(snap.SensorSpecs(), t0); len(got) != 1 || !got[0].Time.Equal(t0) {
+		t.Fatalf("collected candidate sees post-cut rows: %v", got)
 	}
-	if len(old) != 0 {
-		t.Fatalf("frozen snapshot sees post-cut supports: %v", old)
+	if ann.Epoch() != annEpoch || db.ReadingEpoch("ann") <= annEpoch {
+		t.Fatalf("collected epoch %d (was %d), live %d: want it fixed and the live one ahead", ann.Epoch(), annEpoch, db.ReadingEpoch("ann"))
 	}
 	if now := candidateIDs(db, far); !now["ann"] || !now["late"] {
 		t.Fatalf("fresh snapshot candidates = %v, want {ann, late}", now)
@@ -210,7 +214,7 @@ func TestSupportIndexFollowsFloorMigration(t *testing.T) {
 		t.Fatalf("mover resident on %q, want CS/Floor2", key)
 	}
 	for _, sh := range db.allShards() {
-		tbl := sh.table.Load()
+		tbl := sh.table
 		_, has := tbl.supRect["mover"]
 		if sh.key == "CS/Floor2" && !has {
 			t.Fatal("destination shard has no support entry for mover")
@@ -283,7 +287,7 @@ func TestSupportSurvivesRingTrim(t *testing.T) {
 	}
 	checkSupportInvariant(t, db)
 	for _, sh := range db.allShards() {
-		tbl := sh.table.Load()
+		tbl := sh.table
 		if n := len(tbl.rows["walker"]); n > 0 {
 			if tbl.support.Len() != 1 {
 				t.Fatalf("support tree has %d entries, want 1", tbl.support.Len())
