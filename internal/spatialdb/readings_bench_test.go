@@ -1,6 +1,9 @@
 package spatialdb
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,5 +45,80 @@ func BenchmarkInsertReadingAtCap(b *testing.B) {
 		if err := db.InsertReading(mk(maxReadingsPerObject + i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInsertBesideScanners measures a cross-floor ingest batch
+// while region-scan clients cut the database back to back: each
+// scanner loops Snapshot, SupportCandidates over half a floor (about
+// 100 hits) and Close, never pausing. A store waits for the cuts that
+// hold its shard, so this is the cost a scan-heavy client puts on
+// ingest. scans/op is how many cuts the scanners completed per batch.
+func BenchmarkInsertBesideScanners(b *testing.B) {
+	const (
+		floors  = 4
+		objects = 200 // per floor
+	)
+	for _, scanners := range []int{0, 1, 4} {
+		b.Run(fmt.Sprintf("scanners=%d", scanners), func(b *testing.B) {
+			db := multiFloorDB(b, floors)
+			if err := db.RegisterSensor("s1", longSpec()); err != nil {
+				b.Fatal(err)
+			}
+			for f := 1; f <= floors; f++ {
+				for o := 0; o < objects; o++ {
+					r := floorReading("s1", fmt.Sprintf("f%d-o%d", f, o), f, float64(o%100)*5, float64(o/100)*50+10, t0)
+					if err := db.InsertReading(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			region := geom.R(0, 100, 250, 200) // west half of floor 2
+			stop := make(chan struct{})
+			var scans atomic.Int64
+			var wg sync.WaitGroup
+			for s := 0; s < scanners; s++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						snap := db.Snapshot()
+						snap.SupportCandidates(region)
+						snap.Close()
+						scans.Add(1)
+					}
+				}()
+			}
+			// Batch i moves two objects per floor, the same ones as batch
+			// i%objects, so no ID is formatted while the timer runs.
+			batches := make([][]model.Reading, objects)
+			for i := range batches {
+				batches[i] = make([]model.Reading, 2*floors)
+				for j := range batches[i] {
+					f := j%floors + 1
+					batches[i][j] = floorReading("s1", fmt.Sprintf("f%d-o%d", f, (i*7+j)%objects), f, float64(j)*5, 10, t0)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := batches[i%objects]
+				at := t0.Add(time.Duration(i+1) * time.Millisecond)
+				for j := range batch {
+					batch[j].Time = at
+				}
+				if _, err := db.InsertReadings(batch, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			b.ReportMetric(float64(scans.Load())/float64(b.N), "scans/op")
+		})
 	}
 }
