@@ -45,7 +45,9 @@ e2e-bench:
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
 # migration, the rows a trigger firing holds (TestShardFiringRows*),
 # snapshot-isolation, cut (TestCut*: torn batches, a cut waiting for a
-# shard write lock and a writer waiting for the cut) and cross-shard
+# shard write lock and a writer waiting for the cut), support-index
+# (TestSupport*: the support trees hold per-object records that
+# migration, import, drop and prune move or edit) and cross-shard
 # object-query tests (TestCrossShard*: queries beside object inserts and
 # deletes), plus core's serial-vs-parallel region scan and its scans
 # beside batched ingest and floor flips, under the race
@@ -53,7 +55,7 @@ e2e-bench:
 # from `race` so CI can re-run just these when the spatial database
 # changes.
 shard-stress:
-	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
+	$(GO) test -race -count=2 -run 'TestShard|TestSnapshot|TestCut|TestSupport|TestFloorMigration|TestCrossShard' ./internal/spatialdb/
 	$(GO) test -race -count=2 -run 'TestObjectsInRegionSerialParallelIdentical|TestRegionScanDuringIngestAndMigration' ./internal/core/
 
 # One iteration per benchmark: a smoke run that keeps every testing.B

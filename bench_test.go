@@ -115,7 +115,7 @@ func BenchmarkRegionQueryRTree(b *testing.B) {
 		b.Run(fmt.Sprintf("objects-%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
 			entries := randomRects(n, rng)
-			tr := rtree.New()
+			tr := rtree.New[string]()
 			for _, e := range entries {
 				tr.Insert(e.r, e.id)
 			}

@@ -842,7 +842,14 @@ func (s *Service) objectsInRegionOn(snap *spatialdb.Snapshot, rect geom.Rect, mi
 			eval(i)
 		}
 	}
-	out := make(map[string]float64)
+	// Size the result once instead of growing it hit by hit.
+	n := 0
+	for _, p := range probs {
+		if p > 0 {
+			n++
+		}
+	}
+	out := make(map[string]float64, n)
 	for i, p := range probs {
 		if p > 0 {
 			out[cands[i].ID] = p

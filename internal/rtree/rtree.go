@@ -4,9 +4,11 @@
 // the object and sensor tables so region queries and trigger
 // evaluation stay sub-linear in the number of stored geometries.
 //
-// The tree maps minimum bounding rectangles to opaque string IDs. It
-// is not safe for concurrent use; the spatial database serializes
-// access.
+// The tree maps minimum bounding rectangles to values of a comparable
+// type V: the spatial database stores the record a hit stands for (an
+// object row, a trigger, a mobile object's reading record), so a
+// search hands back what the caller needs with no lookup by key. It is
+// not safe for concurrent use; the spatial database serializes access.
 package rtree
 
 import (
@@ -26,10 +28,10 @@ const (
 	defaultMin = 3
 )
 
-// Tree is an R-tree over (Rect, ID) entries. The zero value is an
+// Tree is an R-tree over (Rect, value) entries. The zero value is an
 // empty tree ready to use.
-type Tree struct {
-	root *node
+type Tree[V comparable] struct {
+	root *node[V]
 	size int
 	// maxEntries/minEntries are fixed at first use; configurable for
 	// tests via NewWithDegree.
@@ -45,41 +47,41 @@ type Tree struct {
 // Visits returns the cumulative number of tree nodes touched by
 // SearchIntersect/SearchIntersectFunc/Nearest calls.
 // Callers that want per-query costs record the delta around a call.
-func (t *Tree) Visits() int64 { return t.visits.Load() }
+func (t *Tree[V]) Visits() int64 { return t.visits.Load() }
 
 // New returns an empty R-tree with the default branching factor.
-func New() *Tree { return &Tree{} }
+func New[V comparable]() *Tree[V] { return &Tree[V]{} }
 
 // NewWithDegree returns an empty R-tree with custom node capacities.
 // min must satisfy 2 <= min <= max/2.
-func NewWithDegree(min, max int) (*Tree, error) {
+func NewWithDegree[V comparable](min, max int) (*Tree[V], error) {
 	if min < 2 || max < 4 || min > max/2 {
 		return nil, fmt.Errorf("rtree: invalid degree min=%d max=%d (need 2 <= min <= max/2)", min, max)
 	}
-	return &Tree{minEntries: min, maxEntries: max}, nil
+	return &Tree[V]{minEntries: min, maxEntries: max}, nil
 }
 
-type entry struct {
+type entry[V comparable] struct {
 	rect geom.Rect
 	// child is non-nil for interior entries.
-	child *node
-	// id is set for leaf entries.
-	id string
+	child *node[V]
+	// value is set for leaf entries.
+	value V
 }
 
-type node struct {
+type node[V comparable] struct {
 	leaf    bool
-	entries []entry
+	entries []entry[V]
 }
 
-func (t *Tree) maxE() int {
+func (t *Tree[V]) maxE() int {
 	if t.maxEntries == 0 {
 		return defaultMax
 	}
 	return t.maxEntries
 }
 
-func (t *Tree) minE() int {
+func (t *Tree[V]) minE() int {
 	if t.minEntries == 0 {
 		return defaultMin
 	}
@@ -87,31 +89,31 @@ func (t *Tree) minE() int {
 }
 
 // Len returns the number of stored entries.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
 // Bounds returns the MBR of everything in the tree, and false when the
 // tree is empty.
-func (t *Tree) Bounds() (geom.Rect, bool) {
+func (t *Tree[V]) Bounds() (geom.Rect, bool) {
 	if t.root == nil || len(t.root.entries) == 0 {
 		return geom.Rect{}, false
 	}
 	return nodeBounds(t.root), true
 }
 
-// Insert adds an entry. Duplicate IDs are allowed (the caller keys
+// Insert adds an entry. Duplicate values are allowed (the caller keys
 // them); duplicates are removed one at a time by Delete.
 //
 // The descent records its path and grows each traversed interior
 // entry's rectangle by the inserted rectangle, so bounds stay exact
 // without any whole-tree pass — keeping Insert O(log n) amortized
 // (Guttman's AdjustTree).
-func (t *Tree) Insert(r geom.Rect, id string) {
+func (t *Tree[V]) Insert(r geom.Rect, v V) {
 	if t.root == nil {
-		t.root = &node{leaf: true}
+		t.root = &node[V]{leaf: true}
 	}
 	// Descend to a leaf, recording the path and expanding entry
 	// rectangles on the way down.
-	path := []*node{t.root}
+	path := []*node[V]{t.root}
 	n := t.root
 	for !n.leaf {
 		best := -1
@@ -128,7 +130,7 @@ func (t *Tree) Insert(r geom.Rect, id string) {
 		n = n.entries[best].child
 		path = append(path, n)
 	}
-	n.entries = append(n.entries, entry{rect: r, id: id})
+	n.entries = append(n.entries, entry[V]{rect: r, value: v})
 	t.size++
 
 	// Split overflowing nodes bottom-up along the recorded path.
@@ -139,9 +141,9 @@ func (t *Tree) Insert(r geom.Rect, id string) {
 		}
 		left, right := t.splitNode(nd)
 		if i == 0 {
-			t.root = &node{
+			t.root = &node[V]{
 				leaf: false,
-				entries: []entry{
+				entries: []entry[V]{
 					{rect: nodeBounds(left), child: left},
 					{rect: nodeBounds(right), child: right},
 				},
@@ -151,16 +153,16 @@ func (t *Tree) Insert(r geom.Rect, id string) {
 		parent := path[i-1]
 		for j := range parent.entries {
 			if parent.entries[j].child == nd {
-				parent.entries[j] = entry{rect: nodeBounds(left), child: left}
+				parent.entries[j] = entry[V]{rect: nodeBounds(left), child: left}
 				break
 			}
 		}
-		parent.entries = append(parent.entries, entry{rect: nodeBounds(right), child: right})
+		parent.entries = append(parent.entries, entry[V]{rect: nodeBounds(right), child: right})
 	}
 }
 
 // refreshBounds recomputes interior entry rectangles bottom-up.
-func refreshBounds(n *node) geom.Rect {
+func refreshBounds[V comparable](n *node[V]) geom.Rect {
 	if n.leaf {
 		return nodeBounds(n)
 	}
@@ -170,7 +172,7 @@ func refreshBounds(n *node) geom.Rect {
 	return nodeBounds(n)
 }
 
-func (t *Tree) findParent(cur, target *node) *node {
+func (t *Tree[V]) findParent(cur, target *node[V]) *node[V] {
 	if cur.leaf {
 		return nil
 	}
@@ -187,7 +189,7 @@ func (t *Tree) findParent(cur, target *node) *node {
 
 // splitNode performs Guttman's quadratic split, returning two new
 // nodes that partition n's entries.
-func (t *Tree) splitNode(n *node) (*node, *node) {
+func (t *Tree[V]) splitNode(n *node[V]) (*node[V], *node[V]) {
 	entries := n.entries
 	// PickSeeds: the pair wasting the most area together.
 	var s1, s2 int
@@ -201,11 +203,11 @@ func (t *Tree) splitNode(n *node) (*node, *node) {
 			}
 		}
 	}
-	left := &node{leaf: n.leaf, entries: []entry{entries[s1]}}
-	right := &node{leaf: n.leaf, entries: []entry{entries[s2]}}
+	left := &node[V]{leaf: n.leaf, entries: []entry[V]{entries[s1]}}
+	right := &node[V]{leaf: n.leaf, entries: []entry[V]{entries[s2]}}
 	lb, rb := entries[s1].rect, entries[s2].rect
 
-	rest := make([]entry, 0, len(entries)-2)
+	rest := make([]entry[V], 0, len(entries)-2)
 	for i, e := range entries {
 		if i != s1 && i != s2 {
 			rest = append(rest, e)
@@ -248,7 +250,7 @@ func (t *Tree) splitNode(n *node) (*node, *node) {
 	return left, right
 }
 
-func nodeBounds(n *node) geom.Rect {
+func nodeBounds[V comparable](n *node[V]) geom.Rect {
 	b := n.entries[0].rect
 	for _, e := range n.entries[1:] {
 		b = b.Union(e.rect)
@@ -257,27 +259,27 @@ func nodeBounds(n *node) geom.Rect {
 }
 
 // Item is one search result.
-type Item struct {
-	Rect geom.Rect
-	ID   string
+type Item[V comparable] struct {
+	Rect  geom.Rect
+	Value V
 }
 
 // SearchIntersect returns all entries whose rectangle intersects q
 // (boundary contact included), in no particular order.
-func (t *Tree) SearchIntersect(q geom.Rect) []Item {
-	var out []Item
+func (t *Tree[V]) SearchIntersect(q geom.Rect) []Item[V] {
+	var out []Item[V]
 	if t.root == nil {
 		return nil
 	}
-	var walk func(n *node)
-	walk = func(n *node) {
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		t.visits.Add(1)
 		for _, e := range n.entries {
 			if !e.rect.Intersects(q) {
 				continue
 			}
 			if n.leaf {
-				out = append(out, Item{Rect: e.rect, ID: e.id})
+				out = append(out, Item[V]{Rect: e.rect, Value: e.value})
 			} else {
 				walk(e.child)
 			}
@@ -293,40 +295,40 @@ func (t *Tree) SearchIntersect(q geom.Rect) []Item {
 // search early. It is the hot-path form of SearchIntersect: the
 // candidate pre-filter runs it once per region query, so the result
 // slice would otherwise be the query's dominant allocation.
-func (t *Tree) SearchIntersectFunc(q geom.Rect, fn func(r geom.Rect, id string) bool) {
-	if t.root == nil {
-		return
+func (t *Tree[V]) SearchIntersectFunc(q geom.Rect, fn func(r geom.Rect, v V) bool) {
+	if t.root != nil {
+		t.searchFunc(t.root, q, fn)
 	}
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		t.visits.Add(1)
-		for _, e := range n.entries {
-			if !e.rect.Intersects(q) {
-				continue
-			}
-			if n.leaf {
-				if !fn(e.rect, e.id) {
-					return false
-				}
-			} else if !walk(e.child) {
+}
+
+func (t *Tree[V]) searchFunc(n *node[V], q geom.Rect, fn func(r geom.Rect, v V) bool) bool {
+	t.visits.Add(1)
+	for i := range n.entries {
+		e := &n.entries[i]
+		if !e.rect.Intersects(q) {
+			continue
+		}
+		if n.leaf {
+			if !fn(e.rect, e.value) {
 				return false
 			}
+		} else if !t.searchFunc(e.child, q, fn) {
+			return false
 		}
-		return true
 	}
-	walk(t.root)
+	return true
 }
 
 // Nearest returns up to k entries closest to point p by rectangle
 // distance (0 for rectangles containing p), ordered nearest first.
 // It performs a best-first branch-and-bound traversal.
-func (t *Tree) Nearest(p geom.Point, k int) []Item {
+func (t *Tree[V]) Nearest(p geom.Point, k int) []Item[V] {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
 	type cand struct {
 		dist float64
-		item Item
+		item Item[V]
 	}
 	var results []cand
 	// Simple recursive branch and bound with pruning against the
@@ -346,8 +348,8 @@ func (t *Tree) Nearest(p geom.Point, k int) []Item {
 			results = results[:k]
 		}
 	}
-	var walk func(n *node)
-	walk = func(n *node) {
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		t.visits.Add(1)
 		// Visit children nearest-first for better pruning.
 		idx := make([]int, len(n.entries))
@@ -364,28 +366,28 @@ func (t *Tree) Nearest(p geom.Point, k int) []Item {
 				continue
 			}
 			if n.leaf {
-				insert(cand{dist: d, item: Item{Rect: e.rect, ID: e.id}})
+				insert(cand{dist: d, item: Item[V]{Rect: e.rect, Value: e.value}})
 			} else {
 				walk(e.child)
 			}
 		}
 	}
 	walk(t.root)
-	out := make([]Item, len(results))
+	out := make([]Item[V], len(results))
 	for i, c := range results {
 		out[i] = c.item
 	}
 	return out
 }
 
-// Delete removes one entry matching (r, id) exactly. It reports
+// Delete removes one entry matching (r, v) exactly. It reports
 // whether an entry was removed. Underfull nodes are condensed by
 // reinserting their remaining entries, per Guttman's CondenseTree.
-func (t *Tree) Delete(r geom.Rect, id string) bool {
+func (t *Tree[V]) Delete(r geom.Rect, v V) bool {
 	if t.root == nil {
 		return false
 	}
-	leaf, idx := t.findLeaf(t.root, r, id)
+	leaf, idx := t.findLeaf(t.root, r, v)
 	if leaf == nil {
 		return false
 	}
@@ -405,10 +407,10 @@ func (t *Tree) Delete(r geom.Rect, id string) bool {
 	return true
 }
 
-func (t *Tree) findLeaf(n *node, r geom.Rect, id string) (*node, int) {
+func (t *Tree[V]) findLeaf(n *node[V], r geom.Rect, v V) (*node[V], int) {
 	if n.leaf {
 		for i, e := range n.entries {
-			if e.id == id && e.rect.Eq(r) {
+			if e.value == v && e.rect.Eq(r) {
 				return n, i
 			}
 		}
@@ -416,7 +418,7 @@ func (t *Tree) findLeaf(n *node, r geom.Rect, id string) (*node, int) {
 	}
 	for _, e := range n.entries {
 		if e.rect.ContainsRect(r) || e.rect.Intersects(r) {
-			if leaf, i := t.findLeaf(e.child, r, id); leaf != nil {
+			if leaf, i := t.findLeaf(e.child, r, v); leaf != nil {
 				return leaf, i
 			}
 		}
@@ -426,8 +428,8 @@ func (t *Tree) findLeaf(n *node, r geom.Rect, id string) (*node, int) {
 
 // condense removes underfull nodes on the path from n to the root and
 // reinserts their orphaned entries.
-func (t *Tree) condense(n *node) {
-	var orphans []entry
+func (t *Tree[V]) condense(n *node[V]) {
+	var orphans []entry[V]
 	for n != t.root && n != nil && len(n.entries) < t.minE() {
 		parent := t.findParent(t.root, n)
 		if parent == nil {
@@ -448,19 +450,19 @@ func (t *Tree) condense(n *node) {
 }
 
 // reinsert puts an orphaned entry (leaf item or whole subtree) back.
-func (t *Tree) reinsert(e entry) {
+func (t *Tree[V]) reinsert(e entry[V]) {
 	if e.child == nil {
 		t.size-- // Insert will increment again
-		t.Insert(e.rect, e.id)
+		t.Insert(e.rect, e.value)
 		return
 	}
 	// Reinsert every leaf item of the subtree.
-	var walk func(n *node)
-	walk = func(n *node) {
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		for _, en := range n.entries {
 			if n.leaf {
 				t.size--
-				t.Insert(en.rect, en.id)
+				t.Insert(en.rect, en.value)
 			} else {
 				walk(en.child)
 			}
@@ -470,16 +472,16 @@ func (t *Tree) reinsert(e entry) {
 }
 
 // All returns every stored item.
-func (t *Tree) All() []Item {
+func (t *Tree[V]) All() []Item[V] {
 	if t.root == nil {
 		return nil
 	}
-	var out []Item
-	var walk func(n *node)
-	walk = func(n *node) {
+	var out []Item[V]
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		for _, e := range n.entries {
 			if n.leaf {
-				out = append(out, Item{Rect: e.rect, ID: e.id})
+				out = append(out, Item[V]{Rect: e.rect, Value: e.value})
 			} else {
 				walk(e.child)
 			}
@@ -490,7 +492,7 @@ func (t *Tree) All() []Item {
 }
 
 // checkInvariants validates structural invariants; used by tests.
-func (t *Tree) checkInvariants() error {
+func (t *Tree[V]) checkInvariants() error {
 	if t.root == nil {
 		if t.size != 0 {
 			return fmt.Errorf("rtree: nil root but size %d", t.size)
@@ -499,8 +501,8 @@ func (t *Tree) checkInvariants() error {
 	}
 	count := 0
 	var depthOfLeaf = -1
-	var walk func(n *node, depth int, bound geom.Rect, isRoot bool) error
-	walk = func(n *node, depth int, bound geom.Rect, isRoot bool) error {
+	var walk func(n *node[V], depth int, bound geom.Rect, isRoot bool) error
+	walk = func(n *node[V], depth int, bound geom.Rect, isRoot bool) error {
 		if !isRoot && len(n.entries) < t.minE() {
 			return fmt.Errorf("rtree: underfull node (%d < %d)", len(n.entries), t.minE())
 		}

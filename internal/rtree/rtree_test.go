@@ -11,7 +11,7 @@ import (
 )
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
@@ -33,18 +33,18 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestNewWithDegree(t *testing.T) {
-	if _, err := NewWithDegree(2, 4); err != nil {
+	if _, err := NewWithDegree[string](2, 4); err != nil {
 		t.Errorf("valid degree rejected: %v", err)
 	}
 	for _, bad := range [][2]int{{1, 4}, {3, 4}, {2, 3}, {5, 8}} {
-		if _, err := NewWithDegree(bad[0], bad[1]); err == nil {
+		if _, err := NewWithDegree[string](bad[0], bad[1]); err == nil {
 			t.Errorf("degree %v should be rejected", bad)
 		}
 	}
 }
 
 func TestInsertAndSearchSmall(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	rects := map[string]geom.Rect{
 		"a": geom.R(0, 0, 10, 10),
 		"b": geom.R(5, 5, 15, 15),
@@ -73,7 +73,7 @@ func TestInsertAndSearchSmall(t *testing.T) {
 }
 
 func TestNearestOrdering(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	for i := 0; i < 10; i++ {
 		x := float64(i * 10)
 		tr.Insert(geom.R(x, 0, x+1, 1), fmt.Sprintf("r%d", i))
@@ -84,8 +84,8 @@ func TestNearestOrdering(t *testing.T) {
 	}
 	wantOrder := []string{"r0", "r1", "r2"}
 	for i, it := range got {
-		if it.ID != wantOrder[i] {
-			t.Errorf("nearest[%d] = %s, want %s", i, it.ID, wantOrder[i])
+		if it.Value != wantOrder[i] {
+			t.Errorf("nearest[%d] = %s, want %s", i, it.Value, wantOrder[i])
 		}
 	}
 	// k larger than tree returns everything sorted.
@@ -104,7 +104,7 @@ func TestNearestOrdering(t *testing.T) {
 }
 
 func TestDuplicateIDsAndRects(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	r := geom.R(0, 0, 1, 1)
 	tr.Insert(r, "x")
 	tr.Insert(r, "x")
@@ -125,7 +125,7 @@ func TestDuplicateIDsAndRects(t *testing.T) {
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	tr.Insert(geom.R(0, 0, 1, 1), "a")
 	if tr.Delete(geom.R(0, 0, 1, 1), "b") {
 		t.Error("deleting wrong id should fail")
@@ -145,7 +145,7 @@ func TestDeleteMissing(t *testing.T) {
 }
 
 func TestGrowAndShrinkInvariants(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	rng := rand.New(rand.NewSource(42))
 	type rec struct {
 		r  geom.Rect
@@ -187,7 +187,7 @@ func TestGrowAndShrinkInvariants(t *testing.T) {
 	for _, rc := range live[250:] {
 		found := false
 		for _, it := range tr.SearchIntersect(rc.r) {
-			if it.ID == rc.id && it.Rect.Eq(rc.r) {
+			if it.Value == rc.id && it.Rect.Eq(rc.r) {
 				found = true
 				break
 			}
@@ -202,7 +202,7 @@ func TestGrowAndShrinkInvariants(t *testing.T) {
 }
 
 func TestAll(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	for i := 0; i < 20; i++ {
 		tr.Insert(geom.R(float64(i), 0, float64(i)+1, 1), fmt.Sprintf("i%d", i))
 	}
@@ -212,7 +212,7 @@ func TestAll(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, it := range all {
-		seen[it.ID] = true
+		seen[it.Value] = true
 	}
 	if len(seen) != 20 {
 		t.Errorf("duplicate or missing ids: %v", seen)
@@ -225,7 +225,7 @@ func TestQuickSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
 		_ = seed
-		tr := New()
+		tr := New[string]()
 		n := 30 + rng.Intn(100)
 		type rec struct {
 			r  geom.Rect
@@ -258,7 +258,7 @@ func TestQuickNearestMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(seed int64) bool {
 		_ = seed
-		tr := New()
+		tr := New[string]()
 		n := 20 + rng.Intn(80)
 		rects := make([]geom.Rect, n)
 		for i := range rects {
@@ -291,10 +291,10 @@ func TestQuickNearestMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func ids(items []Item) []string {
+func ids(items []Item[string]) []string {
 	out := make([]string, len(items))
 	for i, it := range items {
-		out[i] = it.ID
+		out[i] = it.Value
 	}
 	sort.Strings(out)
 	return out

@@ -311,8 +311,9 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 
 	// The store, by hand: one row written on floor 3, lock kept.
 	floor3.readMu.Lock()
-	floor3.table.rows["held"] = []model.Reading{floorReading("s1", "held", 3, 7, 7, t0)}
-	floor3.table.epochs["held"]++
+	held := floor3.table.rec("held")
+	held.rows = []model.Reading{floorReading("s1", "held", 3, 7, 7, t0)}
+	held.epoch++
 
 	cuts := make(chan *Snapshot, 1)
 	go func() { cuts <- db.Snapshot() }()

@@ -35,8 +35,10 @@ func (db *DB) DumpReadingTable() string {
 	byID := make(map[string][]model.Reading)
 	for _, sh := range db.allShards() {
 		sh.readMu.RLock()
-		for id, rs := range sh.table.rows {
-			byID[id] = append(byID[id], rs...)
+		for id, o := range sh.table.objs {
+			if len(o.rows) > 0 {
+				byID[id] = append(byID[id], o.rows...)
+			}
 		}
 		sh.readMu.RUnlock()
 	}

@@ -38,7 +38,7 @@ func (db *DB) ExportObject(id string) ([]model.Reading, uint64, bool) {
 	}
 	defer sh.readMu.RUnlock()
 	t := sh.table
-	return append([]model.Reading(nil), t.rows[id]...), t.epochs[id], true
+	return append([]model.Reading(nil), t.rowsOf(id)...), t.epochOf(id), true
 }
 
 // sameReading is the reading identity behind both federation dedups
@@ -100,9 +100,8 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 			sh.readMu.Unlock()
 			continue // lost a race with another migration; re-place
 		}
-		t := sh.table
-		cur := t.epochs[id]
-		stored := t.rows[id]
+		o := sh.table.rec(id)
+		cur, stored := o.epoch, o.rows
 		var fresh []model.Reading
 		for i := range rows {
 			if r := &rows[i]; !containsReading(stored, r) && !containsReading(fresh, r) {
@@ -117,13 +116,9 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 		if len(merged) > maxReadingsPerObject {
 			merged = merged[len(merged)-maxReadingsPerObject:]
 		}
-		t.rows[id] = merged
-		t.resetSupport(id, merged)
-		next := cur
-		if epoch > next {
-			next = epoch
-		}
-		t.epochs[id] = next + 1
+		o.rows = merged
+		sh.table.resetSupport(o)
+		o.epoch = max(cur, epoch) + 1
 		sh.writeEpoch.Add(1)
 		sh.readMu.Unlock()
 		mFedImports.Inc()
@@ -145,16 +140,16 @@ func (db *DB) HasReading(r model.Reading) bool {
 		return false
 	}
 	defer sh.readMu.RUnlock()
-	return containsReading(sh.table.rows[r.MObjectID], &r)
+	return containsReading(sh.table.rowsOf(r.MObjectID), &r)
 }
 
-// DropObject removes the object's rows, epoch, and residence entry —
-// the migration commit on the source after the destination acks. The
-// drop happens only when the object's epoch still equals ifEpoch (the
-// value exported in the prepare): readings that landed after the
-// export are not covered by the destination's ack and must not be
-// deleted — the caller re-exports and hands off again. Returns whether
-// the drop happened.
+// DropObject removes the object's record (rows and epoch) and its
+// residence entry — the migration commit on the source after the
+// destination acks. The drop happens only when the object's epoch
+// still equals ifEpoch (the value exported in the prepare): readings
+// that landed after the export are not covered by the destination's
+// ack and must not be deleted — the caller re-exports and hands off
+// again. Returns whether the drop happened.
 func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 	for {
 		cur, ok := db.residence.Load(id)
@@ -175,14 +170,15 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 		}
 		sh.readMu.Lock()
 		t := sh.table
-		if t.epochs[id] != ifEpoch {
+		if t.epochOf(id) != ifEpoch {
 			sh.readMu.Unlock()
 			db.migMu.Unlock()
 			return false
 		}
-		delete(t.rows, id)
-		delete(t.epochs, id)
-		t.resetSupport(id, nil)
+		if o := t.objs[id]; o != nil {
+			delete(t.objs, id)
+			t.unindex(o)
+		}
 		sh.writeEpoch.Add(1)
 		db.residence.Delete(id)
 		sh.readMu.Unlock()

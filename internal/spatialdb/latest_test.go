@@ -107,7 +107,7 @@ func registerRingSensors(t testing.TB, db *DB) {
 func plantRows(db *DB, obj string, rows []model.Reading) {
 	sh := db.ensureShard("CS/Floor1")
 	sh.readMu.Lock()
-	sh.table.rows[obj] = rows
+	sh.table.rec(obj).rows = rows
 	sh.readMu.Unlock()
 	db.residence.Store(obj, sh)
 }

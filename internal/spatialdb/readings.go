@@ -166,12 +166,12 @@ func (db *DB) InsertReading(r model.Reading) error {
 	return err
 }
 
-// placeObject pins a mobile object's reading rows (and its epoch
+// placeObject pins a mobile object's record (its rows and epoch
 // counter) to the target shard. When the object last reported on a
-// different floor, its rows and epoch migrate: the epoch carries over
-// +1, so it stays strictly monotonic across any number of floor
-// changes and a fused-location cache entry keyed on the old shard's
-// counter can never collide with the new shard's values. Placement
+// different floor, its record migrates: the epoch carries over +1, so
+// it stays strictly monotonic across any number of floor changes and a
+// fused-location cache entry keyed on the old shard's counter can never
+// collide with the new shard's values. Placement
 // changes serialize on migMu; the overwhelmingly common same-shard
 // case returns after one lock-free map read.
 func (db *DB) placeObject(id string, to *shard) {
@@ -189,28 +189,25 @@ func (db *DB) placeObject(id string, to *shard) {
 	if from == to {
 		return
 	}
-	// Move rows and the epoch under both shard locks, taken in key
-	// order — the order a Snapshot takes its read locks in — so
-	// concurrent migrations and cuts cannot deadlock.
+	// Move the record under both shard locks, taken in key order —
+	// the order a Snapshot takes its read locks in — so concurrent
+	// migrations and cuts cannot deadlock.
 	a, b := from, to
 	if b.key < a.key {
 		a, b = b, a
 	}
 	a.readMu.Lock()
 	b.readMu.Lock()
+	// The record leaves the source (a placement whose store has not
+	// run yet has none: it starts fresh), and its support entry moves
+	// with it, exact on the destination (recomputed from the rows).
 	tf := from.table
-	tt := to.table
-	if rows, ok := tf.rows[id]; ok {
-		tt.rows[id] = rows
-		delete(tf.rows, id)
-		// The support entry migrates with the rows: exact on the
-		// destination (recomputed from the moved rows), removed from
-		// the source.
-		tf.resetSupport(id, nil)
-		tt.resetSupport(id, rows)
-	}
-	tt.epochs[id] = tf.epochs[id] + 1
-	delete(tf.epochs, id)
+	o := tf.rec(id)
+	delete(tf.objs, id)
+	tf.unindex(o)
+	o.epoch++
+	to.table.objs[id] = o
+	to.table.resetSupport(o)
 	from.writeEpoch.Add(1)
 	to.writeEpoch.Add(1)
 	db.residence.Store(id, to)
@@ -389,7 +386,8 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 		t := sh.table
 		for _, i := range g.idxs {
 			r := &stored[i].Reading
-			prev := t.rows[r.MObjectID]
+			o := t.rec(r.MObjectID)
+			prev := o.rows
 			rows := prev
 			// Movement detection: compare with the previous reading
 			// from the same sensor for the same object.
@@ -413,14 +411,12 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 			if len(rows) >= maxReadingsPerObject {
 				rows = rows[len(rows)-maxReadingsPerObject+1:]
 			}
-			rows = append(rows, *r)
-			epoch := t.epochs[r.MObjectID] + 1
-			t.rows[r.MObjectID] = rows
-			t.epochs[r.MObjectID] = epoch
-			stored[i].Rows, stored[i].Epoch, stored[i].prev = rows, epoch, prev
+			o.rows = append(rows, *r)
+			o.epoch++
+			stored[i].Rows, stored[i].Epoch, stored[i].prev = o.rows, o.epoch, prev
 			// Insert keeps the support index a conservative superset:
 			// union-only growth here, exact recompute on prune/expiry.
-			t.growSupport(r.MObjectID, r.Region)
+			t.growSupport(o, r.Region)
 		}
 		sh.writeEpoch.Add(1)
 		sh.readMu.Unlock()
@@ -435,14 +431,13 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 	db.trigMu.RLock()
 	for i := range stored {
 		ev := &stored[i]
-		for _, it := range db.triggerIdx.SearchIntersect(ev.Reading.Region) {
-			tr := db.triggers[it.ID]
-			if tr == nil || tr.mobject != "" && tr.mobject != ev.Reading.MObjectID {
-				continue
+		db.triggerIdx.SearchIntersectFunc(ev.Reading.Region, func(_ geom.Rect, tr *trigger) bool {
+			if tr.mobject == "" || tr.mobject == ev.Reading.MObjectID {
+				ev.Triggers = append(ev.Triggers, tr.id)
+				matches++
 			}
-			ev.Triggers = append(ev.Triggers, tr.id)
-			matches++
-		}
+			return true
+		})
 	}
 	visitDelta := db.triggerIdx.Visits() - visits0
 	db.trigMu.RUnlock()
@@ -483,7 +478,7 @@ func (db *DB) ReadingEpoch(mobjectID string) uint64 {
 		return 0
 	}
 	sh.readMu.RLock()
-	e := sh.table.epochs[mobjectID]
+	e := sh.table.epochOf(mobjectID)
 	sh.readMu.RUnlock()
 	return e
 }
@@ -522,7 +517,7 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 	if sh == nil {
 		return nil
 	}
-	rows := sh.table.rows[mobjectID]
+	rows := sh.table.rowsOf(mobjectID)
 	live := make([]model.Reading, 0, len(rows))
 	for _, r := range rows {
 		if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
@@ -553,7 +548,7 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 		}
 		// Recompute: the rows may have changed since the shared lock.
 		t := sh.table
-		rows := t.rows[mobjectID]
+		rows := t.rowsOf(mobjectID)
 		live := make([]model.Reading, 0, len(rows))
 		for _, r := range rows {
 			if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
@@ -565,14 +560,15 @@ func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec,
 			sh.readMu.Unlock()
 			return live
 		}
-		if len(live) == 0 {
-			delete(t.rows, mobjectID)
-		} else {
-			t.rows[mobjectID] = append([]model.Reading(nil), live...)
+		// The record, and with it the epoch, stays (readTable.objs).
+		o := t.objs[mobjectID]
+		o.rows = nil
+		if len(live) > 0 {
+			o.rows = append([]model.Reading(nil), live...)
 		}
 		// Pruning is where the conservative support rect snaps back to
 		// exact: recompute it from the surviving rows.
-		t.resetSupport(mobjectID, t.rows[mobjectID])
+		t.resetSupport(o)
 		sh.readMu.Unlock()
 		return live
 	}
@@ -589,7 +585,7 @@ func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 	if sh == nil {
 		return nil
 	}
-	out, stale := latestRows(sh.table.rows[mobjectID], specs, now)
+	out, stale := latestRows(sh.table.rowsOf(mobjectID), specs, now)
 	sh.readMu.RUnlock()
 	if stale {
 		out, _ = latestRows(db.pruneReadings(mobjectID, specs, now), specs, now)
@@ -657,8 +653,10 @@ func (db *DB) MobileObjects() []string {
 	var out []string
 	for _, sh := range db.allShards() {
 		sh.readMu.RLock()
-		for id := range sh.table.rows {
-			out = append(out, id)
+		for id, o := range sh.table.objs {
+			if len(o.rows) > 0 {
+				out = append(out, id)
+			}
 		}
 		sh.readMu.RUnlock()
 	}
@@ -676,21 +674,16 @@ func (db *DB) MobileObjects() []string {
 // contention.
 func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 	specs := db.sensorView.Load().specs
-	type change struct {
-		id     string
-		live   []model.Reading
-		forced bool
-	}
 	for _, sh := range db.allShards() {
 		// Each shard's sweep runs under its write lock, so a
 		// concurrent cut sees the whole shard's expiry or none of it.
 		sh.readMu.Lock()
 		t := sh.table
-		var changes []change
-		for id, rows := range t.rows {
+		changed := false
+		for _, o := range t.objs {
 			var live []model.Reading
 			forced := false
-			for _, r := range rows {
+			for _, r := range o.rows {
 				spec, ok := specs[r.SensorID]
 				if !ok || r.Expired(now, spec.TTL) {
 					continue
@@ -701,22 +694,19 @@ func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 				}
 				live = append(live, r)
 			}
-			if forced || len(live) != len(rows) {
-				changes = append(changes, change{id: id, live: live, forced: forced})
+			if !forced && len(live) == len(o.rows) {
+				continue
 			}
+			// A record left with no rows keeps its epoch
+			// (readTable.objs).
+			o.rows = live
+			t.resetSupport(o)
+			if forced {
+				o.epoch++
+			}
+			changed = true
 		}
-		if len(changes) > 0 {
-			for _, c := range changes {
-				if len(c.live) == 0 {
-					delete(t.rows, c.id)
-				} else {
-					t.rows[c.id] = c.live
-				}
-				t.resetSupport(c.id, c.live)
-				if c.forced {
-					t.epochs[c.id]++
-				}
-			}
+		if changed {
 			sh.writeEpoch.Add(1)
 		}
 		sh.readMu.Unlock()

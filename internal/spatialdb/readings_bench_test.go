@@ -61,18 +61,7 @@ func BenchmarkInsertBesideScanners(b *testing.B) {
 	)
 	for _, scanners := range []int{0, 1, 4} {
 		b.Run(fmt.Sprintf("scanners=%d", scanners), func(b *testing.B) {
-			db := multiFloorDB(b, floors)
-			if err := db.RegisterSensor("s1", longSpec()); err != nil {
-				b.Fatal(err)
-			}
-			for f := 1; f <= floors; f++ {
-				for o := 0; o < objects; o++ {
-					r := floorReading("s1", fmt.Sprintf("f%d-o%d", f, o), f, float64(o%100)*5, float64(o/100)*50+10, t0)
-					if err := db.InsertReading(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			db := cityDB(b, floors, objects)
 			region := geom.R(0, 100, 250, 200) // west half of floor 2
 			stop := make(chan struct{})
 			var scans atomic.Int64
@@ -120,5 +109,44 @@ func BenchmarkInsertBesideScanners(b *testing.B) {
 			wg.Wait()
 			b.ReportMetric(float64(scans.Load())/float64(b.N), "scans/op")
 		})
+	}
+}
+
+// cityDB returns a database of floors floors with perFloor objects on
+// each, one reading apiece: object o of floor f is "f<f>-o<o>" at
+// local (o%100*5, o/100*50+10), so a floor's objects stay clear of the
+// floors beside it.
+func cityDB(tb testing.TB, floors, perFloor int) *DB {
+	tb.Helper()
+	db := multiFloorDB(tb, floors)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		tb.Fatal(err)
+	}
+	for f := 1; f <= floors; f++ {
+		for o := 0; o < perFloor; o++ {
+			r := floorReading("s1", fmt.Sprintf("f%d-o%d", f, o), f, float64(o%100)*5, float64(o/100)*50+10, t0)
+			if err := db.InsertReading(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// BenchmarkRegionCut measures a floor query's cut on a 16-floor city of
+// 40 objects per floor: Snapshot, SupportCandidates over floor 2 (40
+// hits) and Close — what a region query holds every shard's read lock
+// for.
+func BenchmarkRegionCut(b *testing.B) {
+	db := cityDB(b, 16, 40)
+	floor2 := geom.R(0, 100, 500, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := db.Snapshot()
+		if n := len(snap.SupportCandidates(floor2)); n != 40 {
+			b.Fatalf("%d candidates, want 40", n)
+		}
+		snap.Close()
 	}
 }

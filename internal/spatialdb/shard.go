@@ -89,9 +89,9 @@ func shardKeyForID(id string) string {
 	return key
 }
 
-// readTable is one shard's reading storage (Table 2 rows plus the
-// per-object epoch counters), read and written under the shard's
-// readMu.
+// readTable is one shard's reading storage: one record per mobile
+// object resident on the shard (its Table 2 rows, its reading epoch
+// and its support entry), read and written under the shard's readMu.
 //
 // Row slice headers leave the lock without a copy — StoredReading.Rows
 // and prev, a region scan's Candidate — and what a held header covers
@@ -100,7 +100,7 @@ func shardKeyForID(id string) string {
 //
 //   - Only the table of the object's resident shard appends to the
 //     array, under that shard's readMu, and always from the newest
-//     slice header (a migration moves the header to the new resident).
+//     slice header (a migration moves the record to the new resident).
 //     Every held header was the live one when it was read, so its end
 //     is at or before the live header's end, and its holder never
 //     writes through it.
@@ -112,74 +112,112 @@ func shardKeyForID(id string) string {
 //   - Everything else that changes an object's rows (TTL prune, forced
 //     expiry, federation import) installs a freshly allocated slice.
 type readTable struct {
-	rows   map[string][]model.Reading
-	epochs map[string]uint64
+	// objs holds the record of every object resident here. A record
+	// outlives its rows: a TTL prune or expiry leaves it with no rows
+	// and its epoch, so an object that returns continues its epoch and
+	// never meets a fusion cached under an epoch it reuses. Only a
+	// migration (which moves it) and DropObject remove it.
+	objs map[string]*objRec
 
-	// support indexes, per object, a rectangle guaranteed to contain
-	// the bounding box of the object's live (TTL-filtered) readings —
-	// the candidate pre-filter for region-shaped queries (DESIGN.md
-	// §17). supRect mirrors the indexed rectangle so maintenance can
-	// Delete the exact prior entry. The rect is a conservative
-	// superset: inserts only union it wider (growSupport); prune,
-	// expiry, migration, and federation recompute it exactly
-	// (resetSupport). A region scan searches it under the shard's
-	// read lock (Snapshot).
-	support *rtree.Tree
-	supRect map[string]geom.Rect
+	// support indexes, per object with rows, a rectangle guaranteed to
+	// contain the bounding box of the object's live (TTL-filtered)
+	// readings — the candidate pre-filter for region-shaped queries
+	// (DESIGN.md §17). Its values are the records themselves, so a
+	// region scan reads each hit's rows and epoch with no lookup. The
+	// rect is a conservative superset: inserts only union it wider
+	// (growSupport); prune, expiry, migration, and federation recompute
+	// it exactly (resetSupport). A region scan searches it under the
+	// shard's read lock (Snapshot).
+	support *rtree.Tree[*objRec]
+}
+
+// objRec is one mobile object's reading state on its resident shard.
+type objRec struct {
+	id    string
+	rows  []model.Reading
+	epoch uint64
+	// sup is the object's support rectangle as indexed, valid while
+	// indexed: the tree entry maintenance deletes exactly.
+	sup     geom.Rect
+	indexed bool
 }
 
 func newReadTable() *readTable {
-	return &readTable{
-		rows:    make(map[string][]model.Reading),
-		epochs:  make(map[string]uint64),
-		support: rtree.New(),
-		supRect: make(map[string]geom.Rect),
+	return &readTable{objs: make(map[string]*objRec), support: rtree.New[*objRec]()}
+}
+
+// rec returns the object's record, creating an empty one on first use.
+// Caller holds the shard's readMu exclusively.
+func (t *readTable) rec(id string) *objRec {
+	o := t.objs[id]
+	if o == nil {
+		o = &objRec{id: id}
+		t.objs[id] = o
 	}
+	return o
+}
+
+// rowsOf returns the object's stored rows, nil when it has none. Caller
+// holds the shard's readMu.
+func (t *readTable) rowsOf(id string) []model.Reading {
+	if o := t.objs[id]; o != nil {
+		return o.rows
+	}
+	return nil
+}
+
+// epochOf returns the object's reading epoch, 0 when it has no record.
+// Caller holds the shard's readMu.
+func (t *readTable) epochOf(id string) uint64 {
+	if o := t.objs[id]; o != nil {
+		return o.epoch
+	}
+	return 0
 }
 
 // growSupport widens the object's indexed support rectangle to cover r.
-// Caller holds the shard's readMu exclusively. The steady-state case — a reading inside the already-indexed box — is a
-// map lookup and a containment check, with no tree mutation at all.
-func (t *readTable) growSupport(id string, r geom.Rect) {
-	cur, ok := t.supRect[id]
-	if !ok {
-		t.support.Insert(r, id)
-		t.supRect[id] = r
+// Caller holds the shard's readMu exclusively. The steady-state case —
+// a reading inside the already-indexed box — is a containment check,
+// with no tree mutation at all.
+func (t *readTable) growSupport(o *objRec, r geom.Rect) {
+	switch {
+	case !o.indexed:
+		o.sup, o.indexed = r, true
+	case o.sup.ContainsRect(r):
 		return
+	default:
+		t.support.Delete(o.sup, o)
+		o.sup = o.sup.Union(r)
 	}
-	if cur.ContainsRect(r) {
-		return
-	}
-	u := cur.Union(r)
-	t.support.Delete(cur, id)
-	t.support.Insert(u, id)
-	t.supRect[id] = u
+	t.support.Insert(o.sup, o)
 }
 
-// resetSupport recomputes the object's support entry exactly from rows
-// (the bounding box of every stored row's region); empty rows remove
-// the entry. Caller holds the shard's readMu exclusively.
-func (t *readTable) resetSupport(id string, rows []model.Reading) {
-	cur, had := t.supRect[id]
-	if len(rows) == 0 {
-		if had {
-			t.support.Delete(cur, id)
-			delete(t.supRect, id)
-		}
+// resetSupport recomputes the object's support entry exactly from its
+// rows (the bounding box of every stored row's region); empty rows
+// remove the entry. Caller holds the shard's readMu exclusively.
+func (t *readTable) resetSupport(o *objRec) {
+	if len(o.rows) == 0 {
+		t.unindex(o)
 		return
 	}
-	u := rows[0].Region
-	for _, r := range rows[1:] {
+	u := o.rows[0].Region
+	for _, r := range o.rows[1:] {
 		u = u.Union(r.Region)
 	}
-	if had {
-		if u.Eq(cur) {
-			return
-		}
-		t.support.Delete(cur, id)
+	if o.indexed && u.Eq(o.sup) {
+		return
 	}
-	t.support.Insert(u, id)
-	t.supRect[id] = u
+	t.unindex(o)
+	o.sup, o.indexed = u, true
+	t.support.Insert(u, o)
+}
+
+// unindex removes the object's support entry, if it has one.
+func (t *readTable) unindex(o *objRec) {
+	if o.indexed {
+		t.support.Delete(o.sup, o)
+		o.indexed = false
+	}
 }
 
 // shard is one floor's slice of the database: its own object table and
@@ -193,7 +231,7 @@ type shard struct {
 	// object query searches the live index under the read lock.
 	objMu   sync.RWMutex
 	objects map[string]*Object
-	objIdx  *rtree.Tree
+	objIdx  *rtree.Tree[*Object]
 
 	// Reading table (see readTable). Writers hold readMu exclusively,
 	// readers shared; a Snapshot holds it shared until Close.
@@ -215,7 +253,7 @@ func newShard(key string) *shard {
 	sh := &shard{
 		key:         key,
 		objects:     make(map[string]*Object),
-		objIdx:      rtree.New(),
+		objIdx:      rtree.New[*Object](),
 		table:       newReadTable(),
 		mInserts:    obs.Default().Counter(ShardMetricName("spatialdb_shard_inserts_total", key)),
 		mRTreeNodes: obs.Default().Gauge(ShardMetricName("spatialdb_shard_rtree_nodes", key)),
@@ -302,10 +340,12 @@ func (db *DB) ShardStats() []ShardStat {
 		sh.objMu.RUnlock()
 		sh.readMu.RLock()
 		t := sh.table
-		st.MobileObjects = len(t.rows)
 		st.SupportRects = t.support.Len()
-		for _, rows := range t.rows {
-			st.Readings += len(rows)
+		for _, o := range t.objs {
+			if len(o.rows) > 0 {
+				st.MobileObjects++
+				st.Readings += len(o.rows)
+			}
 		}
 		sh.readMu.RUnlock()
 		out = append(out, st)

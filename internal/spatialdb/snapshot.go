@@ -137,9 +137,10 @@ func (s *Snapshot) SensorGeneration() uint64 { return s.sensors.gen }
 func (s *Snapshot) MobileObjects() []Candidate {
 	var out []Candidate
 	for _, sh := range s.shards {
-		t := sh.table
-		for id, rows := range t.rows {
-			out = append(out, Candidate{ID: id, rows: rows, epoch: t.epochs[id]})
+		for _, o := range sh.table.objs {
+			if len(o.rows) > 0 {
+				out = append(out, o.candidate())
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b Candidate) int { return strings.Compare(a.ID, b.ID) })
@@ -161,6 +162,10 @@ type Candidate struct {
 	rows  []model.Reading
 	epoch uint64
 }
+
+// candidate copies the record's row header and epoch: the record
+// changes after the cut, the candidate must not.
+func (o *objRec) candidate() Candidate { return Candidate{ID: o.id, rows: o.rows, epoch: o.epoch} }
 
 // Epoch returns the candidate's reading epoch at the cut. Epochs are
 // strictly monotonic across floor migrations, so a cached result
@@ -187,12 +192,25 @@ func (c *Candidate) LatestPerSensor(specs map[string]model.SensorSpec, now time.
 // per-shard support R-trees the snapshot holds locked; cost is
 // O(log n + hits) per shard rather than O(all objects). IDs are
 // unique: the cut holds each object in exactly one shard.
+//
+// The support trees carry each hit's record, so a hit costs no lookup,
+// and a counting walk sizes the result first: one allocation when
+// anything is hit, none otherwise.
 func (s *Snapshot) SupportCandidates(region geom.Rect) []Candidate {
-	var out []Candidate
+	n := 0
 	for _, sh := range s.shards {
-		t := sh.table
-		t.support.SearchIntersectFunc(region, func(_ geom.Rect, id string) bool {
-			out = append(out, Candidate{ID: id, rows: t.rows[id], epoch: t.epochs[id]})
+		sh.table.support.SearchIntersectFunc(region, func(geom.Rect, *objRec) bool {
+			n++
+			return true
+		})
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Candidate, 0, n)
+	for _, sh := range s.shards {
+		sh.table.support.SearchIntersectFunc(region, func(_ geom.Rect, o *objRec) bool {
+			out = append(out, o.candidate())
 			return true
 		})
 	}

@@ -186,7 +186,7 @@ type DB struct {
 	// routinely span floors, so the index stays global.
 	trigMu     sync.RWMutex
 	triggers   map[string]*trigger
-	triggerIdx *rtree.Tree
+	triggerIdx *rtree.Tree[*trigger]
 }
 
 // New creates a database over the given coordinate frame tree. The
@@ -197,7 +197,7 @@ func New(frames *coords.Tree, universe geom.Rect) *DB {
 		frames:     frames,
 		shards:     make(map[string]*shard),
 		triggers:   make(map[string]*trigger),
-		triggerIdx: rtree.New(),
+		triggerIdx: rtree.New[*trigger](),
 		universe:   universe,
 	}
 	db.sensorView.Store(&sensorTable{specs: make(map[string]model.SensorSpec)})
@@ -249,7 +249,7 @@ func (db *DB) InsertObject(o Object) error {
 		stored.Properties = props
 	}
 	sh.objects[id] = &stored
-	sh.objIdx.Insert(stored.Bounds, id)
+	sh.objIdx.Insert(stored.Bounds, &stored)
 	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
 	db.objGen.Add(1)
 	return nil
@@ -297,7 +297,7 @@ func (db *DB) DeleteObject(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: object %s", ErrNotFound, id)
 	}
-	sh.objIdx.Delete(o.Bounds, id)
+	sh.objIdx.Delete(o.Bounds, o)
 	delete(sh.objects, id)
 	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
 	db.objGen.Add(1)
@@ -373,10 +373,8 @@ func (db *DB) VisitIntersecting(r geom.Rect, fn func(o *Object)) {
 	defer db.observeQuery(time.Now())
 	for _, sh := range db.allShards() {
 		sh.objMu.RLock()
-		sh.objIdx.SearchIntersectFunc(r, func(_ geom.Rect, id string) bool {
-			if o := sh.objects[id]; o != nil {
-				fn(o)
-			}
+		sh.objIdx.SearchIntersectFunc(r, func(_ geom.Rect, o *Object) bool {
+			fn(o)
 			return true
 		})
 		sh.objMu.RUnlock()
@@ -452,8 +450,7 @@ func (db *DB) Nearest(p geom.Point, k int, f ObjectFilter) []Object {
 			items := sh.objIdx.Nearest(p, fetch)
 			part = part[:0]
 			for _, it := range items {
-				o := sh.objects[it.ID]
-				if o != nil && f.match(o) {
+				if o := it.Value; f.match(o) {
 					part = append(part, cand{obj: o.clone(), dist: it.Rect.DistToPoint(p)})
 					if len(part) == k {
 						break
@@ -534,7 +531,7 @@ func (db *DB) AddTrigger(id, mobjectID string, region geom.Rect) error {
 	}
 	tr := &trigger{id: id, mobject: mobjectID, region: region}
 	db.triggers[id] = tr
-	db.triggerIdx.Insert(region, id)
+	db.triggerIdx.Insert(region, tr)
 	return nil
 }
 
@@ -546,7 +543,7 @@ func (db *DB) RemoveTrigger(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: trigger %s", ErrNotFound, id)
 	}
-	db.triggerIdx.Delete(tr.region, id)
+	db.triggerIdx.Delete(tr.region, tr)
 	delete(db.triggers, id)
 	return nil
 }

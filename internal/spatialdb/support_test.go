@@ -1,6 +1,7 @@
 package spatialdb
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,52 +11,55 @@ import (
 )
 
 // checkSupportInvariant asserts the support-index contract on every
-// shard table (DESIGN.md §17): one R-tree entry per object with stored
-// rows, the cached supRect mirrors the tree entry, and the rect is a
-// conservative superset of the bounding box of the object's stored
-// reading regions. Exactness is NOT required — trims keep the old
-// union — but a missing or too-small rect would make SupportCandidates
-// drop gate-passing objects.
+// shard table (DESIGN.md §17):
+//   - every tree entry's value is the record objs holds for its ID, so
+//     no entry points at a record a migration or DropObject removed;
+//   - an entry is present, once and with the record's sup rect, exactly
+//     when the record is indexed, and a record is indexed exactly when
+//     it has rows;
+//   - the rect is a conservative superset of the bounding box of the
+//     object's stored reading regions.
+//
+// Exactness is NOT required — trims keep the old union — but a missing
+// or too-small rect would make SupportCandidates drop gate-passing
+// objects.
 func checkSupportInvariant(t *testing.T, db *DB) {
 	t.Helper()
 	for _, sh := range db.allShards() {
 		tbl := sh.table
-		if got, want := tbl.support.Len(), len(tbl.supRect); got != want {
-			t.Fatalf("shard %s: support tree has %d entries, supRect has %d", sh.key, got, want)
+		inTree := map[*objRec]bool{}
+		for _, it := range tbl.support.All() {
+			o := it.Value
+			if tbl.objs[o.id] != o {
+				t.Fatalf("shard %s: tree entry for %s is not the record the table holds", sh.key, o.id)
+			}
+			if inTree[o] {
+				t.Fatalf("shard %s: %s has two tree entries", sh.key, o.id)
+			}
+			inTree[o] = true
+			if !o.indexed || !it.Rect.Eq(o.sup) {
+				t.Fatalf("shard %s: %s entry %v, record indexed=%v sup %v", sh.key, o.id, it.Rect, o.indexed, o.sup)
+			}
 		}
-		for id, rows := range tbl.rows {
-			sup, ok := tbl.supRect[id]
-			if len(rows) == 0 {
-				if ok {
-					t.Fatalf("shard %s: %s has no rows but supRect %v", sh.key, id, sup)
-				}
+		for id, o := range tbl.objs {
+			if o.id != id {
+				t.Fatalf("shard %s: record %s filed under %s", sh.key, o.id, id)
+			}
+			if o.indexed != inTree[o] {
+				t.Fatalf("shard %s: %s indexed=%v but in tree=%v", sh.key, id, o.indexed, inTree[o])
+			}
+			if o.indexed != (len(o.rows) > 0) {
+				t.Fatalf("shard %s: %s has %d rows but indexed=%v", sh.key, id, len(o.rows), o.indexed)
+			}
+			if len(o.rows) == 0 {
 				continue
 			}
-			if !ok {
-				t.Fatalf("shard %s: %s has %d rows but no support rect", sh.key, id, len(rows))
-			}
-			u := rows[0].Region
-			for _, r := range rows[1:] {
+			u := o.rows[0].Region
+			for _, r := range o.rows[1:] {
 				u = u.Union(r.Region)
 			}
-			if !sup.ContainsRect(u) {
-				t.Fatalf("shard %s: %s support %v does not cover row bbox %v", sh.key, id, sup, u)
-			}
-			found := false
-			tbl.support.SearchIntersectFunc(sup, func(r geom.Rect, got string) bool {
-				if got == id && r.Eq(sup) {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				t.Fatalf("shard %s: %s supRect %v not present in the R-tree", sh.key, id, sup)
-			}
-		}
-		for id := range tbl.supRect {
-			if len(tbl.rows[id]) == 0 {
-				t.Fatalf("shard %s: supRect entry %s has no stored rows", sh.key, id)
+			if !o.sup.ContainsRect(u) {
+				t.Fatalf("shard %s: %s support %v does not cover row bbox %v", sh.key, id, o.sup, u)
 			}
 		}
 	}
@@ -214,8 +218,11 @@ func TestSupportIndexFollowsFloorMigration(t *testing.T) {
 		t.Fatalf("mover resident on %q, want CS/Floor2", key)
 	}
 	for _, sh := range db.allShards() {
-		tbl := sh.table
-		_, has := tbl.supRect["mover"]
+		o := sh.table.objs["mover"]
+		has := o != nil && o.indexed
+		if sh.key == "CS/Floor1" && o != nil {
+			t.Fatal("source shard still holds mover's record after migration")
+		}
 		if sh.key == "CS/Floor2" && !has {
 			t.Fatal("destination shard has no support entry for mover")
 		}
@@ -288,7 +295,7 @@ func TestSupportSurvivesRingTrim(t *testing.T) {
 	checkSupportInvariant(t, db)
 	for _, sh := range db.allShards() {
 		tbl := sh.table
-		if n := len(tbl.rows["walker"]); n > 0 {
+		if n := len(tbl.rowsOf("walker")); n > 0 {
 			if tbl.support.Len() != 1 {
 				t.Fatalf("support tree has %d entries, want 1", tbl.support.Len())
 			}
@@ -299,5 +306,73 @@ func TestSupportSurvivesRingTrim(t *testing.T) {
 	}
 	if ids := candidateIDs(db, geom.R(0, 0, 500, 100)); !ids["walker"] {
 		t.Fatal("walker lost its support entry across trims")
+	}
+}
+
+// TestPruneKeepsRecordAndEpoch empties an object by TTL, through
+// either prune path. Its record and epoch stay, so a returning reading
+// continues the epoch: one restarted at 0 could meet a fusion cached
+// under the same (object, epoch, sensor generation). Every listing of
+// mobile objects leaves the empty record out.
+func TestPruneKeepsRecordAndEpoch(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		prune func(db *DB, now time.Time)
+	}{
+		{"ReadingsFor", func(db *DB, now time.Time) { db.ReadingsFor("ghost", now) }},
+		{"ExpireReadings", func(db *DB, now time.Time) { db.ExpireReadings(now, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := multiFloorDB(t, 1)
+			short := longSpec()
+			short.TTL = 10 * time.Second
+			if err := db.RegisterSensor("s1", short); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.RegisterSensor("s2", longSpec()); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range []model.Reading{
+				floorReading("s1", "ghost", 1, 10, 10, t0),
+				floorReading("s1", "ghost", 1, 20, 10, t0.Add(time.Second)),
+				floorReading("s2", "stay", 1, 30, 10, t0),
+			} {
+				if err := db.InsertReading(r); err != nil {
+					t.Fatalf("reading %d: %v", i, err)
+				}
+			}
+			before := db.ReadingEpoch("ghost")
+			later := t0.Add(time.Hour)
+			c.prune(db, later)
+			checkSupportInvariant(t, db)
+
+			if e := db.ReadingEpoch("ghost"); e != before {
+				t.Fatalf("epoch after the prune = %d, want %d kept", e, before)
+			}
+			if ids := db.MobileObjects(); len(ids) != 1 || ids[0] != "stay" {
+				t.Fatalf("MobileObjects = %v, want [stay]", ids)
+			}
+			snap := db.Snapshot()
+			cands := snap.MobileObjects()
+			snap.Close()
+			if len(cands) != 1 || cands[0].ID != "stay" {
+				t.Fatalf("Snapshot.MobileObjects = %v, want stay alone", cands)
+			}
+			st := db.ShardStats()[0]
+			if st.MobileObjects != 1 || st.Readings != 1 || st.SupportRects != 1 {
+				t.Fatalf("ShardStats = %+v, want 1 mobile object, 1 reading, 1 support rect", st)
+			}
+			if strings.Contains(db.DumpReadingTable(), "ghost") {
+				t.Fatal("the reading table dump lists the emptied object")
+			}
+
+			if err := db.InsertReading(floorReading("s1", "ghost", 1, 40, 10, later)); err != nil {
+				t.Fatal(err)
+			}
+			checkSupportInvariant(t, db)
+			if e := db.ReadingEpoch("ghost"); e <= before {
+				t.Fatalf("epoch after the return = %d, want above %d", e, before)
+			}
+		})
 	}
 }
