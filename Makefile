@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrency-gate e2e-bench shard-stress bench vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke compat check
+.PHONY: build test race concurrency-gate e2e-bench shard-stress bench vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -77,7 +77,6 @@ vet:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/mwrpc
-	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONFallback$$' -fuzztime $(FUZZTIME) ./internal/mwrpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReadings$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStreamAck$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNotification$$' -fuzztime $(FUZZTIME) ./internal/remote
@@ -85,15 +84,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegionQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryReplies$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzProbRegion$$' -fuzztime $(FUZZTIME) ./internal/fusion
-
-# Protocol-compat suite: the remote integration/chaos/stream tests and
-# the adapter layer under one MW_WIRE pairing ("client/daemon"). CI
-# runs all four pairings — binary/binary, binary/json, json/binary,
-# json/json — so a codec mismatch can never negotiate its way into
-# silently different behaviour.
-MW_WIRE ?= binary/binary
-compat:
-	MW_WIRE='$(MW_WIRE)' $(GO) test -race -count=1 ./internal/remote/ ./internal/adapter/
 
 # Fault-injection suite: the faultnet harness plus the chaos tests
 # that drive the remote stack through it, under the race detector.
@@ -174,10 +164,6 @@ fmt:
 fmt-write:
 	gofmt -l -w .
 
-# The default `race` run is the binary/binary compat pairing; the
-# fuzz smoke runs at a shorter FUZZTIME than CI's.
+# The fuzz smoke runs at a shorter FUZZTIME than CI's.
 check: build vet fmt test race concurrency-gate shard-stress bench chaos chaos-federation obs stats-demo
-	$(MAKE) compat MW_WIRE=binary/json
-	$(MAKE) compat MW_WIRE=json/binary
-	$(MAKE) compat MW_WIRE=json/json
 	$(MAKE) fuzz-smoke FUZZTIME=5s

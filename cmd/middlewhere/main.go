@@ -12,7 +12,6 @@
 //	middlewhere -building synthetic -rows 5 -cols 8
 //	middlewhere -floorplan plan.json
 //	middlewhere -addr :7700 -trace -debug-addr 127.0.0.1:7771
-//	middlewhere -addr :7700 -wire json          # disable the binary codec
 //
 // With -debug-addr the daemon serves /metrics (Prometheus text),
 // /debug/traces (JSON), and /debug/pprof/* on that address; -trace
@@ -46,7 +45,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "optional address for /metrics, /debug/traces, and pprof")
 		trace        = flag.Bool("trace", false, "record per-reading pipeline span traces")
 		slo          = flag.String("slo", "", `latency objectives, e.g. "ingest=p99<2ms,query=p99<10ms@30s" (mwctl health -v reports them)`)
-		wire         = flag.String("wire", "", `RPC framing to offer: "binary" (negotiate, the default), "binary!" (strict), or "json"; overrides MW_WIRE`)
 	)
 	flag.Parse()
 	middlewhere.EnableObservability(*trace)
@@ -62,7 +60,7 @@ func main() {
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := run(*addr, *regAddr, *name, *buildingKind, *floorplan, *wire, *floors, *slo, *rows, *cols, stop); err != nil {
+	if err := run(*addr, *regAddr, *name, *buildingKind, *floorplan, *floors, *slo, *rows, *cols, stop); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -102,7 +100,7 @@ func loadBuilding(buildingKind, floorplan string, rows, cols int) (*middlewhere.
 	}
 }
 
-func run(addr, regAddr, name, buildingKind, floorplan, wire, floors, slo string, rows, cols int, stop <-chan os.Signal) error {
+func run(addr, regAddr, name, buildingKind, floorplan, floors, slo string, rows, cols int, stop <-chan os.Signal) error {
 	bld, kindLabel, err := loadBuilding(buildingKind, floorplan, rows, cols)
 	if err != nil {
 		return err
@@ -116,9 +114,6 @@ func run(addr, regAddr, name, buildingKind, floorplan, wire, floors, slo string,
 	defer svc.Close()
 
 	srv := middlewhere.NewRemoteServer(svc)
-	if wire != "" {
-		srv.SetWire(middlewhere.ParseWire(wire))
-	}
 	if slo != "" {
 		objectives, err := middlewhere.ParseSLOs(slo, nil)
 		if err != nil {

@@ -85,7 +85,7 @@ func TestDaemonRunAndShutdown(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", regAddr, "test-loc", "paper", "", "", "", "", 0, 0, stop)
+		done <- run("127.0.0.1:0", regAddr, "test-loc", "paper", "", "", "", 0, 0, stop)
 	}()
 
 	// The daemon registers itself; poll the registry until it shows up.
@@ -142,7 +142,7 @@ func TestDaemonFederatedRun(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", regAddr, "cs-3", "paper", "", "", "CS/Floor3, CS/Floor2", "", 0, 0, stop)
+		done <- run("127.0.0.1:0", regAddr, "cs-3", "paper", "", "CS/Floor3, CS/Floor2", "", 0, 0, stop)
 	}()
 
 	rc, err := middlewhere.DialRegistry(regAddr)
@@ -195,7 +195,7 @@ func TestDaemonFederatedRun(t *testing.T) {
 
 func TestDaemonFloorsWithoutRegistry(t *testing.T) {
 	stop := make(chan os.Signal, 1)
-	if err := run("127.0.0.1:0", "", "x", "paper", "", "", "CS/Floor3", "", 0, 0, stop); err == nil ||
+	if err := run("127.0.0.1:0", "", "x", "paper", "", "CS/Floor3", "", 0, 0, stop); err == nil ||
 		!strings.Contains(err.Error(), "-floors requires -registry") {
 		t.Errorf("floors without registry: err = %v", err)
 	}
@@ -205,7 +205,7 @@ func TestDaemonNoRegistry(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "", "x", "synthetic", "", "", "", "", 2, 2, stop)
+		done <- run("127.0.0.1:0", "", "x", "synthetic", "", "", "", 2, 2, stop)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	stop <- os.Interrupt
@@ -221,7 +221,7 @@ func TestDaemonNoRegistry(t *testing.T) {
 
 func TestDaemonBadRegistry(t *testing.T) {
 	stop := make(chan os.Signal, 1)
-	if err := run("127.0.0.1:0", "127.0.0.1:1", "x", "paper", "", "", "", "", 0, 0, stop); err == nil {
+	if err := run("127.0.0.1:0", "127.0.0.1:1", "x", "paper", "", "", "", 0, 0, stop); err == nil {
 		t.Error("unreachable registry should fail")
 	}
 }

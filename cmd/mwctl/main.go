@@ -47,15 +47,11 @@ func main() {
 		name    = flag.String("name", "location-service", "service name for registry lookup")
 		retries = flag.Int("retries", 0, "dial/reconnect attempts per round (0 = default)")
 		timeout = flag.Duration("timeout", 0, "per-call RPC timeout (0 = default)")
-		wire    = flag.String("wire", "", `RPC framing: "binary" (negotiate, the default), "binary!" (strict), or "json"; overrides MW_WIRE`)
 	)
 	flag.Parse()
 	opts := middlewhere.RemoteDialOptions{
 		DialAttempts: *retries,
 		CallTimeout:  *timeout,
-	}
-	if *wire != "" {
-		opts.Wire = middlewhere.ParseWire(*wire)
 	}
 	if err := run(*addr, *regAddr, *name, opts, flag.Args()); err != nil {
 		log.Fatal(err)
@@ -433,8 +429,8 @@ func runHealth(c *middlewhere.RemoteClient, verbose bool) error {
 		h.Status, (time.Duration(h.UptimeSeconds * float64(time.Second))).Round(time.Second),
 		h.Ingested, h.Notifications, h.Subscriptions, h.Sensors, h.QueueDepth, h.QueueCap)
 	ch := c.Health()
-	fmt.Printf("client: %s conn=%s wire=%s reconnects=%d malformed=%d deduped=%d sensors=%d subs=%d\n",
-		ch.State, ch.Conn, c.WireCodec(), ch.Reconnects, ch.MalformedNotifications, ch.DedupedNotifications,
+	fmt.Printf("client: %s conn=%s reconnects=%d malformed=%d deduped=%d sensors=%d subs=%d\n",
+		ch.State, ch.Conn, ch.Reconnects, ch.MalformedNotifications, ch.DedupedNotifications,
 		ch.Sensors, ch.Subscriptions)
 	if verbose && h.Federation != nil {
 		fmt.Printf("federation: daemon=%s placement=v%d\n", h.Federation.Daemon, h.Federation.PlacementVersion)

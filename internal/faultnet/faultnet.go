@@ -5,12 +5,13 @@
 // and deterministically (every probabilistic decision draws from a
 // seeded stream), so chaos tests are reproducible bit-for-bit.
 //
-// The proxy understands mwrpc's length-prefixed framing: with
-// FrameDropRate set it parses each 4-byte big-endian length + body
-// frame and decides per frame whether to forward it. Because TCP
-// cannot lose bytes silently — a byte stream either delivers in order
-// or the connection dies — dropping a frame also severs the carrying
-// connection, exactly as a link flap would surface to the endpoints.
+// The proxy understands mwrpc's framing: with FrameDropRate set it
+// parses each frame (a 24-byte header carrying the payload length,
+// then the payload) and decides per frame whether to forward it.
+// Because TCP cannot lose bytes silently — a byte stream either
+// delivers in order or the connection dies — dropping a frame also
+// severs the carrying connection, exactly as a link flap would surface
+// to the endpoints.
 // Raw (non-framed) traffic can instead be delayed, truncated after a
 // byte budget, blackholed (partition), or reset.
 //
@@ -44,7 +45,7 @@ type Config struct {
 	// Dropping a frame severs the carrying connection (TCP delivers in
 	// order or dies; it never loses bytes silently). Non-zero rates
 	// switch the proxy into frame-aware forwarding, which assumes
-	// mwrpc's 4-byte big-endian length prefix.
+	// mwrpc's 24-byte frame header.
 	FrameDropRate float64
 	// Delay adds fixed latency before each forwarded frame or chunk.
 	Delay time.Duration
@@ -298,60 +299,36 @@ func (p *Proxy) dropFrame() bool {
 	return p.rng.Float64() < p.cfg.FrameDropRate
 }
 
-// binMagic marks an mwrpc binary frame (24-byte fixed header with the
-// payload length at bytes 4..8); anything else is the JSON codec's
-// 4-byte length prefix. The proxy understands both so frame faults can
-// be injected whichever codec the peers negotiated.
-const binMagic = 0xB1
+// An mwrpc frame starts with the magic 0xB1; its 24-byte header holds
+// the payload length at bytes 4..8.
+const (
+	binMagic     = 0xB1
+	binHeaderLen = 24
+)
 
-// pipeFrames relays whole frames; a dropped frame severs the link.
+// pipeFrames relays whole frames; a dropped frame severs the link, as
+// does a frame without the magic or longer than the cap.
 func (p *Proxy) pipeFrames(l *link, src, dst net.Conn) {
 	var budget int64 = -1
 	if p.cfg.TruncateAfter > 0 {
 		budget = p.cfg.TruncateAfter
 	}
 	for {
-		var hdr [4]byte
+		var hdr [binHeaderLen]byte
 		if _, err := io.ReadFull(src, hdr[:]); err != nil {
 			return
 		}
-		var n uint32
-		if hdr[0] == binMagic {
-			// Binary frame: finish the 24-byte header; payload length
-			// lives at header bytes 4..8.
-			rest := make([]byte, 20)
-			if _, err := io.ReadFull(src, rest); err != nil {
-				return
-			}
-			n = binary.BigEndian.Uint32(rest[:4])
-			if int(n) > p.cfg.maxFrame() {
-				p.countKill()
-				return
-			}
-			frame := make([]byte, 0, 24+int(n))
-			frame = append(frame, hdr[:]...)
-			frame = append(frame, rest...)
-			body := make([]byte, n)
-			if _, err := io.ReadFull(src, body); err != nil {
-				return
-			}
-			frame = append(frame, body...)
-			if p.forwardFrame(frame, dst, &budget) {
-				continue
-			}
-			return
-		}
-		n = binary.BigEndian.Uint32(hdr[:])
-		if int(n) > p.cfg.maxFrame() {
+		n := binary.BigEndian.Uint32(hdr[4:8])
+		if hdr[0] != binMagic || int(n) > p.cfg.maxFrame() {
 			p.countKill()
 			return
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(src, body); err != nil {
+		frame := make([]byte, binHeaderLen+int(n))
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(src, frame[binHeaderLen:]); err != nil {
 			return
 		}
-		out := append(hdr[:], body...)
-		if !p.forwardFrame(out, dst, &budget) {
+		if !p.forwardFrame(frame, dst, &budget) {
 			return
 		}
 	}

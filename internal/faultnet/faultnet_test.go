@@ -34,11 +34,12 @@ func echoServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// frame encodes one length-prefixed message.
+// frame encodes one message behind an mwrpc frame header.
 func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(body)))
-	copy(out[4:], body)
+	out := make([]byte, binHeaderLen+len(body))
+	out[0] = binMagic
+	binary.BigEndian.PutUint32(out[4:], uint32(len(body)))
+	copy(out[binHeaderLen:], body)
 	return out
 }
 

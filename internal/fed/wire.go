@@ -12,9 +12,9 @@ import (
 // Wire types for the federation RPCs. The fed package owns both ends
 // of every frame it speaks — the router sends these structs and the
 // remote server's handlers unmarshal into them — so the two sides can
-// never drift. All federation methods are plain JSON frames: the
-// mwrpc binary codec carries unknown method names via its named-method
-// escape, so no codec table changes are needed.
+// never drift. All federation methods carry JSON payloads: mwrpc
+// carries method names missing from its code table via its
+// named-method escape, so no table changes are needed.
 const (
 	// MethodMigrate is the prepare half of the object handoff: the
 	// destination merges the carried rows idempotently and replies; the
@@ -131,7 +131,7 @@ type MigrateArgs struct {
 	// Trace is the obs trace ID of the operation that provoked the
 	// handoff, so the migration hop shows up in that trace's span tree.
 	// It also rides the mwrpc frame header; the body copy keeps the
-	// wire format self-describing in both codecs.
+	// JSON payload self-describing.
 	Trace string `json:"trace,omitempty"`
 }
 

@@ -3,14 +3,15 @@ package mwrpc
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"io"
 	"net"
 	"testing"
 	"time"
 )
 
 // TestServerSurvivesGarbageBytes throws raw garbage at the server: the
-// offending connection is dropped, the server keeps serving others.
+// offending connection is dropped and counted as malformed, and the
+// server keeps serving others.
 func TestServerSurvivesGarbageBytes(t *testing.T) {
 	_, addr := startServer(t)
 
@@ -21,45 +22,40 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 	defer good.Close()
 
+	// dropped writes b on a fresh connection and requires the server to
+	// close it and count one more malformed frame.
+	dropped := func(what string, b []byte) {
+		t.Helper()
+		before := mDecodeBad.Value()
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if _, err := raw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := raw.Read(make([]byte, 1)); err == nil {
+			t.Errorf("%s: server kept the connection open", what)
+		}
+		if got := mDecodeBad.Value(); got <= before {
+			t.Errorf("%s: mwrpc_frames_malformed_total = %d, want > %d", what, got, before)
+		}
+	}
+
 	// Raw garbage: not even a frame header.
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	raw.Close()
+	dropped("HTTP request", []byte("GET / HTTP/1.1\r\n\r\n"))
 
-	// A frame header claiming an absurd size.
-	huge, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<31)
-	if _, err := huge.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The server must close the connection on an oversized frame.
-	huge.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := huge.Read(buf); err == nil {
-		t.Error("server kept an oversized-frame connection open")
-	}
-	huge.Close()
+	// A header claiming an absurd size.
+	var hdr [binHeaderLen]byte
+	hdr[0], hdr[1] = binMagic, kindReq
+	binary.BigEndian.PutUint32(hdr[4:], 1<<31)
+	dropped("oversized frame", hdr[:])
 
-	// A valid length prefix with invalid JSON.
-	badJSON, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("{not-json")
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := badJSON.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	badJSON.Close()
+	// A request in the retired length-prefixed JSON envelope.
+	body := `{"kind":"req","id":1,"method":"echo","params":{"text":"hi"}}`
+	dropped("length-prefixed JSON", append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
 
 	// The good client is unaffected.
 	var reply echoReply
@@ -71,8 +67,8 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 }
 
-// TestServerIgnoresNonRequestFrames sends a syntactically valid frame
-// with a kind the server does not handle.
+// TestServerIgnoresNonRequestFrames sends a well-formed frame with a
+// kind the server does not handle.
 func TestServerIgnoresNonRequestFrames(t *testing.T) {
 	_, addr := startServer(t)
 	raw, err := net.Dial("tcp", addr)
@@ -80,18 +76,13 @@ func TestServerIgnoresNonRequestFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	body, _ := json.Marshal(wire{Kind: "push", Stream: "spoofed"})
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := raw.Write(append(hdr[:], body...)); err != nil {
+	if err := writeFrame(raw, frame{kind: kindPush, method: "spoofed"}); err != nil {
 		t.Fatal(err)
 	}
 	// Follow with a real request on the same connection: the server
 	// must still answer it.
-	req, _ := json.Marshal(wire{Kind: "req", ID: 1, Method: "echo",
-		Params: json.RawMessage(`{"text":"hi"}`)})
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(req)))
-	if _, err := raw.Write(append(hdr[:], req...)); err != nil {
+	if err := writeFrame(raw, frame{kind: kindReq, id: 1, method: "echo",
+		payload: []byte(`{"text":"hi"}`)}); err != nil {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -101,6 +92,51 @@ func TestServerIgnoresNonRequestFrames(t *testing.T) {
 	}
 	if resp.kind != kindResp || resp.id != 1 {
 		t.Errorf("resp = %+v", resp)
+	}
+}
+
+// TestDialSendsNoHandshake: DialOptions returns as soon as TCP
+// connects, without the peer writing a byte, and the first frame on
+// the wire is the first call — magic first, the called method's code
+// in the header.
+func TestDialSendsNoHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- conn // the peer stays silent
+	}()
+	c, err := DialOptions(ln.Addr().String(), Options{CallTimeout: time.Second})
+	if err != nil {
+		t.Fatalf("dial against a silent peer: %v", err)
+	}
+	defer c.Close()
+	var peer net.Conn
+	select {
+	case peer = <-accepted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("listener never accepted")
+	}
+	defer peer.Close()
+
+	go c.Call("mw.health", struct{}{}, nil) // times out: the peer never replies
+	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var hdr [binHeaderLen]byte
+	if _, err := io.ReadFull(peer, hdr[:]); err != nil {
+		t.Fatalf("no frame from the first call: %v", err)
+	}
+	if hdr[0] != binMagic || hdr[1] != kindReq {
+		t.Fatalf("first frame starts % x, want magic 0x%x and a request", hdr[:2], binMagic)
+	}
+	if want := methodCodes["mw.health"]; hdr[3] != want {
+		t.Errorf("first frame's method code = %d, want mw.health's %d", hdr[3], want)
 	}
 }
 
@@ -122,9 +158,7 @@ func TestClientSurvivesServerGarbage(t *testing.T) {
 	}()
 	c, err := Dial(ln.Addr().String())
 	if err != nil {
-		// Dial negotiates the codec, so the garbage already surfaced
-		// there — a clean, prompt failure is exactly what we want.
-		return
+		t.Fatal(err)
 	}
 	defer c.Close()
 	c.Timeout = 2 * time.Second
@@ -144,7 +178,7 @@ func TestSlowLorisHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stall.Close()
-	if _, err := stall.Write([]byte{0, 0}); err != nil {
+	if _, err := stall.Write([]byte{binMagic, kindReq}); err != nil {
 		t.Fatal(err)
 	}
 	// Meanwhile a real client gets served.

@@ -1,7 +1,7 @@
-// Fuzz targets for the frame decoders, run by the CI fuzz job as a
-// short smoke (go test -fuzz -fuzztime 30s per target). Seed corpora
-// live in testdata/fuzz/<Target>/ in Go's file form; regenerate them
-// with MW_WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus.
+// Fuzz target for the frame decoder, run by the CI fuzz job as a short
+// smoke (go test -fuzz -fuzztime 30s). Its seed corpus lives in
+// testdata/fuzz/FuzzReadFrame/ in Go's file form; regenerate it with
+// MW_WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus.
 //
 // The property under test is uniform: a decoder fed arbitrary bytes
 // must return an error or a bounded frame — never panic, never
@@ -21,75 +21,57 @@ import (
 
 // mustEncode builds a seed frame, panicking on encoder misuse (seeds
 // are static, so a failure is a bug in the seed table).
-func mustEncode(f frame, bin bool) []byte {
-	var b []byte
-	var err error
-	if bin {
-		b, err = appendBinaryFrame(nil, f)
-	} else {
-		b, err = appendJSONFrame(nil, f)
-	}
+func mustEncode(f frame) []byte {
+	b, err := appendBinaryFrame(nil, f)
 	if err != nil {
 		panic(err)
 	}
 	return b
 }
 
-// readFrameSeeds seeds FuzzReadFrame: well-formed frames in both
-// codecs, plus classic malformations.
+// jsonEnvelope frames body the way the retired JSON codec did: a
+// 4-byte big-endian length, then the JSON object. Such bytes must now
+// be rejected as malformed.
+func jsonEnvelope(body string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// readFrameSeeds seeds FuzzReadFrame: well-formed frames, plus classic
+// malformations that must error.
 func readFrameSeeds() [][]byte {
 	return [][]byte{
-		// Binary request, coded method, binary payload.
+		// Request, coded method, binary payload.
 		mustEncode(frame{kind: kindReq, id: 1, method: "mw.ingestBatch",
-			binary: true, payload: []byte{0x01, 0x02, 0x03}}, true),
-		// Binary request, named method with a trace.
+			binary: true, payload: []byte{0x01, 0x02, 0x03}}),
+		// Request, named method with a trace and a JSON payload.
 		mustEncode(frame{kind: kindReq, id: 9, method: "custom.method",
-			trace: "t-1", payload: []byte(`{"a":1}`)}, true),
-		// Binary error response.
-		mustEncode(frame{kind: kindResp, id: 2, errMsg: "boom"}, true),
-		// Binary push.
+			trace: "t-1", payload: []byte(`{"a":1}`)}),
+		// Error response.
+		mustEncode(frame{kind: kindResp, id: 2, errMsg: "boom"}),
+		// Push.
 		mustEncode(frame{kind: kindPush, method: "mw.notify",
-			binary: true, payload: []byte{0x00}}, true),
+			binary: true, payload: []byte{0x00}}),
 		// Stream batch and ack.
 		mustEncode(frame{kind: kindStreamBatch, id: 7, seq: 3,
-			binary: true, payload: []byte{0x01}}, true),
+			binary: true, payload: []byte{0x01}}),
 		mustEncode(frame{kind: kindStreamAck, id: 7, seq: 3,
-			payload: []byte(`{"accepted":1}`)}, true),
-		// JSON request and stream batch.
-		mustEncode(frame{kind: kindReq, id: 1, method: "echo",
-			payload: []byte(`{"text":"hi"}`)}, false),
-		mustEncode(frame{kind: kindStreamBatch, id: 4, seq: 1,
-			payload: []byte(`{"readings":[]}`)}, false),
+			binary: true, payload: []byte{0x01, 0x00}}),
+		// The retired JSON envelope: a request and a stream batch.
+		jsonEnvelope(`{"kind":"req","id":1,"method":"echo","params":{"text":"hi"}}`),
+		jsonEnvelope(`{"kind":"sbatch","id":4,"seq":1,"params":{"readings":[]}}`),
 		// Not a frame at all.
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
-		// Truncated binary header.
+		// Truncated header.
 		{binMagic, kindReq, 0},
-		// Binary header claiming an oversized payload.
+		// Header claiming an oversized payload.
 		{binMagic, kindReq, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF,
 			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
 	}
 }
 
-// jsonBodySeeds seeds FuzzReadJSONFallback: envelope bodies that the
-// fuzzer mutates behind a correct length prefix, steering it into the
-// JSON decode path rather than the framing.
-func jsonBodySeeds() [][]byte {
-	return [][]byte{
-		[]byte(`{"kind":"req","id":1,"method":"echo","params":{"text":"hi"}}`),
-		[]byte(`{"kind":"resp","id":1,"result":"ok"}`),
-		[]byte(`{"kind":"resp","id":2,"error":"boom"}`),
-		[]byte(`{"kind":"push","stream":"mw.notify","params":{}}`),
-		[]byte(`{"kind":"sbatch","id":3,"seq":1,"params":{"readings":[]}}`),
-		[]byte(`{"kind":"sack","id":3,"seq":1,"params":{"accepted":4}}`),
-		[]byte(`{not-json`),
-		{},
-	}
-}
-
-// FuzzReadFrame feeds raw connection bytes to the frame reader: the
-// first byte dispatches between the binary codec (magic 0xB1) and the
-// JSON length-prefix fallback, so this target covers the dispatch and
-// the binary header/payload parser.
+// FuzzReadFrame feeds raw connection bytes to the frame reader: it
+// covers the magic check and the header/payload parser. Bytes that do
+// not start with the magic must never decode.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range readFrameSeeds() {
 		f.Add(s)
@@ -99,32 +81,11 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[0] != binMagic {
+			t.Fatalf("frame starting 0x%02x decoded", data[0])
+		}
 		if len(fr.payload) > maxFrame {
 			t.Fatalf("decoded payload of %d bytes exceeds maxFrame", len(fr.payload))
-		}
-	})
-}
-
-// FuzzReadJSONFallback frames the fuzzed body behind a correct JSON
-// length prefix, so every execution exercises the fallback envelope
-// decode (the path old daemons and MW_WIRE=json stacks stay on).
-func FuzzReadJSONFallback(f *testing.F) {
-	for _, s := range jsonBodySeeds() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if len(body) > maxFrame {
-			body = body[:maxFrame]
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		data := append(hdr[:], body...)
-		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		if fr.binary {
-			t.Fatal("JSON envelope decoded as a binary payload")
 		}
 	})
 }
@@ -150,5 +111,4 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 	write("FuzzReadFrame", readFrameSeeds())
-	write("FuzzReadJSONFallback", jsonBodySeeds())
 }

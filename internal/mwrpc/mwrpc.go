@@ -13,21 +13,16 @@
 //     grants byte/batch credits that bound the in-flight window
 //     (credit-based backpressure).
 //
-// Two codecs share the connection. The mandatory fallback is the
-// original length-prefixed JSON envelope (4-byte big-endian length +
-// JSON object), which every peer speaks. At dial time a client may
-// negotiate the compact binary codec ("mwrpc.hello"): fixed 24-byte
-// headers carrying frame kind, flags, a method code, the payload
-// length, a correlation ID, and a stream sequence number, followed by
-// the payload. Hot payloads (batched ingest, notification pushes,
-// region queries) are hand-rolled binary; everything else travels as
-// JSON bytes inside binary framing. Encode uses pooled buffers and one
-// write per frame, so the steady-state encode path allocates nothing.
-//
-// A binary frame's first byte is the magic 0xB1; a JSON frame's first
-// byte is always 0x00 (the high byte of a length ≤ 1 MiB), so the read
-// side detects the codec per frame and negotiation only ever gates the
-// write side. Old peers that never negotiate see pure JSON.
+// Every frame is binary: a fixed 24-byte header carrying the magic
+// 0xB1, frame kind, flags, a method code, the payload length, a
+// correlation ID and a stream sequence number, followed by the
+// payload. Both sides speak it from the first byte; there is no
+// handshake. Hot payloads (batched ingest, Locate, region queries,
+// notification pushes, stream batches and acks) are hand-rolled
+// binary; control-plane methods carry JSON bytes inside the frame. A
+// frame that does not start with the magic is malformed and drops the
+// connection. Encode uses pooled buffers and one write per frame, so
+// the steady-state encode path allocates nothing.
 package mwrpc
 
 import (
@@ -38,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,10 +42,10 @@ import (
 // maxFrame bounds a single message.
 const maxFrame = 1 << 20
 
-// binMagic marks a binary frame; JSON frames always begin 0x00.
+// binMagic is the first byte of every frame.
 const binMagic = 0xB1
 
-// Frame kinds (binary byte 1; JSON "kind" strings map onto these).
+// Frame kinds (header byte 1).
 const (
 	kindReq         = 1
 	kindResp        = 2
@@ -60,7 +54,7 @@ const (
 	kindStreamAck   = 5
 )
 
-// Header flags (binary byte 2).
+// Header flags (header byte 2).
 const (
 	flagBinaryPayload = 1 << 0 // payload is hand-rolled binary, not JSON
 	flagError         = 1 << 1 // response payload is an error message
@@ -68,75 +62,31 @@ const (
 	flagTrace         = 1 << 3 // trace ID prefixes the payload
 )
 
-// binHeaderLen is the fixed binary header size: magic, kind, flags,
-// method code, payload length (u32), correlation ID (u64), seq (u64).
+// binHeaderLen is the fixed header size: magic, kind, flags, method
+// code, payload length (u32), correlation ID (u64), seq (u64).
 const binHeaderLen = 24
 
-// Codec identifies a negotiated wire codec.
+// Codec names a frame codec.
+//
+// Deprecated: every connection speaks the binary frame. Codec and
+// CodecBinary remain only for callers that still compare against them.
 type Codec uint8
 
-// Codecs.
-const (
-	CodecJSON Codec = iota
-	CodecBinary
-)
+// CodecBinary is the one frame codec.
+//
+// Deprecated: see Codec.
+const CodecBinary Codec = 1
 
-// String names the codec as it appears in negotiation and metrics.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// WirePref says which codec a dialer wants.
+// WirePref once chose between codecs at dial time.
+//
+// Deprecated: there is nothing to choose; WirePref and WireBinary
+// remain only for callers that still name them.
 type WirePref int
 
-// Wire preferences. The zero value negotiates binary with a JSON
-// fallback, so new stacks get the compact codec and old daemons keep
-// working.
-const (
-	// WireAuto negotiates binary and falls back to JSON when the peer
-	// declines or predates negotiation.
-	WireAuto WirePref = iota
-	// WireJSON skips negotiation and speaks the JSON envelope only.
-	WireJSON
-	// WireBinary requires the binary codec; dialing fails if the peer
-	// declines.
-	WireBinary
-)
-
-// WireEnv is the environment knob the CI compat matrix sets:
-// "binary", "json", or a "client/daemon" pair such as "json/binary".
-const WireEnv = "MW_WIRE"
-
-// ParseWire maps one knob word to a preference; unknown words are
-// Auto. "binary" prefers binary but keeps the JSON fallback — that is
-// what lets the compat matrix pair a binary-preferring client with a
-// JSON-only daemon — while "binary!" demands it and fails the dial if
-// the peer declines.
-func ParseWire(s string) WirePref {
-	switch strings.TrimSpace(s) {
-	case "json":
-		return WireJSON
-	case "binary!":
-		return WireBinary
-	default: // "binary", "auto", ""
-		return WireAuto
-	}
-}
-
-// WireFromEnv reads MW_WIRE and returns the client-side dial
-// preference and the daemon-side preference (WireJSON means the daemon
-// declines binary negotiation). A single word applies to both roles;
-// "client/daemon" splits them.
-func WireFromEnv(env string) (client, daemon WirePref) {
-	if i := strings.IndexByte(env, '/'); i >= 0 {
-		return ParseWire(env[:i]), ParseWire(env[i+1:])
-	}
-	p := ParseWire(env)
-	return p, p
-}
+// WireBinary is the one wire preference.
+//
+// Deprecated: see WirePref.
+const WireBinary WirePref = 0
 
 // Frame-level metrics, cached once so the hot path is pure atomics.
 var (
@@ -151,16 +101,8 @@ var (
 	mCallErrors     = obs.Default().Counter("mwrpc_call_errors_total")
 	mPushesSent     = obs.Default().Counter("mwrpc_pushes_sent_total")
 	mServedRequests = obs.Default().Counter("mwrpc_requests_served_total")
-
-	// Per-codec traffic and negotiation outcomes.
-	mSentJSON   = obs.Default().Counter(`mwrpc_codec_frames_sent_total{name="json"}`)
-	mSentBin    = obs.Default().Counter(`mwrpc_codec_frames_sent_total{name="binary"}`)
-	mRecvJSON   = obs.Default().Counter(`mwrpc_codec_frames_received_total{name="json"}`)
-	mRecvBin    = obs.Default().Counter(`mwrpc_codec_frames_received_total{name="binary"}`)
-	mNegoJSON   = obs.Default().Counter(`mwrpc_codec_negotiated_total{name="json"}`)
-	mNegoBin    = obs.Default().Counter(`mwrpc_codec_negotiated_total{name="binary"}`)
-	mStreamSent = obs.Default().Counter("mwrpc_stream_batches_sent_total")
-	mStreamAcks = obs.Default().Counter("mwrpc_stream_acks_sent_total")
+	mStreamSent     = obs.Default().Counter("mwrpc_stream_batches_sent_total")
+	mStreamAcks     = obs.Default().Counter("mwrpc_stream_acks_sent_total")
 )
 
 // Sentinel errors.
@@ -173,6 +115,8 @@ var (
 	// peer's credit window is exhausted; the caller should buffer or
 	// shed and retry after an ack replenishes the window.
 	ErrNoCredit = errors.New("mwrpc: stream credits exhausted")
+
+	errBadMagic = errors.New("mwrpc: frame does not start with 0xB1")
 )
 
 // Appender writes a binary payload by extending buf and returning the
@@ -180,31 +124,7 @@ var (
 // straight into the pooled frame buffer.
 type Appender func(buf []byte) []byte
 
-// wire is the JSON on-the-wire message envelope (the fallback codec).
-type wire struct {
-	// Kind is "req", "resp", "push", "sbatch", or "sack".
-	Kind string `json:"kind"`
-	// ID correlates requests and responses; for stream frames it is the
-	// stream ID.
-	ID uint64 `json:"id,omitempty"`
-	// Seq orders stream batches and cumulatively acknowledges them.
-	Seq uint64 `json:"seq,omitempty"`
-	// Method names the called procedure (requests).
-	Method string `json:"method,omitempty"`
-	// Params carries the request/stream-batch payload.
-	Params json.RawMessage `json:"params,omitempty"`
-	// Result carries the response/push/ack payload.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Error carries a response error message.
-	Error string `json:"error,omitempty"`
-	// Stream names the push channel (pushes).
-	Stream string `json:"stream,omitempty"`
-	// Trace carries an obs trace ID so a notification on the server can
-	// be attributed to the sensor reading (and client) that caused it.
-	Trace string `json:"trace,omitempty"`
-}
-
-// frame is the codec-independent in-memory form of one message.
+// frame is the in-memory form of one message.
 type frame struct {
 	kind   uint8
 	id     uint64
@@ -219,46 +139,15 @@ type frame struct {
 	enc     Appender
 }
 
-func kindString(k uint8) string {
-	switch k {
-	case kindReq:
-		return "req"
-	case kindResp:
-		return "resp"
-	case kindPush:
-		return "push"
-	case kindStreamBatch:
-		return "sbatch"
-	case kindStreamAck:
-		return "sack"
-	}
-	return ""
-}
-
-func kindFromString(s string) uint8 {
-	switch s {
-	case "req":
-		return kindReq
-	case "resp":
-		return kindResp
-	case "push":
-		return kindPush
-	case "sbatch":
-		return kindStreamBatch
-	case "sack":
-		return kindStreamAck
-	}
-	return 0
-}
-
 // ---------------------------------------------------------------------------
 // Method code table
 
 // Method codes compress well-known method and stream names to one
 // header byte; code 0 means the name travels in the payload
-// (flagNamed), so unknown methods still work. Codes 1 and 21–29 are
-// unassigned; 1 named the retired single-reading ingest method and
-// stays free so an older peer can never misread a reused code.
+// (flagNamed), so unknown methods still work. Codes 1, 20 and 21–29
+// are unassigned: 1 named the retired single-reading ingest method and
+// 20 the retired codec handshake (mwrpc.hello); both stay free so an
+// older peer can never misread a reused code.
 var methodCodeTable = []string{
 	2:  "mw.ingestBatch",
 	3:  "mw.registerSensor",
@@ -278,7 +167,6 @@ var methodCodeTable = []string{
 	17: "mw.health",
 	18: "mw.stats",
 	19: "mw.streamOpen",
-	20: "mwrpc.hello",
 	30: "mw.notify",
 }
 
@@ -302,20 +190,15 @@ func codeToMethod(code uint8) string {
 // ---------------------------------------------------------------------------
 // Frame codec
 
-// writeFrame encodes f in the requested codec and writes it as one
-// buffer. The encode histogram covers marshal AND the framing write,
-// so the per-frame figure matches wall clock on the remote path.
-func writeFrame(w io.Writer, f frame, bin bool) error {
+// writeFrame encodes f and writes it as one buffer. The encode
+// histogram covers marshal AND the framing write, so the per-frame
+// figure matches wall clock on the remote path.
+func writeFrame(w io.Writer, f frame) error {
 	start := time.Now()
 	buf := GetBuf()
 	defer buf.Free()
 	var err error
-	if bin {
-		buf.B, err = appendBinaryFrame(buf.B, f)
-	} else {
-		buf.B, err = appendJSONFrame(buf.B, f)
-	}
-	if err != nil {
+	if buf.B, err = appendBinaryFrame(buf.B, f); err != nil {
 		return err
 	}
 	if _, err := w.Write(buf.B); err != nil {
@@ -324,11 +207,6 @@ func writeFrame(w io.Writer, f frame, bin bool) error {
 	mEncodeUs.Observe(float64(time.Since(start).Microseconds()))
 	mFramesSent.Inc()
 	mBytesSent.Add(uint64(len(buf.B)))
-	if bin {
-		mSentBin.Inc()
-	} else {
-		mSentJSON.Inc()
-	}
 	return nil
 }
 
@@ -380,62 +258,22 @@ func appendBinaryFrame(b []byte, f frame) ([]byte, error) {
 	return b, nil
 }
 
-// appendJSONFrame appends the 4-byte length prefix plus the JSON
-// envelope. Binary payloads cannot travel in the JSON envelope.
-func appendJSONFrame(b []byte, f frame) ([]byte, error) {
-	if f.binary {
-		return nil, fmt.Errorf("mwrpc: binary payload on JSON connection")
-	}
-	payload := f.payload
-	if f.enc != nil {
-		// JSON framing with an appender is a programming error upstream;
-		// handle it anyway by materializing the payload.
-		payload = f.enc(nil)
-	}
-	m := wire{
-		Kind:  kindString(f.kind),
-		ID:    f.id,
-		Seq:   f.seq,
-		Trace: f.trace,
-		Error: f.errMsg,
-	}
-	switch f.kind {
-	case kindReq:
-		m.Method = f.method
-		m.Params = payload
-	case kindStreamBatch:
-		m.Params = payload
-	case kindPush:
-		m.Stream = f.method
-		m.Result = payload
-	default:
-		m.Result = payload
-	}
-	body, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("mwrpc: marshal: %w", err)
-	}
-	if len(body) > maxFrame {
-		return nil, ErrFrameTooBig
-	}
-	b = AppendU32(b, uint32(len(body)))
-	return append(b, body...), nil
-}
-
-// readFrame reads one frame in either codec, detected per frame by the
-// first byte (binMagic vs the 0x00 high byte of a JSON length). The
-// decode histogram starts once the first byte has arrived — it covers
-// the framing reads and the parse, not idle time waiting for traffic.
+// readFrame reads one frame. A first byte other than the magic, or a
+// header claiming more than maxFrame, is counted as malformed and
+// returned as an error, which drops the connection. The decode
+// histogram starts once the first byte has arrived — it covers the
+// framing reads and the parse, not idle time waiting for traffic.
 func readFrame(br *bufio.Reader) (frame, error) {
 	b0, err := br.ReadByte()
 	if err != nil {
 		return frame{}, err
 	}
 	start := time.Now()
-	if b0 == binMagic {
-		return readBinaryFrame(br, start)
+	if b0 != binMagic {
+		mDecodeBad.Inc()
+		return frame{}, errBadMagic
 	}
-	return readJSONFrame(br, b0, start)
+	return readBinaryFrame(br, start)
 }
 
 func readBinaryFrame(br *bufio.Reader, start time.Time) (frame, error) {
@@ -448,6 +286,7 @@ func readBinaryFrame(br *bufio.Reader, start time.Time) (frame, error) {
 	code := hdr[2]
 	n := binary.BigEndian.Uint32(hdr[3:7])
 	if n > maxFrame {
+		mDecodeBad.Inc()
 		return frame{}, ErrFrameTooBig
 	}
 	f.id = binary.BigEndian.Uint64(hdr[7:15])
@@ -488,72 +327,7 @@ func readBinaryFrame(br *bufio.Reader, start time.Time) (frame, error) {
 	mDecodeUs.Observe(float64(time.Since(start).Microseconds()))
 	mFramesRecv.Inc()
 	mBytesRecv.Add(uint64(n) + binHeaderLen)
-	mRecvBin.Inc()
 	return f, nil
-}
-
-func readJSONFrame(br *bufio.Reader, b0 byte, start time.Time) (frame, error) {
-	var rest [3]byte
-	if _, err := io.ReadFull(br, rest[:]); err != nil {
-		return frame{}, err
-	}
-	n := uint32(b0)<<24 | uint32(rest[0])<<16 | uint32(rest[1])<<8 | uint32(rest[2])
-	if n > maxFrame {
-		return frame{}, ErrFrameTooBig
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return frame{}, err
-	}
-	var m wire
-	if err := json.Unmarshal(body, &m); err != nil {
-		mDecodeBad.Inc()
-		return frame{}, fmt.Errorf("mwrpc: unmarshal: %w", err)
-	}
-	f := frame{
-		kind:   kindFromString(m.Kind),
-		id:     m.ID,
-		seq:    m.Seq,
-		trace:  m.Trace,
-		errMsg: m.Error,
-	}
-	switch f.kind {
-	case kindReq:
-		f.method = m.Method
-		f.payload = m.Params
-	case kindStreamBatch:
-		f.payload = m.Params
-	case kindPush:
-		f.method = m.Stream
-		f.payload = m.Result
-	default:
-		f.payload = m.Result
-	}
-	mDecodeUs.Observe(float64(time.Since(start).Microseconds()))
-	mFramesRecv.Inc()
-	mBytesRecv.Add(uint64(n + 4))
-	mRecvJSON.Inc()
-	return f, nil
-}
-
-// ---------------------------------------------------------------------------
-// Negotiation
-
-// helloArgs and helloReply implement the "mwrpc.hello" codec
-// negotiation. The request and reply always travel as JSON, so any
-// peer can read them; both sides switch codecs only after the reply.
-type helloArgs struct {
-	// Codecs lists the dialer's codecs in preference order.
-	Codecs []string `json:"codecs"`
-	// Stream advertises streaming-ingest support.
-	Stream bool `json:"stream,omitempty"`
-}
-
-type helloReply struct {
-	// Codec is the chosen codec ("binary" or "json").
-	Codec string `json:"codec"`
-	// Stream confirms streaming-ingest support.
-	Stream bool `json:"stream,omitempty"`
 }
 
 // ---------------------------------------------------------------------------
@@ -562,62 +336,26 @@ type helloReply struct {
 // ServerConn is the server's view of one client connection. Handlers
 // may retain it to push messages until OnClose fires.
 type ServerConn struct {
-	mu       sync.Mutex
-	conn     net.Conn
-	closed   bool
-	writeBin bool // negotiated: frames we send use the binary codec
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
 
 	onClose []func()
 }
 
-// Codec reports the negotiated write codec for this connection.
-func (c *ServerConn) Codec() Codec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.writeBin {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-// send writes one frame in the connection's negotiated codec.
+// send writes one frame.
 func (c *ServerConn) send(f frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	return writeFrame(c.conn, f, c.writeBin)
+	return writeFrame(c.conn, f)
 }
 
-// Push sends an asynchronous JSON message on a named stream.
-func (c *ServerConn) Push(stream string, payload interface{}) error {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("mwrpc: push marshal: %w", err)
-	}
-	err = c.send(frame{kind: kindPush, method: stream, payload: body})
-	if err == nil {
-		mPushesSent.Inc()
-	}
-	return err
-}
-
-// PushBinary sends an asynchronous binary-payload message on a named
-// stream. It requires a binary-negotiated connection; callers check
-// Codec() and fall back to Push otherwise.
-func (c *ServerConn) PushBinary(stream string, enc Appender) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	if !c.writeBin {
-		c.mu.Unlock()
-		return fmt.Errorf("mwrpc: binary push on JSON connection")
-	}
-	err := writeFrame(c.conn, frame{kind: kindPush, method: stream, binary: true, enc: enc}, true)
-	c.mu.Unlock()
+// Push sends an asynchronous binary-payload message on a named stream.
+func (c *ServerConn) Push(stream string, enc Appender) error {
+	err := c.send(frame{kind: kindPush, method: stream, binary: true, enc: enc})
 	if err == nil {
 		mPushesSent.Inc()
 	}
@@ -625,10 +363,10 @@ func (c *ServerConn) PushBinary(stream string, enc Appender) error {
 }
 
 // StreamAck acknowledges a stream batch: seq is the highest contiguous
-// sequence processed, and the payload (codec chosen by binary) carries
-// the cumulative counts, per-reading rejects, and the credit grant.
-func (c *ServerConn) StreamAck(id, seq uint64, payload []byte, binary bool) error {
-	err := c.send(frame{kind: kindStreamAck, id: id, seq: seq, payload: payload, binary: binary})
+// sequence processed, and the binary payload carries the cumulative
+// counts, per-reading rejects, and the credit grant.
+func (c *ServerConn) StreamAck(id, seq uint64, payload []byte) error {
+	err := c.send(frame{kind: kindStreamAck, id: id, seq: seq, payload: payload, binary: true})
 	if err == nil {
 		mStreamAcks.Inc()
 	}
@@ -665,7 +403,7 @@ func (c *ServerConn) close() {
 	}
 }
 
-// respond sends a JSON response frame.
+// respond sends a response frame with a JSON payload.
 func (c *ServerConn) respond(id uint64, result interface{}, herr error) error {
 	f := frame{kind: kindResp, id: id}
 	if herr != nil {
@@ -713,7 +451,7 @@ type BinaryHandler func(conn *ServerConn, payload []byte, trace string) (Appende
 // paces the stream (the next frame is not read until this returns) —
 // and is responsible for sending the StreamAck with a credit grant.
 // trace is the obs trace ID carried on the frame ("" untraced).
-type StreamBatchFunc func(conn *ServerConn, id, seq uint64, payload []byte, binary bool, trace string)
+type StreamBatchFunc func(conn *ServerConn, id, seq uint64, payload []byte, trace string)
 
 // Server dispatches framed requests to registered handlers.
 type Server struct {
@@ -722,31 +460,20 @@ type Server struct {
 	traced      map[string]TracedHandler
 	binHandlers map[string]BinaryHandler
 	onStream    StreamBatchFunc
-	allowBinary bool
 	ln          net.Listener
 	conns       map[*ServerConn]struct{}
 	wg          sync.WaitGroup
 	closed      bool
 }
 
-// NewServer returns an empty server that accepts binary negotiation.
+// NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
 		handlers:    make(map[string]Handler),
 		traced:      make(map[string]TracedHandler),
 		binHandlers: make(map[string]BinaryHandler),
 		conns:       make(map[*ServerConn]struct{}),
-		allowBinary: true,
 	}
-}
-
-// SetWire configures which codecs the server will negotiate: WireJSON
-// declines binary (the compat matrix's "JSON daemon"), anything else
-// accepts it. Connections already negotiated keep their codec.
-func (s *Server) SetWire(p WirePref) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.allowBinary = p != WireJSON
 }
 
 // Register installs a handler for a method name.
@@ -764,9 +491,10 @@ func (s *Server) RegisterTraced(method string, h TracedHandler) {
 	s.traced[method] = h
 }
 
-// RegisterBinary installs the binary-payload handler for a method.
-// JSON requests for the same method still go to the JSON handler, so
-// both codecs serve the method after negotiation.
+// RegisterBinary installs the binary-payload handler for a method. A
+// request's payload flag picks the table: a binary request for a
+// method with only a JSON handler (or the reverse) is answered with
+// ErrNoMethod.
 func (s *Server) RegisterBinary(method string, h BinaryHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -825,39 +553,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// handleHello negotiates the connection codec. The reply travels in
-// the pre-negotiation codec; the switch happens after it is written.
-func (s *Server) handleHello(sc *ServerConn, params json.RawMessage, id uint64) {
-	var a helloArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		_ = sc.respond(id, nil, fmt.Errorf("mwrpc: hello: %w", err))
-		return
-	}
-	s.mu.Lock()
-	allow := s.allowBinary
-	s.mu.Unlock()
-	chosen := CodecJSON
-	if allow {
-		for _, c := range a.Codecs {
-			if c == "binary" {
-				chosen = CodecBinary
-				break
-			}
-		}
-	}
-	if err := sc.respond(id, helloReply{Codec: chosen.String(), Stream: true}, nil); err != nil {
-		return
-	}
-	if chosen == CodecBinary {
-		sc.mu.Lock()
-		sc.writeBin = true
-		sc.mu.Unlock()
-		mNegoBin.Inc()
-	} else {
-		mNegoJSON.Inc()
-	}
-}
-
 func (s *Server) serveConn(sc *ServerConn) {
 	defer func() {
 		sc.close()
@@ -878,14 +573,10 @@ func (s *Server) serveConn(sc *ServerConn) {
 			fn := s.onStream
 			s.mu.Unlock()
 			if fn != nil {
-				fn(sc, f.id, f.seq, f.payload, f.binary, f.trace)
+				fn(sc, f.id, f.seq, f.payload, f.trace)
 			}
 			continue
 		default:
-			continue
-		}
-		if f.method == "mwrpc.hello" {
-			s.handleHello(sc, f.payload, f.id)
 			continue
 		}
 		if f.binary {
@@ -953,48 +644,37 @@ func (s *Server) Close() {
 // ---------------------------------------------------------------------------
 // Client
 
-// PushFunc consumes pushed JSON messages on a stream.
-type PushFunc func(payload json.RawMessage)
+// PushFunc consumes pushed binary messages on a stream. The payload is
+// only valid for the duration of the call.
+type PushFunc func(payload []byte)
 
-// BinaryPushFunc consumes pushed binary messages on a stream. The
-// payload is only valid for the duration of the call.
-type BinaryPushFunc func(payload []byte)
-
-// StreamAckFunc consumes stream acknowledgements. The payload is only
-// valid for the duration of the call.
-type StreamAckFunc func(id, seq uint64, payload []byte, binary bool)
+// StreamAckFunc consumes stream acknowledgements. The binary payload
+// is only valid for the duration of the call.
+type StreamAckFunc func(id, seq uint64, payload []byte)
 
 // Client is a connection to an mwrpc server.
 type Client struct {
-	mu        sync.Mutex
-	conn      net.Conn
-	br        *bufio.Reader
-	nextID    uint64
-	pending   map[uint64]chan frame
-	onPush    map[string]PushFunc
-	onPushBin map[string]BinaryPushFunc
-	onAck     StreamAckFunc
-	writeBin  bool
-	streamOK  bool
-	closed    bool
-	done      chan struct{}
+	mu      sync.Mutex
+	conn    net.Conn
+	br      *bufio.Reader
+	nextID  uint64
+	pending map[uint64]chan frame
+	onPush  map[string]PushFunc
+	onAck   StreamAckFunc
+	closed  bool
+	done    chan struct{}
 
 	// Timeout bounds each Call; zero means 10 seconds.
 	Timeout time.Duration
 }
 
 // Options configures dialing and per-call behaviour. The zero value
-// negotiates the binary codec with JSON fallback and uses the default
-// timeouts.
+// uses the default timeouts.
 type Options struct {
 	// DialTimeout bounds the TCP connect; zero means 5 seconds.
 	DialTimeout time.Duration
 	// CallTimeout bounds each Call; zero means 10 seconds.
 	CallTimeout time.Duration
-	// Wire picks the codec: WireAuto (default) negotiates binary with
-	// JSON fallback, WireJSON skips negotiation, WireBinary fails the
-	// dial if the peer declines binary.
-	Wire WirePref
 }
 
 // DefaultDialTimeout and DefaultCallTimeout are the zero-value
@@ -1014,8 +694,9 @@ func (o Options) dialTimeout() time.Duration {
 // Dial connects to an mwrpc server with default options.
 func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
-// DialOptions connects to an mwrpc server with explicit timeouts and
-// codec preference; WireAuto/WireBinary negotiate before returning.
+// DialOptions connects to an mwrpc server with explicit timeouts. It
+// returns once the TCP connection is up: no frame is exchanged until
+// the first call.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout())
 	if err != nil {
@@ -1023,80 +704,21 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	}
 	c := NewClient(conn)
 	c.Timeout = opts.CallTimeout
-	if err := c.Negotiate(opts.Wire); err != nil {
-		c.Close()
-		return nil, err
-	}
 	return c, nil
 }
 
 // NewClient runs the mwrpc client protocol over an existing connection
-// (tests wrap conns in fault injectors before handing them in). The
-// connection speaks JSON until Negotiate succeeds.
+// (tests wrap conns in fault injectors before handing them in).
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		conn:      conn,
-		br:        bufio.NewReaderSize(conn, 16<<10),
-		pending:   make(map[uint64]chan frame),
-		onPush:    make(map[string]PushFunc),
-		onPushBin: make(map[string]BinaryPushFunc),
-		done:      make(chan struct{}),
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 16<<10),
+		pending: make(map[uint64]chan frame),
+		onPush:  make(map[string]PushFunc),
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
-}
-
-// Negotiate runs the mwrpc.hello codec handshake. It must complete
-// before concurrent calls begin (dial time). WireJSON is a no-op; a
-// peer that predates negotiation leaves the connection on JSON, which
-// WireBinary alone treats as an error.
-func (c *Client) Negotiate(pref WirePref) error {
-	if pref == WireJSON {
-		return nil
-	}
-	var rep helloReply
-	err := c.Call("mwrpc.hello", helloArgs{Codecs: []string{"binary", "json"}, Stream: true}, &rep)
-	if err != nil {
-		if errors.Is(err, ErrClosed) || errors.Is(err, ErrTimeout) {
-			return err
-		}
-		var nerr net.Error
-		if errors.As(err, &nerr) {
-			return err
-		}
-		// A server-side error ("unknown method" from an old daemon):
-		// stay on the JSON fallback.
-		if pref == WireBinary {
-			return fmt.Errorf("mwrpc: binary codec unavailable: %w", err)
-		}
-		return nil
-	}
-	c.mu.Lock()
-	c.writeBin = rep.Codec == "binary"
-	c.streamOK = rep.Stream
-	c.mu.Unlock()
-	if pref == WireBinary && rep.Codec != "binary" {
-		return fmt.Errorf("mwrpc: peer declined binary codec (offered %q)", rep.Codec)
-	}
-	return nil
-}
-
-// Codec reports the negotiated write codec.
-func (c *Client) Codec() Codec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.writeBin {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-// StreamSupported reports whether the peer advertised streaming-ingest
-// support during negotiation (old daemons did not).
-func (c *Client) StreamSupported() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.streamOK
 }
 
 // Done is closed when the connection dies — by Close or by a transport
@@ -1121,15 +743,6 @@ func (c *Client) readLoop() {
 				ch <- f
 			}
 		case kindPush:
-			if f.binary {
-				c.mu.Lock()
-				fn := c.onPushBin[f.method]
-				c.mu.Unlock()
-				if fn != nil {
-					fn(f.payload)
-				}
-				continue
-			}
 			c.mu.Lock()
 			fn := c.onPush[f.method]
 			c.mu.Unlock()
@@ -1141,7 +754,7 @@ func (c *Client) readLoop() {
 			fn := c.onAck
 			c.mu.Unlock()
 			if fn != nil {
-				fn(f.id, f.seq, f.payload, f.binary)
+				fn(f.id, f.seq, f.payload)
 			}
 		}
 	}
@@ -1157,19 +770,12 @@ func (c *Client) failAll() {
 	}
 }
 
-// OnPush installs the consumer for a JSON push stream. It replaces any
+// OnPush installs the consumer for a push stream. It replaces any
 // previous consumer for that stream.
 func (c *Client) OnPush(stream string, fn PushFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onPush[stream] = fn
-}
-
-// OnPushBinary installs the consumer for binary pushes on a stream.
-func (c *Client) OnPushBinary(stream string, fn BinaryPushFunc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onPushBin[stream] = fn
 }
 
 // OnStreamAck installs the consumer for stream acknowledgements. The
@@ -1214,15 +820,8 @@ func (c *Client) CallTraced(method string, params, result interface{}, trace str
 // CallBinary invokes a method whose payloads are hand-rolled binary:
 // enc appends the request payload straight into the pooled frame
 // buffer, dec parses the response payload (which is only valid during
-// the call). It requires a binary-negotiated connection — callers
-// check Codec() and use the JSON DTO path otherwise.
+// the call).
 func (c *Client) CallBinary(method string, enc Appender, dec func(payload []byte) error, trace string) error {
-	c.mu.Lock()
-	bin := c.writeBin
-	c.mu.Unlock()
-	if !bin {
-		return fmt.Errorf("mwrpc: binary call on JSON connection")
-	}
 	err := c.roundTrip(frame{kind: kindReq, method: method, binary: true, enc: enc, trace: trace},
 		func(f frame) error {
 			if dec == nil {
@@ -1249,7 +848,7 @@ func (c *Client) roundTrip(f frame, dec func(frame) error) error {
 	f.id = c.nextID
 	id := f.id
 	c.pending[id] = ch
-	err := writeFrame(c.conn, f, c.writeBin)
+	err := writeFrame(c.conn, f)
 	c.mu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -1281,29 +880,23 @@ func (c *Client) roundTrip(f frame, dec func(frame) error) error {
 	}
 }
 
-// StreamSend fires one sequenced stream-batch frame without waiting
-// for a response; acknowledgements arrive via OnStreamAck. A binary
-// payload requires a binary-negotiated connection.
-func (c *Client) StreamSend(id, seq uint64, enc Appender, jsonPayload []byte) error {
-	return c.StreamSendTraced(id, seq, enc, jsonPayload, "")
+// StreamSend fires one sequenced stream-batch frame, its binary
+// payload appended by enc, without waiting for a response;
+// acknowledgements arrive via OnStreamAck.
+func (c *Client) StreamSend(id, seq uint64, enc Appender) error {
+	return c.StreamSendTraced(id, seq, enc, "")
 }
 
 // StreamSendTraced is StreamSend with an obs trace ID on the frame, so
 // the server-side batch consumer can continue the sender's trace.
-func (c *Client) StreamSendTraced(id, seq uint64, enc Appender, jsonPayload []byte, trace string) error {
+func (c *Client) StreamSendTraced(id, seq uint64, enc Appender, trace string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	f := frame{kind: kindStreamBatch, id: id, seq: seq, trace: trace}
-	if c.writeBin && enc != nil {
-		f.binary = true
-		f.enc = enc
-	} else {
-		f.payload = jsonPayload
-	}
-	if err := writeFrame(c.conn, f, c.writeBin); err != nil {
+	f := frame{kind: kindStreamBatch, id: id, seq: seq, trace: trace, binary: true, enc: enc}
+	if err := writeFrame(c.conn, f); err != nil {
 		return err
 	}
 	mStreamSent.Inc()

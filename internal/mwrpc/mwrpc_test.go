@@ -114,7 +114,8 @@ func TestServerPush(t *testing.T) {
 		// Push three messages asynchronously after replying.
 		go func() {
 			for i := 0; i < 3; i++ {
-				if err := conn.Push("events", map[string]int{"n": i}); err != nil {
+				n := uint64(i)
+				if err := conn.Push("events", func(b []byte) []byte { return AppendUvarint(b, n) }); err != nil {
 					return
 				}
 			}
@@ -133,10 +134,9 @@ func TestServerPush(t *testing.T) {
 	}
 	defer c.Close()
 	got := make(chan int, 8)
-	c.OnPush("events", func(payload json.RawMessage) {
-		var m map[string]int
-		if err := json.Unmarshal(payload, &m); err == nil {
-			got <- m["n"]
+	c.OnPush("events", func(payload []byte) {
+		if n, err := NewBinReader(payload).Uvarint(); err == nil {
+			got <- int(n)
 		}
 	})
 	var s string

@@ -1,8 +1,7 @@
 // Binary payload codecs for the hot remote frames: batched/streamed
 // ingest, trigger-notification pushes, Locate, region queries, and
 // stream acknowledgements. These are the payloads mwrpc carries with the
-// flagBinaryPayload bit set after a connection negotiates the binary
-// codec; everything else keeps the JSON DTOs.
+// flagBinaryPayload bit set; the control-plane methods keep JSON DTOs.
 //
 // The encoders append into caller-owned buffers (mwrpc's pooled frame
 // buffer on the send path, so steady-state encode allocates nothing)
@@ -16,8 +15,7 @@
 // through mwrpc.BinReader, whose errors distinguish structural
 // corruption (mwrpc.ErrTruncated / mwrpc.ErrCorrupt — the whole
 // payload is dropped) from per-reading validation failures (that one
-// reading is rejected, the rest of the batch proceeds — the same
-// semantics the JSON path has for a bad RFC 3339 timestamp).
+// reading is rejected, the rest of the batch proceeds).
 package remote
 
 import (
@@ -206,7 +204,7 @@ func ReadingsBinSize(rs []model.Reading) int {
 // returns an error (nothing usable); a reading that fails GLOB
 // validation is reported in rejected (by frame index) while the rest
 // decode on. frameIdx maps each returned reading back to its index in
-// the frame, mirroring the JSON handler's bookkeeping.
+// the frame, so the server can report rejections by frame position.
 func DecodeReadings(payload []byte) (rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO, err error) {
 	r := mwrpc.NewBinReader(payload)
 	// A reading is at least 3 empty strings + radius + time + empty glob.
@@ -467,9 +465,9 @@ func appendLocation(b []byte, l core.Location) []byte {
 	return mwrpc.AppendI64(b, l.At.UnixNano())
 }
 
-// decodeLocation decodes a binary Locate answer into the DTO the JSON
-// path returns, formatting the time as RFC 3339 on this side. A band
-// outside §4.4's four (or the unclassified zero) is corrupt.
+// decodeLocation decodes a binary Locate answer into the DTO
+// toLocationDTO builds, formatting the time as RFC 3339 on this side.
+// A band outside §4.4's four (or the unclassified zero) is corrupt.
 func decodeLocation(payload []byte) (LocationDTO, error) {
 	r := mwrpc.NewBinReader(payload)
 	var l LocationDTO
@@ -519,7 +517,7 @@ func appendStrings(b []byte, ss []string) []byte {
 }
 
 // readStrings decodes a counted string list; an empty list is nil, as
-// the JSON path leaves an omitted list.
+// toLocationDTO leaves an empty list.
 func readStrings(r *mwrpc.BinReader) ([]string, error) {
 	n, err := r.Len(1)
 	if err != nil || n == 0 {
@@ -539,23 +537,23 @@ func readStrings(r *mwrpc.BinReader) ([]string, error) {
 // ---------------------------------------------------------------------------
 // Stream acknowledgements
 
-// streamAckDTO is the acknowledgement payload for one stream batch
-// (JSON form; the binary form carries the same fields in order). The
-// acked sequence number travels in the frame header.
+// streamAckDTO is the acknowledgement payload for one stream batch,
+// carried in appendStreamAck's binary form. The acked sequence number
+// travels in the frame header.
 type streamAckDTO struct {
 	// Accepted is the CUMULATIVE count of readings stored on this
 	// stream; BatchAccepted is this batch's contribution.
-	Accepted      uint64 `json:"accepted"`
-	BatchAccepted int    `json:"batchAccepted"`
-	// Rejected lists this batch's per-reading rejections (PR-4
-	// semantics: the rest of the batch was stored).
-	Rejected []RejectedReadingDTO `json:"rejected,omitempty"`
+	Accepted      uint64
+	BatchAccepted int
+	// Rejected lists this batch's per-reading rejections (the rest of
+	// the batch was stored).
+	Rejected []RejectedReadingDTO
 	// CreditBatches/CreditBytes replenish the sender's credit window.
-	CreditBatches int `json:"creditBatches"`
-	CreditBytes   int `json:"creditBytes"`
+	CreditBatches int
+	CreditBytes   int
 	// Error reports a batch the daemon could not decode at all (the
 	// batch was dropped wholesale; it will not be stored on resend).
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 func appendStreamAck(b []byte, a streamAckDTO) []byte {

@@ -117,9 +117,10 @@ func TestDecodeReadingsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestNotificationRoundTrip: the binary push decodes into the same DTO
-// the JSON path produces, so the client replay guard fingerprints
-// (Time|Prob|Band) stay stable across codecs.
+// TestNotificationRoundTrip: the binary push decodes into the DTO the
+// client hands applications, with the time in RFC 3339 at full
+// precision so the client replay guard's fingerprint (Time|Prob|Band)
+// is exact.
 func TestNotificationRoundTrip(t *testing.T) {
 	at := time.Date(2026, 8, 8, 10, 0, 0, 987654321, time.UTC)
 	n := core.Notification{
@@ -131,9 +132,14 @@ func TestNotificationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := toNotificationDTO(n)
+	want := NotificationDTO{
+		SubscriptionID: "sub-7", Object: "alice",
+		Region: RectDTO{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4},
+		Prob:   0.875, Band: fusion.Band(2).String(),
+		Time: "2026-08-08T10:00:00.987654321Z", Trace: "tr-1",
+	}
 	if !reflect.DeepEqual(dec, want) {
-		t.Errorf("binary notification = %+v, want JSON-path form %+v", dec, want)
+		t.Errorf("binary notification = %+v, want %+v", dec, want)
 	}
 }
 

@@ -1,12 +1,10 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -64,11 +62,9 @@ type DialOptions struct {
 	// DisableReconnect restores the old behaviour: the first transport
 	// failure is fatal and the session is lost.
 	DisableReconnect bool
-	// Wire selects the frame codec: WireAuto (default) negotiates
-	// binary framing with a JSON fallback, WireJSON pins JSON, and
-	// WireBinary fails the dial if the server declines. When left at
-	// WireAuto the MW_WIRE environment variable ("binary", "json", or
-	// a "client/daemon" pair) overrides it.
+	// Wire is ignored: every connection speaks the binary frame.
+	//
+	// Deprecated: kept only for callers that still set it.
 	Wire mwrpc.WirePref
 	// OnStateChange, when non-nil, observes connection transitions
 	// (called outside client locks, possibly from internal goroutines).
@@ -98,11 +94,6 @@ func (o DialOptions) withDefaults() DialOptions {
 	}
 	if o.JitterSeed == 0 {
 		o.JitterSeed = time.Now().UnixNano()
-	}
-	if o.Wire == mwrpc.WireAuto {
-		if env := os.Getenv(mwrpc.WireEnv); env != "" {
-			o.Wire, _ = mwrpc.WireFromEnv(env)
-		}
 	}
 	return o
 }
@@ -247,13 +238,11 @@ func (c *LocationClient) dialOnce() (*mwrpc.Client, error) {
 	rpc, err := mwrpc.DialOptions(c.addr, mwrpc.Options{
 		DialTimeout: c.opts.DialTimeout,
 		CallTimeout: c.opts.CallTimeout,
-		Wire:        c.opts.Wire,
 	})
 	if err != nil {
 		return nil, err
 	}
 	rpc.OnPush(NotifyStream, c.onNotify)
-	rpc.OnPushBinary(NotifyStream, c.onNotifyBin)
 	rpc.OnStreamAck(c.routeAck)
 	return rpc, nil
 }
@@ -531,19 +520,9 @@ func (c *LocationClient) call(method string, params, result interface{}) error {
 	return c.retry(func(rpc *mwrpc.Client) error { return rpc.Call(method, params, result) })
 }
 
-// onNotify dispatches a JSON-encoded pushed notification. Malformed
-// payloads are counted (they feed Health), never silently dropped.
-func (c *LocationClient) onNotify(payload json.RawMessage) {
-	var n NotificationDTO
-	if err := json.Unmarshal(payload, &n); err != nil {
-		c.mMalformed.Inc()
-		return
-	}
-	c.dispatchNotify(n)
-}
-
-// onNotifyBin is onNotify for binary-encoded pushes.
-func (c *LocationClient) onNotifyBin(payload []byte) {
+// onNotify dispatches a pushed notification. Malformed payloads are
+// counted (they feed Health), never silently dropped.
+func (c *LocationClient) onNotify(payload []byte) {
 	n, err := decodeNotification(payload)
 	if err != nil {
 		c.mMalformed.Inc()
@@ -580,19 +559,10 @@ func (c *LocationClient) dispatchNotify(n NotificationDTO) {
 	}
 }
 
-// callMaybeBinary is call for methods with a hand-rolled binary
-// payload codec: on a binary-negotiated connection it sends enc and
-// decodes the reply with dec, on a JSON connection it defers to
-// jsonCall (which sees the live rpc handle). The codec is re-checked
-// on every retry — a reconnect may land on a server that negotiates
-// differently.
-func (c *LocationClient) callMaybeBinary(method, trace string, enc mwrpc.Appender, dec func([]byte) error, jsonCall func(rpc *mwrpc.Client) error) error {
-	return c.retry(func(rpc *mwrpc.Client) error {
-		if rpc.Codec() == mwrpc.CodecBinary {
-			return rpc.CallBinary(method, enc, dec, trace)
-		}
-		return jsonCall(rpc)
-	})
+// callBinary is call for the hot methods, whose payloads are
+// hand-rolled binary: enc appends the request, dec parses the reply.
+func (c *LocationClient) callBinary(method, trace string, enc mwrpc.Appender, dec func([]byte) error) error {
+	return c.retry(func(rpc *mwrpc.Client) error { return rpc.CallBinary(method, enc, dec, trace) })
 }
 
 // Ingest forwards a sensor reading (adapter.Sink) as a batch of one,
@@ -630,16 +600,12 @@ func (c *LocationClient) IngestBatch(rs []model.Reading) error {
 	}
 	start := time.Now()
 	var reply IngestBatchReply
-	err := c.callMaybeBinary("mw.ingestBatch", trace,
+	err := c.callBinary("mw.ingestBatch", trace,
 		func(b []byte) []byte { return AppendReadings(b, rs) },
 		func(payload []byte) error {
 			var derr error
 			reply, derr = DecodeIngestReply(payload)
 			return derr
-		},
-		func(rpc *mwrpc.Client) error {
-			// The DTO slice is built lazily, only for JSON attempts.
-			return rpc.CallTraced("mw.ingestBatch", ingestArgs(rs), &reply, trace)
 		})
 	if err == nil {
 		c.mIngests.Add(uint64(reply.Accepted))
@@ -668,17 +634,10 @@ func (c *LocationClient) IngestBatch(rs []model.Reading) error {
 // replayed subscriptions, malformed pushes, ingest round trips).
 func (c *LocationClient) Metrics() *obs.Registry { return c.metrics }
 
-// WireCodec reports the frame codec negotiated on the current
-// connection (mwctl surfaces it; tests assert the compat matrix).
-func (c *LocationClient) WireCodec() mwrpc.Codec {
-	c.mu.Lock()
-	rpc := c.rpc
-	c.mu.Unlock()
-	if rpc == nil {
-		return mwrpc.CodecJSON
-	}
-	return rpc.Codec()
-}
+// WireCodec reports the frame codec, which is always binary.
+//
+// Deprecated: kept only for callers that still check it.
+func (c *LocationClient) WireCodec() mwrpc.Codec { return mwrpc.CodecBinary }
 
 // RegisterSensor registers a sensor calibration (adapter.Registrar)
 // and records it in the session table for replay after a reconnect.
@@ -702,15 +661,12 @@ func (c *LocationClient) RegisterSensor(sensorID string, spec model.SensorSpec) 
 // Locate asks where an object is.
 func (c *LocationClient) Locate(object string) (LocationDTO, error) {
 	var out LocationDTO
-	err := c.callMaybeBinary("mw.locate", "",
+	err := c.callBinary("mw.locate", "",
 		func(b []byte) []byte { return mwrpc.AppendString(b, object) },
 		func(payload []byte) error {
 			var derr error
 			out, derr = decodeLocation(payload)
 			return derr
-		},
-		func(rpc *mwrpc.Client) error {
-			return rpc.Call("mw.locate", objectArgs{Object: object}, &out)
 		})
 	return out, err
 }
@@ -720,15 +676,12 @@ func (c *LocationClient) Locate(object string) (LocationDTO, error) {
 func (c *LocationClient) ProbInRegion(object, region string) (prob float64, band string, err error) {
 	var out probReply
 	args := regionQueryArgs{Object: object, Region: region}
-	err = c.callMaybeBinary("mw.probInRegion", "",
+	err = c.callBinary("mw.probInRegion", "",
 		func(b []byte) []byte { return appendRegionQuery(b, args) },
 		func(payload []byte) error {
 			var derr error
 			out, derr = decodeProbReply(payload)
 			return derr
-		},
-		func(rpc *mwrpc.Client) error {
-			return rpc.Call("mw.probInRegion", args, &out)
 		})
 	return out.Prob, out.Band, err
 }
@@ -737,15 +690,12 @@ func (c *LocationClient) ProbInRegion(object, region string) (prob float64, band
 func (c *LocationClient) ObjectsInRegion(region string, minProb float64) (map[string]float64, error) {
 	var out map[string]float64
 	args := regionQueryArgs{Region: region, MinProb: minProb}
-	err := c.callMaybeBinary("mw.objectsInRegion", "",
+	err := c.callBinary("mw.objectsInRegion", "",
 		func(b []byte) []byte { return appendRegionQuery(b, args) },
 		func(payload []byte) error {
 			var derr error
 			out, derr = decodeObjectsReply(payload)
 			return derr
-		},
-		func(rpc *mwrpc.Client) error {
-			return rpc.Call("mw.objectsInRegion", args, &out)
 		})
 	return out, err
 }

@@ -17,66 +17,6 @@ import (
 	"middlewhere/internal/model"
 )
 
-// ReadingDTO is the wire form of a sensor reading.
-type ReadingDTO struct {
-	SensorID        string  `json:"sensorId"`
-	SensorType      string  `json:"sensorType,omitempty"`
-	MObjectID       string  `json:"mobjectId"`
-	Location        string  `json:"location"`
-	DetectionRadius float64 `json:"detectionRadius,omitempty"`
-	// Time is RFC 3339 with nanoseconds.
-	Time string `json:"time"`
-}
-
-// toDTO converts a reading for the wire.
-func toReadingDTO(r model.Reading) ReadingDTO {
-	return ReadingDTO{
-		SensorID:        r.SensorID,
-		SensorType:      r.SensorType,
-		MObjectID:       r.MObjectID,
-		Location:        r.Location.String(),
-		DetectionRadius: r.DetectionRadius,
-		Time:            r.Time.Format(time.RFC3339Nano),
-	}
-}
-
-// toReading converts a wire reading back to the model form.
-func (d ReadingDTO) toReading() (model.Reading, error) {
-	loc, err := glob.Parse(d.Location)
-	if err != nil {
-		return model.Reading{}, fmt.Errorf("remote: reading location: %w", err)
-	}
-	at, err := time.Parse(time.RFC3339Nano, d.Time)
-	if err != nil {
-		return model.Reading{}, fmt.Errorf("remote: reading time: %w", err)
-	}
-	return model.Reading{
-		SensorID:        d.SensorID,
-		SensorType:      d.SensorType,
-		MObjectID:       d.MObjectID,
-		Location:        loc,
-		DetectionRadius: d.DetectionRadius,
-		Time:            at,
-	}, nil
-}
-
-// IngestBatchArgs is the wire form of a batched ingest: one frame
-// carrying a slice of readings that the server stores in a single
-// database pass (mw.ingestBatch).
-type IngestBatchArgs struct {
-	Readings []ReadingDTO `json:"readings"`
-}
-
-// ingestArgs is the JSON form of an ingest payload, for both
-// mw.ingestBatch requests and stream batches.
-func ingestArgs(rs []model.Reading) IngestBatchArgs {
-	args := IngestBatchArgs{Readings: make([]ReadingDTO, len(rs))}
-	for i, r := range rs {
-		args.Readings[i] = toReadingDTO(r)
-	}
-	return args
-}
-
 // IngestBatchReply acknowledges a batched ingest.
 type IngestBatchReply struct {
 	// Accepted is how many readings of the batch were stored.
@@ -238,8 +178,8 @@ func toLocationDTO(l core.Location) LocationDTO {
 		Coordinate: l.Coordinate.String(),
 		Support:    l.Support,
 		Discarded:  l.Discarded,
-		// UTC, as the binary decoder formats it: both codecs return
-		// the same string for the same instant.
+		// UTC, as decodeLocation formats it: mw.history and mw.locate
+		// return the same string for the same instant.
 		Time: l.At.UTC().Format(time.RFC3339Nano),
 	}
 }
@@ -255,21 +195,6 @@ type NotificationDTO struct {
 	// Trace is the obs trace ID of the reading that provoked the
 	// notification (empty when tracing was off at ingest).
 	Trace string `json:"trace,omitempty"`
-}
-
-func toNotificationDTO(n core.Notification) NotificationDTO {
-	return NotificationDTO{
-		SubscriptionID: n.SubscriptionID,
-		Object:         n.Object,
-		Region: RectDTO{
-			MinX: n.Region.Min.X, MinY: n.Region.Min.Y,
-			MaxX: n.Region.Max.X, MaxY: n.Region.Max.Y,
-		},
-		Prob:  n.Prob,
-		Band:  n.Band.String(),
-		Time:  n.At.Format(time.RFC3339Nano),
-		Trace: n.Trace,
-	}
 }
 
 // HealthDTO is the wire form of the service heartbeat.

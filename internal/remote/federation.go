@@ -17,9 +17,9 @@ import (
 // speaks. mw.hello and mw.shards are always registered — a standalone
 // daemon answers them with a liveness ack and its local shard keys —
 // while the migration/forwarded-ingest/fan-out handlers only exist
-// once SetFederation attaches a router. All federation frames are
-// plain JSON: the mwrpc binary codec carries unknown method names via
-// its named-method escape, so no codec table changes are needed.
+// once SetFederation attaches a router. All federation frames carry
+// JSON payloads: mwrpc carries method names missing from its code
+// table via its named-method escape, so no table changes are needed.
 
 // SetFederation attaches a federation router to the server and
 // registers the daemon-to-daemon methods (mw.migrate, mw.fedIngest,

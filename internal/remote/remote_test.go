@@ -239,29 +239,6 @@ func TestRemoteObjectRelations(t *testing.T) {
 }
 
 func TestDTORoundTrips(t *testing.T) {
-	// Reading.
-	r := model.Reading{
-		SensorID: "s1", SensorType: "ubisense", MObjectID: "p",
-		Location:        glob.MustParse("CS/Floor3/(1,2)"),
-		DetectionRadius: 0.5,
-		Time:            t0,
-	}
-	back, err := toReadingDTO(r).toReading()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.SensorID != r.SensorID || !back.Location.Equal(r.Location) ||
-		!back.Time.Equal(r.Time) || back.DetectionRadius != r.DetectionRadius {
-		t.Errorf("reading round trip: %+v", back)
-	}
-	// Bad DTOs fail.
-	if _, err := (ReadingDTO{Location: "((", Time: "bad"}).toReading(); err == nil {
-		t.Error("bad location should fail")
-	}
-	if _, err := (ReadingDTO{Location: "CS/1/(1,2)", Time: "bad"}).toReading(); err == nil {
-		t.Error("bad time should fail")
-	}
-
 	// Specs with every tdf kind.
 	specs := []model.SensorSpec{
 		model.UbisenseSpec(0.9),

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -61,9 +60,10 @@ func (s *Server) sloTracker() *obs.SLOTracker {
 	return s.slo
 }
 
-// NewServer wraps a Location Service. Call Listen to serve. The
-// MW_WIRE environment knob ("json" daemon side declines binary
-// negotiation) configures which codecs the server offers.
+// NewServer wraps a Location Service. Call Listen to serve. The hot
+// methods (ingest, Locate, region queries) take binary payloads only;
+// mw.objectsInRegion also keeps a JSON handler for the federation
+// fan-out.
 func NewServer(svc *core.Service) *Server {
 	s := &Server{
 		svc:     svc,
@@ -71,18 +71,13 @@ func NewServer(svc *core.Service) *Server {
 		subs:    make(map[string]*mwrpc.ServerConn),
 		streams: make(map[*mwrpc.ServerConn]map[uint64]*srvStream),
 	}
-	_, daemonWire := mwrpc.WireFromEnv(os.Getenv(mwrpc.WireEnv))
-	s.rpc.SetWire(daemonWire)
-	s.rpc.RegisterTraced("mw.ingestBatch", s.handleIngestBatch)
-	s.rpc.RegisterBinary("mw.ingestBatch", s.handleIngestBatchBin)
-	s.rpc.RegisterBinary("mw.locate", s.handleLocateBin)
-	s.rpc.RegisterBinary("mw.probInRegion", s.handleProbInRegionBin)
+	s.rpc.RegisterBinary("mw.ingestBatch", s.handleIngestBatch)
+	s.rpc.RegisterBinary("mw.locate", s.handleLocate)
+	s.rpc.RegisterBinary("mw.probInRegion", s.handleProbInRegion)
 	s.rpc.RegisterBinary("mw.objectsInRegion", s.handleObjectsInRegionBin)
 	s.rpc.Register("mw.streamOpen", s.handleStreamOpen)
 	s.rpc.OnStreamBatch(s.handleStreamBatch)
 	s.rpc.Register("mw.registerSensor", s.handleRegisterSensor)
-	s.rpc.Register("mw.locate", s.handleLocate)
-	s.rpc.Register("mw.probInRegion", s.handleProbInRegion)
 	s.rpc.RegisterTraced("mw.objectsInRegion", s.handleObjectsInRegion)
 	s.rpc.Register("mw.subscribe", s.handleSubscribe)
 	s.rpc.Register("mw.unsubscribe", s.handleUnsubscribe)
@@ -214,11 +209,6 @@ func (s *Server) handleHealth(_ *mwrpc.ServerConn, _ json.RawMessage) (interface
 	return out, nil
 }
 
-// SetWire overrides which codecs the daemon negotiates (normally read
-// from MW_WIRE at construction). Call before Listen; the daemon's -wire
-// flag routes here.
-func (s *Server) SetWire(p mwrpc.WirePref) { s.rpc.SetWire(p) }
-
 // Listen binds to addr and returns the bound address.
 func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr) }
 
@@ -226,56 +216,29 @@ func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr)
 // owner closes it).
 func (s *Server) Close() { s.rpc.Close() }
 
-// handleIngestBatch stores a JSON mw.ingestBatch frame. A single
-// reading travels as a batch of one, so this (with its binary twin
-// below) is the daemon's only request/response ingest method.
-func (s *Server) handleIngestBatch(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
-	rep, err := s.ingestPayload(params, false, trace)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// handleIngestBatchBin is the binary-payload twin of handleIngestBatch:
-// readings arrive structurally encoded (no RFC 3339 parse, no glob
-// re-parse) and the reply payload is hand-rolled too.
-func (s *Server) handleIngestBatchBin(_ *mwrpc.ServerConn, payload []byte, trace string) (mwrpc.Appender, error) {
-	rep, err := s.ingestPayload(payload, true, trace)
+// handleIngestBatch stores an mw.ingestBatch frame. A single reading
+// travels as a batch of one, so this is the daemon's only
+// request/response ingest method. Readings arrive structurally encoded
+// (no RFC 3339 parse, no glob re-parse) and the reply payload is
+// hand-rolled too.
+func (s *Server) handleIngestBatch(_ *mwrpc.ServerConn, payload []byte, trace string) (mwrpc.Appender, error) {
+	rep, err := s.ingestPayload(payload, trace)
 	if err != nil {
 		return nil, err
 	}
 	return func(b []byte) []byte { return AppendIngestReply(b, rep) }, nil
 }
 
-// decodeIngest decodes one ingest payload — binary or JSON
-// (IngestBatchArgs), from an mw.ingestBatch request or a stream batch —
-// and stamps the frame's trace ID on every reading, so each one's
-// pipeline stays attributable. A reading that fails to decode becomes
-// a frame-indexed rejection; frameIdx maps rs back to frame positions.
-// An error means the payload as a whole is unreadable.
-func decodeIngest(payload []byte, binary bool, trace string) (rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO, err error) {
-	if binary {
-		rs, frameIdx, rejected, err = DecodeReadings(payload)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		var a IngestBatchArgs
-		if err := json.Unmarshal(payload, &a); err != nil {
-			return nil, nil, nil, err
-		}
-		rs = make([]model.Reading, 0, len(a.Readings))
-		frameIdx = make([]int, 0, len(a.Readings))
-		for i, d := range a.Readings {
-			r, err := d.toReading()
-			if err != nil {
-				rejected = append(rejected, RejectedReadingDTO{Index: i, Error: err.Error()})
-				continue
-			}
-			rs = append(rs, r)
-			frameIdx = append(frameIdx, i)
-		}
+// decodeIngest decodes one binary ingest payload — from an
+// mw.ingestBatch request or a stream batch — and stamps the frame's
+// trace ID on every reading, so each one's pipeline stays
+// attributable. A reading that fails to decode becomes a frame-indexed
+// rejection; frameIdx maps rs back to frame positions. An error means
+// the payload as a whole is unreadable.
+func decodeIngest(payload []byte, trace string) (rs []model.Reading, frameIdx []int, rejected []RejectedReadingDTO, err error) {
+	rs, frameIdx, rejected, err = DecodeReadings(payload)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	for i := range rs {
 		rs[i].Trace = trace
@@ -295,9 +258,9 @@ func decodeIngest(payload []byte, binary bool, trace string) (rs []model.Reading
 // surfaces as a *spatialdb.RejectedError. An unreadable payload or a
 // non-positional failure (e.g. a closing service) is a frame-level
 // error — nothing was stored, a retry is safe.
-func (s *Server) ingestPayload(payload []byte, binary bool, trace string) (IngestBatchReply, error) {
+func (s *Server) ingestPayload(payload []byte, trace string) (IngestBatchReply, error) {
 	start := time.Now()
-	rs, frameIdx, rejected, err := decodeIngest(payload, binary, trace)
+	rs, frameIdx, rejected, err := decodeIngest(payload, trace)
 	if err != nil {
 		return IngestBatchReply{}, err
 	}
@@ -347,21 +310,9 @@ type objectArgs struct {
 	Object string `json:"object"`
 }
 
-func (s *Server) handleLocate(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a objectArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
-	loc, err := s.svc.LocateObject(a.Object)
-	if err != nil {
-		return nil, err
-	}
-	return toLocationDTO(loc), nil
-}
-
-// handleLocateBin answers a binary-payload Locate. The request is the
-// object ID; the reply is encoded straight from core.Location.
-func (s *Server) handleLocateBin(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
+// handleLocate answers a Locate. The request is the object ID; the
+// reply is encoded straight from core.Location.
+func (s *Server) handleLocate(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
 	object, err := mwrpc.NewBinReader(payload).String()
 	if err != nil {
 		return nil, err
@@ -385,26 +336,12 @@ type probReply struct {
 	Band string  `json:"band"`
 }
 
-func (s *Server) handleProbInRegion(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a regionQueryArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
-	region, err := glob.Parse(a.Region)
-	if err != nil {
-		return nil, err
-	}
-	p, band, err := s.svc.ProbInRegion(a.Object, region)
-	if err != nil {
-		return nil, err
-	}
-	return probReply{Prob: p, Band: band.String()}, nil
-}
-
-// handleObjectsInRegion answers the local region scan. It is
-// trace-aware because federated peers call it during fan-out: the
-// entry daemon's trace ID rides the frame and the scan lands in the
-// same trace as a region_scan span labeled with this daemon's name.
+// handleObjectsInRegion answers the local region scan with a JSON
+// payload. It stays beside the binary handler because the federation
+// fan-out (fed.Router's region scan) calls it with JSON. It is
+// trace-aware for the same reason: the entry daemon's trace ID rides
+// the frame and the scan lands in the same trace as a region_scan span
+// labeled with this daemon's name.
 func (s *Server) handleObjectsInRegion(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
 	start := time.Now()
 	var a regionQueryArgs
@@ -423,8 +360,8 @@ func (s *Server) handleObjectsInRegion(_ *mwrpc.ServerConn, params json.RawMessa
 	return out, nil
 }
 
-// handleProbInRegionBin answers a binary-payload probability query.
-func (s *Server) handleProbInRegionBin(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
+// handleProbInRegion answers a probability query.
+func (s *Server) handleProbInRegion(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
 	a, err := decodeRegionQuery(payload)
 	if err != nil {
 		return nil, err
@@ -490,13 +427,9 @@ func (s *Server) handleSubscribe(conn *mwrpc.ServerConn, params json.RawMessage)
 		EveryReading: a.EveryReading,
 		Handler: func(n core.Notification) {
 			// Best effort: a dead connection is cleaned up by OnClose.
-			if conn.Codec() == mwrpc.CodecBinary {
-				_ = conn.PushBinary(NotifyStream, func(b []byte) []byte {
-					return appendNotification(b, n)
-				})
-			} else {
-				_ = conn.Push(NotifyStream, toNotificationDTO(n))
-			}
+			_ = conn.Push(NotifyStream, func(b []byte) []byte {
+				return appendNotification(b, n)
+			})
 		},
 	})
 	if err != nil {

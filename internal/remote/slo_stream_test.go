@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -30,14 +29,8 @@ func TestStreamReplayDoesNotExtendTrace(t *testing.T) {
 	}
 	defer rpc.Close()
 	acks := make(chan streamAckDTO, 4)
-	rpc.OnStreamAck(func(id, seq uint64, payload []byte, binary bool) {
-		var a streamAckDTO
-		var err error
-		if binary {
-			a, err = decodeStreamAck(payload)
-		} else {
-			err = json.Unmarshal(payload, &a)
-		}
+	rpc.OnStreamAck(func(id, seq uint64, payload []byte) {
+		a, err := decodeStreamAck(payload)
 		if err != nil {
 			t.Errorf("ack decode: %v", err)
 			return
@@ -52,16 +45,9 @@ func TestStreamReplayDoesNotExtendTrace(t *testing.T) {
 	trace := obs.BeginTrace()
 	batch := []model.Reading{streamReading("rp-s", "rp-a", t0)}
 	send := func() error {
-		if rpc.Codec() == mwrpc.CodecBinary {
-			return rpc.StreamSendTraced(open.StreamID, 1, func(b []byte) []byte {
-				return AppendReadings(b, batch)
-			}, nil, trace)
-		}
-		body, err := json.Marshal(ingestArgs(batch))
-		if err != nil {
-			return err
-		}
-		return rpc.StreamSendTraced(open.StreamID, 1, nil, body, trace)
+		return rpc.StreamSendTraced(open.StreamID, 1, func(b []byte) []byte {
+			return AppendReadings(b, batch)
+		}, trace)
 	}
 
 	if err := send(); err != nil {

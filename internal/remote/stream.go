@@ -14,9 +14,8 @@
 // resent on a fresh stream after the session resumes. A batch whose
 // ack was lost may be stored twice, which the spatial database
 // tolerates (identical rows fuse); acked batches are never resent.
-// Streaming works over both codecs — binary connections carry the
-// hand-rolled payloads, JSON connections the DTO envelope — so every
-// MW_WIRE pairing of the compat matrix exercises it.
+// Batches and acks carry hand-rolled binary payloads only: batches
+// the AppendReadings form, acks the appendStreamAck form.
 package remote
 
 import (
@@ -83,7 +82,7 @@ func (s *Server) handleStreamOpen(conn *mwrpc.ServerConn, _ json.RawMessage) (in
 // connection's reader goroutine — the next frame is not read until
 // this returns, which is what makes a slow daemon starve the sender's
 // credits instead of buffering unboundedly.
-func (s *Server) handleStreamBatch(conn *mwrpc.ServerConn, id, seq uint64, payload []byte, binary bool, trace string) {
+func (s *Server) handleStreamBatch(conn *mwrpc.ServerConn, id, seq uint64, payload []byte, trace string) {
 	s.mu.Lock()
 	st := s.streams[conn][id]
 	s.mu.Unlock()
@@ -101,7 +100,7 @@ func (s *Server) handleStreamBatch(conn *mwrpc.ServerConn, id, seq uint64, paylo
 		return
 	}
 	st.lastSeq = seq
-	rep, err := s.ingestPayload(payload, binary, trace)
+	rep, err := s.ingestPayload(payload, trace)
 	if err == nil {
 		st.accepted += uint64(rep.Accepted)
 		ack.Accepted = st.accepted
@@ -118,26 +117,18 @@ func (s *Server) handleStreamBatch(conn *mwrpc.ServerConn, id, seq uint64, paylo
 	s.sendAck(conn, id, seq, ack)
 }
 
-// sendAck writes a stream acknowledgement in the connection's
-// negotiated codec. Send failures are ignored — a dead connection is
-// cleaned up by OnClose and the client resends on the next stream.
+// sendAck writes a stream acknowledgement. Send failures are ignored —
+// a dead connection is cleaned up by OnClose and the client resends on
+// the next stream.
 func (s *Server) sendAck(conn *mwrpc.ServerConn, id, seq uint64, ack streamAckDTO) {
-	if conn.Codec() == mwrpc.CodecBinary {
-		_ = conn.StreamAck(id, seq, appendStreamAck(nil, ack), true)
-		return
-	}
-	body, err := json.Marshal(ack)
-	if err != nil {
-		return
-	}
-	_ = conn.StreamAck(id, seq, body, false)
+	_ = conn.StreamAck(id, seq, appendStreamAck(nil, ack))
 }
 
 // ---------------------------------------------------------------------------
 // Client
 
-// ErrStreamUnsupported reports a daemon that predates streaming
-// ingest; callers fall back to per-batch IngestBatch calls.
+// ErrStreamUnsupported reports a daemon that refused mw.streamOpen;
+// callers fall back to per-batch IngestBatch calls.
 var ErrStreamUnsupported = fmt.Errorf("remote: daemon does not support streaming ingest")
 
 // pendingBatch is one sent-but-unacked batch, kept for resend.
@@ -186,7 +177,7 @@ type IngestStream struct {
 }
 
 // OpenIngestStream opens a streaming-ingest session on the client's
-// current connection. A daemon without stream support returns
+// current connection. A daemon that refuses mw.streamOpen returns
 // ErrStreamUnsupported; the caller falls back to IngestBatch.
 func (c *LocationClient) OpenIngestStream() (*IngestStream, error) {
 	s := &IngestStream{
@@ -259,21 +250,12 @@ func (s *IngestStream) reopenOn(rpc *mwrpc.Client, epoch int) error {
 	return nil
 }
 
-// writeBatch encodes rs in the connection's codec and fires the stream
-// frame; it returns the payload size actually charged.
+// writeBatch encodes rs and fires the stream frame; it returns the
+// payload size charged against the byte credits.
 func (s *IngestStream) writeBatch(rpc *mwrpc.Client, seq uint64, rs []model.Reading) (int, error) {
-	if rpc.Codec() == mwrpc.CodecBinary {
-		size := ReadingsBinSize(rs)
-		err := rpc.StreamSend(s.id, seq, func(b []byte) []byte {
-			return AppendReadings(b, rs)
-		}, nil)
-		return size, err
-	}
-	body, err := json.Marshal(ingestArgs(rs))
-	if err != nil {
-		return 0, err
-	}
-	return len(body), rpc.StreamSend(s.id, seq, nil, body)
+	return ReadingsBinSize(rs), rpc.StreamSend(s.id, seq, func(b []byte) []byte {
+		return AppendReadings(b, rs)
+	})
 }
 
 // Send pipelines one batch. It returns as soon as the frame is
@@ -313,8 +295,6 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 		if s.credBat < 1 && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
-		// The binary size gates either codec: credits only bound volume,
-		// and a JSON batch is charged its real (larger) size once sent.
 		if s.credByt < int64(ReadingsBinSize(rs)) && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
@@ -470,16 +450,9 @@ func (s *IngestStream) publishGauges() {
 
 // routeAck decodes an acknowledgement frame and hands it to the
 // owning stream (runs on the connection's reader goroutine).
-func (c *LocationClient) routeAck(id, seq uint64, payload []byte, binary bool) {
-	var ack streamAckDTO
-	if binary {
-		a, err := decodeStreamAck(payload)
-		if err != nil {
-			c.mMalformed.Inc()
-			return
-		}
-		ack = a
-	} else if err := json.Unmarshal(payload, &ack); err != nil {
+func (c *LocationClient) routeAck(id, seq uint64, payload []byte) {
+	ack, err := decodeStreamAck(payload)
+	if err != nil {
 		c.mMalformed.Inc()
 		return
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -95,14 +94,8 @@ func TestStreamDuplicateSeqNotRestored(t *testing.T) {
 	}
 	defer rpc.Close()
 	acks := make(chan streamAckDTO, 4)
-	rpc.OnStreamAck(func(id, seq uint64, payload []byte, binary bool) {
-		var a streamAckDTO
-		var err error
-		if binary {
-			a, err = decodeStreamAck(payload)
-		} else {
-			err = json.Unmarshal(payload, &a)
-		}
+	rpc.OnStreamAck(func(id, seq uint64, payload []byte) {
+		a, err := decodeStreamAck(payload)
 		if err != nil {
 			t.Errorf("ack decode: %v", err)
 			return
@@ -117,19 +110,10 @@ func TestStreamDuplicateSeqNotRestored(t *testing.T) {
 		streamReading("dup-s", "dup-a", t0),
 		streamReading("dup-s", "dup-b", t0),
 	}
-	// Send in whichever codec the connection negotiated (the daemon may
-	// be pinned to JSON by the compat matrix's MW_WIRE knob).
 	send := func() error {
-		if rpc.Codec() == mwrpc.CodecBinary {
-			return rpc.StreamSend(open.StreamID, 1, func(b []byte) []byte {
-				return AppendReadings(b, batch)
-			}, nil)
-		}
-		body, err := json.Marshal(ingestArgs(batch))
-		if err != nil {
-			return err
-		}
-		return rpc.StreamSend(open.StreamID, 1, nil, body)
+		return rpc.StreamSend(open.StreamID, 1, func(b []byte) []byte {
+			return AppendReadings(b, batch)
+		})
 	}
 	for i := 0; i < 2; i++ { // same seq twice
 		if err := send(); err != nil {

@@ -1,12 +1,8 @@
-// Wire-protocol benchmarks: codec encode/decode cost, end-to-end RPC
-// ingest per codec, and pipelined streaming ingest. They are the only
-// measurement of the JSON fallback; streaming binary ingest measured
-// about 3x cheaper per reading than the JSON request/response batch-64
-// path (EXPERIMENTS.md §PERF-6).
+// Wire-protocol benchmarks: payload encode/decode cost, end-to-end RPC
+// ingest, and pipelined streaming ingest.
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -36,21 +32,12 @@ func wireBenchReadings(n int) []model.Reading {
 	return rs
 }
 
-var wireBenchCodecs = []struct {
-	name string
-	wire mwrpc.WirePref
-}{
-	{"binary", mwrpc.WireBinary},
-	{"json", mwrpc.WireJSON},
-}
-
-// BenchmarkWireEncode measures pure payload encoding per codec: the
-// binary appender into a pooled buffer vs the DTO conversion plus
-// json.Marshal the JSON envelope pays.
+// BenchmarkWireEncode measures pure payload encoding: the binary
+// appender into a pooled buffer.
 func BenchmarkWireEncode(b *testing.B) {
 	for _, size := range []int{1, 16, 64} {
 		rs := wireBenchReadings(size)
-		b.Run(fmt.Sprintf("binary/batch-%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 			buf := mwrpc.GetBuf()
 			defer buf.Free()
 			b.ResetTimer()
@@ -58,37 +45,17 @@ func BenchmarkWireEncode(b *testing.B) {
 				buf.B = AppendReadings(buf.B[:0], rs)
 			}
 		})
-		b.Run(fmt.Sprintf("json/batch-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := json.Marshal(ingestArgs(rs)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkWireDecode measures the daemon-side payload parse,
-// including the per-reading validation both codecs share.
+// including the per-reading validation.
 func BenchmarkWireDecode(b *testing.B) {
 	for _, size := range []int{1, 16, 64} {
-		rs := wireBenchReadings(size)
-		binPayload := AppendReadings(nil, rs)
-		jsonPayload, err := json.Marshal(ingestArgs(rs))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("binary/batch-%d", size), func(b *testing.B) {
+		payload := AppendReadings(nil, wireBenchReadings(size))
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dec, _, rejected, err := decodeIngest(binPayload, true, "")
-				if err != nil || len(rejected) != 0 || len(dec) != size {
-					b.Fatalf("decode: %d readings, %d rejected, err %v", len(dec), len(rejected), err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("json/batch-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dec, _, rejected, err := decodeIngest(jsonPayload, false, "")
+				dec, _, rejected, err := decodeIngest(payload, "")
 				if err != nil || len(rejected) != 0 || len(dec) != size {
 					b.Fatalf("decode: %d readings, %d rejected, err %v", len(dec), len(rejected), err)
 				}
@@ -97,12 +64,9 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
-// benchWireStack starts a daemon and dials it with the requested
-// codec pinned (the daemon negotiates, so "binary" here means the
-// strict form — the benchmark must not silently measure JSON).
-func benchWireStack(b *testing.B, wire mwrpc.WirePref) *LocationClient {
+// benchWireStack starts a daemon and dials it.
+func benchWireStack(b *testing.B) *LocationClient {
 	b.Helper()
-	b.Setenv(mwrpc.WireEnv, "") // daemon side: negotiate, accept either
 	svc, err := core.New(building.PaperFloor(), core.WithClock(func() time.Time { return t0 }))
 	if err != nil {
 		b.Fatal(err)
@@ -114,7 +78,7 @@ func benchWireStack(b *testing.B, wire mwrpc.WirePref) *LocationClient {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Close)
-	c, err := DialLocationOptions(addr, DialOptions{Wire: wire})
+	c, err := DialLocation(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,23 +92,21 @@ func benchWireStack(b *testing.B, wire mwrpc.WirePref) *LocationClient {
 }
 
 // BenchmarkWireRPCIngest is the end-to-end request/response ingest
-// path per codec: one mw.ingestBatch round trip per op, the client
-// blocked until the daemon stored the batch and replied.
+// path: one mw.ingestBatch round trip per op, the client blocked until
+// the daemon stored the batch and replied.
 func BenchmarkWireRPCIngest(b *testing.B) {
-	for _, codec := range wireBenchCodecs {
-		for _, size := range []int{1, 64} {
-			b.Run(fmt.Sprintf("%s/size-%d", codec.name, size), func(b *testing.B) {
-				c := benchWireStack(b, codec.wire)
-				batch := wireBenchReadings(size)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.IngestBatch(batch); err != nil {
-						b.Fatal(err)
-					}
+	for _, size := range []int{1, 64} {
+		b.Run(fmt.Sprintf("size-%d", size), func(b *testing.B) {
+			c := benchWireStack(b)
+			batch := wireBenchReadings(size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.IngestBatch(batch); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(size), "readings/op")
-			})
-		}
+			}
+			b.ReportMetric(float64(size), "readings/op")
+		})
 	}
 }
 
@@ -154,37 +116,33 @@ func BenchmarkWireRPCIngest(b *testing.B) {
 // round-trip latency. When credits run dry the loop waits for acks —
 // that stall is real backpressure and stays inside the measurement.
 func BenchmarkWireStreamIngest(b *testing.B) {
-	for _, codec := range wireBenchCodecs {
-		b.Run(codec.name+"/size-64", func(b *testing.B) {
-			c := benchWireStack(b, codec.wire)
-			st, err := c.OpenIngestStream()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			batch := wireBenchReadings(64)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for {
-					err := st.Send(batch)
-					if err == nil {
-						break
-					}
-					if errors.Is(err, mwrpc.ErrNoCredit) {
-						// Sleep, don't spin: a Gosched loop contends the
-						// stream lock against the very reader goroutine
-						// whose acks replenish the window.
-						time.Sleep(20 * time.Microsecond)
-						continue
-					}
-					b.Fatal(err)
-				}
-			}
-			if err := st.Flush(time.Minute); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(64, "readings/op")
-		})
+	c := benchWireStack(b)
+	st, err := c.OpenIngestStream()
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer st.Close()
+	batch := wireBenchReadings(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for {
+			err := st.Send(batch)
+			if err == nil {
+				break
+			}
+			if errors.Is(err, mwrpc.ErrNoCredit) {
+				// Sleep, don't spin: a Gosched loop contends the
+				// stream lock against the very reader goroutine
+				// whose acks replenish the window.
+				time.Sleep(20 * time.Microsecond)
+				continue
+			}
+			b.Fatal(err)
+		}
+	}
+	if err := st.Flush(time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(64, "readings/op")
 }

@@ -478,42 +478,13 @@ var (
 	ErrFedUnavailable = fed.ErrUnavailable
 )
 
-// WirePref selects the RPC framing a dialer or daemon offers: WireAuto
-// negotiates binary with JSON fallback, WireJSON pins the JSON
-// envelope, WireBinary demands the binary codec and fails the dial if
-// the peer declines.
-type WirePref = mwrpc.WirePref
-
-// WireCodec reports which framing a connection actually negotiated
-// (RemoteClient.WireCodec returns one).
-type WireCodec = mwrpc.Codec
-
-// Wire preferences and negotiated codecs.
-const (
-	WireAuto    = mwrpc.WireAuto
-	WireJSON    = mwrpc.WireJSON
-	WireBinary  = mwrpc.WireBinary
-	CodecJSON   = mwrpc.CodecJSON
-	CodecBinary = mwrpc.CodecBinary
-)
-
-// WireEnv is the environment knob ("MW_WIRE") the CI compat matrix
-// sets: a single word applies to both sides, "client/daemon" splits
-// them. ParseWire maps one word — "json", "binary" (negotiate), or
-// "binary!" (strict) — to a preference; the cmd -wire flags route
-// through it.
-const WireEnv = mwrpc.WireEnv
-
-// ParseWire maps a -wire / MW_WIRE knob word to a WirePref.
-var ParseWire = mwrpc.ParseWire
-
 // ErrNoCredit is IngestStream.Send's backpressure signal: the daemon's
 // credit window is exhausted, retry after acks drain (ResilientSink
 // and Batcher handle it automatically).
 var ErrNoCredit = mwrpc.ErrNoCredit
 
-// ErrStreamUnsupported reports a daemon that predates streaming
-// ingest; fall back to RemoteClient.IngestBatch.
+// ErrStreamUnsupported reports a daemon that refused mw.streamOpen;
+// fall back to RemoteClient.IngestBatch.
 var ErrStreamUnsupported = remote.ErrStreamUnsupported
 
 // Distribution constructors.
