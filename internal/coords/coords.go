@@ -84,7 +84,6 @@ type frame struct {
 // Sentinel errors.
 var (
 	ErrUnknownFrame = errors.New("coords: unknown frame")
-	ErrCycle        = errors.New("coords: frame cycle")
 	ErrNoCommonRoot = errors.New("coords: frames do not share a root")
 	ErrDuplicate    = errors.New("coords: frame already defined")
 )
@@ -160,16 +159,12 @@ func (t *Tree) Parent(name string) (string, error) {
 	return f.parent, nil
 }
 
-// pathToRoot returns the chain of frame names from name up to its
-// root, inclusive. Caller holds the read lock.
-func (t *Tree) pathToRoot(name string) ([]string, error) {
-	var chain []string
-	seen := make(map[string]bool)
+// pathToRoot appends the chain of frame names from name up to its
+// root, inclusive, to chain. A frame is only ever added under a parent
+// that is already registered, and is never re-parented, so the walk
+// always ends at a root. Caller holds the read lock.
+func (t *Tree) pathToRoot(chain []string, name string) ([]string, error) {
 	for cur := name; cur != ""; {
-		if seen[cur] {
-			return nil, fmt.Errorf("%w: via %q", ErrCycle, cur)
-		}
-		seen[cur] = true
 		f, ok := t.frames[cur]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownFrame, cur)
@@ -192,11 +187,14 @@ func (t *Tree) Convert(p geom.Point, from, to string) (geom.Point, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	up, err := t.pathToRoot(from)
+	// Building frame trees are a few levels deep: the chains fit on the
+	// stack.
+	var upBuf, downBuf [8]string
+	up, err := t.pathToRoot(upBuf[:0], from)
 	if err != nil {
 		return geom.Point{}, err
 	}
-	down, err := t.pathToRoot(to)
+	down, err := t.pathToRoot(downBuf[:0], to)
 	if err != nil {
 		return geom.Point{}, err
 	}
@@ -257,7 +255,7 @@ func (t *Tree) ConvertPolygon(poly geom.Polygon, from, to string) (geom.Polygon,
 func (t *Tree) Root(name string) (string, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	chain, err := t.pathToRoot(name)
+	chain, err := t.pathToRoot(nil, name)
 	if err != nil {
 		return "", err
 	}

@@ -207,27 +207,35 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 		}
 	}
 	// Delivery is asynchronous: compare only after both notifiers
-	// drained. Objects may be evaluated in parallel, so only each
-	// object's own sequence of notified probabilities is ordered, per
-	// subscription.
+	// drained. Both services evaluate the readings in the same order and
+	// deliver in evaluation order, so the whole sequences must agree.
 	serial.Quiesce()
 	batched.Quiesce()
-	perObject := func(mu *sync.Mutex, notes *[]Notification) map[string][]float64 {
+	type note struct {
+		key  string
+		prob float64
+	}
+	sequence := func(mu *sync.Mutex, notes *[]Notification) []note {
 		mu.Lock()
 		defer mu.Unlock()
-		out := make(map[string][]float64)
-		for _, n := range *notes {
-			k := n.SubscriptionID + "/" + n.Object
-			out[k] = append(out[k], n.Prob)
+		out := make([]note, len(*notes))
+		for i, n := range *notes {
+			out[i] = note{n.SubscriptionID + "/" + n.Object, n.Prob}
 		}
 		return out
 	}
-	ns, nb := perObject(serialMu, serialNotes), perObject(batchMu, batchNotes)
+	ns, nb := sequence(serialMu, serialNotes), sequence(batchMu, batchNotes)
 	if !reflect.DeepEqual(ns, nb) {
 		t.Errorf("notifications diverged: serial %v, batched %v", ns, nb)
 	}
-	if n := len(ns["sub-2/p3"]); n != 2 {
-		t.Errorf("p3 entered NetLab twice: %d entry notifications, want 2", n)
+	entries := 0
+	for _, n := range ns {
+		if n.key == "sub-2/p3" {
+			entries++
+		}
+	}
+	if entries != 2 {
+		t.Errorf("p3 entered NetLab twice: %d entry notifications, want 2", entries)
 	}
 }
 

@@ -150,20 +150,17 @@ type Service struct {
 	sensors sensorMemo
 	quantum time.Duration
 
-	// pool fans ObjectsInRegion and batched trigger evaluation across
-	// objects; nil when parallelism is 1.
+	// pool fans the region scans (ObjectsInRegion, OccupancyHeatmap)
+	// across candidates; nil when parallelism is 1.
 	parallelism int
 	pool        *workerPool
 
-	// notifyQs is the sharded notification queue set: worker i drains
-	// notifyQs[i], and a subscription's dispatches always hash to the
-	// same queue (queueFor), so per-subscription delivery order is
-	// preserved while independent subscriptions deliver in parallel.
-	notifyQs      []chan dispatch
-	notifyWorkers int
-	notifyWG      sync.WaitGroup
-	stop          chan struct{}
-	// drained closes once Close has seen every notifier worker exit.
+	// notifyQ is the one FIFO notification queue, drained by the one
+	// notifier goroutine, so notifications are delivered in the order
+	// they were evaluated, across every subscription.
+	notifyQ chan dispatch
+	stop    chan struct{}
+	// drained closes when the notifier has drained the queue and exited.
 	drained chan struct{}
 
 	// started anchors Health's uptime.
@@ -241,10 +238,11 @@ type parallelismOption struct{ n int }
 
 func (o parallelismOption) apply(s *Service) { s.parallelism = o.n }
 
-// WithParallelism sets the worker-pool size used to fan
-// ObjectsInRegion and batched trigger evaluation across objects. Zero
-// (the default) sizes the pool to GOMAXPROCS; 1 disables the pool and
-// evaluates serially.
+// WithParallelism sets the worker-pool size used to fan the region
+// scans (ObjectsInRegion, OccupancyHeatmap) across candidate objects.
+// Zero (the default) sizes the pool to GOMAXPROCS; 1 disables the pool
+// and scans serially. Stored readings are always evaluated serially,
+// in reading order.
 func WithParallelism(n int) Option { return parallelismOption{n} }
 
 type quantumOption struct{ d time.Duration }
@@ -258,17 +256,6 @@ func (o quantumOption) apply(s *Service) { s.quantum = o.d }
 // queries at the exact cached instant (useful under a fixed test
 // clock).
 func WithCacheQuantum(d time.Duration) Option { return quantumOption{d} }
-
-type notifyWorkersOption struct{ n int }
-
-func (o notifyWorkersOption) apply(s *Service) { s.notifyWorkers = o.n }
-
-// WithNotifyWorkers sets the number of notifier workers draining the
-// sharded notification queues. Zero (the default) derives the count
-// from the service parallelism, capped at maxNotifyWorkers; 1 restores
-// the single-goroutine notifier. Notifications for one subscription
-// always run on the same worker, in enqueue order, whatever the count.
-func WithNotifyWorkers(n int) Option { return notifyWorkersOption{n} }
 
 // Sentinel errors.
 var (
@@ -301,6 +288,7 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 		acls:     make(map[string]AccessPolicy),
 		cache:    locateCache{entries: make(map[string]*locEntry)},
 		quantum:  defaultCacheQuantum,
+		notifyQ:  make(chan dispatch, notifyQueueCap),
 		stop:     make(chan struct{}),
 		drained:  make(chan struct{}),
 	}
@@ -314,26 +302,7 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 	if s.parallelism > 1 {
 		s.pool = newWorkerPool(s.parallelism)
 	}
-	if s.notifyWorkers <= 0 {
-		s.notifyWorkers = s.parallelism
-	}
-	if s.notifyWorkers > maxNotifyWorkers {
-		s.notifyWorkers = maxNotifyWorkers
-	}
-	// Total buffered capacity stays at the pre-sharding level (one
-	// 1024-slot queue) split across the workers, with a floor so a
-	// single slow handler still rides out bursts on its own queue.
-	qcap := notifyQueueCap / s.notifyWorkers
-	if qcap < minNotifyQueueCap {
-		qcap = minNotifyQueueCap
-	}
-	s.notifyQs = make([]chan dispatch, s.notifyWorkers)
-	s.notifyWG.Add(s.notifyWorkers)
-	for i := range s.notifyQs {
-		s.notifyQs[i] = make(chan dispatch, qcap)
-		go s.notifier(s.notifyQs[i])
-	}
-	mNotifyWorkers.Set(float64(s.notifyWorkers))
+	go s.notifier()
 	s.started = s.now()
 	return s, nil
 }
@@ -393,51 +362,21 @@ func (s *Service) dropSub(id string) bool {
 	return true
 }
 
-// Notifier sizing. The per-queue buffer keeps the pre-sharding total
-// (1024 dispatches) split across workers, floored so each queue still
-// absorbs a burst alone.
-const (
-	maxNotifyWorkers  = 8
-	notifyQueueCap    = 1024
-	minNotifyQueueCap = 128
-)
+// notifyQueueCap is the notification queue's buffer: the dispatches
+// a slow handler can fall behind by before evaluation blocks.
+const notifyQueueCap = 1024
 
 // Core metrics, cached once so the trigger/notify paths are pure
 // atomics.
 var (
-	mIngested      = obs.Default().Counter("core_ingested_total")
-	mTriggerEvals  = obs.Default().Counter("core_trigger_evals_total")
-	mTriggerUs     = obs.Default().Histogram("core_trigger_eval_us")
-	mNotified      = obs.Default().Counter("core_notifications_total")
-	mNotifyUs      = obs.Default().Histogram("core_notify_us")
-	mQueueDepth    = obs.Default().Gauge("core_notify_queue_depth")
-	mNotifyWorkers = obs.Default().Gauge("core_notify_workers")
-	mNotifyDrops   = obs.Default().Counter("core_notify_drops_total")
+	mIngested     = obs.Default().Counter("core_ingested_total")
+	mTriggerEvals = obs.Default().Counter("core_trigger_evals_total")
+	mTriggerUs    = obs.Default().Histogram("core_trigger_eval_us")
+	mNotified     = obs.Default().Counter("core_notifications_total")
+	mNotifyUs     = obs.Default().Histogram("core_notify_us")
+	mQueueDepth   = obs.Default().Gauge("core_notify_queue_depth")
+	mNotifyDrops  = obs.Default().Counter("core_notify_drops_total")
 )
-
-// queueFor maps a subscription to its notification queue: FNV-1a over
-// the subscription ID, so one subscription's dispatches always land on
-// the same worker (per-subscription order) while distinct
-// subscriptions spread across the set.
-func (s *Service) queueFor(subID string) chan dispatch {
-	if len(s.notifyQs) == 1 {
-		return s.notifyQs[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(subID); i++ {
-		h = (h ^ uint32(subID[i])) * 16777619
-	}
-	return s.notifyQs[h%uint32(len(s.notifyQs))]
-}
-
-// notifyDepth sums the queued dispatches across every worker queue.
-func (s *Service) notifyDepth() int {
-	d := 0
-	for _, q := range s.notifyQs {
-		d += len(q)
-	}
-	return d
-}
 
 // deliver runs one queued notification handler, accounting queue wait
 // plus handler time to the notify stage.
@@ -449,23 +388,22 @@ func (s *Service) deliver(d dispatch) {
 	d.fn(d.n)
 	mNotifyUs.Observe(float64(time.Since(d.enq).Microseconds()))
 	obs.SpanSince(d.n.Trace, "notify", d.enq)
-	mQueueDepth.Set(float64(s.notifyDepth()))
+	mQueueDepth.Set(float64(len(s.notifyQ)))
 }
 
-// notifier delivers one queue's notifications off the insert path.
-// Each worker owns exactly one queue, so dispatches within a queue —
-// and therefore within a subscription — run strictly in enqueue order.
-func (s *Service) notifier(q chan dispatch) {
-	defer s.notifyWG.Done()
+// notifier delivers the queued notifications off the insert path,
+// strictly in enqueue order.
+func (s *Service) notifier() {
+	defer close(s.drained)
 	for {
 		select {
-		case d := <-q:
+		case d := <-s.notifyQ:
 			s.deliver(d)
 		case <-s.stop:
 			// Drain anything already queued, then exit.
 			for {
 				select {
-				case d := <-q:
+				case d := <-s.notifyQ:
 					s.deliver(d)
 				default:
 					return
@@ -475,7 +413,8 @@ func (s *Service) notifier(q chan dispatch) {
 	}
 }
 
-// Close stops the notifier workers and waits for them to exit.
+// Close stops the notifier and waits for it to drain the queue and
+// exit.
 func (s *Service) Close() {
 	s.mu.Lock()
 	select {
@@ -486,38 +425,30 @@ func (s *Service) Close() {
 		close(s.stop)
 	}
 	s.mu.Unlock()
-	s.notifyWG.Wait()
-	close(s.drained)
+	<-s.drained
 	if s.pool != nil {
 		s.pool.close()
 	}
 }
 
 // Quiesce returns once every notification enqueued before the call has
-// been delivered to its handler. Each worker drains one FIFO queue, so
-// a marker sent down every queue is acknowledged only after everything
-// ahead of it ran. After Close it returns as soon as the workers have
-// drained and exited. It must not be called from a handler.
+// been delivered to its handler. The queue is FIFO, so a marker sent
+// down it is acknowledged only after everything ahead of it ran. After
+// Close it returns as soon as the notifier has drained and exited. It
+// must not be called from a handler.
 func (s *Service) Quiesce() {
-	ack := make(chan struct{}, len(s.notifyQs)) // one slot per marker: workers never block on it
-	sent := 0
-	for _, q := range s.notifyQs {
-		select {
-		case q <- dispatch{barrier: ack}:
-			sent++
-		case <-s.stop:
-			<-s.drained
-			return
-		}
+	ack := make(chan struct{}, 1) // the notifier never blocks on it
+	select {
+	case s.notifyQ <- dispatch{barrier: ack}:
+	case <-s.stop:
+		<-s.drained
+		return
 	}
-	for ; sent > 0; sent-- {
-		select {
-		case <-ack:
-		case <-s.drained:
-			// Closed under us: the workers delivered what was queued and
-			// are gone, so an unacknowledged marker never will be.
-			return
-		}
+	select {
+	case <-ack:
+	case <-s.drained:
+		// Closed under us: the notifier delivered what was queued and is
+		// gone, so an unacknowledged marker never will be.
 	}
 }
 
@@ -552,8 +483,8 @@ var (
 )
 
 // IngestBatch stores a slice of readings in one database pass,
-// amortizing lock acquisition across the batch and fanning the
-// resulting trigger evaluations out per object on the worker pool.
+// amortizing lock acquisition across the batch, and evaluates the
+// resulting triggers in reading order.
 // Readings that fail validation are skipped and reported in the
 // returned *spatialdb.RejectedError (indices are positions in rs); the
 // rest are stored, so callers must not re-submit the whole slice on
@@ -888,6 +819,40 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 	return id, nil
 }
 
+// dispatchStored is the service's database Dispatcher. It picks out
+// the objects with work — a matched trigger, a held subscription, or
+// history on — deciding under one s.mu acquisition per batch, and runs
+// their stored readings through observeStored on the inserting
+// goroutine, in reading order: entry/exit edge detection depends on
+// it, and the notifications reach the queue in evaluation order. Every
+// entry carries the rows its own insert stored, so no snapshot is cut
+// and no table is read.
+func (s *Service) dispatchStored(stored []spatialdb.StoredReading) {
+	var work []*spatialdb.StoredReading
+	var busy map[string]bool
+	s.mu.Lock()
+	for i := range stored {
+		ev := &stored[i]
+		obj := ev.Reading.MObjectID
+		// Once an object has work, its later readings all go with it: an
+		// earlier one may leave it held.
+		if !busy[obj] {
+			if len(ev.Triggers) == 0 && s.history == nil && len(s.heldOf(obj)) == 0 {
+				continue
+			}
+			if busy == nil {
+				busy = make(map[string]bool, 8)
+			}
+			busy[obj] = true
+		}
+		work = append(work, ev)
+	}
+	s.mu.Unlock()
+	for _, ev := range work {
+		s.observeStored(ev)
+	}
+}
+
 // observeStored is the one consumer of a stored reading. It fuses the
 // rows the reading's own insert stored, once, through the cache keyed
 // on the reading's epoch, and judges everything on that fusion, so a
@@ -977,13 +942,13 @@ func (s *Service) observeStored(ev *spatialdb.StoredReading) {
 			Trace:          trace,
 		}
 		select {
-		case s.queueFor(sub.id) <- dispatch{fn: sub.spec.Handler, n: n, enq: time.Now()}:
+		case s.notifyQ <- dispatch{fn: sub.spec.Handler, n: n, enq: time.Now()}:
 			s.notified.Add(1)
 			mNotified.Inc()
-			mQueueDepth.Set(float64(s.notifyDepth()))
+			mQueueDepth.Set(float64(len(s.notifyQ)))
 		case <-s.stop:
 			// The service is shutting down: the notification is dropped
-			// rather than enqueued behind a stopped worker set.
+			// rather than enqueued behind a stopped notifier.
 			mNotifyDrops.Inc()
 		}
 	}
@@ -1063,8 +1028,8 @@ func (s *Service) Health() Health {
 		Notifications: s.notified.Load(),
 		Subscriptions: s.Subscriptions(),
 		Sensors:       len(s.db.Sensors()),
-		QueueDepth:    s.notifyDepth(),
-		QueueCap:      s.notifyWorkers * cap(s.notifyQs[0]),
+		QueueDepth:    len(s.notifyQ),
+		QueueCap:      cap(s.notifyQ),
 	}
 	select {
 	case <-s.stop:

@@ -109,54 +109,47 @@ func BenchmarkObjectsInRegionFloor(b *testing.B) {
 var regionSink map[string]float64
 
 // BenchmarkNotifyDispatch measures end-to-end subscription dispatch:
-// one qualifying reading fans out to 32 every-reading subscriptions
-// and the op completes when every notification has been handled.
-// workers-4 measured at parity with workers-1 on one CPU
-// (EXPERIMENTS.md §PERF-10): sharded queues cannot be faster there, but
-// must not cost more than queue-hashing noise. The ordering contract is
-// enforced by TestNotifierShardedPreservesPerSubscriptionOrder.
+// one qualifying reading notifies 32 every-reading subscriptions
+// through the one notification queue, and the op completes when every
+// notification has been handled.
 func BenchmarkNotifyDispatch(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			clock := &testClock{now: t0}
-			s, err := New(building.PaperFloor(), WithClock(clock.Now), WithNotifyWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(s.Close)
-			spec := model.UbisenseSpec(0.9)
-			spec.TTL = time.Hour
-			if err := s.RegisterSensor("ubi-1", spec); err != nil {
-				b.Fatal(err)
-			}
-			const subs = 32
-			var delivered atomic.Uint64
-			for i := 0; i < subs; i++ {
-				_, err := s.Subscribe(Subscription{
-					Region:       glob.MustParse("CS/Floor3/NetLab"),
-					EveryReading: true,
-					Handler:      func(Notification) { delivered.Add(1) },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := s.Ingest(model.Reading{
-					SensorID:  "ubi-1",
-					MObjectID: "walker",
-					Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(370, 15)),
-					Time:      t0.Add(time.Duration(i) * time.Millisecond),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			want := uint64(b.N) * subs
-			for delivered.Load() < want {
-				runtime.Gosched()
-			}
+	clock := &testClock{now: t0}
+	s, err := New(building.PaperFloor(), WithClock(clock.Now))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	spec := model.UbisenseSpec(0.9)
+	spec.TTL = time.Hour
+	if err := s.RegisterSensor("ubi-1", spec); err != nil {
+		b.Fatal(err)
+	}
+	const subs = 32
+	var delivered atomic.Uint64
+	for i := 0; i < subs; i++ {
+		_, err := s.Subscribe(Subscription{
+			Region:       glob.MustParse("CS/Floor3/NetLab"),
+			EveryReading: true,
+			Handler:      func(Notification) { delivered.Add(1) },
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := s.Ingest(model.Reading{
+			SensorID:  "ubi-1",
+			MObjectID: "walker",
+			Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(370, 15)),
+			Time:      t0.Add(time.Duration(i) * time.Millisecond),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := uint64(b.N) * subs
+	for delivered.Load() < want {
+		runtime.Gosched()
 	}
 }

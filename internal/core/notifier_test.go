@@ -1,46 +1,24 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"middlewhere/internal/building"
+	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 	"middlewhere/internal/obs"
+	"middlewhere/internal/spatialdb"
 )
 
-// newShardedNotifyService builds a paper-floor service with an
-// explicit notify-worker count.
-func newShardedNotifyService(t *testing.T, workers int) (*Service, *testClock) {
-	t.Helper()
-	clock := &testClock{now: t0}
-	s, err := New(building.PaperFloor(), WithClock(clock.Now), WithNotifyWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	ubi := model.UbisenseSpec(0.9)
-	ubi.TTL = time.Minute
-	if err := s.RegisterSensor("ubi-1", ubi); err != nil {
-		t.Fatal(err)
-	}
-	return s, clock
-}
-
-// TestNotifierShardedPreservesPerSubscriptionOrder is the sharded
-// notifier's ordering contract: with several workers draining hashed
-// queues, the notifications of any ONE subscription must still arrive
-// in the order their triggering readings were evaluated — a
-// subscription always hashes to the same queue. Global interleaving
-// across subscriptions is unconstrained.
-func TestNotifierShardedPreservesPerSubscriptionOrder(t *testing.T) {
-	s, _ := newShardedNotifyService(t, 4)
-	if s.notifyWorkers != 4 || len(s.notifyQs) != 4 {
-		t.Fatalf("workers = %d queues = %d, want 4", s.notifyWorkers, len(s.notifyQs))
-	}
+// TestNotifierPreservesPerSubscriptionOrder is the notifier's ordering
+// contract as subscribers see it: the notifications of any ONE
+// subscription arrive in the order their triggering readings were
+// evaluated, with several subscriptions sharing the queue.
+func TestNotifierPreservesPerSubscriptionOrder(t *testing.T) {
+	s, _ := newTestService(t)
 
 	const subs = 8
 	const steps = 40
@@ -93,54 +71,167 @@ func TestNotifierShardedPreservesPerSubscriptionOrder(t *testing.T) {
 	}
 }
 
-// TestNotifierQueueHashStable pins what the ordering contract rests
-// on: a subscription ID always hashes to the same queue.
-func TestNotifierQueueHashStable(t *testing.T) {
-	s, _ := newShardedNotifyService(t, 4)
-	spread := make(map[int]bool)
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("sub-%d", i)
-		q := s.queueFor(id)
-		for rep := 0; rep < 3; rep++ {
-			if s.queueFor(id) != q {
-				t.Fatalf("queueFor(%q) unstable", id)
-			}
-		}
-		for qi := range s.notifyQs {
-			if s.notifyQs[qi] == q {
-				spread[qi] = true
-			}
+// TestNotifierDeliversInEvaluationOrder: one object, two overlapping
+// every-reading subscriptions (a room and its floor) and batches of
+// readings in and out of the room. The notifications of both
+// subscriptions, taken together, arrive exactly in the order the
+// service evaluated them: reading by reading, and within a reading in
+// the order its insert matched the triggers.
+func TestNotifierDeliversInEvaluationOrder(t *testing.T) {
+	s, clock := newTestService(t)
+	type note struct {
+		sub string
+		at  time.Time
+	}
+	var mu sync.Mutex
+	var got []note
+	record := func(n Notification) {
+		mu.Lock()
+		got = append(got, note{n.SubscriptionID, n.At})
+		mu.Unlock()
+	}
+	for _, region := range []string{"CS/Floor3/NetLab", "CS/Floor3"} {
+		if _, err := s.Subscribe(Subscription{
+			Region:       glob.MustParse(region),
+			EveryReading: true,
+			Handler:      record,
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(spread) < 2 {
-		t.Errorf("64 subscription IDs all hashed to %d queue(s), want spread", len(spread))
+
+	// Every matched trigger of a reading notifies (MinProb 0 holds
+	// wherever the object has live readings), so the evaluation order is
+	// each stored reading's matched triggers, reading by reading. The
+	// clock moves per batch, so At tells the batches apart.
+	var want []note
+	dispatch := func(stored []spatialdb.StoredReading) {
+		for _, ev := range stored {
+			for _, id := range ev.Triggers {
+				want = append(want, note{id, clock.Now()})
+			}
+		}
+		s.dispatchStored(stored)
+	}
+	spots := []geom.Point{{X: 370, Y: 15}, {X: 100, Y: 37}, {X: 372, Y: 16}, {X: 250, Y: 37}}
+	for b := 0; b < 10; b++ {
+		clock.Advance(time.Second)
+		batch := make([]model.Reading, 1+b%4)
+		for i := range batch {
+			batch[i] = model.Reading{
+				SensorID:  "ubi-1",
+				MObjectID: "walker",
+				Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), spots[(b+i)%len(spots)]),
+				Time:      clock.Now().Add(time.Duration(i-len(batch)) * time.Millisecond),
+			}
+		}
+		if _, err := s.db.InsertReadings(batch, dispatch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Quiesce()
+
+	rooms := 0
+	for _, n := range want {
+		if n.sub == "sub-1" {
+			rooms++
+		}
+	}
+	if rooms == 0 || rooms == len(want) {
+		t.Fatalf("%d of %d evaluations were the room's: the readings did not mix room and floor", rooms, len(want))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %d notifications out of evaluation order\n got  %v\n want %v", len(got), got, want)
 	}
 }
 
-// TestNotifierSingleWorkerConfig checks WithNotifyWorkers(1) restores
-// the single-queue behavior and that Health aggregates queue capacity
-// across the worker set.
-func TestNotifierSingleWorkerConfig(t *testing.T) {
-	s, _ := newShardedNotifyService(t, 1)
-	if len(s.notifyQs) != 1 {
-		t.Fatalf("queues = %d, want 1", len(s.notifyQs))
+// TestCloseDrainsQueueAndCountsDrops fills the one notification queue
+// behind a blocked handler, then closes the service: Health reports the
+// full 1024-slot queue as degraded, a notification evaluated after Close
+// began is dropped and counted rather than queued, and Close returns
+// only after every queued notification has been delivered.
+func TestCloseDrainsQueueAndCountsDrops(t *testing.T) {
+	s, _ := newTestService(t)
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	delivered := 0
+	if _, err := s.Subscribe(Subscription{
+		Region:       glob.MustParse("CS/Floor3/NetLab"),
+		EveryReading: true,
+		Handler: func(Notification) {
+			<-gate
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	h := s.Health()
-	if h.QueueCap != cap(s.notifyQs[0]) {
-		t.Errorf("health queue cap = %d, want %d", h.QueueCap, cap(s.notifyQs[0]))
+	// The first notification blocks the notifier in its handler; the
+	// rest fill the queue exactly.
+	queued := notifyQueueCap + 1
+	for j := 0; j < queued; j++ {
+		ingestAt(t, s, "ubi-1", "walker", 370, 15, t0.Add(time.Duration(j)*time.Millisecond))
+	}
+	if h := s.Health(); h.QueueCap != notifyQueueCap || h.QueueDepth != notifyQueueCap || h.State != Degraded {
+		t.Fatalf("health with a full queue: depth %d, cap %d, %v; want %d, %d, degraded",
+			h.QueueDepth, h.QueueCap, h.State, notifyQueueCap, notifyQueueCap)
 	}
 
-	s4, _ := newShardedNotifyService(t, 4)
-	h4 := s4.Health()
-	if want := 4 * cap(s4.notifyQs[0]); h4.QueueCap != want {
-		t.Errorf("sharded health queue cap = %d, want %d", h4.QueueCap, want)
+	drops := obs.Default().Counter("core_notify_drops_total")
+	before := drops.Value()
+	late := make(chan error, 1)
+	go func() {
+		late <- s.Ingest(model.Reading{
+			SensorID:  "ubi-1",
+			MObjectID: "walker",
+			Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(370, 15)),
+			Time:      t0.Add(time.Hour),
+		})
+	}()
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	// The late reading's notification is blocked on the full queue until
+	// Close stops the notifier; it must then be dropped, not queued.
+	deadline := time.Now().Add(5 * time.Second)
+	for drops.Value() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the notification evaluated during Close was never dropped")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	if err := <-late; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with the queue undelivered")
+	default:
+	}
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the handler was released")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if delivered != queued {
+		t.Errorf("Close returned after %d of %d queued notifications were delivered", delivered, queued)
+	}
+	if h := s.Health(); h.State != Down || h.QueueDepth != 0 {
+		t.Errorf("health after Close: %v with depth %d, want down and empty", h.State, h.QueueDepth)
+	}
+	s.Quiesce() // returns at once on a closed service
 }
 
 // TestCoreMetricNamesStable pins the core-layer registry names that
 // mwctl stats and the dashboards read: the heatmap latency histogram
 // (observed on success, error, and empty paths alike), the pre-filter
-// selectivity counters, and the sharded-notifier gauges.
+// selectivity counters, and the notification queue's depth gauge and
+// drop counter.
 func TestCoreMetricNamesStable(t *testing.T) {
 	s, _ := newTestService(t)
 	ingestAt(t, s, "ubi-1", "walker", 370, 15, t0)
@@ -171,7 +262,6 @@ func TestCoreMetricNamesStable(t *testing.T) {
 		"core_heatmap_us",
 		"core_heatmap_candidates",
 		"core_heatmap_culled",
-		"core_notify_workers",
 		"core_notify_queue_depth",
 		"core_notify_drops_total",
 	} {

@@ -15,9 +15,9 @@ import (
 
 // TestWorkerPoolFanOutDuringClose is the regression test for the
 // orphaned-task hang: a task that slipped into the buffered queue
-// after the workers' stop-drain would leave fanOut's WaitGroup
+// after the workers' stop-drain would leave the fan-out's WaitGroup
 // blocked forever. With submission ordered against close, every
-// accepted task runs and fanOut always returns.
+// accepted task runs and the fan-out always returns.
 func TestWorkerPoolFanOutDuringClose(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		p := newWorkerPool(4)
@@ -29,7 +29,7 @@ func TestWorkerPoolFanOutDuringClose(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				p.fanOut(8, func(int) { ran.Add(1) })
+				p.fanOutChunked(8, 8, func(int) { ran.Add(1) })
 			}()
 		}
 		close(start)
@@ -39,7 +39,7 @@ func TestWorkerPoolFanOutDuringClose(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("round %d: fanOut deadlocked against close", round)
+			t.Fatalf("round %d: fan-out deadlocked against close", round)
 		}
 		if got := ran.Load(); got != 4*8 {
 			t.Fatalf("round %d: ran %d tasks, want %d", round, got, 4*8)
@@ -53,15 +53,15 @@ func TestWorkerPoolFanOutAfterClose(t *testing.T) {
 	p := newWorkerPool(2)
 	p.close()
 	var ran atomic.Int64
-	p.fanOut(16, func(int) { ran.Add(1) })
+	p.fanOutChunked(16, 16, func(int) { ran.Add(1) })
 	if got := ran.Load(); got != 16 {
 		t.Fatalf("ran %d tasks after close, want 16", got)
 	}
 }
 
-// TestIngestBatchCutsNoSnapshot: a batch whose firings fan out across
-// objects on the worker pool evaluates each firing from the rows its
-// own insert stored, so ingest never cuts a database snapshot.
+// TestIngestBatchCutsNoSnapshot: a batch with firings for several
+// objects evaluates each firing from the rows its own insert stored,
+// so ingest never cuts a database snapshot, whatever the pool size.
 func TestIngestBatchCutsNoSnapshot(t *testing.T) {
 	clock := &testClock{now: t0}
 	s, err := New(building.PaperFloor(), WithClock(clock.Now), WithParallelism(2))

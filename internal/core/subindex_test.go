@@ -77,17 +77,14 @@ type oracleTwin struct {
 }
 
 // drain waits for delivery and returns the notifications since the last
-// drain grouped by object: with one notifier worker each object's
-// notifications arrive in evaluation order, while a batch fanned across
-// the pool interleaves different objects arbitrarily.
-func (tw *oracleTwin) drain() map[string][]Notification {
+// drain, in delivery order: stored readings are evaluated in reading
+// order and the one queue delivers in evaluation order, so the twins'
+// sequences must match exactly, across objects too.
+func (tw *oracleTwin) drain() []Notification {
 	tw.svc.Quiesce()
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	out := make(map[string][]Notification)
-	for _, n := range tw.log {
-		out[n.Object] = append(out[n.Object], n)
-	}
+	out := tw.log
 	tw.log = nil
 	return out
 }
@@ -113,15 +110,8 @@ func TestHeldIndexMatchesSubscriptionScan(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			clock := &testClock{now: t0}
-			// Odd seeds consume batches serially, even seeds fan them
-			// across the pool by object.
-			par := 1
-			if seed%2 == 0 {
-				par = 4
-			}
-			opts := []Option{WithClock(clock.Now), WithNotifyWorkers(1), WithParallelism(par)}
 			build := func(indexed bool) *oracleTwin {
-				s, err := New(building.PaperFloor(), opts...)
+				s, err := New(building.PaperFloor(), WithClock(clock.Now))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,9 +211,7 @@ func TestHeldIndexMatchesSubscriptionScan(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: notifications diverged\n index %+v\n scan  %+v", step, got, want)
 				}
-				for _, ns := range got {
-					notified += len(ns)
-				}
+				notified += len(got)
 				for _, tw := range twins {
 					checkHeldIndex(t, tw.svc, step)
 				}
@@ -428,10 +416,9 @@ func TestRingTrimmedLiveRowIsNoReturn(t *testing.T) {
 }
 
 // TestQuiesceWaitsForDelivery: Quiesce returns only after handlers
-// enqueued before it have run, on every worker queue, and does not
-// hang on a closed service.
+// enqueued before it have run, and does not hang on a closed service.
 func TestQuiesceWaitsForDelivery(t *testing.T) {
-	s, _ := newShardedNotifyService(t, 4)
+	s, _ := newTestService(t)
 	var mu sync.Mutex
 	delivered := 0
 	const subs = 8

@@ -233,15 +233,12 @@ func (s *IngestStream) reopenOn(rpc *mwrpc.Client, epoch int) error {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
 			pb := s.pending[seq]
-			size, err := s.writeBatch(rpc, seq, pb.rs)
-			if err != nil {
+			if err := s.writeBatch(rpc, seq, pb.rs); err != nil {
 				s.open = false
 				return err
 			}
-			pb.size = size
-			s.pending[seq] = pb
 			s.credBat--
-			s.credByt -= int64(size)
+			s.credByt -= int64(pb.size)
 			s.resends++
 			s.c.mStreamResends.Inc()
 		}
@@ -250,10 +247,9 @@ func (s *IngestStream) reopenOn(rpc *mwrpc.Client, epoch int) error {
 	return nil
 }
 
-// writeBatch encodes rs and fires the stream frame; it returns the
-// payload size charged against the byte credits.
-func (s *IngestStream) writeBatch(rpc *mwrpc.Client, seq uint64, rs []model.Reading) (int, error) {
-	return ReadingsBinSize(rs), rpc.StreamSend(s.id, seq, func(b []byte) []byte {
+// writeBatch encodes rs and fires the stream frame.
+func (s *IngestStream) writeBatch(rpc *mwrpc.Client, seq uint64, rs []model.Reading) error {
+	return rpc.StreamSend(s.id, seq, func(b []byte) []byte {
 		return AppendReadings(b, rs)
 	})
 }
@@ -274,6 +270,8 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 	if s.closed {
 		return mwrpc.ErrClosed
 	}
+	// The encoded size is the batch's byte-credit charge, computed once.
+	size := ReadingsBinSize(rs)
 	var lastErr error
 	for attempt := 0; attempt < s.c.opts.DialAttempts; attempt++ {
 		rpc, epoch, err := s.c.current()
@@ -295,13 +293,12 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 		if s.credBat < 1 && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
-		if s.credByt < int64(ReadingsBinSize(rs)) && len(s.pending) > 0 {
+		if s.credByt < int64(size) && len(s.pending) > 0 {
 			return mwrpc.ErrNoCredit
 		}
 		s.nextSeq++
 		seq := s.nextSeq
-		size, err := s.writeBatch(rpc, seq, rs)
-		if err != nil {
+		if err := s.writeBatch(rpc, seq, rs); err != nil {
 			s.open = false
 			if !isTransportErr(err) {
 				return err

@@ -99,8 +99,10 @@ var WithClock = core.WithClock
 // queryable with Service.History.
 var WithHistory = core.WithHistory
 
-// WithParallelism caps the query worker pool (0 = GOMAXPROCS, 1 =
-// serial evaluation).
+// WithParallelism sizes the worker pool the region scans
+// (ObjectsInRegion, OccupancyHeatmap) fan out on (0 = GOMAXPROCS, 1 =
+// serial scans). Stored readings are evaluated serially, in reading
+// order, whatever the size.
 var WithParallelism = core.WithParallelism
 
 // WithCacheQuantum sets how long a fused-location cache entry may
