@@ -23,7 +23,8 @@ race:
 # readings notify several objects without cutting a snapshot, the exit
 # checks (the held index against the scan of every subscription; a
 # return after expiry is an entry), the one queue's delivery in
-# evaluation order across a room and its floor, the
+# evaluation order across a room and its floor, every firing after
+# Close either delivered or counted as dropped, the
 # cache-freshness stress that used to hang in Snapshot, the three tests
 # of the cut itself (every concurrent cut fresh, a prefix of each
 # cross-floor batch, a migrating object seen once, and returning; a cut
@@ -34,7 +35,7 @@ race:
 # longer timeout: a slower runner must not turn the flake gate into a
 # timeout flake.
 concurrency-gate:
-	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace|TestHeldIndexMatchesSubscriptionScan|TestReturnAfterExpiryIsAnEntry|TestNotifierDeliversInEvaluationOrder' ./internal/core/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace|TestHeldIndexMatchesSubscriptionScan|TestReturnAfterExpiryIsAnEntry|TestNotifierDeliversInEvaluationOrder|TestCloseAccountsForEveryNotification' ./internal/core/
 	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestCutConcurrentIngestNeverTorn|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as

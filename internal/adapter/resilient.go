@@ -153,7 +153,8 @@ type ResilientSink struct {
 	buf    []model.Reading
 	stats  ResilientStats
 	closed bool
-	done   chan struct{}
+	stop   chan struct{} // closed by Close: wakes a drain asleep in a backoff
+	done   chan struct{} // closed by the drain goroutine on exit
 
 	// breaker state
 	consecFails int
@@ -174,6 +175,7 @@ func NewResilientSink(sink Sink, opts ResilientOptions) *ResilientSink {
 	r := &ResilientSink{
 		sink: sink,
 		opts: opts.withDefaults(),
+		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -518,7 +520,7 @@ func (r *ResilientSink) sleep(d time.Duration) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-r.done:
+	case <-r.stop:
 	}
 }
 
@@ -579,6 +581,7 @@ func (r *ResilientSink) Close() {
 		return
 	}
 	r.closed = true
+	close(r.stop)
 	r.stats.Dropped += uint64(len(r.buf))
 	mResDropped.Add(uint64(len(r.buf)))
 	r.buf = nil

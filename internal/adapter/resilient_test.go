@@ -333,3 +333,28 @@ func TestResilientSinkProbeGuardsBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestResilientSinkCloseWakesBackoff: Close returns while the drain
+// goroutine sleeps out an open breaker's cooldown.
+func TestResilientSinkCloseWakesBackoff(t *testing.T) {
+	rs := NewResilientSink(&flakySink{broken: true}, ResilientOptions{
+		FailureThreshold: 1,
+		Cooldown:         time.Hour,
+	})
+	if err := rs.Ingest(model.Reading{MObjectID: "a", SensorID: "s", Time: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	// Give the drain time to reach its hour-long backoff; Close must
+	// wake it there.
+	time.Sleep(20 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		rs.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while the drain slept out the breaker cooldown")
+	}
+}

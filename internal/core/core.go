@@ -160,6 +160,14 @@ type Service struct {
 	// they were evaluated, across every subscription.
 	notifyQ chan dispatch
 	stop    chan struct{}
+	// qmu orders enqueues against the notifier's final drain: an
+	// enqueue holds it for reading and sends only while qclosed is
+	// false; after stop closes, the notifier takes it for writing (so
+	// every enqueue in flight has finished) and sets qclosed before it
+	// drains. Every notification counted as notified is thus delivered,
+	// and every one refused is counted as dropped.
+	qmu     sync.RWMutex
+	qclosed bool
 	// drained closes when the notifier has drained the queue and exited.
 	drained chan struct{}
 
@@ -391,6 +399,25 @@ func (s *Service) deliver(d dispatch) {
 	mQueueDepth.Set(float64(len(s.notifyQ)))
 }
 
+// enqueue hands one notification to the notifier. Once the service is
+// shutting down it may be dropped instead, and is then counted as
+// dropped; one that is queued is always delivered (see qmu).
+func (s *Service) enqueue(d dispatch) {
+	s.qmu.RLock()
+	defer s.qmu.RUnlock()
+	if !s.qclosed {
+		select {
+		case s.notifyQ <- d:
+			s.notified.Add(1)
+			mNotified.Inc()
+			mQueueDepth.Set(float64(len(s.notifyQ)))
+			return
+		case <-s.stop:
+		}
+	}
+	mNotifyDrops.Inc()
+}
+
 // notifier delivers the queued notifications off the insert path,
 // strictly in enqueue order.
 func (s *Service) notifier() {
@@ -400,7 +427,11 @@ func (s *Service) notifier() {
 		case d := <-s.notifyQ:
 			s.deliver(d)
 		case <-s.stop:
-			// Drain anything already queued, then exit.
+			// Wait out the enqueues in flight and refuse new ones, then
+			// drain everything queued and exit.
+			s.qmu.Lock()
+			s.qclosed = true
+			s.qmu.Unlock()
 			for {
 				select {
 				case d := <-s.notifyQ:
@@ -941,16 +972,7 @@ func (s *Service) observeStored(ev *spatialdb.StoredReading) {
 			At:             now,
 			Trace:          trace,
 		}
-		select {
-		case s.notifyQ <- dispatch{fn: sub.spec.Handler, n: n, enq: time.Now()}:
-			s.notified.Add(1)
-			mNotified.Inc()
-			mQueueDepth.Set(float64(len(s.notifyQ)))
-		case <-s.stop:
-			// The service is shutting down: the notification is dropped
-			// rather than enqueued behind a stopped notifier.
-			mNotifyDrops.Inc()
-		}
+		s.enqueue(dispatch{fn: sub.spec.Handler, n: n, enq: time.Now()})
 	}
 	if s.history != nil && len(e.readings) > 0 {
 		if loc, err := s.locate(obj, e); err == nil {

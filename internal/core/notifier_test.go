@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,5 +272,67 @@ func TestCoreMetricNamesStable(t *testing.T) {
 	}
 	if obs.Default().Counter("core_heatmap_candidates").Value() == 0 {
 		t.Error("core_heatmap_candidates never moved")
+	}
+}
+
+// TestCloseAccountsForEveryNotification: firings racing Close, and
+// firings after it, are each either delivered or counted as dropped.
+// None may be counted as notified (Health.Notifications) and then left
+// undelivered in the queue after the notifier's final drain.
+func TestCloseAccountsForEveryNotification(t *testing.T) {
+	s, _ := newTestService(t)
+	var delivered atomic.Uint64
+	started := make(chan struct{})
+	var once sync.Once
+	if _, err := s.Subscribe(Subscription{
+		Region:       glob.MustParse("CS/Floor3/NetLab"),
+		EveryReading: true,
+		Handler: func(Notification) {
+			delivered.Add(1)
+			once.Do(func() { close(started) })
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dropped0 := mNotifyDrops.Value()
+	fire := func(obj string, j int) error {
+		return s.Ingest(model.Reading{
+			SensorID:  "ubi-1",
+			MObjectID: obj,
+			Location:  glob.CoordinatePoint(glob.MustParse("CS/Floor3"), geom.Pt(370, 15)),
+			Time:      t0.Add(time.Duration(j) * time.Second),
+		})
+	}
+	const writers, racing, after = 4, 50, 100
+	var wg sync.WaitGroup
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		obj := "walker-" + string(rune('a'+w))
+		go func() {
+			defer wg.Done()
+			for j := 0; j < racing; j++ {
+				if err := fire(obj, j); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	<-started
+	s.Close()
+	wg.Wait()
+	for j := 0; j < after; j++ {
+		if err := fire("walker-z", j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	notified := s.Health().Notifications
+	dropped := mNotifyDrops.Value() - dropped0
+	if want := uint64(writers*racing + after); notified+dropped != want {
+		t.Fatalf("notified %d + dropped %d, want %d firings", notified, dropped, want)
+	}
+	if got := delivered.Load(); notified != got {
+		t.Errorf("notified %d, delivered %d, dropped %d: %d notifications were counted and lost",
+			notified, got, dropped, notified-got)
 	}
 }

@@ -56,7 +56,7 @@ func TestChaosFederationKillRestart(t *testing.T) {
 	go func() {
 		defer qwg.Done()
 		for !stopQueries.Load() {
-			_, unavailable, err := daemons[0].fedRouter().ObjectsInRegion(allRegion(), 0, false)
+			_, unavailable, err := daemons[0].fedRouter().ObjectsInRegion(allRegion(), 0, false, "")
 			if err != nil {
 				t.Errorf("federated query errored mid-chaos: %v", err)
 				return
@@ -254,7 +254,7 @@ func TestChaosFederationKillRestart(t *testing.T) {
 	}
 
 	// The final scan is complete and sees every object.
-	objs, unavailable, err := daemons[0].fedRouter().ObjectsInRegion(allRegion(), 0, false)
+	objs, unavailable, err := daemons[0].fedRouter().ObjectsInRegion(allRegion(), 0, false, "")
 	if err != nil {
 		t.Fatalf("final scan: %v", err)
 	}

@@ -58,9 +58,6 @@ type Config struct {
 	Heartbeat time.Duration
 	// RefreshEvery is the placement cache poll period (default 2s).
 	RefreshEvery time.Duration
-	// Strict makes federated queries error on unavailable shards by
-	// default (callers can override per query).
-	Strict bool
 
 	// Per-peer call policy.
 	DialTimeout time.Duration // default 2s

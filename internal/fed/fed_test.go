@@ -259,7 +259,7 @@ func TestFederatedQueryMergesAcrossDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false)
+	objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false, "")
 	if err != nil {
 		t.Fatalf("federated query: %v", err)
 	}
@@ -336,7 +336,7 @@ func TestFederatedQueryDeterministicWithDownPeer(t *testing.T) {
 	var refUnavailable []string
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false)
+		objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false, "")
 		if err != nil {
 			t.Fatalf("federated query: %v", err)
 		}
@@ -365,7 +365,7 @@ func TestFederatedQueryDeterministicWithDownPeer(t *testing.T) {
 	// Determinism across repeats — through breaker-open, half-open, and
 	// re-open cycles the merge must not wobble.
 	for i := 0; i < 5; i++ {
-		objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false)
+		objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, false, "")
 		if err != nil {
 			t.Fatalf("repeat %d: %v", i, err)
 		}
@@ -378,7 +378,7 @@ func TestFederatedQueryDeterministicWithDownPeer(t *testing.T) {
 	}
 
 	// Strict mode refuses to degrade.
-	_, _, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, true)
+	_, _, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0, true, "")
 	if !errors.Is(err, fed.ErrUnavailable) {
 		t.Errorf("strict query error = %v, want ErrUnavailable", err)
 	}

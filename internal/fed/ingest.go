@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"middlewhere/internal/model"
+	"middlewhere/internal/mwrpc"
 	"middlewhere/internal/obs"
 	"middlewhere/internal/spatialdb"
 )
@@ -104,7 +105,9 @@ func (r *Router) forwardBatch(daemon string, p *peer, rs []model.Reading, idxs [
 	}
 	fwdStart := time.Now()
 	var rep IngestReply
-	if err := p.callTraced(MethodIngest, args, &rep, trace); err != nil {
+	if err := p.call(trace, func(cli *mwrpc.Client) error {
+		return mwrpc.CallJSON(cli, MethodIngest, trace, args, &rep)
+	}); err != nil {
 		obs.SpanSinceD(trace, "fed_forward", r.cfg.Daemon, fwdStart)
 		*localIdx = append(*localIdx, idxs...)
 		return true
@@ -141,7 +144,9 @@ func (r *Router) migrateObject(id string, p *peer, trace string) error {
 		}
 		args := MigrateArgs{Object: id, Epoch: epoch, Readings: ToWireBatch(rows), From: r.cfg.Daemon, Trace: trace}
 		var rep MigrateReply
-		if err := p.callTraced(MethodMigrate, args, &rep, trace); err != nil {
+		if err := p.call(trace, func(cli *mwrpc.Client) error {
+			return mwrpc.CallJSON(cli, MethodMigrate, trace, args, &rep)
+		}); err != nil {
 			obs.SpanSinceD(trace, "fed_migrate", r.cfg.Daemon, migStart)
 			return err
 		}

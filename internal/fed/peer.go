@@ -211,21 +211,16 @@ func (p *peer) client() (*mwrpc.Client, error) {
 	return fresh, nil
 }
 
-// call invokes a JSON method on the peer with per-attempt timeout,
-// capped exponential backoff between attempts, and breaker
-// accounting. It returns ErrPeerDown-wrapped errors when the peer is
-// unreachable; application-level errors (the method ran and said no)
-// pass through and count as success for the breaker.
-func (p *peer) call(method string, args, reply interface{}) error {
-	return p.callTraced(method, args, reply, "")
-}
-
-// callTraced is call with an obs trace ID stamped on the request
-// frame, so the remote handler adopts the trace. Retry backoff sleeps
-// are recorded as fed_backoff spans under the trace — that is where a
-// degraded peer's latency hides — attributed to the local daemon (the
-// waiting happens here).
-func (p *peer) callTraced(method string, args, reply interface{}, trace string) error {
+// call runs attempt — one request on the peer's connection — with
+// per-attempt timeout, capped exponential backoff between attempts,
+// and breaker accounting. It returns ErrPeerDown-wrapped errors when
+// the peer is unreachable; application-level errors (the method ran
+// and said no) pass through and count as success for the breaker.
+// Under a trace ("" untraced), retry backoff sleeps are recorded as
+// fed_backoff spans — that is where a degraded peer's latency hides —
+// attributed to the local daemon (the waiting happens here); attempt
+// stamps the trace on its frame so the remote handler adopts it.
+func (p *peer) call(trace string, attempt func(*mwrpc.Client) error) error {
 	trial, err := p.admit()
 	if err != nil {
 		p.mFails.Inc()
@@ -257,7 +252,7 @@ func (p *peer) callTraced(method string, args, reply interface{}, trace string) 
 			last = err
 			continue
 		}
-		err = cli.CallTraced(method, args, reply, trace)
+		err = attempt(cli)
 		if err == nil || !isTransportErr(err) {
 			p.noteSuccess(trial)
 			return err

@@ -8,17 +8,10 @@ import (
 	"time"
 
 	"middlewhere/internal/glob"
+	"middlewhere/internal/mwrpc"
 	"middlewhere/internal/obs"
 	"middlewhere/internal/spatialdb"
 )
-
-// regionArgs is the JSON shape of the peers' local region scan
-// (mw.objectsInRegion) — the same frame remote clients send, so a
-// federated daemon queries its peers exactly like any client would.
-type regionArgs struct {
-	Region  string  `json:"region"`
-	MinProb float64 `json:"minProb,omitempty"`
-}
 
 // ObjectsInRegion answers a region scan across the federation: the
 // local service evaluates its resident objects, every peer daemon
@@ -33,15 +26,12 @@ type regionArgs struct {
 // with strict set, the call errors instead. A local evaluation error
 // is always an error — degradation covers peers, not the caller's own
 // daemon.
-func (r *Router) ObjectsInRegion(region glob.GLOB, minProb float64, strict bool) (map[string]float64, []string, error) {
-	return r.ObjectsInRegionTraced(region, minProb, strict, "")
-}
-
-// ObjectsInRegionTraced is ObjectsInRegion running under an obs trace:
-// the local scan, the peer fan-out (trace ID stamped on every peer
-// frame, so each peer's region_scan span lands in the same trace), and
-// the merge each get a span labeled with this daemon's name.
-func (r *Router) ObjectsInRegionTraced(region glob.GLOB, minProb float64, strict bool, trace string) (map[string]float64, []string, error) {
+//
+// trace ("" untraced) is the obs trace the scan runs under: the local
+// scan, the peer fan-out (trace ID stamped on every peer frame, so each
+// peer's region_scan span lands in the same trace), and the merge each
+// get a span labeled with this daemon's name.
+func (r *Router) ObjectsInRegion(region glob.GLOB, minProb float64, strict bool, trace string) (map[string]float64, []string, error) {
 	mFedQueries.Inc()
 	regionKey := spatialdb.ShardKeyForGLOB(region)
 
@@ -78,7 +68,7 @@ func (r *Router) ObjectsInRegionTraced(region glob.GLOB, minProb float64, strict
 		results[0], errs[0] = r.svc.ObjectsInRegion(region, minProb)
 		obs.SpanSinceD(trace, "fed_local_scan", r.cfg.Daemon, localStart)
 	}()
-	args := regionArgs{Region: region.String(), MinProb: minProb}
+	q := RegionQuery{Region: region.String(), MinProb: minProb}
 	for i, p := range peers {
 		go func(slot int, p *peer) {
 			defer wg.Done()
@@ -86,12 +76,14 @@ func (r *Router) ObjectsInRegionTraced(region glob.GLOB, minProb float64, strict
 				errs[slot] = fmt.Errorf("%w: no peer", ErrPeerDown)
 				return
 			}
-			var out map[string]float64
-			if err := p.callTraced("mw.objectsInRegion", args, &out, trace); err != nil {
-				errs[slot] = err
-				return
-			}
-			results[slot] = out
+			errs[slot] = p.call(trace, func(cli *mwrpc.Client) error {
+				return cli.Call("mw.objectsInRegion", trace,
+					func(b []byte) []byte { return AppendRegionQuery(b, q) },
+					func(payload []byte) (err error) {
+						results[slot], err = DecodeObjectsReply(payload)
+						return err
+					})
+			})
 		}(i+1, p)
 	}
 	wg.Wait()
@@ -129,7 +121,7 @@ func (r *Router) ObjectsInRegionTraced(region glob.GLOB, minProb float64, strict
 	obs.SpanSinceD(trace, "fed_merge", r.cfg.Daemon, mergeStart)
 	if len(unavailable) > 0 {
 		mFedPartialResults.Inc()
-		if strict || r.cfg.Strict {
+		if strict {
 			return nil, unavailable, fmt.Errorf("%w: %s", ErrUnavailable, strings.Join(unavailable, ", "))
 		}
 	}
@@ -142,7 +134,7 @@ func (r *Router) Query(a QueryArgs) (QueryReply, error) {
 	if err != nil {
 		return QueryReply{}, err
 	}
-	objs, unavailable, err := r.ObjectsInRegionTraced(region, a.MinProb, a.Strict, a.Trace)
+	objs, unavailable, err := r.ObjectsInRegion(region, a.MinProb, a.Strict, a.Trace)
 	if err != nil {
 		return QueryReply{}, err
 	}

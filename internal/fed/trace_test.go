@@ -101,7 +101,7 @@ func TestFedQueryTracePropagation(t *testing.T) {
 	}
 
 	id := obs.BeginTrace()
-	objs, unavailable, err := alpha.fedRouter().ObjectsInRegionTraced(allRegion(), 0.1, true, id)
+	objs, unavailable, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0.1, true, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFedMetricNamesStable(t *testing.T) {
 	if err := alpha.svc.IngestBatch([]model.Reading{fReading("bob", 1, 5, 5, time.Now())}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0.1, false); err != nil {
+	if _, _, err := alpha.fedRouter().ObjectsInRegion(allRegion(), 0.1, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	snap := obs.Default().Snapshot()

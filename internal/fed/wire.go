@@ -7,12 +7,15 @@ import (
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
+	"middlewhere/internal/mwrpc"
 )
 
 // Wire types for the federation RPCs. The fed package owns both ends
-// of every frame it speaks — the router sends these structs and the
-// remote server's handlers unmarshal into them — so the two sides can
-// never drift. All federation methods carry JSON payloads: mwrpc
+// of every frame it speaks — the router sends these and the remote
+// server's handlers decode them — so the two sides can never drift.
+// The peer region scan rides the binary mw.objectsInRegion, the same
+// frame remote clients send (RegionQuery, AppendObjectsReply); the
+// handoff, forwarded ingest and control methods carry JSON. mwrpc
 // carries method names missing from its code table via its
 // named-method escape, so no table changes are needed.
 const (
@@ -162,6 +165,75 @@ type IngestReply struct {
 	// Rejected lists frame indices that failed validation; they were
 	// not stored and retrying them would be pointless.
 	Rejected []int `json:"rejected,omitempty"`
+}
+
+// RegionQuery is the binary request of mw.probInRegion and
+// mw.objectsInRegion: a peer's local region scan is the same frame a
+// remote client sends, so a federated daemon queries its peers exactly
+// like any client would.
+type RegionQuery struct {
+	// Object is the object a probInRegion asks about; empty for a scan.
+	Object string
+	Region string
+	// MinProb filters objectsInRegion results.
+	MinProb float64
+}
+
+// AppendRegionQuery appends q's binary form to b.
+func AppendRegionQuery(b []byte, q RegionQuery) []byte {
+	b = mwrpc.AppendString(b, q.Object)
+	b = mwrpc.AppendString(b, q.Region)
+	return mwrpc.AppendF64(b, q.MinProb)
+}
+
+// DecodeRegionQuery parses AppendRegionQuery's form.
+func DecodeRegionQuery(payload []byte) (RegionQuery, error) {
+	r := mwrpc.NewBinReader(payload)
+	var q RegionQuery
+	var err error
+	if q.Object, err = r.String(); err != nil {
+		return q, err
+	}
+	if q.Region, err = r.String(); err != nil {
+		return q, err
+	}
+	if q.MinProb, err = r.F64(); err != nil {
+		return q, err
+	}
+	return q, nil
+}
+
+// AppendObjectsReply appends the binary reply of mw.objectsInRegion:
+// a count, then each object ID and its probability.
+func AppendObjectsReply(b []byte, objs map[string]float64) []byte {
+	b = mwrpc.AppendUvarint(b, uint64(len(objs)))
+	for obj, p := range objs {
+		b = mwrpc.AppendString(b, obj)
+		b = mwrpc.AppendF64(b, p)
+	}
+	return b
+}
+
+// DecodeObjectsReply parses AppendObjectsReply's form.
+func DecodeObjectsReply(payload []byte) (map[string]float64, error) {
+	r := mwrpc.NewBinReader(payload)
+	n, err := r.Len(9)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, n)
+	for i := 0; i < n; i++ {
+		obj, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		p, err := r.F64()
+		if err != nil {
+			return nil, err
+		}
+		out[obj] = p
+	}
+	return out, nil
 }
 
 // QueryArgs asks for a federated region scan.

@@ -59,7 +59,7 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 
 	// The good client is unaffected.
 	var reply echoReply
-	if err := good.Call("echo", echoArgs{Text: "still alive"}, &reply); err != nil {
+	if err := CallJSON(good, "echo", "", echoArgs{Text: "still alive"}, &reply); err != nil {
 		t.Fatalf("good client broken after garbage: %v", err)
 	}
 	if reply.Text != "still alive" {
@@ -126,7 +126,7 @@ func TestDialSendsNoHandshake(t *testing.T) {
 	}
 	defer peer.Close()
 
-	go c.Call("mw.health", struct{}{}, nil) // times out: the peer never replies
+	go CallJSON(c, "mw.health", "", struct{}{}, nil) // times out: the peer never replies
 	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
 	var hdr [binHeaderLen]byte
 	if _, err := io.ReadFull(peer, hdr[:]); err != nil {
@@ -162,7 +162,7 @@ func TestClientSurvivesServerGarbage(t *testing.T) {
 	}
 	defer c.Close()
 	c.Timeout = 2 * time.Second
-	err = c.Call("echo", echoArgs{Text: "x"}, nil)
+	err = CallJSON(c, "echo", "", echoArgs{Text: "x"}, nil)
 	if err == nil {
 		t.Error("call against garbage server should fail")
 	}
@@ -187,7 +187,7 @@ func TestSlowLorisHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("echo", echoArgs{Text: "ok"}, nil); err != nil {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: "ok"}, nil); err != nil {
 		t.Fatalf("server wedged by slow loris: %v", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -36,13 +37,20 @@ func jsonEnvelope(body string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
+// retiredFlagSet sets header bit 0, which once marked a binary
+// payload and is now unassigned: readers must ignore it.
+func retiredFlagSet(b []byte) []byte {
+	b[2] |= 1 << 0
+	return b
+}
+
 // readFrameSeeds seeds FuzzReadFrame: well-formed frames, plus classic
 // malformations that must error.
 func readFrameSeeds() [][]byte {
 	return [][]byte{
-		// Request, coded method, binary payload.
+		// Request, coded method.
 		mustEncode(frame{kind: kindReq, id: 1, method: "mw.ingestBatch",
-			binary: true, payload: []byte{0x01, 0x02, 0x03}}),
+			payload: []byte{0x01, 0x02, 0x03}}),
 		// Request, named method with a trace and a JSON payload.
 		mustEncode(frame{kind: kindReq, id: 9, method: "custom.method",
 			trace: "t-1", payload: []byte(`{"a":1}`)}),
@@ -50,12 +58,12 @@ func readFrameSeeds() [][]byte {
 		mustEncode(frame{kind: kindResp, id: 2, errMsg: "boom"}),
 		// Push.
 		mustEncode(frame{kind: kindPush, method: "mw.notify",
-			binary: true, payload: []byte{0x00}}),
+			payload: []byte{0x00}}),
 		// Stream batch and ack.
 		mustEncode(frame{kind: kindStreamBatch, id: 7, seq: 3,
-			binary: true, payload: []byte{0x01}}),
+			payload: []byte{0x01}}),
 		mustEncode(frame{kind: kindStreamAck, id: 7, seq: 3,
-			binary: true, payload: []byte{0x01, 0x00}}),
+			payload: []byte{0x01, 0x00}}),
 		// The retired JSON envelope: a request and a stream batch.
 		jsonEnvelope(`{"kind":"req","id":1,"method":"echo","params":{"text":"hi"}}`),
 		jsonEnvelope(`{"kind":"sbatch","id":4,"seq":1,"params":{"readings":[]}}`),
@@ -66,12 +74,16 @@ func readFrameSeeds() [][]byte {
 		// Header claiming an oversized payload.
 		{binMagic, kindReq, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF,
 			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		// The same request with the retired flag bit 0 set: it decodes.
+		retiredFlagSet(mustEncode(frame{kind: kindReq, id: 1, method: "mw.ingestBatch",
+			payload: []byte{0x01, 0x02, 0x03}})),
 	}
 }
 
 // FuzzReadFrame feeds raw connection bytes to the frame reader: it
 // covers the magic check and the header/payload parser. Bytes that do
-// not start with the magic must never decode.
+// not start with the magic must never decode, and the unassigned
+// header bit 0 must never change what a frame decodes to.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range readFrameSeeds() {
 		f.Add(s)
@@ -87,7 +99,40 @@ func FuzzReadFrame(f *testing.F) {
 		if len(fr.payload) > maxFrame {
 			t.Fatalf("decoded payload of %d bytes exceeds maxFrame", len(fr.payload))
 		}
+		// Header bit 0 is unassigned: flipping it never changes a decode.
+		flipped := append([]byte(nil), data...)
+		flipped[2] ^= 1 << 0
+		fr2, err := readFrame(bufio.NewReader(bytes.NewReader(flipped)))
+		if err != nil || !reflect.DeepEqual(fr, fr2) {
+			t.Fatalf("flipping header bit 0 changed the decode: %+v -> %+v (%v)", fr, fr2, err)
+		}
 	})
+}
+
+// TestRetiredFlagBitIgnored: a frame with the unassigned bit 0 set
+// decodes exactly as the same frame without it, and bytes that do not
+// start with the magic still error whatever their flags.
+func TestRetiredFlagBitIgnored(t *testing.T) {
+	read := func(b []byte) (frame, error) {
+		return readFrame(bufio.NewReader(bytes.NewReader(b)))
+	}
+	f := frame{kind: kindReq, id: 3, method: "mw.locate", trace: "t", payload: []byte("alice")}
+	plain, err := read(mustEncode(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged, err := read(retiredFlagSet(mustEncode(f)))
+	if err != nil {
+		t.Fatalf("frame with bit 0 set: %v", err)
+	}
+	if !reflect.DeepEqual(plain, flagged) {
+		t.Errorf("bit 0 changed the decode: %+v vs %+v", flagged, plain)
+	}
+	bad := retiredFlagSet(mustEncode(f))
+	bad[0] = 0xB0
+	if _, err := read(bad); err == nil {
+		t.Error("a frame without the magic decoded")
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the committed seed corpora from the

@@ -17,12 +17,15 @@
 // 0xB1, frame kind, flags, a method code, the payload length, a
 // correlation ID and a stream sequence number, followed by the
 // payload. Both sides speak it from the first byte; there is no
-// handshake. Hot payloads (batched ingest, Locate, region queries,
-// notification pushes, stream batches and acks) are hand-rolled
-// binary; control-plane methods carry JSON bytes inside the frame. A
-// frame that does not start with the magic is malformed and drops the
-// connection. Encode uses pooled buffers and one write per frame, so
-// the steady-state encode path allocates nothing.
+// handshake. The transport carries the payload as bytes and never
+// looks inside: a method has one Handler, and the caller and handler
+// alone agree on the payload's encoding. The hot methods (batched
+// ingest, Locate, region queries, notification pushes, stream batches
+// and acks) hand-roll binary; the control plane carries JSON through
+// the JSONHandler/CallJSON pair. A frame that does not start with the
+// magic is malformed and drops the connection. Encode uses pooled
+// buffers and one write per frame, so the steady-state encode path
+// allocates nothing.
 package mwrpc
 
 import (
@@ -54,12 +57,14 @@ const (
 	kindStreamAck   = 5
 )
 
-// Header flags (header byte 2).
+// Header flags (header byte 2). Bit 0 is unassigned: it once marked a
+// binary payload, when the transport also carried JSON of its own.
+// Writers leave it clear and readers ignore it, as the retired method
+// codes 1 and 20 are left free.
 const (
-	flagBinaryPayload = 1 << 0 // payload is hand-rolled binary, not JSON
-	flagError         = 1 << 1 // response payload is an error message
-	flagNamed         = 1 << 2 // method/stream name prefixes the payload
-	flagTrace         = 1 << 3 // trace ID prefixes the payload
+	flagError = 1 << 1 // response payload is an error message
+	flagNamed = 1 << 2 // method/stream name prefixes the payload
+	flagTrace = 1 << 3 // trace ID prefixes the payload
 )
 
 // binHeaderLen is the fixed header size: magic, kind, flags, method
@@ -119,7 +124,7 @@ var (
 	errBadMagic = errors.New("mwrpc: frame does not start with 0xB1")
 )
 
-// Appender writes a binary payload by extending buf and returning the
+// Appender writes a payload by extending buf and returning the
 // extended slice; it must not retain buf. Used for zero-alloc encode
 // straight into the pooled frame buffer.
 type Appender func(buf []byte) []byte
@@ -132,7 +137,6 @@ type frame struct {
 	method string // request method or push stream name
 	trace  string
 	errMsg string // response error
-	binary bool   // payload is hand-rolled binary
 	// payload carries the body bytes; enc, when non-nil, appends the
 	// body directly into the frame buffer instead (zero-copy encode).
 	payload []byte
@@ -214,9 +218,6 @@ func writeFrame(w io.Writer, f frame) error {
 func appendBinaryFrame(b []byte, f frame) ([]byte, error) {
 	flags := uint8(0)
 	code := uint8(0)
-	if f.binary {
-		flags |= flagBinaryPayload
-	}
 	if f.errMsg != "" {
 		flags |= flagError
 	}
@@ -322,7 +323,6 @@ func readBinaryFrame(br *bufio.Reader, start time.Time) (frame, error) {
 		}
 	} else {
 		f.payload = rest
-		f.binary = flags&flagBinaryPayload != 0
 	}
 	mDecodeUs.Observe(float64(time.Since(start).Microseconds()))
 	mFramesRecv.Inc()
@@ -353,9 +353,10 @@ func (c *ServerConn) send(f frame) error {
 	return writeFrame(c.conn, f)
 }
 
-// Push sends an asynchronous binary-payload message on a named stream.
+// Push sends an asynchronous message on a named stream, its payload
+// appended by enc.
 func (c *ServerConn) Push(stream string, enc Appender) error {
-	err := c.send(frame{kind: kindPush, method: stream, binary: true, enc: enc})
+	err := c.send(frame{kind: kindPush, method: stream, enc: enc})
 	if err == nil {
 		mPushesSent.Inc()
 	}
@@ -363,10 +364,10 @@ func (c *ServerConn) Push(stream string, enc Appender) error {
 }
 
 // StreamAck acknowledges a stream batch: seq is the highest contiguous
-// sequence processed, and the binary payload carries the cumulative
-// counts, per-reading rejects, and the credit grant.
+// sequence processed, and the payload carries the cumulative counts,
+// per-reading rejects, and the credit grant.
 func (c *ServerConn) StreamAck(id, seq uint64, payload []byte) error {
-	err := c.send(frame{kind: kindStreamAck, id: id, seq: seq, payload: payload, binary: true})
+	err := c.send(frame{kind: kindStreamAck, id: id, seq: seq, payload: payload})
 	if err == nil {
 		mStreamAcks.Inc()
 	}
@@ -403,48 +404,46 @@ func (c *ServerConn) close() {
 	}
 }
 
-// respond sends a response frame with a JSON payload.
-func (c *ServerConn) respond(id uint64, result interface{}, herr error) error {
-	f := frame{kind: kindResp, id: id}
+// respond sends a response frame: the payload enc appends, or the
+// handler's error.
+func (c *ServerConn) respond(id uint64, enc Appender, herr error) error {
+	f := frame{kind: kindResp, id: id, enc: enc}
 	if herr != nil {
 		f.errMsg = herr.Error()
-	} else {
+	}
+	return c.send(f)
+}
+
+// Handler serves one method. payload is the request body, valid only
+// for the duration of the call; trace is the obs trace ID carried on
+// the frame ("" untraced), so the server side can continue a span
+// chain begun in the client. It returns an Appender that encodes the
+// response body (nil for an empty one). It runs on the connection's
+// reader goroutine; slow work should be handed off.
+type Handler func(conn *ServerConn, payload []byte, trace string) (Appender, error)
+
+// JSONHandler adapts a control-plane method whose request and reply
+// are JSON: the body is unmarshalled into an A (an empty body leaves
+// the zero value) and fn's result is marshalled as the reply.
+func JSONHandler[A any](fn func(conn *ServerConn, args A, trace string) (any, error)) Handler {
+	return func(conn *ServerConn, payload []byte, trace string) (Appender, error) {
+		var a A
+		if len(payload) > 0 {
+			if err := json.Unmarshal(payload, &a); err != nil {
+				return nil, err
+			}
+		}
+		result, err := fn(conn, a, trace)
+		if err != nil {
+			return nil, err
+		}
 		body, err := json.Marshal(result)
 		if err != nil {
-			f.errMsg = "mwrpc: marshal result: " + err.Error()
-		} else {
-			f.payload = body
+			return nil, fmt.Errorf("mwrpc: marshal result: %w", err)
 		}
+		return func(b []byte) []byte { return append(b, body...) }, nil
 	}
-	return c.send(f)
 }
-
-// respondBinary sends a binary-payload response frame.
-func (c *ServerConn) respondBinary(id uint64, enc Appender, herr error) error {
-	f := frame{kind: kindResp, id: id}
-	if herr != nil {
-		f.errMsg = herr.Error()
-	} else {
-		f.binary = true
-		f.enc = enc
-	}
-	return c.send(f)
-}
-
-// Handler serves one method. It runs on the connection's reader
-// goroutine; slow work should be handed off.
-type Handler func(conn *ServerConn, params json.RawMessage) (interface{}, error)
-
-// TracedHandler is a Handler that also receives the trace ID carried
-// on the request frame ("" for untraced requests), so the server side
-// can continue a span chain begun in the client.
-type TracedHandler func(conn *ServerConn, params json.RawMessage, trace string) (interface{}, error)
-
-// BinaryHandler serves a method whose request payload is hand-rolled
-// binary. It returns an Appender that encodes the binary response
-// payload (nil for an empty response). The payload slice is only valid
-// for the duration of the call.
-type BinaryHandler func(conn *ServerConn, payload []byte, trace string) (Appender, error)
 
 // StreamBatchFunc consumes one streaming-ingest batch frame. It runs
 // on the connection's reader goroutine — processing inline is what
@@ -455,50 +454,32 @@ type StreamBatchFunc func(conn *ServerConn, id, seq uint64, payload []byte, trac
 
 // Server dispatches framed requests to registered handlers.
 type Server struct {
-	mu          sync.Mutex
-	handlers    map[string]Handler
-	traced      map[string]TracedHandler
-	binHandlers map[string]BinaryHandler
-	onStream    StreamBatchFunc
-	ln          net.Listener
-	conns       map[*ServerConn]struct{}
-	wg          sync.WaitGroup
-	closed      bool
+	mu       sync.Mutex
+	handlers map[string]Handler
+	onStream StreamBatchFunc
+	ln       net.Listener
+	conns    map[*ServerConn]struct{}
+	wg       sync.WaitGroup
+	closed   bool
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		handlers:    make(map[string]Handler),
-		traced:      make(map[string]TracedHandler),
-		binHandlers: make(map[string]BinaryHandler),
-		conns:       make(map[*ServerConn]struct{}),
+		handlers: make(map[string]Handler),
+		conns:    make(map[*ServerConn]struct{}),
 	}
 }
 
-// Register installs a handler for a method name.
+// Register installs the handler for a method name. Each method has
+// exactly one handler: registering a name twice panics.
 func (s *Server) Register(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, dup := s.handlers[method]; dup {
+		panic("mwrpc: method " + method + " registered twice")
+	}
 	s.handlers[method] = h
-}
-
-// RegisterTraced installs a trace-aware handler for a method name. A
-// traced registration shadows a plain one for the same method.
-func (s *Server) RegisterTraced(method string, h TracedHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traced[method] = h
-}
-
-// RegisterBinary installs the binary-payload handler for a method. A
-// request's payload flag picks the table: a binary request for a
-// method with only a JSON handler (or the reverse) is answered with
-// ErrNoMethod.
-func (s *Server) RegisterBinary(method string, h BinaryHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.binHandlers[method] = h
 }
 
 // OnStreamBatch installs the consumer for streaming-ingest batch
@@ -579,38 +560,16 @@ func (s *Server) serveConn(sc *ServerConn) {
 		default:
 			continue
 		}
-		if f.binary {
-			s.mu.Lock()
-			bh := s.binHandlers[f.method]
-			s.mu.Unlock()
-			if bh == nil {
-				_ = sc.respond(f.id, nil, fmt.Errorf("%w: %s (binary)", ErrNoMethod, f.method))
-				continue
-			}
-			mServedRequests.Inc()
-			enc, herr := bh(sc, f.payload, f.trace)
-			if err := sc.respondBinary(f.id, enc, herr); err != nil {
-				return
-			}
-			continue
-		}
 		s.mu.Lock()
-		th := s.traced[f.method]
 		h := s.handlers[f.method]
 		s.mu.Unlock()
-		if th == nil && h == nil {
+		if h == nil {
 			_ = sc.respond(f.id, nil, fmt.Errorf("%w: %s", ErrNoMethod, f.method))
 			continue
 		}
 		mServedRequests.Inc()
-		var result interface{}
-		var herr error
-		if th != nil {
-			result, herr = th(sc, f.payload, f.trace)
-		} else {
-			result, herr = h(sc, f.payload)
-		}
-		if err := sc.respond(f.id, result, herr); err != nil {
+		enc, herr := h(sc, f.payload, f.trace)
+		if err := sc.respond(f.id, enc, herr); err != nil {
 			return
 		}
 	}
@@ -644,12 +603,12 @@ func (s *Server) Close() {
 // ---------------------------------------------------------------------------
 // Client
 
-// PushFunc consumes pushed binary messages on a stream. The payload is
+// PushFunc consumes pushed messages on a stream. The payload is
 // only valid for the duration of the call.
 type PushFunc func(payload []byte)
 
-// StreamAckFunc consumes stream acknowledgements. The binary payload
-// is only valid for the duration of the call.
+// StreamAckFunc consumes stream acknowledgements. The payload is only
+// valid for the duration of the call.
 type StreamAckFunc func(id, seq uint64, payload []byte)
 
 // Client is a connection to an mwrpc server.
@@ -786,58 +745,43 @@ func (c *Client) OnStreamAck(fn StreamAckFunc) {
 	c.onAck = fn
 }
 
-// Call invokes a remote method and decodes the result into result
-// (which may be nil to discard it).
-func (c *Client) Call(method string, params, result interface{}) error {
-	return c.CallTraced(method, params, result, "")
+// Call invokes a remote method: enc appends the request body straight
+// into the pooled frame buffer (nil for an empty body), dec parses the
+// response body, which is only valid during the call (nil discards
+// it). trace, when not empty, rides the request frame so the server
+// can attribute its work to the originating operation.
+func (c *Client) Call(method, trace string, enc Appender, dec func(payload []byte) error) error {
+	err := c.roundTrip(frame{kind: kindReq, method: method, enc: enc, trace: trace}, dec)
+	mCallsTotal.Inc()
+	if err != nil {
+		mCallErrors.Inc()
+	}
+	return err
 }
 
-// CallTraced is Call with a trace ID stamped onto the request frame so
-// the server can attribute its work to the originating reading. An
-// empty trace behaves exactly like Call.
-func (c *Client) CallTraced(method string, params, result interface{}, trace string) error {
+// CallJSON is Call for a control-plane method served by a JSONHandler:
+// params is marshalled as the request body and the reply is
+// unmarshalled into result (which may be nil to discard it).
+func CallJSON(c *Client, method, trace string, params, result any) error {
 	body, err := json.Marshal(params)
 	if err != nil {
 		return fmt.Errorf("mwrpc: marshal params: %w", err)
 	}
-	err = c.roundTrip(frame{kind: kindReq, method: method, payload: body, trace: trace},
-		func(f frame) error {
+	return c.Call(method, trace, func(b []byte) []byte { return append(b, body...) },
+		func(payload []byte) error {
 			if result == nil {
 				return nil
 			}
-			if err := json.Unmarshal(f.payload, result); err != nil {
+			if err := json.Unmarshal(payload, result); err != nil {
 				return fmt.Errorf("mwrpc: unmarshal result: %w", err)
 			}
 			return nil
 		})
-	mCallsTotal.Inc()
-	if err != nil {
-		mCallErrors.Inc()
-	}
-	return err
 }
 
-// CallBinary invokes a method whose payloads are hand-rolled binary:
-// enc appends the request payload straight into the pooled frame
-// buffer, dec parses the response payload (which is only valid during
-// the call).
-func (c *Client) CallBinary(method string, enc Appender, dec func(payload []byte) error, trace string) error {
-	err := c.roundTrip(frame{kind: kindReq, method: method, binary: true, enc: enc, trace: trace},
-		func(f frame) error {
-			if dec == nil {
-				return nil
-			}
-			return dec(f.payload)
-		})
-	mCallsTotal.Inc()
-	if err != nil {
-		mCallErrors.Inc()
-	}
-	return err
-}
-
-// roundTrip sends a request frame and decodes its response via dec.
-func (c *Client) roundTrip(f frame, dec func(frame) error) error {
+// roundTrip sends a request frame and decodes its response payload
+// via dec (nil discards it).
+func (c *Client) roundTrip(f frame, dec func(payload []byte) error) error {
 	ch := make(chan frame, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -871,7 +815,10 @@ func (c *Client) roundTrip(f frame, dec func(frame) error) error {
 		if m.errMsg != "" {
 			return errors.New(m.errMsg)
 		}
-		return dec(m)
+		if dec == nil {
+			return nil
+		}
+		return dec(m.payload)
 	case <-timer.C:
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -880,22 +827,17 @@ func (c *Client) roundTrip(f frame, dec func(frame) error) error {
 	}
 }
 
-// StreamSend fires one sequenced stream-batch frame, its binary
-// payload appended by enc, without waiting for a response;
-// acknowledgements arrive via OnStreamAck.
-func (c *Client) StreamSend(id, seq uint64, enc Appender) error {
-	return c.StreamSendTraced(id, seq, enc, "")
-}
-
-// StreamSendTraced is StreamSend with an obs trace ID on the frame, so
-// the server-side batch consumer can continue the sender's trace.
-func (c *Client) StreamSendTraced(id, seq uint64, enc Appender, trace string) error {
+// StreamSend fires one sequenced stream-batch frame, its payload
+// appended by enc, without waiting for a response; acknowledgements
+// arrive via OnStreamAck. trace, when not empty, lets the server-side
+// batch consumer continue the sender's trace.
+func (c *Client) StreamSend(id, seq uint64, trace string, enc Appender) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	f := frame{kind: kindStreamBatch, id: id, seq: seq, trace: trace, binary: true, enc: enc}
+	f := frame{kind: kindStreamBatch, id: id, seq: seq, trace: trace, enc: enc}
 	if err := writeFrame(c.conn, f); err != nil {
 		return err
 	}

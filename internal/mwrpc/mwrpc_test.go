@@ -1,7 +1,6 @@
 package mwrpc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -22,16 +21,12 @@ type echoReply struct {
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	srv := NewServer()
-	srv.Register("echo", func(_ *ServerConn, params json.RawMessage) (interface{}, error) {
-		var a echoArgs
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
+	srv.Register("echo", JSONHandler(func(_ *ServerConn, a echoArgs, _ string) (any, error) {
 		return echoReply{Text: a.Text}, nil
-	})
-	srv.Register("fail", func(_ *ServerConn, _ json.RawMessage) (interface{}, error) {
+	}))
+	srv.Register("fail", JSONHandler(func(_ *ServerConn, _ struct{}, _ string) (any, error) {
 		return nil, errors.New("deliberate failure")
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +43,14 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 	var reply echoReply
-	if err := c.Call("echo", echoArgs{Text: "hello"}, &reply); err != nil {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: "hello"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Text != "hello" {
 		t.Errorf("reply = %q", reply.Text)
 	}
 	// nil result discards the payload.
-	if err := c.Call("echo", echoArgs{Text: "x"}, nil); err != nil {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: "x"}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,11 +62,11 @@ func TestCallErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Call("fail", struct{}{}, nil)
+	err = CallJSON(c, "fail", "", struct{}{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure") {
 		t.Errorf("err = %v", err)
 	}
-	err = c.Call("no-such-method", struct{}{}, nil)
+	err = CallJSON(c, "no-such-method", "", struct{}{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Errorf("err = %v", err)
 	}
@@ -92,7 +87,7 @@ func TestConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
 			var reply echoReply
-			if err := c.Call("echo", echoArgs{Text: want}, &reply); err != nil {
+			if err := CallJSON(c, "echo", "", echoArgs{Text: want}, &reply); err != nil {
 				errs <- err
 				return
 			}
@@ -110,7 +105,7 @@ func TestConcurrentCalls(t *testing.T) {
 
 func TestServerPush(t *testing.T) {
 	srv := NewServer()
-	srv.Register("subscribe", func(conn *ServerConn, _ json.RawMessage) (interface{}, error) {
+	srv.Register("subscribe", JSONHandler(func(conn *ServerConn, _ struct{}, _ string) (any, error) {
 		// Push three messages asynchronously after replying.
 		go func() {
 			for i := 0; i < 3; i++ {
@@ -121,7 +116,7 @@ func TestServerPush(t *testing.T) {
 			}
 		}()
 		return "ok", nil
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +135,7 @@ func TestServerPush(t *testing.T) {
 		}
 	})
 	var s string
-	if err := c.Call("subscribe", struct{}{}, &s); err != nil {
+	if err := CallJSON(c, "subscribe", "", struct{}{}, &s); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int]bool)
@@ -160,10 +155,10 @@ func TestServerPush(t *testing.T) {
 func TestOnCloseCallback(t *testing.T) {
 	closed := make(chan struct{})
 	srv := NewServer()
-	srv.Register("watch", func(conn *ServerConn, _ json.RawMessage) (interface{}, error) {
+	srv.Register("watch", JSONHandler(func(conn *ServerConn, _ struct{}, _ string) (any, error) {
 		conn.OnClose(func() { close(closed) })
 		return "ok", nil
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +169,7 @@ func TestOnCloseCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Call("watch", struct{}{}, nil); err != nil {
+	if err := CallJSON(c, "watch", "", struct{}{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -188,10 +183,10 @@ func TestOnCloseCallback(t *testing.T) {
 func TestCallTimeout(t *testing.T) {
 	srv := NewServer()
 	block := make(chan struct{})
-	srv.Register("hang", func(_ *ServerConn, _ json.RawMessage) (interface{}, error) {
+	srv.Register("hang", JSONHandler(func(_ *ServerConn, _ struct{}, _ string) (any, error) {
 		<-block
 		return "late", nil
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +202,7 @@ func TestCallTimeout(t *testing.T) {
 	}
 	defer c.Close()
 	c.Timeout = 50 * time.Millisecond
-	if err := c.Call("hang", struct{}{}, nil); !errors.Is(err, ErrTimeout) {
+	if err := CallJSON(c, "hang", "", struct{}{}, nil); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want timeout", err)
 	}
 }
@@ -215,10 +210,10 @@ func TestCallTimeout(t *testing.T) {
 func TestClientCloseFailsPendingAndFutureCalls(t *testing.T) {
 	srv := NewServer()
 	block := make(chan struct{})
-	srv.Register("hang", func(_ *ServerConn, _ json.RawMessage) (interface{}, error) {
+	srv.Register("hang", JSONHandler(func(_ *ServerConn, _ struct{}, _ string) (any, error) {
 		<-block
 		return nil, nil
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +229,7 @@ func TestClientCloseFailsPendingAndFutureCalls(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- c.Call("hang", struct{}{}, nil)
+		errCh <- CallJSON(c, "hang", "", struct{}{}, nil)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	c.Close()
@@ -246,7 +241,7 @@ func TestClientCloseFailsPendingAndFutureCalls(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call never failed")
 	}
-	if err := c.Call("echo", struct{}{}, nil); !errors.Is(err, ErrClosed) {
+	if err := CallJSON(c, "echo", "", struct{}{}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("future call err = %v", err)
 	}
 }
@@ -258,14 +253,14 @@ func TestServerCloseDropsClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("echo", echoArgs{Text: "a"}, nil); err != nil {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: "a"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	// After server close the call eventually fails.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		err := c.Call("echo", echoArgs{Text: "b"}, nil)
+		err := CallJSON(c, "echo", "", echoArgs{Text: "b"}, nil)
 		if err != nil {
 			break
 		}
@@ -289,7 +284,7 @@ func TestFrameTooBig(t *testing.T) {
 	}
 	defer c.Close()
 	big := strings.Repeat("x", maxFrame)
-	if err := c.Call("echo", echoArgs{Text: big}, nil); !errors.Is(err, ErrFrameTooBig) {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: big}, nil); !errors.Is(err, ErrFrameTooBig) {
 		t.Errorf("err = %v, want ErrFrameTooBig", err)
 	}
 }
@@ -310,7 +305,7 @@ func TestDialOptionsAndDone(t *testing.T) {
 	default:
 	}
 	var reply echoReply
-	if err := c.Call("echo", echoArgs{Text: "opt"}, &reply); err != nil {
+	if err := CallJSON(c, "echo", "", echoArgs{Text: "opt"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	// Killing the server closes Done without the client calling Close.
@@ -319,5 +314,50 @@ func TestDialOptionsAndDone(t *testing.T) {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("Done not closed after server shutdown")
+	}
+}
+
+// TestRegisterTwicePanics: each method name has exactly one handler,
+// so a second registration of a name is a programming error, not a
+// silent overwrite.
+func TestRegisterTwicePanics(t *testing.T) {
+	srv := NewServer()
+	h := func(*ServerConn, []byte, string) (Appender, error) { return nil, nil }
+	srv.Register("m", h)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a method twice did not panic")
+		}
+	}()
+	srv.Register("m", h)
+}
+
+// TestCallCarriesBytesAndTrace: the transport hands the handler the
+// request bytes and the frame's trace as sent, and returns the bytes
+// the handler appends as the reply.
+func TestCallCarriesBytesAndTrace(t *testing.T) {
+	srv := NewServer()
+	srv.Register("tag", func(_ *ServerConn, payload []byte, trace string) (Appender, error) {
+		out := append([]byte(trace+":"), payload...)
+		return func(b []byte) []byte { return append(b, out...) }, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var got string
+	err = c.Call("tag", "t-7", func(b []byte) []byte { return append(b, 0, '{', 0xFF) },
+		func(payload []byte) error { got = string(payload); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "t-7:\x00{\xff"; got != want {
+		t.Errorf("reply = %q, want %q", got, want)
 	}
 }

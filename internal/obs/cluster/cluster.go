@@ -103,7 +103,7 @@ func scrapeOne(d Daemon, traces int, timeout time.Duration) Scrape {
 	}
 	defer cli.Close()
 	var st remote.StatsDTO
-	if err := cli.Call("mw.stats", remote.StatsArgs{Traces: traces}, &st); err != nil {
+	if err := mwrpc.CallJSON(cli, "mw.stats", "", remote.StatsArgs{Traces: traces}, &st); err != nil {
 		return Scrape{Daemon: d, Err: err}
 	}
 	return Scrape{Daemon: d, Stats: st}

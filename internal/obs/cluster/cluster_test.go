@@ -3,7 +3,6 @@
 package cluster_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -260,9 +259,9 @@ func TestMergeTraces(t *testing.T) {
 func fakeDaemon(t *testing.T, st remote.StatsDTO) string {
 	t.Helper()
 	srv := mwrpc.NewServer()
-	srv.Register("mw.stats", func(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+	srv.Register("mw.stats", mwrpc.JSONHandler(func(_ *mwrpc.ServerConn, _ remote.StatsArgs, _ string) (any, error) {
 		return st, nil
-	})
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

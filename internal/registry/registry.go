@@ -12,8 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"encoding/json"
-
 	"middlewhere/internal/mwrpc"
 )
 
@@ -133,13 +131,13 @@ func NewServer(now func() time.Time) *Server {
 		now:       now,
 		rpc:       mwrpc.NewServer(),
 	}
-	s.rpc.Register("registry.register", s.handleRegister)
-	s.rpc.Register("registry.lookup", s.handleLookup)
-	s.rpc.Register("registry.list", s.handleList)
-	s.rpc.Register("registry.deregister", s.handleDeregister)
-	s.rpc.Register("registry.placeShards", s.handlePlaceShards)
-	s.rpc.Register("registry.placement", s.handlePlacement)
-	s.rpc.Register("registry.unplaceDaemon", s.handleUnplaceDaemon)
+	s.rpc.Register("registry.register", mwrpc.JSONHandler(s.handleRegister))
+	s.rpc.Register("registry.lookup", mwrpc.JSONHandler(s.handleLookup))
+	s.rpc.Register("registry.list", mwrpc.JSONHandler(s.handleList))
+	s.rpc.Register("registry.deregister", mwrpc.JSONHandler(s.handleDeregister))
+	s.rpc.Register("registry.placeShards", mwrpc.JSONHandler(s.handlePlaceShards))
+	s.rpc.Register("registry.placement", mwrpc.JSONHandler(s.handlePlacement))
+	s.rpc.Register("registry.unplaceDaemon", mwrpc.JSONHandler(s.handleUnplaceDaemon))
 	return s
 }
 
@@ -259,11 +257,7 @@ type registerArgs struct {
 	TTLSeconds float64 `json:"ttlSeconds"`
 }
 
-func (s *Server) handleRegister(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a registerArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleRegister(_ *mwrpc.ServerConn, a registerArgs, _ string) (any, error) {
 	if a.Name == "" || a.Addr == "" {
 		return nil, fmt.Errorf("%w: need name and addr", ErrBadEntry)
 	}
@@ -303,11 +297,7 @@ type placeShardsReply struct {
 // renewal by the same daemon at the same address only extends the
 // lease; a different owner (or address) takes the shard over and bumps
 // the placement version, which is how an operator moves a floor.
-func (s *Server) handlePlaceShards(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a placeShardsArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handlePlaceShards(_ *mwrpc.ServerConn, a placeShardsArgs, _ string) (any, error) {
 	if a.Daemon == "" || a.Addr == "" || len(a.Shards) == 0 {
 		return nil, fmt.Errorf("%w: need daemon, addr, and shards", ErrBadEntry)
 	}
@@ -352,7 +342,7 @@ func (s *Server) handlePlaceShards(_ *mwrpc.ServerConn, params json.RawMessage) 
 // handlePlacement returns the live placement map. Expired leases are
 // pruned first (each prune bumps the version: a lapsed floor is an
 // ownership change clients must observe).
-func (s *Server) handlePlacement(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handlePlacement(_ *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
@@ -376,11 +366,7 @@ type unplaceArgs struct {
 
 // handleUnplaceDaemon releases every lease a daemon holds (clean
 // shutdown).
-func (s *Server) handleUnplaceDaemon(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a unplaceArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleUnplaceDaemon(_ *mwrpc.ServerConn, a unplaceArgs, _ string) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
@@ -400,11 +386,7 @@ type lookupArgs struct {
 	Name string `json:"name"`
 }
 
-func (s *Server) handleLookup(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a lookupArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleLookup(_ *mwrpc.ServerConn, a lookupArgs, _ string) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
@@ -415,7 +397,7 @@ func (s *Server) handleLookup(_ *mwrpc.ServerConn, params json.RawMessage) (inte
 	return e, nil
 }
 
-func (s *Server) handleList(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handleList(_ *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
@@ -427,11 +409,7 @@ func (s *Server) handleList(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}
 	return out, nil
 }
 
-func (s *Server) handleDeregister(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a lookupArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleDeregister(_ *mwrpc.ServerConn, a lookupArgs, _ string) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.entries, a.Name)
@@ -470,7 +448,7 @@ func (c *Client) Close() { c.rpc.Close() }
 
 // Register advertises a service; call it periodically to heartbeat.
 func (c *Client) Register(name, addr string, ttl time.Duration) error {
-	return c.rpc.Call("registry.register", registerArgs{
+	return mwrpc.CallJSON(c.rpc, "registry.register", "", registerArgs{
 		Name: name, Addr: addr, TTLSeconds: ttl.Seconds(),
 	}, nil)
 }
@@ -478,7 +456,7 @@ func (c *Client) Register(name, addr string, ttl time.Duration) error {
 // Lookup resolves a service name to its entry.
 func (c *Client) Lookup(name string) (Entry, error) {
 	var e Entry
-	if err := c.rpc.Call("registry.lookup", lookupArgs{Name: name}, &e); err != nil {
+	if err := mwrpc.CallJSON(c.rpc, "registry.lookup", "", lookupArgs{Name: name}, &e); err != nil {
 		return Entry{}, err
 	}
 	return e, nil
@@ -487,7 +465,7 @@ func (c *Client) Lookup(name string) (Entry, error) {
 // List returns all live entries.
 func (c *Client) List() ([]Entry, error) {
 	var out []Entry
-	if err := c.rpc.Call("registry.list", struct{}{}, &out); err != nil {
+	if err := mwrpc.CallJSON(c.rpc, "registry.list", "", struct{}{}, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -495,14 +473,14 @@ func (c *Client) List() ([]Entry, error) {
 
 // Deregister removes a service entry.
 func (c *Client) Deregister(name string) error {
-	return c.rpc.Call("registry.deregister", lookupArgs{Name: name}, nil)
+	return mwrpc.CallJSON(c.rpc, "registry.deregister", "", lookupArgs{Name: name}, nil)
 }
 
 // PlaceShards leases the floor shards to a daemon (call periodically
 // to heartbeat the lease). It returns the placement-map version.
 func (c *Client) PlaceShards(daemon, addr string, shards []string, ttl time.Duration) (uint64, error) {
 	var rep placeShardsReply
-	err := c.rpc.Call("registry.placeShards", placeShardsArgs{
+	err := mwrpc.CallJSON(c.rpc, "registry.placeShards", "", placeShardsArgs{
 		Daemon: daemon, Addr: addr, Shards: shards, TTLSeconds: ttl.Seconds(),
 	}, &rep)
 	return rep.Version, err
@@ -511,7 +489,7 @@ func (c *Client) PlaceShards(daemon, addr string, shards []string, ttl time.Dura
 // Placement fetches the live shard-placement map.
 func (c *Client) Placement() (Placement, error) {
 	var p Placement
-	if err := c.rpc.Call("registry.placement", struct{}{}, &p); err != nil {
+	if err := mwrpc.CallJSON(c.rpc, "registry.placement", "", struct{}{}, &p); err != nil {
 		return Placement{}, err
 	}
 	return p, nil
@@ -519,5 +497,5 @@ func (c *Client) Placement() (Placement, error) {
 
 // UnplaceDaemon releases every shard lease the daemon holds.
 func (c *Client) UnplaceDaemon(daemon string) error {
-	return c.rpc.Call("registry.unplaceDaemon", unplaceArgs{Daemon: daemon}, nil)
+	return mwrpc.CallJSON(c.rpc, "registry.unplaceDaemon", "", unplaceArgs{Daemon: daemon}, nil)
 }

@@ -1,7 +1,8 @@
 // Binary payload codecs for the hot remote frames: batched/streamed
-// ingest, trigger-notification pushes, Locate, region queries, and
-// stream acknowledgements. These are the payloads mwrpc carries with the
-// flagBinaryPayload bit set; the control-plane methods keep JSON DTOs.
+// ingest, trigger-notification pushes, Locate, probability replies,
+// and stream acknowledgements (the region-query request and the
+// objects reply live in fed, whose fan-out sends them). mwrpc carries
+// every payload as bytes; the control-plane methods keep JSON DTOs.
 //
 // The encoders append into caller-owned buffers (mwrpc's pooled frame
 // buffer on the send path, so steady-state encode allocates nothing)
@@ -371,29 +372,9 @@ func decodeNotification(payload []byte) (NotificationDTO, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Region queries (mw.probInRegion / mw.objectsInRegion)
-
-func appendRegionQuery(b []byte, a regionQueryArgs) []byte {
-	b = mwrpc.AppendString(b, a.Object)
-	b = mwrpc.AppendString(b, a.Region)
-	return mwrpc.AppendF64(b, a.MinProb)
-}
-
-func decodeRegionQuery(payload []byte) (regionQueryArgs, error) {
-	r := mwrpc.NewBinReader(payload)
-	var a regionQueryArgs
-	var err error
-	if a.Object, err = r.String(); err != nil {
-		return a, err
-	}
-	if a.Region, err = r.String(); err != nil {
-		return a, err
-	}
-	if a.MinProb, err = r.F64(); err != nil {
-		return a, err
-	}
-	return a, nil
-}
+// Probability replies (mw.probInRegion; the region-query request and
+// the mw.objectsInRegion reply are fed's, as the federation fan-out
+// speaks them too)
 
 func appendProbReply(b []byte, prob float64, band string) []byte {
 	b = mwrpc.AppendF64(b, prob)
@@ -409,36 +390,6 @@ func decodeProbReply(payload []byte) (probReply, error) {
 	}
 	if out.Band, err = r.String(); err != nil {
 		return out, err
-	}
-	return out, nil
-}
-
-func appendObjectsReply(b []byte, objs map[string]float64) []byte {
-	b = mwrpc.AppendUvarint(b, uint64(len(objs)))
-	for obj, p := range objs {
-		b = mwrpc.AppendString(b, obj)
-		b = mwrpc.AppendF64(b, p)
-	}
-	return b
-}
-
-func decodeObjectsReply(payload []byte) (map[string]float64, error) {
-	r := mwrpc.NewBinReader(payload)
-	n, err := r.Len(9)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		obj, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.F64()
-		if err != nil {
-			return nil, err
-		}
-		out[obj] = p
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"middlewhere/internal/core"
+	"middlewhere/internal/fed"
 	"middlewhere/internal/fusion"
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
@@ -161,8 +162,8 @@ func TestStreamAckRoundTrip(t *testing.T) {
 
 // TestRegionQueryRoundTrip covers the query-payload codecs.
 func TestRegionQueryRoundTrip(t *testing.T) {
-	in := regionQueryArgs{Object: "alice", Region: "CS/Floor3/NetLab", MinProb: 0.25}
-	out, err := decodeRegionQuery(appendRegionQuery(nil, in))
+	in := fed.RegionQuery{Object: "alice", Region: "CS/Floor3/NetLab", MinProb: 0.25}
+	out, err := fed.DecodeRegionQuery(fed.AppendRegionQuery(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestRegionQueryRoundTrip(t *testing.T) {
 		t.Errorf("region query round trip = %+v, want %+v", out, in)
 	}
 	objs := map[string]float64{"alice": 0.9, "bob": 0.4}
-	dec, err := decodeObjectsReply(appendObjectsReply(nil, objs))
+	dec, err := fed.DecodeObjectsReply(fed.AppendObjectsReply(nil, objs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"middlewhere/internal/core"
+	"middlewhere/internal/fed"
 	"middlewhere/internal/model"
 	"middlewhere/internal/mwrpc"
 	"middlewhere/internal/obs"
@@ -26,8 +27,7 @@ const (
 	// StateReconnecting: the connection died and redial attempts are in
 	// progress; calls block-and-retry, pushes are paused.
 	StateReconnecting
-	// StateClosed: Close was called (or reconnection is disabled and
-	// the connection died); the client is permanently down.
+	// StateClosed: Close was called; the client is permanently down.
 	StateClosed
 )
 
@@ -59,9 +59,6 @@ type DialOptions struct {
 	// JitterSeed fixes the backoff jitter stream; zero seeds from the
 	// clock (pass a value for reproducible chaos runs).
 	JitterSeed int64
-	// DisableReconnect restores the old behaviour: the first transport
-	// failure is fatal and the session is lost.
-	DisableReconnect bool
 	// Wire is ignored: every connection speaks the binary frame.
 	//
 	// Deprecated: kept only for callers that still set it.
@@ -326,9 +323,9 @@ func isTransportErr(err error) bool {
 // awaitReconnect blocks until a reconnect round started at or after
 // failedEpoch finishes (single-flight: one goroutine redials, the rest
 // wait). It returns nil when a newer live connection is in place, and
-// an error when the client closed, reconnection is disabled, or the
-// round exhausted its attempts — so a call waiting on it is bounded by
-// one round, not stuck forever against a dead server.
+// an error when the client closed or the round exhausted its attempts
+// — so a call waiting on it is bounded by one round, not stuck forever
+// against a dead server.
 func (c *LocationClient) awaitReconnect(failedEpoch int) error {
 	c.mu.Lock()
 	if c.closed {
@@ -338,18 +335,6 @@ func (c *LocationClient) awaitReconnect(failedEpoch int) error {
 	if c.epoch > failedEpoch {
 		c.mu.Unlock()
 		return nil
-	}
-	if c.opts.DisableReconnect {
-		c.closed = true
-		c.state = StateClosed
-		close(c.closedCh)
-		rpc := c.rpc
-		c.mu.Unlock()
-		c.notifyState(StateClosed)
-		if rpc != nil {
-			rpc.Close()
-		}
-		return mwrpc.ErrClosed
 	}
 	done := c.reconnectDone
 	started := false
@@ -467,7 +452,7 @@ func (c *LocationClient) resumeSession(rpc *mwrpc.Client) error {
 	c.mu.Unlock()
 
 	for _, id := range order {
-		if err := rpc.Call("mw.registerSensor", registerSensorArgs{
+		if err := mwrpc.CallJSON(rpc, "mw.registerSensor", "", registerSensorArgs{
 			SensorID: id, Spec: specs[id],
 		}, nil); err != nil {
 			return fmt.Errorf("remote: resume sensor %s: %w", id, err)
@@ -475,7 +460,7 @@ func (c *LocationClient) resumeSession(rpc *mwrpc.Client) error {
 	}
 	for _, sub := range subs {
 		var out subscribeReply
-		if err := rpc.Call("mw.subscribe", sub.args, &out); err != nil {
+		if err := mwrpc.CallJSON(rpc, "mw.subscribe", "", sub.args, &out); err != nil {
 			return fmt.Errorf("remote: resume subscription %s: %w", sub.localID, err)
 		}
 		c.mu.Lock()
@@ -517,7 +502,7 @@ func (c *LocationClient) retry(attempt func(rpc *mwrpc.Client) error) error {
 
 // call invokes an idempotent JSON method through retry.
 func (c *LocationClient) call(method string, params, result interface{}) error {
-	return c.retry(func(rpc *mwrpc.Client) error { return rpc.Call(method, params, result) })
+	return c.retry(func(rpc *mwrpc.Client) error { return mwrpc.CallJSON(rpc, method, "", params, result) })
 }
 
 // onNotify dispatches a pushed notification. Malformed payloads are
@@ -562,7 +547,7 @@ func (c *LocationClient) dispatchNotify(n NotificationDTO) {
 // callBinary is call for the hot methods, whose payloads are
 // hand-rolled binary: enc appends the request, dec parses the reply.
 func (c *LocationClient) callBinary(method, trace string, enc mwrpc.Appender, dec func([]byte) error) error {
-	return c.retry(func(rpc *mwrpc.Client) error { return rpc.CallBinary(method, enc, dec, trace) })
+	return c.retry(func(rpc *mwrpc.Client) error { return rpc.Call(method, trace, enc, dec) })
 }
 
 // Ingest forwards a sensor reading (adapter.Sink) as a batch of one,
@@ -675,9 +660,9 @@ func (c *LocationClient) Locate(object string) (LocationDTO, error) {
 // (GLOB string).
 func (c *LocationClient) ProbInRegion(object, region string) (prob float64, band string, err error) {
 	var out probReply
-	args := regionQueryArgs{Object: object, Region: region}
+	q := fed.RegionQuery{Object: object, Region: region}
 	err = c.callBinary("mw.probInRegion", "",
-		func(b []byte) []byte { return appendRegionQuery(b, args) },
+		func(b []byte) []byte { return fed.AppendRegionQuery(b, q) },
 		func(payload []byte) error {
 			var derr error
 			out, derr = decodeProbReply(payload)
@@ -689,12 +674,12 @@ func (c *LocationClient) ProbInRegion(object, region string) (prob float64, band
 // ObjectsInRegion asks who is in a region with at least minProb.
 func (c *LocationClient) ObjectsInRegion(region string, minProb float64) (map[string]float64, error) {
 	var out map[string]float64
-	args := regionQueryArgs{Region: region, MinProb: minProb}
+	q := fed.RegionQuery{Region: region, MinProb: minProb}
 	err := c.callBinary("mw.objectsInRegion", "",
-		func(b []byte) []byte { return appendRegionQuery(b, args) },
+		func(b []byte) []byte { return fed.AppendRegionQuery(b, q) },
 		func(payload []byte) error {
 			var derr error
-			out, derr = decodeObjectsReply(payload)
+			out, derr = fed.DecodeObjectsReply(payload)
 			return derr
 		})
 	return out, err
@@ -708,7 +693,7 @@ func (c *LocationClient) Subscribe(args SubscribeArgs, handler func(Notification
 	var id string
 	err := c.retry(func(rpc *mwrpc.Client) error {
 		var out subscribeReply
-		if err := rpc.Call("mw.subscribe", args, &out); err != nil {
+		if err := mwrpc.CallJSON(rpc, "mw.subscribe", "", args, &out); err != nil {
 			return err
 		}
 		c.mu.Lock()

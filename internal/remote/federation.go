@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"sort"
 	"time"
@@ -17,20 +16,22 @@ import (
 // speaks. mw.hello and mw.shards are always registered — a standalone
 // daemon answers them with a liveness ack and its local shard keys —
 // while the migration/forwarded-ingest/fan-out handlers only exist
-// once SetFederation attaches a router. All federation frames carry
-// JSON payloads: mwrpc carries method names missing from its code
-// table via its named-method escape, so no table changes are needed.
+// once SetFederation attaches a router. These frames carry JSON
+// through mwrpc.JSONHandler; the peers' region scan is the binary
+// mw.objectsInRegion every client calls (fed/wire.go). mwrpc carries
+// method names missing from its code table via its named-method
+// escape, so no table changes are needed.
 
 // SetFederation attaches a federation router to the server and
 // registers the daemon-to-daemon methods (mw.migrate, mw.fedIngest,
-// mw.fedObjectsInRegion). Call before Listen.
+// mw.fedObjectsInRegion). Call it once, before Listen.
 func (s *Server) SetFederation(r *fed.Router) {
 	s.mu.Lock()
 	s.fed = r
 	s.mu.Unlock()
-	s.rpc.RegisterTraced(fed.MethodMigrate, s.handleMigrate)
-	s.rpc.RegisterTraced(fed.MethodIngest, s.handleFedIngest)
-	s.rpc.RegisterTraced(fed.MethodObjectsInRegion, s.handleFedObjectsInRegion)
+	s.rpc.Register(fed.MethodMigrate, mwrpc.JSONHandler(s.handleMigrate))
+	s.rpc.Register(fed.MethodIngest, mwrpc.JSONHandler(s.handleFedIngest))
+	s.rpc.Register(fed.MethodObjectsInRegion, mwrpc.JSONHandler(s.handleFedObjectsInRegion))
 }
 
 // fedDaemonName is the span label for owner-side federation spans: the
@@ -56,13 +57,13 @@ func (s *Server) federation() *fed.Router {
 // accepts and answers frames without touching the service. The
 // resilient sink's breaker uses it as the half-open trial so a probe
 // failure costs nothing.
-func (s *Server) handleHello(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handleHello(_ *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	return "ok", nil
 }
 
 // handleShards reports where floors live: the router's placement map
 // and peer view when federated, just the local shard keys otherwise.
-func (s *Server) handleShards(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handleShards(_ *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	if r := s.federation(); r != nil {
 		return r.Shards(), nil
 	}
@@ -73,12 +74,8 @@ func (s *Server) handleShards(_ *mwrpc.ServerConn, _ json.RawMessage) (interface
 // carried rows idempotently under the epoch guard and ack. Any
 // successful reply — applied or recognized replay — tells the source
 // it may commit.
-func (s *Server) handleMigrate(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
+func (s *Server) handleMigrate(_ *mwrpc.ServerConn, a fed.MigrateArgs, trace string) (any, error) {
 	start := time.Now()
-	var a fed.MigrateArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
 	if trace == "" {
 		trace = a.Trace // body copy, for frames relayed without the header
 	}
@@ -100,12 +97,8 @@ func (s *Server) handleMigrate(_ *mwrpc.ServerConn, params json.RawMessage, trac
 // placement maps cannot bounce a reading between each other. Rows the
 // service rejects come back as frame indices; the sender stores those
 // locally rather than dropping them.
-func (s *Server) handleFedIngest(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
+func (s *Server) handleFedIngest(_ *mwrpc.ServerConn, a fed.IngestArgs, trace string) (any, error) {
 	start := time.Now()
-	var a fed.IngestArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
 	if trace == "" {
 		trace = a.Trace
 	}
@@ -150,11 +143,7 @@ func (s *Server) handleFedIngest(_ *mwrpc.ServerConn, params json.RawMessage, tr
 // deterministically. Without a router the local scan handler
 // (mw.objectsInRegion) is the right call — this one errors so clients
 // learn the daemon is standalone.
-func (s *Server) handleFedObjectsInRegion(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
-	var a fed.QueryArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleFedObjectsInRegion(_ *mwrpc.ServerConn, a fed.QueryArgs, trace string) (any, error) {
 	r := s.federation()
 	if r == nil {
 		return nil, errors.New("federation not enabled on this daemon")

@@ -10,6 +10,7 @@ import (
 	"middlewhere/internal/fed"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
+	"middlewhere/internal/mwrpc"
 )
 
 // TestFedIngestReplayStoresOnce drives the owner side of a forwarded
@@ -34,7 +35,7 @@ func TestFedIngestReplayStoresOnce(t *testing.T) {
 	srv := NewServer(svc)
 	// The owner side of mw.fedIngest needs no router: register just the
 	// handler, as SetFederation does.
-	srv.rpc.RegisterTraced(fed.MethodIngest, srv.handleFedIngest)
+	srv.rpc.Register(fed.MethodIngest, mwrpc.JSONHandler(srv.handleFedIngest))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"middlewhere/internal/core"
+	"middlewhere/internal/fed"
 	"middlewhere/internal/fusion"
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
@@ -131,20 +132,20 @@ func FuzzDecodeIngestReply(f *testing.F) {
 }
 
 func regionQuerySeeds() [][]byte {
-	full := appendRegionQuery(nil, regionQueryArgs{
+	full := fed.AppendRegionQuery(nil, fed.RegionQuery{
 		Object: "alice", Region: "CS/Floor3/NetLab", MinProb: 0.3,
 	})
 	return [][]byte{
 		full,
 		full[:len(full)-3], // truncated MinProb
-		appendRegionQuery(nil, regionQueryArgs{}),
+		fed.AppendRegionQuery(nil, fed.RegionQuery{}),
 		{},
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, // absurd string length
 	}
 }
 
 func queryReplySeeds() [][]byte {
-	objs := appendObjectsReply(nil, map[string]float64{"alice": 0.9, "bob": 0.4})
+	objs := fed.AppendObjectsReply(nil, map[string]float64{"alice": 0.9, "bob": 0.4})
 	loc := appendLocation(nil, core.Location{
 		Object: "carol", Rect: geom.R(109.5, 34.5, 110.5, 35.5), Prob: 0.86,
 		Band:       fusion.BandHigh,
@@ -157,7 +158,7 @@ func queryReplySeeds() [][]byte {
 		appendProbReply(nil, 0.75, "high"),
 		objs,
 		objs[:len(objs)-5], // truncated mid-entry
-		appendObjectsReply(nil, nil),
+		fed.AppendObjectsReply(nil, nil),
 		{},
 		loc,
 		loc[:len(loc)-4], // truncated time
@@ -210,11 +211,11 @@ func FuzzDecodeRegionQuery(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := decodeRegionQuery(data)
+		a, err := fed.DecodeRegionQuery(data)
 		if err != nil {
 			return
 		}
-		a2, err := decodeRegionQuery(appendRegionQuery(nil, a))
+		a2, err := fed.DecodeRegionQuery(fed.AppendRegionQuery(nil, a))
 		if err != nil {
 			t.Fatalf("re-encode of a decoded query failed to decode: %v", err)
 		}
@@ -245,11 +246,11 @@ func FuzzDecodeQueryReplies(f *testing.F) {
 				t.Fatalf("prob reply round trip drifted: %+v -> %+v (%v)", p, p2, err)
 			}
 		}
-		objs, err := decodeObjectsReply(data)
+		objs, err := fed.DecodeObjectsReply(data)
 		if err != nil {
 			return
 		}
-		objs2, err := decodeObjectsReply(appendObjectsReply(nil, objs))
+		objs2, err := fed.DecodeObjectsReply(fed.AppendObjectsReply(nil, objs))
 		if err != nil || len(objs2) != len(objs) {
 			t.Fatalf("objects reply round trip drifted: %d -> %d entries (%v)", len(objs), len(objs2), err)
 		}

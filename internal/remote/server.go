@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -61,9 +60,10 @@ func (s *Server) sloTracker() *obs.SLOTracker {
 }
 
 // NewServer wraps a Location Service. Call Listen to serve. The hot
-// methods (ingest, Locate, region queries) take binary payloads only;
-// mw.objectsInRegion also keeps a JSON handler for the federation
-// fan-out.
+// methods (ingest, Locate, region queries) take hand-rolled binary
+// payloads; the control plane takes JSON through mwrpc.JSONHandler.
+// The federation fan-out calls the binary mw.objectsInRegion like any
+// client.
 func NewServer(svc *core.Service) *Server {
 	s := &Server{
 		svc:     svc,
@@ -71,40 +71,33 @@ func NewServer(svc *core.Service) *Server {
 		subs:    make(map[string]*mwrpc.ServerConn),
 		streams: make(map[*mwrpc.ServerConn]map[uint64]*srvStream),
 	}
-	s.rpc.RegisterBinary("mw.ingestBatch", s.handleIngestBatch)
-	s.rpc.RegisterBinary("mw.locate", s.handleLocate)
-	s.rpc.RegisterBinary("mw.probInRegion", s.handleProbInRegion)
-	s.rpc.RegisterBinary("mw.objectsInRegion", s.handleObjectsInRegionBin)
-	s.rpc.Register("mw.streamOpen", s.handleStreamOpen)
+	s.rpc.Register("mw.ingestBatch", s.handleIngestBatch)
+	s.rpc.Register("mw.locate", s.handleLocate)
+	s.rpc.Register("mw.probInRegion", s.handleProbInRegion)
+	s.rpc.Register("mw.objectsInRegion", s.handleObjectsInRegion)
+	s.rpc.Register("mw.streamOpen", mwrpc.JSONHandler(s.handleStreamOpen))
 	s.rpc.OnStreamBatch(s.handleStreamBatch)
-	s.rpc.Register("mw.registerSensor", s.handleRegisterSensor)
-	s.rpc.RegisterTraced("mw.objectsInRegion", s.handleObjectsInRegion)
-	s.rpc.Register("mw.subscribe", s.handleSubscribe)
-	s.rpc.Register("mw.unsubscribe", s.handleUnsubscribe)
-	s.rpc.Register("mw.relate", s.handleRelate)
-	s.rpc.Register("mw.route", s.handleRoute)
-	s.rpc.Register("mw.proximity", s.handleProximity)
-	s.rpc.Register("mw.coLocated", s.handleCoLocated)
-	s.rpc.Register("mw.query", s.handleQuery)
-	s.rpc.Register("mw.distribution", s.handleDistribution)
-	s.rpc.Register("mw.history", s.handleHistory)
-	s.rpc.Register("mw.defineRegion", s.handleDefineRegion)
-	s.rpc.Register("mw.health", s.handleHealth)
-	s.rpc.Register("mw.stats", s.handleStats)
-	s.rpc.Register(fed.MethodHello, s.handleHello)
-	s.rpc.Register(fed.MethodShards, s.handleShards)
+	s.rpc.Register("mw.registerSensor", mwrpc.JSONHandler(s.handleRegisterSensor))
+	s.rpc.Register("mw.subscribe", mwrpc.JSONHandler(s.handleSubscribe))
+	s.rpc.Register("mw.unsubscribe", mwrpc.JSONHandler(s.handleUnsubscribe))
+	s.rpc.Register("mw.relate", mwrpc.JSONHandler(s.handleRelate))
+	s.rpc.Register("mw.route", mwrpc.JSONHandler(s.handleRoute))
+	s.rpc.Register("mw.proximity", mwrpc.JSONHandler(s.handleProximity))
+	s.rpc.Register("mw.coLocated", mwrpc.JSONHandler(s.handleCoLocated))
+	s.rpc.Register("mw.query", mwrpc.JSONHandler(s.handleQuery))
+	s.rpc.Register("mw.distribution", mwrpc.JSONHandler(s.handleDistribution))
+	s.rpc.Register("mw.history", mwrpc.JSONHandler(s.handleHistory))
+	s.rpc.Register("mw.defineRegion", mwrpc.JSONHandler(s.handleDefineRegion))
+	s.rpc.Register("mw.health", mwrpc.JSONHandler(s.handleHealth))
+	s.rpc.Register("mw.stats", mwrpc.JSONHandler(s.handleStats))
+	s.rpc.Register(fed.MethodHello, mwrpc.JSONHandler(s.handleHello))
+	s.rpc.Register(fed.MethodShards, mwrpc.JSONHandler(s.handleShards))
 	return s
 }
 
 // handleStats snapshots the process-global registry and tracer for
 // mwctl stats / mwctl trace.
-func (s *Server) handleStats(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a StatsArgs
-	if len(params) > 0 {
-		if err := json.Unmarshal(params, &a); err != nil {
-			return nil, err
-		}
-	}
+func (s *Server) handleStats(_ *mwrpc.ServerConn, a StatsArgs, _ string) (any, error) {
 	out := statsSnapshot(obs.Default(), obs.DefaultTracer(), a.Traces)
 	for _, st := range s.svc.DB().ShardStats() {
 		out.Shards = append(out.Shards, ShardDTO{
@@ -172,7 +165,7 @@ func statsSnapshot(reg *obs.Registry, tr *obs.Tracer, traces int) StatsDTO {
 	return out
 }
 
-func (s *Server) handleHealth(_ *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handleHealth(_ *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	h := s.svc.Health()
 	out := HealthDTO{
 		Status:        h.State.String(),
@@ -291,11 +284,7 @@ type registerSensorArgs struct {
 	Spec     SensorSpecDTO `json:"spec"`
 }
 
-func (s *Server) handleRegisterSensor(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a registerSensorArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleRegisterSensor(_ *mwrpc.ServerConn, a registerSensorArgs, _ string) (any, error) {
 	spec, err := a.Spec.toSpec()
 	if err != nil {
 		return nil, err
@@ -324,45 +313,14 @@ func (s *Server) handleLocate(_ *mwrpc.ServerConn, payload []byte, _ string) (mw
 	return func(b []byte) []byte { return appendLocation(b, loc) }, nil
 }
 
-type regionQueryArgs struct {
-	Object string `json:"object,omitempty"`
-	Region string `json:"region"`
-	// MinProb filters objectsInRegion results.
-	MinProb float64 `json:"minProb,omitempty"`
-}
-
 type probReply struct {
 	Prob float64 `json:"prob"`
 	Band string  `json:"band"`
 }
 
-// handleObjectsInRegion answers the local region scan with a JSON
-// payload. It stays beside the binary handler because the federation
-// fan-out (fed.Router's region scan) calls it with JSON. It is
-// trace-aware for the same reason: the entry daemon's trace ID rides
-// the frame and the scan lands in the same trace as a region_scan span
-// labeled with this daemon's name.
-func (s *Server) handleObjectsInRegion(_ *mwrpc.ServerConn, params json.RawMessage, trace string) (interface{}, error) {
-	start := time.Now()
-	var a regionQueryArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
-	region, err := glob.Parse(a.Region)
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.svc.ObjectsInRegion(region, a.MinProb)
-	if err != nil {
-		return nil, err
-	}
-	obs.SpanSinceD(trace, "region_scan", s.fedDaemonName(), start)
-	return out, nil
-}
-
 // handleProbInRegion answers a probability query.
 func (s *Server) handleProbInRegion(_ *mwrpc.ServerConn, payload []byte, _ string) (mwrpc.Appender, error) {
-	a, err := decodeRegionQuery(payload)
+	a, err := fed.DecodeRegionQuery(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -378,10 +336,14 @@ func (s *Server) handleProbInRegion(_ *mwrpc.ServerConn, payload []byte, _ strin
 	return func(b []byte) []byte { return appendProbReply(b, p, bandStr) }, nil
 }
 
-// handleObjectsInRegionBin answers a binary-payload region scan.
-func (s *Server) handleObjectsInRegionBin(_ *mwrpc.ServerConn, payload []byte, trace string) (mwrpc.Appender, error) {
+// handleObjectsInRegion answers the local region scan, for clients and
+// for the federation fan-out alike. It is trace-aware for the latter:
+// the entry daemon's trace ID rides the frame and the scan lands in
+// the same trace as a region_scan span labeled with this daemon's
+// name.
+func (s *Server) handleObjectsInRegion(_ *mwrpc.ServerConn, payload []byte, trace string) (mwrpc.Appender, error) {
 	start := time.Now()
-	a, err := decodeRegionQuery(payload)
+	a, err := fed.DecodeRegionQuery(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +356,7 @@ func (s *Server) handleObjectsInRegionBin(_ *mwrpc.ServerConn, payload []byte, t
 		return nil, err
 	}
 	obs.SpanSinceD(trace, "region_scan", s.fedDaemonName(), start)
-	return func(b []byte) []byte { return appendObjectsReply(b, objs) }, nil
+	return func(b []byte) []byte { return fed.AppendObjectsReply(b, objs) }, nil
 }
 
 // SubscribeArgs configures a remote subscription (§4.3).
@@ -410,11 +372,7 @@ type subscribeReply struct {
 	SubscriptionID string `json:"subscriptionId"`
 }
 
-func (s *Server) handleSubscribe(conn *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a SubscribeArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleSubscribe(conn *mwrpc.ServerConn, a SubscribeArgs, _ string) (any, error) {
 	region, err := glob.Parse(a.Region)
 	if err != nil {
 		return nil, err
@@ -454,11 +412,7 @@ type unsubscribeArgs struct {
 	SubscriptionID string `json:"subscriptionId"`
 }
 
-func (s *Server) handleUnsubscribe(conn *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a unsubscribeArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleUnsubscribe(conn *mwrpc.ServerConn, a unsubscribeArgs, _ string) (any, error) {
 	s.mu.Lock()
 	owner, ok := s.subs[a.SubscriptionID]
 	if ok && owner == conn {
@@ -487,11 +441,7 @@ type ObjectDTO struct {
 	Properties map[string]string `json:"properties,omitempty"`
 }
 
-func (s *Server) handleQuery(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a queryArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleQuery(_ *mwrpc.ServerConn, a queryArgs, _ string) (any, error) {
 	objs, err := mwql.Exec(s.svc.DB(), a.Query)
 	if err != nil {
 		return nil, err
@@ -521,11 +471,7 @@ type relateReply struct {
 	Passage  string `json:"passage"`
 }
 
-func (s *Server) handleRelate(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a relateArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleRelate(_ *mwrpc.ServerConn, a relateArgs, _ string) (any, error) {
 	ga, err := glob.Parse(a.A)
 	if err != nil {
 		return nil, err
@@ -561,11 +507,7 @@ func policyFromString(s string) topo.TraversalPolicy {
 	return topo.FreeOnly
 }
 
-func (s *Server) handleRoute(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a routeArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleRoute(_ *mwrpc.ServerConn, a routeArgs, _ string) (any, error) {
 	from, err := glob.Parse(a.From)
 	if err != nil {
 		return nil, err
@@ -587,11 +529,7 @@ type proximityArgs struct {
 	Threshold float64 `json:"threshold"`
 }
 
-func (s *Server) handleProximity(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a proximityArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleProximity(_ *mwrpc.ServerConn, a proximityArgs, _ string) (any, error) {
 	p, err := s.svc.Proximity(a.A, a.B, a.Threshold)
 	if err != nil {
 		return nil, err
@@ -622,11 +560,7 @@ func granFromString(s string) glob.Granularity {
 	}
 }
 
-func (s *Server) handleCoLocated(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a coLocatedArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleCoLocated(_ *mwrpc.ServerConn, a coLocatedArgs, _ string) (any, error) {
 	ok, p, err := s.svc.CoLocated(a.A, a.B, granFromString(a.Granularity))
 	if err != nil {
 		return nil, err
@@ -646,11 +580,7 @@ type RegionProbDTO struct {
 	Prob     float64 `json:"prob"`
 }
 
-func (s *Server) handleDistribution(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a distributionArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleDistribution(_ *mwrpc.ServerConn, a distributionArgs, _ string) (any, error) {
 	cells, err := s.svc.Distribution(a.Object)
 	if err != nil {
 		return nil, err
@@ -669,11 +599,7 @@ func (s *Server) handleDistribution(_ *mwrpc.ServerConn, params json.RawMessage)
 	return out, nil
 }
 
-func (s *Server) handleHistory(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a objectArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleHistory(_ *mwrpc.ServerConn, a objectArgs, _ string) (any, error) {
 	trail := s.svc.History(a.Object)
 	out := make([]LocationDTO, 0, len(trail))
 	for _, loc := range trail {
@@ -690,11 +616,7 @@ type defineRegionArgs struct {
 	Properties map[string]string `json:"properties,omitempty"`
 }
 
-func (s *Server) handleDefineRegion(_ *mwrpc.ServerConn, params json.RawMessage) (interface{}, error) {
-	var a defineRegionArgs
-	if err := json.Unmarshal(params, &a); err != nil {
-		return nil, err
-	}
+func (s *Server) handleDefineRegion(_ *mwrpc.ServerConn, a defineRegionArgs, _ string) (any, error) {
 	g, err := glob.Parse(a.GLOB)
 	if err != nil {
 		return nil, err

@@ -38,16 +38,16 @@ func TestStreamReplayDoesNotExtendTrace(t *testing.T) {
 		acks <- a
 	})
 	var open streamOpenReply
-	if err := rpc.Call("mw.streamOpen", struct{}{}, &open); err != nil {
+	if err := mwrpc.CallJSON(rpc, "mw.streamOpen", "", struct{}{}, &open); err != nil {
 		t.Fatal(err)
 	}
 
 	trace := obs.BeginTrace()
 	batch := []model.Reading{streamReading("rp-s", "rp-a", t0)}
 	send := func() error {
-		return rpc.StreamSendTraced(open.StreamID, 1, func(b []byte) []byte {
+		return rpc.StreamSend(open.StreamID, 1, trace, func(b []byte) []byte {
 			return AppendReadings(b, batch)
-		}, trace)
+		})
 	}
 
 	if err := send(); err != nil {

@@ -19,7 +19,6 @@
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -52,7 +51,7 @@ type srvStream struct {
 
 // handleStreamOpen allocates a stream on the calling connection and
 // grants the initial credit window.
-func (s *Server) handleStreamOpen(conn *mwrpc.ServerConn, _ json.RawMessage) (interface{}, error) {
+func (s *Server) handleStreamOpen(conn *mwrpc.ServerConn, _ struct{}, _ string) (any, error) {
 	s.mu.Lock()
 	s.nextStream++
 	id := s.nextStream
@@ -213,7 +212,7 @@ func (s *IngestStream) OnReject(fn func([]RejectedReadingDTO)) {
 // resends every unacked batch in sequence order. Caller holds s.mu.
 func (s *IngestStream) reopenOn(rpc *mwrpc.Client, epoch int) error {
 	var rep streamOpenReply
-	if err := rpc.Call("mw.streamOpen", struct{}{}, &rep); err != nil {
+	if err := mwrpc.CallJSON(rpc, "mw.streamOpen", "", struct{}{}, &rep); err != nil {
 		return err
 	}
 	oldID := s.id
@@ -249,7 +248,7 @@ func (s *IngestStream) reopenOn(rpc *mwrpc.Client, epoch int) error {
 
 // writeBatch encodes rs and fires the stream frame.
 func (s *IngestStream) writeBatch(rpc *mwrpc.Client, seq uint64, rs []model.Reading) error {
-	return rpc.StreamSend(s.id, seq, func(b []byte) []byte {
+	return rpc.StreamSend(s.id, seq, "", func(b []byte) []byte {
 		return AppendReadings(b, rs)
 	})
 }

@@ -103,7 +103,7 @@ func TestStreamDuplicateSeqNotRestored(t *testing.T) {
 		acks <- a
 	})
 	var open streamOpenReply
-	if err := rpc.Call("mw.streamOpen", struct{}{}, &open); err != nil {
+	if err := mwrpc.CallJSON(rpc, "mw.streamOpen", "", struct{}{}, &open); err != nil {
 		t.Fatal(err)
 	}
 	batch := []model.Reading{
@@ -111,7 +111,7 @@ func TestStreamDuplicateSeqNotRestored(t *testing.T) {
 		streamReading("dup-s", "dup-b", t0),
 	}
 	send := func() error {
-		return rpc.StreamSend(open.StreamID, 1, func(b []byte) []byte {
+		return rpc.StreamSend(open.StreamID, 1, "", func(b []byte) []byte {
 			return AppendReadings(b, batch)
 		})
 	}
