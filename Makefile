@@ -29,14 +29,17 @@ race:
 # of the cut itself (every concurrent cut fresh, a prefix of each
 # cross-floor batch, a migrating object seen once, and returning; a cut
 # waiting for a shard write lock held mid-store and a writer waiting
-# behind the open cut; no cut tearing a single-floor batch), and the
+# behind the open cut; no cut tearing a single-floor batch), the
 # replay dedup reading rows atomically with residence while the object
-# flips floors. The gate gets its own,
-# longer timeout: a slower runner must not turn the flake gate into a
-# timeout flake.
+# flips floors, and every TestResilientSink* test of the adapter's
+# buffering sink (one hung a race run while the drain slept out a
+# breaker cooldown), including its account of every reading while a
+# delivery is in flight. The gate gets its own, longer timeout: a
+# slower runner must not turn the flake gate into a timeout flake.
 concurrency-gate:
 	$(GO) test -race -count=20 -timeout 300s -run 'TestIngestBatchMatchesSerialIngest|TestIngestBatchCutsNoSnapshot|TestCacheNeverServesStaleUnderRace|TestHeldIndexMatchesSubscriptionScan|TestReturnAfterExpiryIsAnEntry|TestNotifierDeliversInEvaluationOrder|TestCloseAccountsForEveryNotification' ./internal/core/
 	$(GO) test -race -count=20 -timeout 300s -run 'TestConcurrentCutsFreshWholeAndReturn|TestCutWaitsForOpenBracket|TestCutConcurrentIngestNeverTorn|TestHasReadingNeverMissesDuringFloorFlips' ./internal/spatialdb/
+	$(GO) test -race -count=20 -timeout 300s -run 'TestResilientSink' ./internal/adapter/
 
 # The through-the-wire benchmark BENCHMARK.json declares, exactly as
 # the driver runs it (benchmark/README.md); arguments via ARGS, e.g.

@@ -11,6 +11,7 @@ import (
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
+	"middlewhere/internal/spatialdb"
 )
 
 // flakySink fails while broken, recording what got through.
@@ -21,15 +22,19 @@ type flakySink struct {
 	calls  int
 }
 
-func (f *flakySink) Ingest(r model.Reading) error {
+func (f *flakySink) IngestBatch(rs []model.Reading) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++
 	if f.broken {
 		return errors.New("sink down")
 	}
-	f.got = append(f.got, r)
+	f.got = append(f.got, rs...)
 	return nil
+}
+
+func (f *flakySink) Ingest(r model.Reading) error {
+	return f.IngestBatch([]model.Reading{r})
 }
 
 func (f *flakySink) setBroken(b bool) {
@@ -121,7 +126,6 @@ func TestResilientSinkDropOldest(t *testing.T) {
 	sink := &flakySink{broken: true}
 	rs := NewResilientSink(sink, ResilientOptions{
 		BufferSize:       3,
-		Policy:           DropOldest,
 		FailureThreshold: 1,
 		Cooldown:         time.Hour, // keep the breaker open for the whole test
 	})
@@ -147,28 +151,6 @@ func TestResilientSinkDropOldest(t *testing.T) {
 	}
 	if h := rs.Health(); h != core.Down {
 		t.Fatalf("health with open breaker = %v, want down", h)
-	}
-}
-
-func TestResilientSinkDropNewest(t *testing.T) {
-	sink := &flakySink{broken: true}
-	rs := NewResilientSink(sink, ResilientOptions{
-		BufferSize:       2,
-		Policy:           DropNewest,
-		FailureThreshold: 1,
-		Cooldown:         time.Hour,
-	})
-	defer rs.Close()
-
-	t0 := time.Now()
-	for _, id := range []string{"a", "b", "c"} {
-		if err := rs.Ingest(model.Reading{MObjectID: id, SensorID: "s", Time: t0}); err != nil {
-			t.Fatalf("ingest %s: %v", id, err)
-		}
-	}
-	st := rs.Stats()
-	if st.Pending != 2 || st.Dropped != 1 {
-		t.Fatalf("stats = %+v, want pending 2 dropped 1", st)
 	}
 }
 
@@ -357,4 +339,201 @@ func TestResilientSinkCloseWakesBackoff(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return while the drain slept out the breaker cooldown")
 	}
+}
+
+// gateSink fails its first IngestBatch call (a transport error, so the
+// readings buffer), then parks the next call until release is closed;
+// readings from a sensor not in known are rejected the way
+// core.Service rejects them. It records every reading it stored.
+type gateSink struct {
+	entered chan struct{}
+	release chan struct{}
+
+	mu     sync.Mutex
+	calls  int
+	known  map[string]bool
+	stored []model.Reading
+}
+
+func newGateSink(sensors ...string) *gateSink {
+	g := &gateSink{
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+		known:   make(map[string]bool),
+	}
+	for _, s := range sensors {
+		g.known[s] = true
+	}
+	return g
+}
+
+func (g *gateSink) IngestBatch(rs []model.Reading) error {
+	g.mu.Lock()
+	g.calls++
+	call := g.calls
+	g.mu.Unlock()
+	switch call {
+	case 1:
+		return errors.New("sink down")
+	case 2:
+		close(g.entered)
+		<-g.release
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var rej spatialdb.RejectedError
+	for i, r := range rs {
+		if !g.known[r.SensorID] {
+			rej.Indices = append(rej.Indices, i)
+			rej.Errs = append(rej.Errs, spatialdb.ErrUnknownSensor)
+			continue
+		}
+		g.stored = append(g.stored, r)
+	}
+	if len(rej.Indices) > 0 {
+		return &rej
+	}
+	return nil
+}
+
+func (g *gateSink) Ingest(r model.Reading) error {
+	return g.IngestBatch([]model.Reading{r})
+}
+
+func (g *gateSink) register(sensor string) {
+	g.mu.Lock()
+	g.known[sensor] = true
+	g.mu.Unlock()
+}
+
+func (g *gateSink) storedReadings() []model.Reading {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]model.Reading(nil), g.stored...)
+}
+
+// TestResilientSinkAccountsForEveryReading: a chunk the drain has
+// handed to the sink is neither buffered nor lost. While it is in
+// flight, an overflow of the buffer, a Close and a partial rejection
+// each leave every stored reading stored once and counted forwarded,
+// and Forwarded + Dropped + Pending equal the readings accepted.
+func TestResilientSinkAccountsForEveryReading(t *testing.T) {
+	// start buffers r0 and r1 through a failed first delivery, then
+	// waits until the drain's chunk of both is parked in the sink.
+	start := func(t *testing.T, sink *gateSink, opts ResilientOptions, first []model.Reading) *ResilientSink {
+		t.Helper()
+		opts.FailureThreshold = 100 // only transport failures open it; keep it closed
+		opts.RetryInterval = time.Millisecond
+		rs := NewResilientSink(sink, opts)
+		if err := rs.IngestBatch(first); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-sink.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the drain never delivered the buffered chunk; stats %+v", rs.Stats())
+		}
+		return rs
+	}
+	check := func(t *testing.T, rs *ResilientSink, sink *gateSink, accepted int) {
+		t.Helper()
+		stored := sink.storedReadings()
+		seen := make(map[string]bool)
+		for _, r := range stored {
+			if seen[r.MObjectID] {
+				t.Errorf("%s stored twice", r.MObjectID)
+			}
+			seen[r.MObjectID] = true
+		}
+		st := rs.Stats()
+		if st.Forwarded != uint64(len(stored)) {
+			t.Errorf("forwarded = %d, but the sink stored %d readings; stats %+v", st.Forwarded, len(stored), st)
+		}
+		if got := st.Forwarded + st.Dropped + uint64(st.Pending); got != uint64(accepted) {
+			t.Errorf("forwarded %d + dropped %d + pending %d = %d, want the %d accepted",
+				st.Forwarded, st.Dropped, st.Pending, got, accepted)
+		}
+	}
+	ingest := func(t *testing.T, rs *ResilientSink, rds ...model.Reading) {
+		t.Helper()
+		for _, r := range rds {
+			if err := rs.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("overflow", func(t *testing.T) {
+		sink := newGateSink("s")
+		rs := start(t, sink, ResilientOptions{BufferSize: 2},
+			[]model.Reading{sensorReading("s", "r0", 0), sensorReading("s", "r1", 1)})
+		defer rs.Close()
+		// Three arrivals overflow a 2-deep buffer by one while the chunk
+		// r0, r1 is in the sink.
+		ingest(t, rs, sensorReading("s", "r2", 2), sensorReading("s", "r3", 3), sensorReading("s", "r4", 4))
+		close(sink.release)
+		if !rs.Flush(5 * time.Second) {
+			t.Fatalf("buffer did not drain; stats %+v", rs.Stats())
+		}
+		check(t, rs, sink, 5)
+		if st := rs.Stats(); st.Forwarded != 4 || st.Dropped != 1 {
+			t.Errorf("stats = %+v, want 4 forwarded and only r2 dropped", st)
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		sink := newGateSink("s")
+		rs := start(t, sink, ResilientOptions{},
+			[]model.Reading{sensorReading("s", "r0", 0), sensorReading("s", "r1", 1)})
+		closed := make(chan struct{})
+		go func() {
+			rs.Close()
+			close(closed)
+		}()
+		// The breaker is closed, so Down means Close has taken effect.
+		deadline := time.Now().Add(5 * time.Second)
+		for rs.Health() != core.Down {
+			if time.Now().After(deadline) {
+				t.Fatal("Close never took effect")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(sink.release)
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return once the delivery finished")
+		}
+		check(t, rs, sink, 2)
+		if st := rs.Stats(); st.Forwarded != 2 || st.Dropped != 0 {
+			t.Errorf("stats = %+v, want both in-flight readings forwarded, none dropped", st)
+		}
+	})
+
+	t.Run("reject", func(t *testing.T) {
+		sink := newGateSink("s")
+		rs := start(t, sink, ResilientOptions{},
+			[]model.Reading{sensorReading("late", "r0", 0), sensorReading("s", "r1", 1)})
+		defer rs.Close()
+		ingest(t, rs, sensorReading("s", "r2", 2))
+		close(sink.release)
+		// r1 and r2 store; r0 is rejected in the chunk and again on a
+		// retry, and stays held.
+		deadline := time.Now().Add(5 * time.Second)
+		for st := rs.Stats(); st.Forwarded < 2 || st.Rejected < 2; st = rs.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("valid readings never stored or r0 never retried; stats %+v", st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		check(t, rs, sink, 3)
+		if st := rs.Stats(); st.Pending != 1 || st.Rejected == 0 {
+			t.Errorf("stats = %+v, want r0 pending after its rejection", st)
+		}
+		sink.register("late")
+		if !rs.Flush(5 * time.Second) {
+			t.Fatalf("rejected reading never drained; stats %+v", rs.Stats())
+		}
+		check(t, rs, sink, 3)
+	})
 }

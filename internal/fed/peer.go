@@ -253,7 +253,7 @@ func (p *peer) call(trace string, attempt func(*mwrpc.Client) error) error {
 			continue
 		}
 		err = attempt(cli)
-		if err == nil || !isTransportErr(err) {
+		if err == nil || !mwrpc.IsTransportErr(err) {
 			p.noteSuccess(trial)
 			return err
 		}
@@ -277,25 +277,4 @@ func (p *peer) close() {
 		p.cli = nil
 	}
 	p.mu.Unlock()
-}
-
-// isTransportErr classifies failures that indicate the peer (or the
-// path to it) is unhealthy, as opposed to an application-level error
-// from a method that ran.
-func isTransportErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, mwrpc.ErrClosed) || errors.Is(err, mwrpc.ErrTimeout) {
-		return true
-	}
-	var netErr interface{ Timeout() bool }
-	if errors.As(err, &netErr) {
-		return true
-	}
-	// Dial failures arrive as *net.OpError wrapped in fmt errors; the
-	// mwrpc client surfaces remote application errors as plain string
-	// errors, so anything carrying a syscall-ish cause is transport.
-	var opErr interface{ Temporary() bool }
-	return errors.As(err, &opErr)
 }

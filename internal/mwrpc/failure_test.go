@@ -3,8 +3,11 @@ package mwrpc
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -189,5 +192,41 @@ func TestSlowLorisHeader(t *testing.T) {
 	defer c.Close()
 	if err := CallJSON(c, "echo", "", echoArgs{Text: "ok"}, nil); err != nil {
 		t.Fatalf("server wedged by slow loris: %v", err)
+	}
+}
+
+// TestIsTransportErr: connection-class failures retry on a fresh
+// connection; an error the handler returned is final.
+func TestIsTransportErr(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	appErr := CallJSON(c, "fail", "", struct{}{}, nil)
+	if appErr == nil {
+		t.Fatal("the fail method returned no error")
+	}
+	_, dialErr := Dial("127.0.0.1:1")
+	if dialErr == nil {
+		t.Fatal("dial to a closed port succeeded")
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"ErrClosed", fmt.Errorf("call: %w", ErrClosed), true},
+		{"ErrTimeout", fmt.Errorf("%w: m", ErrTimeout), true},
+		{"refused dial", dialErr, true},
+		{"wrapped SyscallError", fmt.Errorf("read frame: %w", os.NewSyscallError("read", syscall.ECONNRESET)), true},
+		{"server application error", appErr, false},
+		{"credit stall", ErrNoCredit, false},
+		{"nil", nil, false},
+	} {
+		if got := IsTransportErr(tc.err); got != tc.want {
+			t.Errorf("%s: IsTransportErr(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }

@@ -124,6 +124,24 @@ var (
 	errBadMagic = errors.New("mwrpc: frame does not start with 0xB1")
 )
 
+// IsTransportErr reports whether err means the connection or the path
+// to the peer failed, not the request, so a retry on a fresh
+// connection can succeed: ErrClosed, ErrTimeout, or any error carrying
+// a Timeout or Temporary method (net.Error, *net.OpError from a
+// refused dial, *os.SyscallError). A handler's error arrives as a
+// plain string error and is final.
+func IsTransportErr(err error) bool {
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, ErrClosed) || errors.Is(err, ErrTimeout) {
+		return true
+	}
+	var timeout interface{ Timeout() bool }
+	var temporary interface{ Temporary() bool }
+	return errors.As(err, &timeout) || errors.As(err, &temporary)
+}
+
 // Appender writes a payload by extending buf and returning the
 // extended slice; it must not retain buf. Used for zero-alloc encode
 // straight into the pooled frame buffer.

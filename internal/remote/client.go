@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"strconv"
 	"sync"
 	"time"
@@ -306,20 +305,6 @@ func (c *LocationClient) current() (*mwrpc.Client, int, error) {
 	return c.rpc, c.epoch, nil
 }
 
-// isTransportErr reports whether err means the connection (not the
-// request) failed, so a retry on a fresh connection can succeed.
-// Server-side handler errors arrive as plain strings and are final.
-func isTransportErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, mwrpc.ErrClosed) || errors.Is(err, mwrpc.ErrTimeout) {
-		return true
-	}
-	var nerr net.Error
-	return errors.As(err, &nerr)
-}
-
 // awaitReconnect blocks until a reconnect round started at or after
 // failedEpoch finishes (single-flight: one goroutine redials, the rest
 // wait). It returns nil when a newer live connection is in place, and
@@ -489,7 +474,7 @@ func (c *LocationClient) retry(attempt func(rpc *mwrpc.Client) error) error {
 		if err == nil {
 			return nil
 		}
-		if !isTransportErr(err) {
+		if !mwrpc.IsTransportErr(err) {
 			return err
 		}
 		lastErr = err
@@ -738,7 +723,7 @@ func (c *LocationClient) Unsubscribe(id string) error {
 	serverID := sub.serverID
 	c.mu.Unlock()
 	err := c.call("mw.unsubscribe", unsubscribeArgs{SubscriptionID: serverID}, nil)
-	if isTransportErr(err) {
+	if mwrpc.IsTransportErr(err) {
 		return nil
 	}
 	return err

@@ -126,10 +126,6 @@ func (s *Server) sendAck(conn *mwrpc.ServerConn, id, seq uint64, ack streamAckDT
 // ---------------------------------------------------------------------------
 // Client
 
-// ErrStreamUnsupported reports a daemon that refused mw.streamOpen;
-// callers fall back to per-batch IngestBatch calls.
-var ErrStreamUnsupported = fmt.Errorf("remote: daemon does not support streaming ingest")
-
 // pendingBatch is one sent-but-unacked batch, kept for resend.
 type pendingBatch struct {
 	rs   []model.Reading
@@ -176,8 +172,7 @@ type IngestStream struct {
 }
 
 // OpenIngestStream opens a streaming-ingest session on the client's
-// current connection. A daemon that refuses mw.streamOpen returns
-// ErrStreamUnsupported; the caller falls back to IngestBatch.
+// current connection; it fails only when that connection does.
 func (c *LocationClient) OpenIngestStream() (*IngestStream, error) {
 	s := &IngestStream{
 		c:       c,
@@ -191,9 +186,6 @@ func (c *LocationClient) OpenIngestStream() (*IngestStream, error) {
 		return nil, err
 	}
 	if err := s.reopenOn(rpc, epoch); err != nil {
-		if !isTransportErr(err) {
-			return nil, ErrStreamUnsupported
-		}
 		return nil, err
 	}
 	return s, nil
@@ -279,7 +271,7 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 		}
 		if !s.open || epoch != s.epoch {
 			if err := s.reopenOn(rpc, epoch); err != nil {
-				if !isTransportErr(err) {
+				if !mwrpc.IsTransportErr(err) {
 					return err
 				}
 				lastErr = err
@@ -299,7 +291,7 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 		seq := s.nextSeq
 		if err := s.writeBatch(rpc, seq, rs); err != nil {
 			s.open = false
-			if !isTransportErr(err) {
+			if !mwrpc.IsTransportErr(err) {
 				return err
 			}
 			lastErr = err
@@ -321,8 +313,8 @@ func (s *IngestStream) Send(rs []model.Reading) error {
 // IngestBatch makes IngestStream an adapter.BatchSink.
 func (s *IngestStream) IngestBatch(rs []model.Reading) error { return s.Send(rs) }
 
-// Ingest makes IngestStream a full adapter.Sink, so a ResilientSink
-// or Batcher can wrap it directly.
+// Ingest makes IngestStream a full adapter.Sink, so an adapter can
+// feed it directly.
 func (s *IngestStream) Ingest(r model.Reading) error { return s.Send([]model.Reading{r}) }
 
 // await drops the stream lock while the client reconnects.
@@ -384,7 +376,7 @@ func (s *IngestStream) Flush(timeout time.Duration) error {
 			err := s.reopenOn(rpc, epoch)
 			s.mu.Unlock()
 			if err != nil {
-				if !isTransportErr(err) {
+				if !mwrpc.IsTransportErr(err) {
 					return err
 				}
 				if werr := s.c.awaitReconnect(epoch); werr != nil {

@@ -10,7 +10,7 @@ import (
 
 // TestRunBatchedMatchesDirect runs the same seeded simulation twice —
 // once with adapters feeding the service directly, once through a
-// Batcher flushed at step boundaries — and requires identical fused
+// Batcher flushed after each step — and requires identical fused
 // answers. Batching is a transport optimization; it must not change
 // what the Location Service believes.
 func TestRunBatchedMatchesDirect(t *testing.T) {
@@ -42,8 +42,13 @@ func TestRunBatchedMatchesDirect(t *testing.T) {
 
 		const steps = 50
 		if batched {
-			if err := RunBatched(s, steps, flusher, field); err != nil {
-				t.Fatal(err)
+			for i := 0; i < steps; i++ {
+				if err := Run(s, 1, field); err != nil {
+					t.Fatal(err)
+				}
+				if err := flusher.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if flusher.Pending() != 0 {
 				t.Errorf("batcher left %d readings pending", flusher.Pending())
@@ -78,22 +83,39 @@ func TestRunBatchedMatchesDirect(t *testing.T) {
 	}
 }
 
-// flushCounter counts flushes; RunBatched must call it once per step.
-type flushCounter struct{ n int }
-
-func (f *flushCounter) Flush() error { f.n++; return nil }
-
+// TestRunBatchedFlushesPerStep: a Batcher flushed after each step's
+// observations holds nothing back — by the end of every step the
+// service has stored each reading the adapter forwarded.
 func TestRunBatchedFlushesPerStep(t *testing.T) {
 	b := synthetic(t)
 	s, err := New(b, Config{People: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &flushCounter{}
-	if err := RunBatched(s, 7, f); err != nil {
+	svc, err := core.New(b, core.WithClock(s.Now))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.n != 7 {
-		t.Errorf("flushed %d times over 7 steps", f.n)
+	t.Cleanup(svc.Close)
+	batcher := adapter.NewBatcher(svc, 0)
+	ubi, err := adapter.NewUbisense("ubi-1", glob.MustParse("SIM/F"), 1.0, batcher, svc, adapter.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := NewUbisenseField(ubi, b.Universe, 1.0, s.Rand())
+	for i := 0; i < 7; i++ {
+		if err := Run(s, 1, field); err != nil {
+			t.Fatal(err)
+		}
+		if err := batcher.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		forwarded, _ := ubi.Stats()
+		if n := batcher.Pending(); n != 0 {
+			t.Errorf("step %d: %d readings still pending after the flush", i, n)
+		}
+		if got := svc.Health().Ingested; got != uint64(forwarded) || got == 0 {
+			t.Errorf("step %d: service stored %d readings, adapter forwarded %d", i, got, forwarded)
+		}
 	}
 }

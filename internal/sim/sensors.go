@@ -6,7 +6,6 @@ import (
 
 	"middlewhere/internal/adapter"
 	"middlewhere/internal/geom"
-	"middlewhere/internal/obs"
 )
 
 // Observer is a simulated sensor installation: on each simulation
@@ -213,76 +212,6 @@ func Run(s *Sim, n int, observers ...Observer) error {
 		}
 	}
 	return nil
-}
-
-// Flusher forwards accumulated readings downstream as one batch
-// (*adapter.Batcher is one). RunBatched flushes it at step boundaries.
-type Flusher interface {
-	Flush() error
-}
-
-// RunBatched advances the simulation like Run, but flushes the given
-// batcher after each step's observers have reported. With observers
-// whose adapters share the batcher as their sink, every simulation
-// step becomes one IngestBatch call instead of a database pass per
-// reading.
-func RunBatched(s *Sim, n int, batch Flusher, observers ...Observer) error {
-	for i := 0; i < n; i++ {
-		s.Step()
-		snapshot := s.People()
-		for _, o := range observers {
-			if err := o.Observe(s.Now(), snapshot); err != nil {
-				return err
-			}
-		}
-		if err := batch.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mSimObserverErrors counts failed observations across all tolerant
-// runs in the process (the per-run figure is in RunReport.Failed).
-var mSimObserverErrors = obs.Default().Counter("sim_observer_errors_total")
-
-// RunReport summarizes a tolerant simulation run.
-type RunReport struct {
-	// Steps is how many simulation steps ran; Observations how many
-	// observer invocations they produced.
-	Steps, Observations int
-	// Failed is how many observations returned an error; First is the
-	// first such error (nil when everything worked).
-	Failed int
-	First  error
-}
-
-// Err returns the first observer error, nil when the run was clean.
-func (r RunReport) Err() error { return r.First }
-
-// RunTolerant advances the simulation n steps like Run, but a failing
-// observer does not abort the run: the world keeps moving and the
-// other sensors keep reporting, the way a real deployment degrades
-// when one technology's sink is down. Failures are counted into the
-// obs registry ("sim_observer_errors_total") and summarized in the
-// returned report.
-func RunTolerant(s *Sim, n int, observers ...Observer) RunReport {
-	rep := RunReport{Steps: n}
-	for i := 0; i < n; i++ {
-		s.Step()
-		snapshot := s.People()
-		for _, o := range observers {
-			rep.Observations++
-			if err := o.Observe(s.Now(), snapshot); err != nil {
-				rep.Failed++
-				mSimObserverErrors.Inc()
-				if rep.First == nil {
-					rep.First = err
-				}
-			}
-		}
-	}
-	return rep
 }
 
 // GPSSatellites simulates GPS coverage over an outdoor area: carried

@@ -12,7 +12,6 @@ import (
 	"middlewhere/internal/geom"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
-	"middlewhere/internal/obs"
 )
 
 func synthetic(t *testing.T) *building.Building {
@@ -242,14 +241,12 @@ func TestEndToEndFusionAccuracy(t *testing.T) {
 // failingObserver errors on every observation after the first k.
 type failingObserver struct {
 	ok    int
-	seen  int
 	calls int
 }
 
 func (f *failingObserver) Observe(time.Time, []PersonState) error {
 	f.calls++
 	if f.calls > f.ok {
-		f.seen++
 		return errTestSink
 	}
 	return nil
@@ -257,40 +254,19 @@ func (f *failingObserver) Observe(time.Time, []PersonState) error {
 
 var errTestSink = errors.New("sim test: sink down")
 
-func TestRunTolerantSurvivesObserverErrors(t *testing.T) {
+// TestRunAbortsOnObserverError: Run stops at the first failed
+// observation.
+func TestRunAbortsOnObserverError(t *testing.T) {
 	b := synthetic(t)
 	s, err := New(b, Config{People: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := &failingObserver{ok: 3}
-	errsBefore := obs.Default().Counter("sim_observer_errors_total").Value()
-	rep := RunTolerant(s, 10, bad)
-	if rep.Failed != 7 {
-		t.Errorf("rep.Failed = %d, want 7", rep.Failed)
-	}
-	if rep.Steps != 10 || rep.Observations != 10 {
-		t.Errorf("rep = %+v, want 10 steps / 10 observations", rep)
-	}
-	if rep.Err() == nil {
-		t.Error("first error not reported")
-	}
-	if got := obs.Default().Counter("sim_observer_errors_total").Value() - errsBefore; got != 7 {
-		t.Errorf("sim_observer_errors_total advanced by %d, want 7", got)
-	}
-	if bad.calls != 10 {
-		t.Errorf("observer called %d times, want all 10 steps", bad.calls)
-	}
-	// Run, by contrast, aborts on the first error.
-	s2, err := New(b, Config{People: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad2 := &failingObserver{ok: 3}
-	if err := Run(s2, 10, bad2); err == nil {
+	if err := Run(s, 10, bad); err == nil {
 		t.Error("Run should abort on observer error")
 	}
-	if bad2.calls >= 10 {
-		t.Errorf("Run called observer %d times, should have aborted early", bad2.calls)
+	if bad.calls != 4 {
+		t.Errorf("Run called the observer %d times, want 4 (stop at the first failure)", bad.calls)
 	}
 }

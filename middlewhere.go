@@ -338,16 +338,14 @@ var (
 
 // Graceful degradation for adapters feeding a remote sink.
 type (
-	// ResilientSink wraps any sink with a bounded buffer and a circuit
-	// breaker so sink outages degrade instead of erroring into device
-	// code.
+	// ResilientSink wraps any BatchSink with a bounded buffer and a
+	// circuit breaker so sink outages degrade instead of erroring into
+	// device code.
 	ResilientSink = adapter.ResilientSink
 	// ResilientOptions tunes a ResilientSink.
 	ResilientOptions = adapter.ResilientOptions
 	// ResilientStats counts forwarded/buffered/dropped readings.
 	ResilientStats = adapter.ResilientStats
-	// DropPolicy picks the overflow victim (DropOldest/DropNewest).
-	DropPolicy = adapter.DropPolicy
 	// BatchSink ingests a slice of readings in one call (Service,
 	// RemoteClient, and ResilientSink all satisfy it).
 	BatchSink = adapter.BatchSink
@@ -355,17 +353,12 @@ type (
 	Batcher = adapter.Batcher
 )
 
-// NewResilientSink wraps a sink with buffering and a circuit breaker.
+// NewResilientSink wraps a BatchSink with buffering and a circuit
+// breaker.
 var NewResilientSink = adapter.NewResilientSink
 
 // NewBatcher wraps a batch-capable sink with batched forwarding.
 var NewBatcher = adapter.NewBatcher
-
-// Overflow drop policies.
-const (
-	DropOldest = adapter.DropOldest
-	DropNewest = adapter.DropNewest
-)
 
 // ---------------------------------------------------------------------------
 // Simulation (hardware substitute)
@@ -399,12 +392,6 @@ var (
 	NewBiometricDesk = sim.NewBiometricDesk
 	NewGPSSatellites = sim.NewGPSSatellites
 	RunSim           = sim.Run
-	// RunSimTolerant keeps the simulation moving when an observer's
-	// sink fails (counts errors instead of aborting).
-	RunSimTolerant = sim.RunTolerant
-	// RunSimBatched flushes a Batcher at each step boundary so a step's
-	// readings land in one IngestBatch call.
-	RunSimBatched = sim.RunBatched
 )
 
 // ---------------------------------------------------------------------------
@@ -485,10 +472,6 @@ var (
 // and Batcher handle it automatically).
 var ErrNoCredit = mwrpc.ErrNoCredit
 
-// ErrStreamUnsupported reports a daemon that refused mw.streamOpen;
-// fall back to RemoteClient.IngestBatch.
-var ErrStreamUnsupported = remote.ErrStreamUnsupported
-
 // Distribution constructors.
 var (
 	NewRemoteServer = remote.NewServer
@@ -565,8 +548,6 @@ type (
 	HistogramDTO = remote.HistogramDTO
 	// TraceDTO is a pipeline trace on the wire.
 	TraceDTO = remote.TraceDTO
-	// SimReport summarizes a tolerant simulation run.
-	SimReport = sim.RunReport
 )
 
 var (
