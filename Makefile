@@ -52,9 +52,9 @@ e2e-bench:
 # snapshot-isolation, cut (TestCut*: torn batches, a cut waiting for a
 # shard write lock and a writer waiting for the cut), support-index
 # (TestSupport*: the support trees hold per-object records that
-# migration, import, drop and prune move or edit) and cross-shard
-# object-query tests (TestCrossShard*: queries beside object inserts and
-# deletes), plus core's serial-vs-parallel region scan and its scans
+# migration, import, drop and prune move or edit) and the object-query
+# tests beside object inserts and deletes (TestCrossShard*: the one
+# object table read while it is written), plus core's serial-vs-parallel region scan and its scans
 # beside batched ingest and floor flips, under the race
 # detector, twice, so interleavings differ between runs. Kept separate
 # from `race` so CI can re-run just these when the spatial database
@@ -136,14 +136,16 @@ cluster-smoke:
 	/tmp/mwctl-fed -addr 127.0.0.1:7642 health -v | grep -q '^slos:' || { echo "FAIL: no slo block"; rc=1; }; \
 	kill $$d0 $$d1 $$rpid; exit $$rc
 
-# Observability suite: the obs package and trace-propagation tests
-# under the race detector. The zero-allocation guards are build-tagged
-# !race (the race runtime allocates inside atomics), so `make test`
-# runs them.
+# Observability suite: the obs package, trace propagation, the
+# daemon's SLO health block and the per-peer counters under the race
+# detector. The zero-allocation guards are build-tagged !race (the race
+# runtime allocates inside atomics), so `make test` runs them. Every
+# -run alternative in this file must match a test in its package
+# (TestMakefileRunPatternsMatchTests).
 obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/obs/cluster/
-	$(GO) test -race -count=1 -run 'Trace' ./internal/remote/
-	$(GO) test -race -count=1 -run 'Trace|TestSLO|TestPeerState' ./internal/fed/
+	$(GO) test -race -count=1 -run 'Trace|TestHealthReportsSLOs' ./internal/remote/
+	$(GO) test -race -count=1 -run 'Trace|TestPeerState' ./internal/fed/
 
 # Smoke the debug endpoint: start the daemon with tracing and the
 # debug server on ephemeral-ish ports, hit /metrics and mw.stats

@@ -544,11 +544,11 @@ func printStats(st middlewhere.StatsDTO) {
 		}
 	}
 	if len(st.Shards) > 0 {
-		fmt.Printf("%-20s %8s %8s %9s %7s %8s %9s\n",
-			"shard", "objects", "mobile", "readings", "rtree", "epoch", "inserts")
+		fmt.Printf("%-20s %8s %9s %8s %9s\n",
+			"shard", "mobile", "readings", "epoch", "inserts")
 		for _, sh := range st.Shards {
-			fmt.Printf("%-20s %8d %8d %9d %7d %8d %9d\n",
-				sh.Key, sh.Objects, sh.MobileObjects, sh.Readings, sh.RTreeNodes, sh.Epoch, sh.Inserts)
+			fmt.Printf("%-20s %8d %9d %8d %9d\n",
+				sh.Key, sh.MobileObjects, sh.Readings, sh.Epoch, sh.Inserts)
 		}
 		// Snapshot lifecycle at a glance: cuts taken, cuts callers hold
 		// open (each blocks every writer and every other cut; a steadily

@@ -14,12 +14,6 @@ import (
 // breaker is open, or every attempt of a call failed.
 var ErrPeerDown = errors.New("fed: peer unavailable")
 
-// PeerMetricName returns the registry name of a per-peer metric with a
-// Prometheus-style peer label, e.g. fed_peer_calls_total{peer="cs-2"}.
-func PeerMetricName(base, peer string) string {
-	return base + `{peer="` + peer + `"}`
-}
-
 // breaker states.
 const (
 	breakerClosed   = "closed"
@@ -72,11 +66,11 @@ func newPeer(name, self string, cfg peerConfig) *peer {
 		name:     name,
 		self:     self,
 		cfg:      cfg,
-		mCalls:   obs.Default().Counter(PeerMetricName("fed_peer_calls_total", name)),
-		mFails:   obs.Default().Counter(PeerMetricName("fed_peer_failures_total", name)),
-		mRetries: obs.Default().Counter(PeerMetricName("fed_peer_retries_total", name)),
-		mOpens:   obs.Default().Counter(PeerMetricName("fed_breaker_opens_total", name)),
-		mState:   obs.Default().Gauge(PeerMetricName("fed_breaker_state", name)),
+		mCalls:   obs.Default().Counter(obs.LabeledName("fed_peer_calls_total", "peer", name)),
+		mFails:   obs.Default().Counter(obs.LabeledName("fed_peer_failures_total", "peer", name)),
+		mRetries: obs.Default().Counter(obs.LabeledName("fed_peer_retries_total", "peer", name)),
+		mOpens:   obs.Default().Counter(obs.LabeledName("fed_breaker_opens_total", "peer", name)),
+		mState:   obs.Default().Gauge(obs.LabeledName("fed_breaker_state", "peer", name)),
 	}
 }
 

@@ -204,8 +204,8 @@ func TestPeerStateCounters(t *testing.T) {
 // TestFedMetricNamesStable pins the fed_* registry names the cluster
 // aggregator and dashboards key on; a rename must fail here first.
 func TestFedMetricNamesStable(t *testing.T) {
-	if got := fed.PeerMetricName("fed_peer_calls_total", "cs-2"); got != `fed_peer_calls_total{peer="cs-2"}` {
-		t.Fatalf("PeerMetricName = %q", got)
+	if got := obs.LabeledName("fed_peer_calls_total", "peer", "cs-2"); got != `fed_peer_calls_total{peer="cs-2"}` {
+		t.Fatalf("LabeledName = %q", got)
 	}
 	f := startFederation(t, map[string][]string{
 		"alpha": {"CS/F0"},

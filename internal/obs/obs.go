@@ -22,6 +22,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -296,6 +297,18 @@ func NewRegistry() *Registry {
 		histograms: make(map[string]*Histogram),
 	}
 }
+
+// LabeledName returns the registry name of a metric with one
+// Prometheus-style label, e.g. LabeledName("slo_burn_rate", "slo",
+// "ingest") is slo_burn_rate{slo="ingest"}. The registry is flat, so
+// the label is part of the name; the value is escaped as the
+// exposition format requires (backslash, double quote and newline), so
+// /metrics stays valid text whatever the value holds.
+func LabeledName(base, label, value string) string {
+	return base + "{" + label + `="` + labelEscaper.Replace(value) + `"}`
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // defaultRegistry is the process-global registry the built-in
 // instrumentation records into.

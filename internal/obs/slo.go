@@ -52,12 +52,6 @@ type SLOStatus struct {
 	Breached bool
 }
 
-// SLOMetricName returns the registry name of a per-objective SLO
-// metric with a Prometheus-style label, e.g. slo_burn_rate{slo="ingest"}.
-func SLOMetricName(base, name string) string {
-	return base + `{slo="` + name + `"}`
-}
-
 // DefaultSLOAliases maps the short objective names the daemon's -slo
 // flag accepts to the always-on histograms they gate. Any other name
 // is taken as a literal histogram name.
@@ -206,11 +200,11 @@ func NewSLOTracker(reg *Registry, slos []SLO, interval time.Duration) *SLOTracke
 		st := &sloState{
 			slo:       s,
 			hist:      reg.Histogram(s.Metric),
-			mBreaches: reg.Counter(SLOMetricName("slo_breaches_total", s.Name)),
-			gBurn:     reg.Gauge(SLOMetricName("slo_burn_rate", s.Name)),
-			gAttained: reg.Gauge(SLOMetricName("slo_attained_us", s.Name)),
-			gTarget:   reg.Gauge(SLOMetricName("slo_target_us", s.Name)),
-			gHealthy:  reg.Gauge(SLOMetricName("slo_healthy", s.Name)),
+			mBreaches: reg.Counter(LabeledName("slo_breaches_total", "slo", s.Name)),
+			gBurn:     reg.Gauge(LabeledName("slo_burn_rate", "slo", s.Name)),
+			gAttained: reg.Gauge(LabeledName("slo_attained_us", "slo", s.Name)),
+			gTarget:   reg.Gauge(LabeledName("slo_target_us", "slo", s.Name)),
+			gHealthy:  reg.Gauge(LabeledName("slo_healthy", "slo", s.Name)),
 		}
 		st.gTarget.Set(float64(s.Target.Microseconds()))
 		st.gHealthy.Set(1)

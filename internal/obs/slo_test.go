@@ -72,8 +72,8 @@ func TestParseSLOs(t *testing.T) {
 // and the cluster aggregator key on these strings, so a rename must
 // fail here first.
 func TestSLOMetricNamesStable(t *testing.T) {
-	if got := SLOMetricName("slo_burn_rate", "ingest"); got != `slo_burn_rate{slo="ingest"}` {
-		t.Fatalf("SLOMetricName = %q", got)
+	if got := LabeledName("slo_burn_rate", "slo", "ingest"); got != `slo_burn_rate{slo="ingest"}` {
+		t.Fatalf("LabeledName = %q", got)
 	}
 	reg := NewRegistry()
 	slos, err := ParseSLOs("ingest=p99<2ms@1s", nil)
@@ -102,7 +102,7 @@ func TestSLOMetricNamesStable(t *testing.T) {
 			t.Errorf("registry missing %q", want)
 		}
 	}
-	if got := reg.Gauge(SLOMetricName("slo_target_us", "ingest")).Value(); got != 2000 {
+	if got := reg.Gauge(LabeledName("slo_target_us", "slo", "ingest")).Value(); got != 2000 {
 		t.Errorf("slo_target_us = %g, want 2000", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestSLOTrackerBreachLifecycle(t *testing.T) {
 	tr := NewSLOTracker(reg, slos, time.Hour)
 	hist := reg.Histogram("spatialdb_insert_us")
 	breaches := reg.Counter("slo_breaches_total")
-	healthy := reg.Gauge(SLOMetricName("slo_healthy", "ingest"))
+	healthy := reg.Gauge(LabeledName("slo_healthy", "slo", "ingest"))
 
 	t0 := time.Unix(1_000_000, 0)
 	tr.tickAt(t0)
@@ -187,7 +187,7 @@ func TestSLOTrackerBreachLifecycle(t *testing.T) {
 	if got := breaches.Value(); got != 2 {
 		t.Fatalf("slo_breaches_total = %d after second breach, want 2", got)
 	}
-	if got := reg.Counter(SLOMetricName("slo_breaches_total", "ingest")).Value(); got != 2 {
+	if got := reg.Counter(LabeledName("slo_breaches_total", "slo", "ingest")).Value(); got != 2 {
 		t.Fatalf(`slo_breaches_total{slo="ingest"} = %d, want 2`, got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"middlewhere/internal/fusion"
 	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
+	"middlewhere/internal/spatialdb"
 )
 
 // IngestBatchReply acknowledges a batched ingest.
@@ -272,25 +273,6 @@ type TraceDTO struct {
 	Spans   []SpanDTO `json:"spans"`
 }
 
-// ShardDTO describes one spatial-database shard (a floor's slice of
-// the object and reading tables) on the wire.
-type ShardDTO struct {
-	// Key is the shard's GLOB prefix (top-two path components).
-	Key string `json:"key"`
-	// Objects counts object-table rows homed on the shard.
-	Objects int `json:"objects"`
-	// MobileObjects counts objects with stored readings.
-	MobileObjects int `json:"mobileObjects"`
-	// Readings counts stored reading rows.
-	Readings int `json:"readings"`
-	// RTreeNodes is the shard R-tree's entry count.
-	RTreeNodes int `json:"rtreeNodes"`
-	// Epoch is the shard's write epoch (mutation batches applied).
-	Epoch uint64 `json:"epoch"`
-	// Inserts counts readings stored since the database was created.
-	Inserts uint64 `json:"inserts"`
-}
-
 // StatsDTO is the wire form of the service's observability snapshot
 // (mw.stats).
 type StatsDTO struct {
@@ -300,9 +282,9 @@ type StatsDTO struct {
 	Gauges     map[string]float64 `json:"gauges,omitempty"`
 	Histograms []HistogramDTO     `json:"histograms,omitempty"`
 	Traces     []TraceDTO         `json:"traces,omitempty"`
-	// Shards lists the spatial database's per-floor shards, sorted by
-	// key.
-	Shards []ShardDTO `json:"shards,omitempty"`
+	// Shards lists the spatial database's per-floor reading shards,
+	// sorted by key.
+	Shards []spatialdb.ShardStat `json:"shards,omitempty"`
 }
 
 // bandFromString parses a band name; unknown strings map to zero.

@@ -99,17 +99,7 @@ func NewServer(svc *core.Service) *Server {
 // mwctl stats / mwctl trace.
 func (s *Server) handleStats(_ *mwrpc.ServerConn, a StatsArgs, _ string) (any, error) {
 	out := statsSnapshot(obs.Default(), obs.DefaultTracer(), a.Traces)
-	for _, st := range s.svc.DB().ShardStats() {
-		out.Shards = append(out.Shards, ShardDTO{
-			Key:           st.Key,
-			Objects:       st.Objects,
-			MobileObjects: st.MobileObjects,
-			Readings:      st.Readings,
-			RTreeNodes:    st.RTreeNodes,
-			Epoch:         st.Epoch,
-			Inserts:       st.Inserts,
-		})
-	}
+	out.Shards = s.svc.DB().ShardStats()
 	return out, nil
 }
 

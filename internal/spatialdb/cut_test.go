@@ -305,8 +305,8 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	floor1, _ := db.shardFor("CS/Floor1")
-	floor3, _ := db.shardFor("CS/Floor3")
+	floor1 := db.ensureShard("CS/Floor1")
+	floor3 := db.ensureShard("CS/Floor3")
 	waitBase := mCutWaitUs.Count()
 
 	// The store, by hand: one row written on floor 3, lock kept.
@@ -402,7 +402,7 @@ func TestCutRetriesWhenShardListGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	floor1, _ := db.shardFor("CS/Floor1")
+	floor1 := db.ensureShard("CS/Floor1")
 	floor1.readMu.Lock()
 	cuts := make(chan *Snapshot, 1)
 	go func() { cuts <- db.Snapshot() }()

@@ -188,9 +188,9 @@ func (db *DB) DropObject(id string, ifEpoch uint64) bool {
 	}
 }
 
-// LocalShardKeys returns the keys of the shards this database has
-// materialized, sorted — what a daemon advertises in its placement
-// lease alongside its configured floors.
+// LocalShardKeys returns the keys of the reading shards this database
+// has materialized, sorted: the floors a reading was stored on (or
+// imported to), what mw.shards reports as Local.
 func (db *DB) LocalShardKeys() []string {
 	shards := db.allShards()
 	out := make([]string, 0, len(shards))

@@ -273,8 +273,8 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 	start := time.Now()
 
 	// Phase 1 — validate and resolve regions. Sensor specs come from
-	// the lock-free view; symbolic locations resolve against their own
-	// shard's object table.
+	// the lock-free view; symbolic locations resolve against the object
+	// table.
 	sensors := db.sensorView.Load().specs
 	stored := make([]StoredReading, 0, len(rs))
 	var errs []error

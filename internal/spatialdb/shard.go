@@ -2,7 +2,6 @@ package spatialdb
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,17 +33,6 @@ var (
 // path components (a bare coordinate in the universe frame).
 const rootShardKey = "(root)"
 
-// ShardMetricName returns the registry name of a per-shard metric: the
-// base name with a Prometheus-style shard label, e.g.
-//
-//	spatialdb_shard_inserts_total{shard="CS/Floor3"}
-//
-// The obs registry is flat, so the label is part of the name; the
-// /metrics exposition is still valid Prometheus text format.
-func ShardMetricName(base, shardKey string) string {
-	return base + `{shard="` + shardKey + `"}`
-}
-
 // shardKeyForGLOB maps a GLOB to its shard: the top-two symbolic path
 // components ("CS/Floor3/NetLab" → "CS/Floor3"). Buildings partition
 // into floors, floors own their rooms, and GLOB prefixes are stable —
@@ -59,34 +47,6 @@ func shardKeyForGLOB(g glob.GLOB) string {
 	default:
 		return g.Path[0] + "/" + g.Path[1]
 	}
-}
-
-// shardKeyForID maps an object's GLOB string to its shard without
-// parsing: the first two '/'-separated symbolic segments (a coordinate
-// component, starting with '(', ends the path).
-func shardKeyForID(id string) string {
-	key := ""
-	rest := id
-	for seg := 0; seg < 2 && rest != ""; seg++ {
-		part := rest
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			part, rest = rest[:j], rest[j+1:]
-		} else {
-			rest = ""
-		}
-		if part == "" || part[0] == '(' {
-			break
-		}
-		if key == "" {
-			key = part
-		} else {
-			key += "/" + part
-		}
-	}
-	if key == "" {
-		return rootShardKey
-	}
-	return key
 }
 
 // readTable is one shard's reading storage: one record per mobile
@@ -220,18 +180,13 @@ func (t *readTable) unindex(o *objRec) {
 	}
 }
 
-// shard is one floor's slice of the database: its own object table and
-// R-tree, its own reading table, and its own locks — so ingest and
-// expiry on independent floors never contend, and each R-tree stays
-// bounded by one floor's population.
+// shard is one floor's slice of the reading table, with its own lock,
+// so ingest and expiry on independent floors never contend. A shard
+// is created by the first reading stored on its floor (InsertReadings
+// or ImportObject) and holds only readings: building geometry lives in
+// the DB's one object table.
 type shard struct {
 	key string
-
-	// Object table + R-tree. Writers hold objMu exclusively; every
-	// object query searches the live index under the read lock.
-	objMu   sync.RWMutex
-	objects map[string]*Object
-	objIdx  *rtree.Tree[*Object]
 
 	// Reading table (see readTable). Writers hold readMu exclusively,
 	// readers shared; a Snapshot holds it shared until Close.
@@ -245,33 +200,23 @@ type shard struct {
 	// counter for ShardStats without a registry read).
 	inserts atomic.Uint64
 
-	mInserts    *obs.Counter
-	mRTreeNodes *obs.Gauge
+	mInserts *obs.Counter
 }
 
 func newShard(key string) *shard {
-	sh := &shard{
-		key:         key,
-		objects:     make(map[string]*Object),
-		objIdx:      rtree.New[*Object](),
-		table:       newReadTable(),
-		mInserts:    obs.Default().Counter(ShardMetricName("spatialdb_shard_inserts_total", key)),
-		mRTreeNodes: obs.Default().Gauge(ShardMetricName("spatialdb_shard_rtree_nodes", key)),
+	return &shard{
+		key:      key,
+		table:    newReadTable(),
+		mInserts: obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", key)),
 	}
-	return sh
-}
-
-// shardFor returns the shard for a key if it exists.
-func (db *DB) shardFor(key string) (*shard, bool) {
-	db.shardMu.RLock()
-	sh, ok := db.shards[key]
-	db.shardMu.RUnlock()
-	return sh, ok
 }
 
 // ensureShard returns the shard for a key, creating it on first use.
 func (db *DB) ensureShard(key string) *shard {
-	if sh, ok := db.shardFor(key); ok {
+	db.shardMu.RLock()
+	sh, ok := db.shards[key]
+	db.shardMu.RUnlock()
+	if ok {
 		return sh
 	}
 	db.shardMu.Lock()
@@ -279,7 +224,7 @@ func (db *DB) ensureShard(key string) *shard {
 	if sh, ok := db.shards[key]; ok {
 		return sh
 	}
-	sh := newShard(key)
+	sh = newShard(key)
 	db.shards[key] = sh
 	// Copy-on-write for the ordered slice: allShards hands the current
 	// slice to lock-free iteration, so it is never appended in place.
@@ -302,21 +247,18 @@ func (db *DB) allShards() []*shard {
 	return order
 }
 
-// ShardStat describes one shard for stats surfaces (mwctl stats).
+// ShardStat describes one shard for stats surfaces (mw.stats, mwctl
+// stats); the JSON names are mw.stats's.
 type ShardStat struct {
 	// Key is the shard's GLOB prefix (top-two path components).
 	Key string `json:"key"`
-	// Objects is the number of object-table rows homed here.
-	Objects int `json:"objects"`
 	// MobileObjects is the number of objects with stored readings.
-	MobileObjects int `json:"mobile_objects"`
+	MobileObjects int `json:"mobileObjects"`
 	// Readings is the total number of stored reading rows.
 	Readings int `json:"readings"`
-	// RTreeNodes is the object R-tree's entry count.
-	RTreeNodes int `json:"rtree_nodes"`
 	// SupportRects is the reading-support R-tree's entry count (one
 	// per mobile object homed here) — the candidate pre-filter index.
-	SupportRects int `json:"support_rects"`
+	SupportRects int `json:"supportRects"`
 	// Epoch is the shard's write epoch (mutation batches applied).
 	Epoch uint64 `json:"epoch"`
 	// Inserts counts readings stored since the database was created.
@@ -334,10 +276,6 @@ func (db *DB) ShardStats() []ShardStat {
 			Epoch:   sh.writeEpoch.Load(),
 			Inserts: sh.inserts.Load(),
 		}
-		sh.objMu.RLock()
-		st.Objects = len(sh.objects)
-		st.RTreeNodes = sh.objIdx.Len()
-		sh.objMu.RUnlock()
 		sh.readMu.RLock()
 		t := sh.table
 		st.SupportRects = t.support.Len()

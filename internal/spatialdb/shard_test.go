@@ -3,6 +3,9 @@ package spatialdb
 import (
 	"fmt"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,8 +19,8 @@ import (
 )
 
 // multiFloorDB builds a DB with `floors` stacked floor frames
-// (CS/Floor1..CS/FloorN), each 500x100, so readings and objects on
-// different floors land on different shards.
+// (CS/Floor1..CS/FloorN), each 500x100, so readings on different
+// floors land on different shards.
 func multiFloorDB(t testing.TB, floors int) *DB {
 	t.Helper()
 	tr := coords.NewTree()
@@ -71,10 +74,6 @@ func TestShardKeyForGLOB(t *testing.T) {
 		if got := shardKeyForGLOB(g); got != c.want {
 			t.Errorf("shardKeyForGLOB(%q) = %q, want %q", c.in, got, c.want)
 		}
-		// The string-based router must agree with the parsed one.
-		if got := shardKeyForID(c.in); got != c.want {
-			t.Errorf("shardKeyForID(%q) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }
 
@@ -107,9 +106,6 @@ func TestShardRoutingAndStats(t *testing.T) {
 		wantKey := fmt.Sprintf("CS/Floor%d", i+1)
 		if st.Key != wantKey {
 			t.Errorf("stats[%d].Key = %q, want %q (stats must sort by key)", i, st.Key, wantKey)
-		}
-		if st.Objects != 1 || st.RTreeNodes != 1 {
-			t.Errorf("%s: objects = %d rtree = %d, want 1/1", st.Key, st.Objects, st.RTreeNodes)
 		}
 		if st.MobileObjects != i+1 || st.Readings != i+1 || st.Inserts != uint64(i+1) {
 			t.Errorf("%s: mobile=%d readings=%d inserts=%d, want %d each",
@@ -325,8 +321,8 @@ func TestSnapshotBatchAtomicity(t *testing.T) {
 }
 
 // TestCrossShardQueriesDuringObjectWrites runs every object query
-// against live shard indexes while other goroutines insert and delete
-// objects on the same floors. Each result must be sorted without a
+// against the live object index while other goroutines insert and
+// delete objects on every floor. Each result must be sorted without a
 // duplicate ID, and the objects that exist for the whole run must
 // always be found.
 func TestCrossShardQueriesDuringObjectWrites(t *testing.T) {
@@ -444,14 +440,14 @@ func TestCrossShardQueriesDuringObjectWrites(t *testing.T) {
 // exposes: dashboards and the mwctl stats surface key on these
 // strings, so a rename is a breaking change and must fail here first.
 func TestShardMetricNamesStable(t *testing.T) {
-	if got := ShardMetricName("spatialdb_shard_inserts_total", "CS/Floor3"); got != `spatialdb_shard_inserts_total{shard="CS/Floor3"}` {
-		t.Errorf("ShardMetricName = %q", got)
+	if got := obs.LabeledName("spatialdb_shard_inserts_total", "shard", "CS/Floor3"); got != `spatialdb_shard_inserts_total{shard="CS/Floor3"}` {
+		t.Errorf("LabeledName = %q", got)
 	}
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
 	}
-	before := obs.Default().Counter(ShardMetricName("spatialdb_shard_inserts_total", "CS/Floor2")).Value()
+	before := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", "CS/Floor2")).Value()
 	if err := db.InsertReading(floorReading("s1", "m", 2, 5, 5, t0)); err != nil {
 		t.Fatal(err)
 	}
@@ -470,14 +466,56 @@ func TestShardMetricNamesStable(t *testing.T) {
 		"spatialdb_snapshots_total",
 		"spatialdb_snapshot_pool_live",
 		`spatialdb_shard_inserts_total{shard="CS/Floor2"}`,
-		`spatialdb_shard_rtree_nodes{shard="CS/Floor2"}`,
 	} {
 		if !names[want] {
 			t.Errorf("registry missing %q", want)
 		}
 	}
-	after := obs.Default().Counter(ShardMetricName("spatialdb_shard_inserts_total", "CS/Floor2")).Value()
+	after := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", "CS/Floor2")).Value()
 	if after != before+1 {
 		t.Errorf("per-shard insert counter moved %d -> %d, want +1", before, after)
+	}
+}
+
+// exposition is one /metrics line: a metric name, optional labels
+// whose values escape backslash, double quote and newline, and a value.
+var exposition = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"` +
+	`(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+)$`)
+
+// TestMetricsTextEscapesShardLabels ingests coordinate readings on
+// floors the building lacks, whose names hold a double quote and a
+// backslash (GLOB segments accept both). They resolve through the
+// building frame and create shards named after those floors; every
+// line /metrics then prints must still parse, the shard label escaped.
+func TestMetricsTextEscapesShardLabels(t *testing.T) {
+	db := multiFloorDB(t, 1)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range []string{`CS/F"1/(5,5)`, `CS/F\2/(5,5)`} {
+		r := model.Reading{SensorID: "s1", MObjectID: "m", Location: glob.MustParse(loc), Time: t0}
+		if err := db.InsertReading(r); err != nil {
+			t.Fatalf("%s: %v", loc, err)
+		}
+	}
+	text := obs.MetricsTextString(obs.Default())
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		m := exposition.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("unparsable /metrics line %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("/metrics line %q: value: %v", line, err)
+		}
+	}
+	for _, want := range []string{
+		`spatialdb_shard_inserts_total{shard="CS/F\"1"} 1`,
+		`spatialdb_shard_inserts_total{shard="CS/F\\2"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

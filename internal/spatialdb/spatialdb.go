@@ -9,14 +9,16 @@
 //     §5.2), and
 //   - location triggers (§5.3) evaluated on every reading insert.
 //
-// The database is sharded by floor: the top-two GLOB path components
-// ("CS/Floor3") key a shard owning its own object table, R-tree,
-// reading table and locks, so ingest and expiry on independent floors
-// never contend and each R-tree stays bounded by one floor's
-// population (the role table partitioning plays for the paper's
-// PostGIS deployment). A Snapshot holds every shard's reading lock
-// shared while a region query or heatmap collects its candidates: a
-// consistent cut across every shard.
+// The object table is building geometry, written only at building
+// load and by region definitions, so it is one table with one R-tree
+// under one lock, as in the paper's PostGIS deployment. The reading
+// table is sharded by floor: the top-two GLOB path components
+// ("CS/Floor3") key a shard owning one floor's readings and its own
+// lock, so ingest and expiry on independent floors never contend (the
+// role table partitioning plays for a PostGIS deployment). A Snapshot
+// holds every shard's reading lock shared while a region query or
+// heatmap collects its candidates: a consistent cut across every
+// shard.
 //
 // Geometry is indexed with an R-tree so containment/intersection
 // queries and trigger matching stay sub-linear in table size, the role
@@ -55,21 +57,17 @@ var (
 	// trigger matching runs under a shared lock, so concurrent searches
 	// can cross-attribute Visits() deltas. The totals still converge.
 	mInsertVisits = obs.Default().Counter("rtree_insert_visits_total")
-	// mVisitsGauge mirrors the cumulative node visits across every
-	// shard's object index plus the trigger index; refreshed after
-	// every insert and query rather than delta-tracked, because
-	// concurrent readers would cross-attribute deltas.
+	// mVisitsGauge mirrors the cumulative node visits of the object
+	// index plus the trigger index; refreshed after every insert and
+	// query rather than delta-tracked, because concurrent readers would
+	// cross-attribute deltas.
 	mVisitsGauge = obs.Default().Gauge("rtree_node_visits")
 )
 
 // syncVisitsGauge refreshes the cumulative R-tree visit gauge; safe to
 // call without locks (tree visit counters are atomic).
 func (db *DB) syncVisitsGauge() {
-	total := db.triggerIdx.Visits()
-	for _, sh := range db.allShards() {
-		total += sh.objIdx.Visits()
-	}
-	mVisitsGauge.Set(float64(total))
+	mVisitsGauge.Set(float64(db.triggerIdx.Visits() + db.objIdx.Visits()))
 }
 
 // observeQuery records one spatial query's latency; used as
@@ -140,21 +138,29 @@ type sensorTable struct {
 	gen   uint64
 }
 
-// DB is the spatial database: a router over per-floor shards (see
-// shard) plus the tables that are genuinely global — sensor metadata
-// and triggers. Locks nest in the fixed orders
+// DB is the spatial database: the object table, a router over
+// per-floor reading shards (see shard), and the tables that are
+// genuinely global — sensor metadata and triggers. Locks nest in the
+// fixed orders
 //
 //	migMu → shard.readMu, two shards' in key order
 //	cutTurn → shard.readMu, every shard's in key order
 //
 // a floor migration holding two shards' write locks, a Snapshot every
 // shard's read lock. No goroutine holds migMu and cutTurn together.
-// shard.objMu and trigMu are only ever held alone.
+// objMu and trigMu are only ever held alone.
 type DB struct {
 	// frames is immutable after New; symbolic GLOB resolution walks
 	// objects and frames together.
 	frames   *coords.Tree
 	universe geom.Rect
+
+	// Object table (Table 1) and its R-tree. Writers hold objMu
+	// exclusively; every object query searches the live index under
+	// the read lock.
+	objMu   sync.RWMutex
+	objects map[string]*Object
+	objIdx  *rtree.Tree[*Object]
 
 	// Shard directory. order is the shards sorted by key, replaced
 	// wholesale on shard creation so holders iterate without a lock.
@@ -162,9 +168,8 @@ type DB struct {
 	shards  map[string]*shard
 	order   []*shard
 
-	// objGen counts object-table structural changes across all shards
-	// (insert/delete); readers use it to detect stale cached
-	// resolutions without any lock.
+	// objGen counts object-table changes (insert/delete); readers use
+	// it to detect stale cached resolutions without any lock.
 	objGen atomic.Uint64
 
 	// residence maps a mobile object's ID to the shard holding its
@@ -195,6 +200,8 @@ type DB struct {
 func New(frames *coords.Tree, universe geom.Rect) *DB {
 	db := &DB{
 		frames:     frames,
+		objects:    make(map[string]*Object),
+		objIdx:     rtree.New[*Object](),
 		shards:     make(map[string]*shard),
 		triggers:   make(map[string]*trigger),
 		triggerIdx: rtree.New[*trigger](),
@@ -215,8 +222,7 @@ func (db *DB) Frames() *coords.Tree { return db.frames }
 // Object table
 
 // InsertObject adds an object. Its geometry is resolved from the
-// GlobPrefix frame into the universe frame, and the row is homed on
-// the shard of its GLOB's top-two path components.
+// GlobPrefix frame into the universe frame.
 func (db *DB) InsertObject(o Object) error {
 	if o.GLOB.IsZero() {
 		return fmt.Errorf("%w: empty GLOB", ErrBadGeometry)
@@ -225,10 +231,9 @@ func (db *DB) InsertObject(o Object) error {
 		return fmt.Errorf("%w: object %s has no points", ErrBadGeometry, o.ID())
 	}
 	id := o.ID()
-	sh := db.ensureShard(shardKeyForGLOB(o.GLOB))
-	sh.objMu.Lock()
-	defer sh.objMu.Unlock()
-	if _, ok := sh.objects[id]; ok {
+	db.objMu.Lock()
+	defer db.objMu.Unlock()
+	if _, ok := db.objects[id]; ok {
 		return fmt.Errorf("%w: object %s", ErrDuplicate, id)
 	}
 	resolved, poly, err := db.resolveFrames(o.GLOB.Prefix(), o.LocalPoints)
@@ -248,9 +253,8 @@ func (db *DB) InsertObject(o Object) error {
 		}
 		stored.Properties = props
 	}
-	sh.objects[id] = &stored
-	sh.objIdx.Insert(stored.Bounds, &stored)
-	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
+	db.objects[id] = &stored
+	db.objIdx.Insert(stored.Bounds, &stored)
 	db.objGen.Add(1)
 	return nil
 }
@@ -275,47 +279,36 @@ func (db *DB) resolveFrames(prefix glob.GLOB, pts []geom.Point) (geom.Rect, geom
 
 // GetObject returns an object by its GLOB string.
 func (db *DB) GetObject(id string) (Object, error) {
-	if sh, ok := db.shardFor(shardKeyForID(id)); ok {
-		sh.objMu.RLock()
-		defer sh.objMu.RUnlock()
-		if o, ok := sh.objects[id]; ok {
-			return o.clone(), nil
-		}
+	db.objMu.RLock()
+	defer db.objMu.RUnlock()
+	if o, ok := db.objects[id]; ok {
+		return o.clone(), nil
 	}
 	return Object{}, fmt.Errorf("%w: object %s", ErrNotFound, id)
 }
 
 // DeleteObject removes an object.
 func (db *DB) DeleteObject(id string) error {
-	sh, ok := db.shardFor(shardKeyForID(id))
+	db.objMu.Lock()
+	defer db.objMu.Unlock()
+	o, ok := db.objects[id]
 	if !ok {
 		return fmt.Errorf("%w: object %s", ErrNotFound, id)
 	}
-	sh.objMu.Lock()
-	defer sh.objMu.Unlock()
-	o, ok := sh.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: object %s", ErrNotFound, id)
-	}
-	sh.objIdx.Delete(o.Bounds, o)
-	delete(sh.objects, id)
-	sh.mRTreeNodes.Set(float64(sh.objIdx.Len()))
+	db.objIdx.Delete(o.Bounds, o)
+	delete(db.objects, id)
 	db.objGen.Add(1)
 	return nil
 }
 
-// Objects returns all objects sorted by ID. Each shard is read under
-// its own read lock, one after the other, so a concurrent insert on a
-// shard already read is not seen.
+// Objects returns all objects sorted by ID.
 func (db *DB) Objects() []Object {
-	var out []Object
-	for _, sh := range db.allShards() {
-		sh.objMu.RLock()
-		for _, o := range sh.objects {
-			out = append(out, o.clone())
-		}
-		sh.objMu.RUnlock()
+	db.objMu.RLock()
+	out := make([]Object, 0, len(db.objects))
+	for _, o := range db.objects {
+		out = append(out, o.clone())
 	}
+	db.objMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -362,7 +355,7 @@ func (f ObjectFilter) match(o *Object) bool {
 }
 
 // VisitIntersecting calls fn for every object whose universe-frame MBR
-// intersects r, shard by shard, under that shard's read lock and in no
+// intersects r, under the object table's read lock and in no
 // particular order. It is the object table's one range search: the
 // copying queries below clone what fn keeps. fn sees the stored
 // row: it must not modify o, keep the pointer, or call back into the
@@ -371,14 +364,12 @@ func (f ObjectFilter) match(o *Object) bool {
 // is only inserted or deleted.
 func (db *DB) VisitIntersecting(r geom.Rect, fn func(o *Object)) {
 	defer db.observeQuery(time.Now())
-	for _, sh := range db.allShards() {
-		sh.objMu.RLock()
-		sh.objIdx.SearchIntersectFunc(r, func(_ geom.Rect, o *Object) bool {
-			fn(o)
-			return true
-		})
-		sh.objMu.RUnlock()
-	}
+	db.objMu.RLock()
+	defer db.objMu.RUnlock()
+	db.objIdx.SearchIntersectFunc(r, func(_ geom.Rect, o *Object) bool {
+		fn(o)
+		return true
+	})
 }
 
 // collect clones the objects VisitIntersecting finds in r that pass
@@ -424,67 +415,54 @@ func (db *DB) ObjectsAt(p geom.Point, f ObjectFilter) []Object {
 
 // Nearest answers property queries such as "the nearest region with
 // power outlets and high Bluetooth signal" (§5.1): the k objects
-// passing the filter closest to p, nil for k <= 0. Each shard
-// contributes its own k best candidates; the merge keeps the global k
-// by (distance, ID).
+// passing the filter closest to p, ordered by (distance, ID), nil for
+// k <= 0.
 func (db *DB) Nearest(p geom.Point, k int, f ObjectFilter) []Object {
 	if k <= 0 {
 		return nil
 	}
 	defer db.observeQuery(time.Now())
 	type cand struct {
-		obj  Object
+		obj  *Object
 		dist float64
 	}
-	var all []cand
-	for _, sh := range db.allShards() {
-		sh.objMu.RLock()
-		// Over-fetch from the index and filter; property predicates
-		// cannot be pushed into the R-tree.
-		var part []cand
-		fetch := k * 4
-		if fetch < 16 {
-			fetch = 16
-		}
-		for len(part) < k {
-			items := sh.objIdx.Nearest(p, fetch)
-			part = part[:0]
-			for _, it := range items {
-				if o := it.Value; f.match(o) {
-					part = append(part, cand{obj: o.clone(), dist: it.Rect.DistToPoint(p)})
-					if len(part) == k {
-						break
-					}
-				}
+	var hits []cand
+	db.objMu.RLock()
+	defer db.objMu.RUnlock()
+	// Property predicates cannot be pushed into the R-tree, so fetch
+	// nearest-first and filter, doubling the fetch until the k-th hit's
+	// distance is settled: the tree is exhausted, or an item farther
+	// than it was fetched, so every hit tied with it is in hand.
+	for fetch := max(16, 4*k); ; fetch *= 2 {
+		items := db.objIdx.Nearest(p, fetch)
+		hits = hits[:0]
+		for _, it := range items {
+			if f.match(it.Value) {
+				hits = append(hits, cand{obj: it.Value, dist: it.Rect.DistToPoint(p)})
 			}
-			if len(items) < fetch {
-				break // exhausted the shard
-			}
-			fetch *= 2
 		}
-		sh.objMu.RUnlock()
-		all = append(all, part...)
+		if len(items) < fetch ||
+			len(hits) >= k && items[len(items)-1].Rect.DistToPoint(p) > hits[k-1].dist {
+			break
+		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].dist != all[j].dist {
-			return all[i].dist < all[j].dist
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].dist != hits[j].dist {
+			return hits[i].dist < hits[j].dist
 		}
-		return all[i].obj.ID() < all[j].obj.ID()
+		return hits[i].obj.ID() < hits[j].obj.ID()
 	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]Object, 0, len(all))
-	for _, c := range all {
-		out = append(out, c.obj)
+	hits = hits[:min(k, len(hits))]
+	out := make([]Object, len(hits))
+	for i, c := range hits {
+		out[i] = c.obj.clone()
 	}
 	return out
 }
 
 // ResolveGLOB converts any GLOB — symbolic or coordinate — to its MBR
 // in the universe frame. Symbolic GLOBs are looked up in the object
-// table (one shard, by prefix); coordinate GLOBs are transformed from
-// their prefix frame.
+// table; coordinate GLOBs are transformed from their prefix frame.
 func (db *DB) ResolveGLOB(g glob.GLOB) (geom.Rect, error) {
 	if g.IsZero() {
 		return geom.Rect{}, fmt.Errorf("%w: empty GLOB", ErrBadGeometry)
@@ -493,15 +471,14 @@ func (db *DB) ResolveGLOB(g glob.GLOB) (geom.Rect, error) {
 		r, _, err := db.resolveFrames(g.Prefix(), g.PlanarPoints())
 		return r, err
 	}
-	if sh, ok := db.shardFor(shardKeyForGLOB(g)); ok {
-		sh.objMu.RLock()
-		o, ok := sh.objects[g.String()]
-		sh.objMu.RUnlock()
-		if ok {
-			return o.Bounds, nil
-		}
+	id := g.String()
+	db.objMu.RLock()
+	o, ok := db.objects[id]
+	db.objMu.RUnlock()
+	if ok {
+		return o.Bounds, nil
 	}
-	return geom.Rect{}, fmt.Errorf("%w: symbolic location %s", ErrNotFound, g.String())
+	return geom.Rect{}, fmt.Errorf("%w: symbolic location %s", ErrNotFound, id)
 }
 
 // ObjectGeneration returns a counter bumped on every object-table
