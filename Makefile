@@ -27,11 +27,11 @@ race:
 # Close either delivered or counted as dropped, the
 # cache-freshness stress that used to hang in Snapshot, the three tests
 # of the cut itself (every concurrent cut fresh, a prefix of each
-# cross-floor batch, a migrating object seen once, and returning; a cut
-# waiting for a shard write lock held mid-store and a writer waiting
-# behind the open cut; no cut tearing a single-floor batch), the
-# replay dedup reading rows atomically with residence while the object
-# flips floors, and every TestResilientSink* test of the adapter's
+# batch's stripe groups, a walking object seen once, and returning; a
+# cut waiting for a stripe write lock held mid-store and a writer
+# waiting behind the open cut; no cut tearing a single-object batch),
+# the replay dedup never missing a stored row while the object flips
+# floors, and every TestResilientSink* test of the adapter's
 # buffering sink (one hung a race run while the drain slept out a
 # breaker cooldown), including its account of every reading while a
 # delivery is in flight. The gate gets its own, longer timeout: a
@@ -47,12 +47,13 @@ concurrency-gate:
 e2e-bench:
 	bash benchmark/run.sh $(ARGS)
 
-# Sharding/snapshot stress suite: the per-floor shard routing, floor
-# migration, the rows a trigger firing holds (TestShardFiringRows*),
-# snapshot-isolation, cut (TestCut*: torn batches, a cut waiting for a
-# shard write lock and a writer waiting for the cut), support-index
-# (TestSupport*: the support trees hold per-object records that
-# migration, import, drop and prune move or edit) and the object-query
+# Striping/snapshot stress suite: the per-stripe routing and stats, an
+# object changing floors (TestFloorMigration*), the rows a trigger
+# firing holds (TestShardFiringRows*), snapshot-isolation, cut (TestCut*:
+# torn batches, a cut waiting for a stripe write lock and a writer
+# waiting for the cut), support-index (TestSupport*: the support trees
+# hold per-object records that floor changes, import, drop and prune
+# edit) and the object-query
 # tests beside object inserts and deletes (TestCrossShard*: the one
 # object table read while it is written), plus core's serial-vs-parallel region scan and its scans
 # beside batched ingest and floor flips, under the race

@@ -544,16 +544,16 @@ func printStats(st middlewhere.StatsDTO) {
 		}
 	}
 	if len(st.Shards) > 0 {
-		fmt.Printf("%-20s %8s %9s %8s %9s\n",
-			"shard", "mobile", "readings", "epoch", "inserts")
+		fmt.Printf("%-6s %8s %9s %8s %9s\n",
+			"stripe", "mobile", "readings", "epoch", "inserts")
 		for _, sh := range st.Shards {
-			fmt.Printf("%-20s %8d %9d %8d %9d\n",
+			fmt.Printf("%-6s %8d %9d %8d %9d\n",
 				sh.Key, sh.MobileObjects, sh.Readings, sh.Epoch, sh.Inserts)
 		}
 		// Snapshot lifecycle at a glance: cuts taken, cuts callers hold
 		// open (each blocks every writer and every other cut; a steadily
 		// nonzero live is a Close leak), and how long a cut waited for
-		// its turn and its shard locks.
+		// its turn and its stripe locks.
 		var cutWaitP99 float64
 		for _, h := range st.Histograms {
 			if h.Name == "spatialdb_cut_wait_us" {

@@ -761,7 +761,7 @@ func (s *Service) probInRect(objectID string, rect geom.Rect) (float64, fusion.B
 // region reaches minProb, with the probabilities.
 //
 // The scan is sublinear in total object count: candidates come from
-// the per-shard support R-trees instead of iterating every mobile
+// the per-stripe support R-trees instead of iterating every mobile
 // object, and each candidate is gated on its live reading support — an
 // object none of whose readings touch the region contributes nothing
 // (the support-gated semantics, DESIGN.md §17).

@@ -17,7 +17,7 @@ import (
 // Heatmap metrics. The histogram observes every call — error and
 // empty-region paths included — so latency percentiles never silently
 // exclude the cheap exits. candidates/culled expose the support
-// pre-filter's selectivity: candidates counts objects the per-shard
+// pre-filter's selectivity: candidates counts objects the per-stripe
 // support R-trees returned for inspection, culled the subset rejected
 // by the live-support gate before any grid fusion ran.
 var (
@@ -81,7 +81,7 @@ type objGrid struct {
 // instead of enumerated).
 //
 // The scan is sublinear in the total object count: candidates come
-// from the per-shard support R-trees (Snapshot.SupportCandidates)
+// from the per-stripe support R-trees (Snapshot.SupportCandidates)
 // instead of iterating every mobile object, each candidate is gated on
 // its live reading support, and rasterization is clipped to the cells
 // that support actually touches (DESIGN.md §17). An object whose

@@ -150,10 +150,10 @@ func TestHeatmapPrefilterEquivalenceRandom(t *testing.T) {
 }
 
 // TestHeatmapPrefilterEquivalenceDuringMigration keeps objects
-// migrating between floor shards while queries run: every query pins
+// walking between floors while queries run: every query pins
 // one snapshot and evaluates both the prefiltered and the exhaustive
 // scan against it, so the two must agree cell-for-cell no matter where
-// the migration was mid-flight when the cut landed. Both candidate
+// each walk was when the cut landed. Both candidate
 // lists are collected under the cut and fused after it is closed, with
 // the writer running again; -race reports any read of a row the writer
 // is changing.

@@ -90,7 +90,7 @@ func (r *Router) forwardBatch(daemon string, p *peer, rs []model.Reading, idxs [
 			continue
 		}
 		seen[id] = true
-		if _, resident := r.svc.DB().ObjectShardKey(id); !resident {
+		if !r.svc.DB().HasRecord(id) {
 			continue
 		}
 		if err := r.migrateObject(id, p, trace); err != nil {
@@ -161,7 +161,7 @@ func (r *Router) migrateObject(id string, p *peer, trace string) error {
 			obs.SpanSinceD(trace, "fed_migrate", r.cfg.Daemon, migStart)
 			return nil
 		}
-		if _, resident := r.svc.DB().ObjectShardKey(id); !resident {
+		if !r.svc.DB().HasRecord(id) {
 			obs.SpanSinceD(trace, "fed_migrate", r.cfg.Daemon, migStart)
 			return nil // dropped concurrently
 		}

@@ -299,9 +299,9 @@ type ShardsReply struct {
 	PlacementVersion uint64 `json:"placementVersion,omitempty"`
 	// Placement is the cached placement map, sorted by shard.
 	Placement []PlacementWire `json:"placement,omitempty"`
-	// Local lists the floors whose readings the local database holds:
-	// the keys of its reading shards, each created by the first reading
-	// stored on its floor. Building geometry creates none.
+	// Local lists the floors the local database holds readings on,
+	// sorted: the floor key (top-two GLOB path components) of each
+	// stored object's newest reading. Building geometry adds none.
 	Local []string `json:"local,omitempty"`
 	// Peers is the per-peer breaker/retry state, sorted by name.
 	Peers []PeerState `json:"peers,omitempty"`

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +106,43 @@ func TestSLOMetricNamesStable(t *testing.T) {
 	}
 	if got := reg.Gauge(LabeledName("slo_target_us", "slo", "ingest")).Value(); got != 2000 {
 		t.Errorf("slo_target_us = %g, want 2000", got)
+	}
+}
+
+// exposition is one /metrics line: a metric name, optional labels
+// whose values escape backslash, double quote and newline, and a value.
+var exposition = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"` +
+	`(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+)$`)
+
+// TestMetricsTextEscapesSLOLabels names objectives with a double quote
+// and a backslash: every line /metrics then prints must still parse,
+// the slo label escaped by LabeledName.
+func TestMetricsTextEscapesSLOLabels(t *testing.T) {
+	reg := NewRegistry()
+	var slos []SLO
+	for _, name := range []string{`in"gest`, `lo\cate`} {
+		slos = append(slos, SLO{Name: name, Metric: "spatialdb_insert_us", Percentile: 0.99, Target: time.Millisecond, Window: time.Second})
+	}
+	NewSLOTracker(reg, slos, time.Hour).Tick()
+	text := MetricsTextString(reg)
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		m := exposition.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("unparsable /metrics line %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("/metrics line %q: value: %v", line, err)
+		}
+	}
+	for _, want := range []string{
+		`slo_target_us{slo="in\"gest"} 1000`,
+		`slo_target_us{slo="lo\\cate"} 1000`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 

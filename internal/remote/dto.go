@@ -282,8 +282,8 @@ type StatsDTO struct {
 	Gauges     map[string]float64 `json:"gauges,omitempty"`
 	Histograms []HistogramDTO     `json:"histograms,omitempty"`
 	Traces     []TraceDTO         `json:"traces,omitempty"`
-	// Shards lists the spatial database's per-floor reading shards,
-	// sorted by key.
+	// Shards lists the spatial database's reading-table stripes, in
+	// stripe order.
 	Shards []spatialdb.ShardStat `json:"shards,omitempty"`
 }
 

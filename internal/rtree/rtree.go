@@ -381,45 +381,74 @@ func (t *Tree[V]) Nearest(p geom.Point, k int) []Item[V] {
 }
 
 // Delete removes one entry matching (r, v) exactly. It reports
-// whether an entry was removed. Underfull nodes are condensed by
-// reinserting their remaining entries, per Guttman's CondenseTree.
+// whether an entry was removed. Only the rectangles on the path to the
+// entry's leaf change, so only they are refreshed; an underfull leaf is
+// condensed by reinserting the remaining entries of the nodes it
+// empties, per Guttman's CondenseTree, and then every rectangle is.
 func (t *Tree[V]) Delete(r geom.Rect, v V) bool {
 	if t.root == nil {
 		return false
 	}
-	leaf, idx := t.findLeaf(t.root, r, v)
-	if leaf == nil {
+	path, idx := t.findLeaf(nil, t.root, r, v)
+	if path == nil {
 		return false
 	}
+	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
-	t.condense(leaf)
-	// Shrink the root if it has a single interior child.
-	for t.root != nil && !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
+	if leaf != t.root && len(leaf.entries) < t.minE() {
+		t.condense(leaf)
+		// Shrink the root if it has a single interior child.
+		for t.root != nil && !t.root.leaf && len(t.root.entries) == 1 {
+			t.root = t.root.entries[0].child
+		}
+		if t.root != nil && len(t.root.entries) == 0 {
+			t.root = nil
+		}
+		if t.root != nil {
+			refreshBounds(t.root)
+		}
+		return true
 	}
-	if t.root != nil && len(t.root.entries) == 0 {
+	if len(t.root.entries) == 0 {
 		t.root = nil
+		return true
 	}
-	if t.root != nil {
-		refreshBounds(t.root)
+	// Bottom-up along the path; a bound that did not change leaves
+	// every bound above it unchanged too.
+	for i := len(path) - 2; i >= 0; i-- {
+		parent, child := path[i], path[i+1]
+		for j := range parent.entries {
+			if parent.entries[j].child == child {
+				nb := nodeBounds(child)
+				if parent.entries[j].rect == nb {
+					return true
+				}
+				parent.entries[j].rect = nb
+				break
+			}
+		}
 	}
 	return true
 }
 
-func (t *Tree[V]) findLeaf(n *node[V], r geom.Rect, v V) (*node[V], int) {
+// findLeaf returns the path from n down to the leaf holding (r, v),
+// appended to path, and the entry's index in that leaf; a nil path
+// when no leaf under n holds it.
+func (t *Tree[V]) findLeaf(path []*node[V], n *node[V], r geom.Rect, v V) ([]*node[V], int) {
+	path = append(path, n)
 	if n.leaf {
 		for i, e := range n.entries {
 			if e.value == v && e.rect.Eq(r) {
-				return n, i
+				return path, i
 			}
 		}
 		return nil, 0
 	}
 	for _, e := range n.entries {
 		if e.rect.ContainsRect(r) || e.rect.Intersects(r) {
-			if leaf, i := t.findLeaf(e.child, r, v); leaf != nil {
-				return leaf, i
+			if p, i := t.findLeaf(path, e.child, r, v); p != nil {
+				return p, i
 			}
 		}
 	}

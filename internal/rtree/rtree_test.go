@@ -174,10 +174,8 @@ func TestGrowAndShrinkInvariants(t *testing.T) {
 		if !tr.Delete(live[i].r, live[i].id) {
 			t.Fatalf("delete %s failed", live[i].id)
 		}
-		if i%25 == 0 {
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("after %d deletes: %v", i+1, err)
-			}
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("after %d deletes: %v", i+1, err)
 		}
 	}
 	if tr.Len() != 250 {
@@ -310,4 +308,30 @@ func equalIDs(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkDelete measures one Delete and the Insert that puts the
+// entry back — the tree work of a support rectangle's growth — on trees
+// of 40 and 640 scattered entries.
+func BenchmarkDelete(b *testing.B) {
+	for _, n := range []int{40, 640} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			tr := New[int]()
+			rng := rand.New(rand.NewSource(1))
+			rects := make([]geom.Rect, n)
+			for i := range rects {
+				x, y := rng.Float64()*1000, rng.Float64()*1000
+				rects[i] = geom.R(x, y, x+1+rng.Float64()*10, y+1+rng.Float64()*10)
+				tr.Insert(rects[i], i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % n
+				if !tr.Delete(rects[k], k) {
+					b.Fatal("delete missed")
+				}
+				tr.Insert(rects[k], k)
+			}
+		})
+	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // TestCutConcurrentIngestNeverTorn is the cut stress test (run under
-// -race): continuous snapshot cuts race single-shard InsertReadings
-// batches on every floor. No cut ever observes a torn batch — every
-// object's visible row count is a whole number of batches — and every
-// batch lands despite the cut pressure.
+// -race): continuous snapshot cuts race single-object InsertReadings
+// batches (each one stripe group) on every floor. No cut ever observes
+// a torn batch — every object's visible row count is a whole number of
+// batches — and every batch lands despite the cut pressure.
 func TestCutConcurrentIngestNeverTorn(t *testing.T) {
 	const (
 		floors    = 4
@@ -35,7 +35,7 @@ func TestCutConcurrentIngestNeverTorn(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var cuts atomic.Int64
-	// Writers: one goroutine per object, single-shard batches.
+	// Writers: one goroutine per object, single-object batches.
 	for f := 1; f <= floors; f++ {
 		for o := 0; o < objPerFlr; o++ {
 			f, obj := f, fmt.Sprintf("obj-%d-%d", f, o)
@@ -155,16 +155,16 @@ func TestSnapshotPoolLeak(t *testing.T) {
 
 // TestConcurrentCutsFreshWholeAndReturn checks what Snapshot promises
 // under the heaviest contention the protocol has: several cutters
-// hammer Snapshot while writers store cross-floor batches back to back
-// and one object migrates between the first and the last floor with
-// every batch. Every cut
-//   - holds each batch that completed before the call on every floor;
-//   - holds a prefix of each cross-floor batch's per-floor groups:
-//     writer w's floor f is at batch k or k−1, where k is its floor-1
-//     batch, non-increasing in store order (floor 1 first);
-//   - holds the migrating object in exactly one candidate from its
-//     first store onward; a cut that read one shard at a time would
-//     see it twice or not at all;
+// hammer Snapshot while writers store batches that span several
+// stripes back to back and one object alternates between the first and
+// the last floor with every batch. Every cut
+//   - holds each batch that completed before the call, for every
+//     object;
+//   - holds a prefix of each batch's stripe groups: writer w's objects
+//     are at batch k or k−1, where k is its first group's batch, the
+//     same within a group and non-increasing in store order;
+//   - holds the walking object in exactly one candidate from its first
+//     store onward;
 //   - returns once the writers are done.
 //
 // A cutter can only be caught waiting at the moment writing stops,
@@ -185,6 +185,22 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 	// batch is stored, so a row's time says which batch it came from.
 	var stored [writers]atomic.Int64
 	var moverStored atomic.Bool
+	// groups[w] is writer w's floors grouped by their object's stripe,
+	// in InsertReadings' store order: first appearance in the batch.
+	var groups [writers][][]int
+	for w := range groups {
+		at := make(map[int]int)
+		for f := 1; f <= floors; f++ {
+			si := stripeOf(fmt.Sprintf("w%d-f%d", w, f))
+			g, ok := at[si]
+			if !ok {
+				g = len(groups[w])
+				at[si] = g
+				groups[w] = append(groups[w], nil)
+			}
+			groups[w][g] = append(groups[w][g], f)
+		}
+	}
 	newest := func(c Candidate, specs map[string]model.SensorSpec) int64 {
 		rows := c.LatestPerSensor(specs, t0)
 		if len(rows) == 0 {
@@ -201,7 +217,7 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 				defer wg.Done()
 				for b := 0; b < batches; b++ {
 					k := int64(burst*batches + b + 1)
-					// One reading per floor: the batch spans every shard.
+					// One reading per floor, each for its own object.
 					batch := make([]model.Reading, floors)
 					for f := 1; f <= floors; f++ {
 						batch[f-1] = floorReading("s1", fmt.Sprintf("w%d-f%d", w, f), f,
@@ -216,7 +232,7 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 			}()
 		}
 		// The mover alternates between the first and the last floor, so
-		// each of its batches migrates its rows across the shards between.
+		// each of its readings changes its floor.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -256,18 +272,24 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 						}
 					}
 					if moved && movers != 1 {
-						t.Errorf("cut holds the migrating object in %d candidates, want exactly 1", movers)
+						t.Errorf("cut holds the walking object in %d candidates, want exactly 1", movers)
 					}
 					specs := snap.SensorSpecs()
-					first := newest(byID[fmt.Sprintf("w%d-f1", w)], specs)
+					at := func(f int) int64 { return newest(byID[fmt.Sprintf("w%d-f%d", w, f)], specs) }
+					first := at(groups[w][0][0])
 					prev := first
-					for f := 1; f <= floors; f++ {
-						n := newest(byID[fmt.Sprintf("w%d-f%d", w, f)], specs)
-						if n < before {
-							t.Errorf("cut holds writer %d up to batch %d on floor %d; batch %d was stored before the call", w, n, f, before)
+					for _, g := range groups[w] {
+						n := at(g[0])
+						for _, f := range g {
+							if m := at(f); m != n {
+								t.Errorf("cut saw writer %d at batch %d on floor %d and %d on floor %d, one stripe group: torn group", w, n, g[0], m, f)
+							}
+							if at(f) < before {
+								t.Errorf("cut holds writer %d up to batch %d on floor %d; batch %d was stored before the call", w, at(f), f, before)
+							}
 						}
 						if n > prev || n < first-1 {
-							t.Errorf("cut saw writer %d at batch %d on floor 1 and %d on floor %d (floor %d at %d): not a prefix of the batch's groups", w, first, n, f, f-1, prev)
+							t.Errorf("cut saw writer %d at batch %d in its first group and %d in the group of floor %d (previous group at %d): not a prefix of the batch's groups", w, first, n, g[0], prev)
 						}
 						prev = n
 					}
@@ -289,12 +311,22 @@ func TestConcurrentCutsFreshWholeAndReturn(t *testing.T) {
 	}
 }
 
-// TestCutWaitsForOpenBracket pins both directions of the shard locks a
-// cut holds. A store left open half-way — floor 3's write lock held
-// with one row written — makes a cut wait, and the cut that returns
-// once the lock is released holds that row. A writer that arrives
-// behind the waiting cut, on a floor the cut already holds, waits for
-// the cut's Close, and returns after it.
+// idInStripe returns the first ID prefix0, prefix1, ... that hashes to
+// the stripe.
+func idInStripe(prefix string, stripe int) string {
+	for i := 0; ; i++ {
+		if id := fmt.Sprintf("%s%d", prefix, i); stripeOf(id) == stripe {
+			return id
+		}
+	}
+}
+
+// TestCutWaitsForOpenBracket pins both directions of the stripe locks
+// a cut holds. A store left open half-way — the last stripe's write
+// lock held with one row written — makes a cut wait, and the cut that
+// returns once the lock is released holds that row. A writer that
+// arrives behind the waiting cut, on the first stripe, which the cut
+// already holds, waits for the cut's Close, and returns after it.
 func TestCutWaitsForOpenBracket(t *testing.T) {
 	db := multiFloorDB(t, 3)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -305,64 +337,64 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	floor1 := db.ensureShard("CS/Floor1")
-	floor3 := db.ensureShard("CS/Floor3")
+	heldID, lateID := idInStripe("held", stripeCount-1), idInStripe("late", 0)
+	first, last := db.stripes[0], db.stripes[stripeCount-1]
 	waitBase := mCutWaitUs.Count()
 
-	// The store, by hand: one row written on floor 3, lock kept.
-	floor3.readMu.Lock()
-	held := floor3.table.rec("held")
-	held.rows = []model.Reading{floorReading("s1", "held", 3, 7, 7, t0)}
+	// The store, by hand: one row written on the last stripe, lock kept.
+	last.readMu.Lock()
+	held := last.table.rec(heldID)
+	held.rows = []model.Reading{floorReading("s1", heldID, 3, 7, 7, t0)}
 	held.epoch++
 
 	cuts := make(chan *Snapshot, 1)
 	go func() { cuts <- db.Snapshot() }()
-	// The cut takes floor 1 first, then waits at floor 3: once floor 1
-	// can no longer be write-locked, the cut holds it.
-	for deadline := time.Now().Add(10 * time.Second); floor1.readMu.TryLock(); {
-		floor1.readMu.Unlock()
+	// The cut takes the first stripe, then waits at the last: once the
+	// first can no longer be write-locked, the cut holds it.
+	for deadline := time.Now().Add(10 * time.Second); first.readMu.TryLock(); {
+		first.readMu.Unlock()
 		if time.Now().After(deadline) {
-			t.Fatal("the cut never took floor 1's read lock")
+			t.Fatal("the cut never took the first stripe's read lock")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 
 	wrote := make(chan error, 1)
-	go func() { wrote <- db.InsertReading(floorReading("s1", "late", 1, 5, 5, t0)) }()
+	go func() { wrote <- db.InsertReading(floorReading("s1", lateID, 1, 5, 5, t0)) }()
 	// The writer is queued once new readers are turned away.
-	for deadline := time.Now().Add(10 * time.Second); floor1.readMu.TryRLock(); {
-		floor1.readMu.RUnlock()
+	for deadline := time.Now().Add(10 * time.Second); first.readMu.TryRLock(); {
+		first.readMu.RUnlock()
 		if time.Now().After(deadline) {
-			t.Fatal("the late writer never queued for floor 1")
+			t.Fatal("the late writer never queued for the first stripe")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	select {
 	case snap := <-cuts:
 		snap.Close()
-		t.Fatal("a cut returned with floor 3's store still open")
+		t.Fatal("a cut returned with the last stripe's store still open")
 	case err := <-wrote:
-		t.Fatalf("a writer stored on floor 1 under the waiting cut (err %v)", err)
+		t.Fatalf("a writer stored on the first stripe under the waiting cut (err %v)", err)
 	default:
 	}
 
-	floor3.readMu.Unlock()
+	last.readMu.Unlock()
 	var snap *Snapshot
 	select {
 	case snap = <-cuts:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the cut never returned after floor 3's store closed")
+		t.Fatal("the cut never returned after the last stripe's store closed")
 	}
-	if n := len(snapLive(snap, "held", t0)); n != 1 {
+	if n := len(snapLive(snap, heldID, t0)); n != 1 {
 		t.Errorf("cut holds %d rows of the store it waited for, want 1", n)
 	}
-	if n := len(snapRows(snap, "late")); n != 0 {
+	if n := len(snapRows(snap, lateID)); n != 0 {
 		t.Errorf("cut holds %d rows of the writer queued behind it, want 0", n)
 	}
 	time.Sleep(time.Millisecond)
 	select {
 	case err := <-wrote:
-		t.Fatalf("a writer stored on floor 1 under the open cut (err %v)", err)
+		t.Fatalf("a writer stored on the first stripe under the open cut (err %v)", err)
 	default:
 	}
 	snap.Close()
@@ -375,55 +407,11 @@ func TestCutWaitsForOpenBracket(t *testing.T) {
 		t.Fatal("the late writer never returned after the cut closed")
 	}
 	if waits := mCutWaitUs.Count() - waitBase; waits != 1 {
-		t.Errorf("spatialdb_cut_wait_us observed %d waits, want 1: the cut behind floor 3's store", waits)
+		t.Errorf("spatialdb_cut_wait_us observed %d waits, want 1: the cut behind the last stripe's store", waits)
 	}
 	final := db.Snapshot()
 	defer final.Close()
-	if n := len(snapLive(final, "late", t0)); n != 1 {
+	if n := len(snapLive(final, lateID, t0)); n != 1 {
 		t.Errorf("late: %d rows in a cut taken after its insert returned, want 1", n)
-	}
-}
-
-// TestCutRetriesWhenShardListGrows: a cut reads the shard list, then
-// takes the locks. A shard created in between can receive an object
-// migrating out of a shard the cut has not locked yet, so the cut must
-// start over with the longer list, or it holds that object in no
-// candidate. Here the cut queues at floor 1's lock while floor 2's
-// shard is created and the object moves there from floor 3. A cut that
-// starts late reads all three shards at once and passes without the
-// retry; it never fails for that.
-func TestCutRetriesWhenShardListGrows(t *testing.T) {
-	db := multiFloorDB(t, 3)
-	if err := db.RegisterSensor("s1", longSpec()); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []model.Reading{floorReading("s1", "seed", 1, 5, 5, t0), floorReading("s1", "mover", 3, 6, 6, t0)} {
-		if err := db.InsertReading(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	floor1 := db.ensureShard("CS/Floor1")
-	floor1.readMu.Lock()
-	cuts := make(chan *Snapshot, 1)
-	go func() { cuts <- db.Snapshot() }()
-	time.Sleep(10 * time.Millisecond) // the cut reads two shards and queues at floor 1
-	db.placeObject("mover", db.ensureShard("CS/Floor2"))
-	floor1.readMu.Unlock()
-	var snap *Snapshot
-	select {
-	case snap = <-cuts:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the cut never returned")
-	}
-	all := snap.MobileObjects()
-	snap.Close()
-	movers := 0
-	for _, c := range all {
-		if c.ID == "mover" {
-			movers++
-		}
-	}
-	if movers != 1 {
-		t.Errorf("cut holds the object that moved into a new shard in %d candidates, want 1", movers)
 	}
 }

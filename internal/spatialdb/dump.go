@@ -33,7 +33,7 @@ func (db *DB) DumpObjectTable() string {
 // ObjLocation, DetectionRadius, DetectionTime.
 func (db *DB) DumpReadingTable() string {
 	byID := make(map[string][]model.Reading)
-	for _, sh := range db.allShards() {
+	for _, sh := range db.stripes {
 		sh.readMu.RLock()
 		for id, o := range sh.table.objs {
 			if len(o.rows) > 0 {

@@ -1,7 +1,8 @@
 package spatialdb
 
 import (
-	"middlewhere/internal/glob"
+	"sort"
+
 	"middlewhere/internal/model"
 )
 
@@ -13,32 +14,29 @@ import (
 // source drop its copy. The source keeps serving reads and forwarding
 // writes until that commit, so a crash on either side loses nothing.
 
-// ShardKeyForGLOB maps a location to its floor shard key (the top-two
-// symbolic path components). Exposed for the federation router, which
-// partitions daemons by the same key the in-process shards use.
-func ShardKeyForGLOB(g glob.GLOB) string { return shardKeyForGLOB(g) }
-
-// ObjectShardKey reports which local shard currently holds the
-// object's reading rows, if any.
-func (db *DB) ObjectShardKey(id string) (string, bool) {
-	if sh := db.residentShard(id); sh != nil {
-		return sh.key, true
-	}
-	return "", false
+// HasRecord reports whether the database holds a record for the
+// object: it stored or imported a reading for it, and no DropObject
+// has removed it since. A record may have no rows left (TTL prune).
+func (db *DB) HasRecord(id string) bool {
+	sh := db.stripeFor(id)
+	sh.readMu.RLock()
+	_, ok := sh.table.objs[id]
+	sh.readMu.RUnlock()
+	return ok
 }
 
 // ExportObject copies out the object's stored reading rows and its
-// reading epoch — the migration prepare payload. The copy is taken
-// atomically with residence, so a concurrent in-process floor change
-// cannot tear it.
+// reading epoch — the migration prepare payload — under its stripe's
+// read lock, so no concurrent insert can tear it.
 func (db *DB) ExportObject(id string) ([]model.Reading, uint64, bool) {
-	sh := db.rlockResident(id)
-	if sh == nil {
+	sh := db.stripeFor(id)
+	sh.readMu.RLock()
+	defer sh.readMu.RUnlock()
+	o := sh.table.objs[id]
+	if o == nil {
 		return nil, 0, false
 	}
-	defer sh.readMu.RUnlock()
-	t := sh.table
-	return append([]model.Reading(nil), t.rowsOf(id)...), t.epochOf(id), true
+	return append([]model.Reading(nil), o.rows...), o.epoch, true
 }
 
 // sameReading is the reading identity behind both federation dedups
@@ -75,55 +73,41 @@ func containsReading(rows []model.Reading, r *model.Reading) bool {
 // merge (rather than a replace) means rows a daemon accumulated while
 // degraded are never clobbered by a handoff at a lower epoch. The
 // local epoch advances to max(local, incoming)+1 when anything was
-// applied — strictly greater than every value either side handed out,
-// exactly like the in-process floor migration — and does not move on a
-// pure replay, so epochs are never double-applied. Returns whether
-// anything was applied; false (a pure replay, or stale state already
-// covered locally) is still an ack-worthy outcome for the protocol.
+// applied — strictly greater than every value either side handed out —
+// and does not move on a pure replay, so epochs are never
+// double-applied. Returns whether anything was applied; false (a pure
+// replay, or stale state already covered locally) is still an
+// ack-worthy outcome for the protocol. The merge runs under the
+// object's stripe write lock, so a concurrent snapshot sees it entirely
+// or not at all.
 func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 	if id == "" {
 		return false
 	}
-	key := rootShardKey
-	if len(rows) > 0 {
-		key = shardKeyForGLOB(rows[len(rows)-1].Location)
+	sh := db.stripeFor(id)
+	sh.readMu.Lock()
+	defer sh.readMu.Unlock()
+	o := sh.table.rec(id)
+	cur, stored := o.epoch, o.rows
+	var fresh []model.Reading
+	for i := range rows {
+		if r := &rows[i]; !containsReading(stored, r) && !containsReading(fresh, r) {
+			fresh = append(fresh, *r)
+		}
 	}
-	sh := db.ensureShard(key)
-	// The merge runs under the shard's write lock, so a concurrent
-	// snapshot sees it entirely or not at all. placeObject moves the
-	// object first under its own locks, so a snapshot may see that move
-	// (rows on this shard, epoch advanced) before the merge.
-	for {
-		db.placeObject(id, sh)
-		sh.readMu.Lock()
-		if db.residentShard(id) != sh {
-			sh.readMu.Unlock()
-			continue // lost a race with another migration; re-place
-		}
-		o := sh.table.rec(id)
-		cur, stored := o.epoch, o.rows
-		var fresh []model.Reading
-		for i := range rows {
-			if r := &rows[i]; !containsReading(stored, r) && !containsReading(fresh, r) {
-				fresh = append(fresh, *r)
-			}
-		}
-		if len(fresh) == 0 && epoch < cur {
-			sh.readMu.Unlock() // pure replay: nothing visible changed
-			return false
-		}
-		merged := append(append([]model.Reading(nil), stored...), fresh...)
-		if len(merged) > maxReadingsPerObject {
-			merged = merged[len(merged)-maxReadingsPerObject:]
-		}
-		o.rows = merged
-		sh.table.resetSupport(o)
-		o.epoch = max(cur, epoch) + 1
-		sh.writeEpoch.Add(1)
-		sh.readMu.Unlock()
-		mFedImports.Inc()
-		return true
+	if len(fresh) == 0 && epoch < cur {
+		return false // pure replay: nothing visible changed
 	}
+	merged := append(append([]model.Reading(nil), stored...), fresh...)
+	if len(merged) > maxReadingsPerObject {
+		merged = merged[len(merged)-maxReadingsPerObject:]
+	}
+	o.rows = merged
+	sh.table.resetSupport(o)
+	o.epoch = max(cur, epoch) + 1
+	sh.writeEpoch.Add(1)
+	mFedImports.Inc()
+	return true
 }
 
 // HasReading reports whether the object already stores a row with the
@@ -131,71 +115,57 @@ func (db *DB) ImportObject(id string, rows []model.Reading, epoch uint64) bool {
 // checks it to stay idempotent under at-least-once retries: a sender
 // whose connection died after the owner stored the batch — but before
 // the reply arrived — retries, and the replayed rows must not store
-// twice. The rows are read atomically with residence, so a concurrent
-// floor migration cannot make a stored reading look new; a miss
-// allocates nothing.
+// twice. The rows are read under the object's stripe read lock; a
+// miss allocates nothing.
 func (db *DB) HasReading(r model.Reading) bool {
-	sh := db.rlockResident(r.MObjectID)
-	if sh == nil {
-		return false
-	}
+	sh := db.stripeFor(r.MObjectID)
+	sh.readMu.RLock()
 	defer sh.readMu.RUnlock()
 	return containsReading(sh.table.rowsOf(r.MObjectID), &r)
 }
 
-// DropObject removes the object's record (rows and epoch) and its
-// residence entry — the migration commit on the source after the
-// destination acks. The drop happens only when the object's epoch
-// still equals ifEpoch (the value exported in the prepare): readings
-// that landed after the export are not covered by the destination's
-// ack and must not be deleted — the caller re-exports and hands off
-// again. Returns whether the drop happened.
+// DropObject removes the object's record (rows and epoch) — the
+// migration commit on the source after the destination acks. The drop
+// happens only when the object's epoch still equals ifEpoch (the value
+// exported in the prepare): readings that landed after the export are
+// not covered by the destination's ack and must not be deleted — the
+// caller re-exports and hands off again. Returns whether the drop
+// happened.
 func (db *DB) DropObject(id string, ifEpoch uint64) bool {
-	for {
-		cur, ok := db.residence.Load(id)
-		if !ok {
-			return false
-		}
-		sh := cur.(*shard)
-		// migMu serializes against placeObject so residence cannot move
-		// the object to another shard between the re-check and the
-		// table edit.
-		db.migMu.Lock()
-		if cur2, ok2 := db.residence.Load(id); !ok2 || cur2.(*shard) != sh {
-			db.migMu.Unlock()
-			if !ok2 {
-				return false
-			}
-			continue // raced a migration before migMu
-		}
-		sh.readMu.Lock()
-		t := sh.table
-		if t.epochOf(id) != ifEpoch {
-			sh.readMu.Unlock()
-			db.migMu.Unlock()
-			return false
-		}
-		if o := t.objs[id]; o != nil {
-			delete(t.objs, id)
-			t.unindex(o)
-		}
-		sh.writeEpoch.Add(1)
-		db.residence.Delete(id)
-		sh.readMu.Unlock()
-		db.migMu.Unlock()
-		mFedDrops.Inc()
-		return true
+	sh := db.stripeFor(id)
+	sh.readMu.Lock()
+	defer sh.readMu.Unlock()
+	t := sh.table
+	o := t.objs[id]
+	if o == nil || o.epoch != ifEpoch {
+		return false
 	}
+	delete(t.objs, id)
+	t.unindex(o)
+	sh.writeEpoch.Add(1)
+	mFedDrops.Inc()
+	return true
 }
 
-// LocalShardKeys returns the keys of the reading shards this database
-// has materialized, sorted: the floors a reading was stored on (or
-// imported to), what mw.shards reports as Local.
+// LocalShardKeys returns, sorted and without duplicates, the floor
+// (ShardKeyForGLOB) of each object's newest stored row, collected under
+// each stripe's read lock: the floors this database holds readings on,
+// what mw.shards reports as Local.
 func (db *DB) LocalShardKeys() []string {
-	shards := db.allShards()
-	out := make([]string, 0, len(shards))
-	for _, sh := range shards {
-		out = append(out, sh.key)
+	seen := make(map[string]bool)
+	for _, sh := range db.stripes {
+		sh.readMu.RLock()
+		for _, o := range sh.table.objs {
+			if n := len(o.rows); n > 0 {
+				seen[ShardKeyForGLOB(o.rows[n-1].Location)] = true
+			}
+		}
+		sh.readMu.RUnlock()
 	}
+	out := make([]string, 0, len(seen))
+	for k := range seen {
+		out = append(out, k)
+	}
+	sort.Strings(out)
 	return out
 }

@@ -50,8 +50,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if dst.ReadingEpoch("alice") != epoch+1 {
 		t.Errorf("dst epoch = %d, want %d", dst.ReadingEpoch("alice"), epoch+1)
 	}
-	if key, ok := dst.ObjectShardKey("alice"); !ok || key != "CS/Floor1" {
-		t.Errorf("imported object shard = %q, ok=%v", key, ok)
+	if !dst.HasRecord("alice") {
+		t.Error("the destination holds no record for the imported object")
+	}
+	if got := dst.LocalShardKeys(); !reflect.DeepEqual(got, []string{"CS/Floor1"}) {
+		t.Errorf("destination LocalShardKeys = %v, want [CS/Floor1]", got)
 	}
 }
 
@@ -157,8 +160,8 @@ func TestDropObjectCommitsMigration(t *testing.T) {
 	if rows := db.ReadingsFor("carol", at); len(rows) != 0 {
 		t.Errorf("rows survived drop: %+v", rows)
 	}
-	if _, ok := db.ObjectShardKey("carol"); ok {
-		t.Error("residence survived drop")
+	if db.HasRecord("carol") {
+		t.Error("record survived drop")
 	}
 	if e := db.ReadingEpoch("carol"); e != 0 {
 		t.Errorf("epoch survived drop: %d", e)
@@ -308,7 +311,7 @@ func TestImportReplayOfCoordinateRingAppliesNothing(t *testing.T) {
 }
 
 // TestHasReadingNeverMissesDuringFloorFlips pins that HasReading reads
-// the object's rows atomically with its residence. While the object
+// the object's rows under its stripe lock. While the object
 // flips between two floors with InsertReadings, a reading stored before
 // the flips must always be found: a miss here is a replayed forward
 // stored twice. Each round stops before the held reading could leave

@@ -102,14 +102,13 @@ func registerRingSensors(t testing.TB, db *DB) {
 	}
 }
 
-// plantRows stores rows as obj's ring on floor 1 without going through
+// plantRows stores rows as obj's ring without going through
 // InsertReadings, which would refuse the unregistered sensor.
 func plantRows(db *DB, obj string, rows []model.Reading) {
-	sh := db.ensureShard("CS/Floor1")
+	sh := db.stripeFor(obj)
 	sh.readMu.Lock()
 	sh.table.rec(obj).rows = rows
 	sh.readMu.Unlock()
-	db.residence.Store(obj, sh)
 }
 
 // TestLatestPerSensorMatchesReference pins the one-pass reduction to
@@ -177,11 +176,11 @@ func TestLatestPerSensorAllocations(t *testing.T) {
 // TestPinnedSnapshotRowsSurviveRingWrites is the single-writer
 // invariant of readTable under -race: rows a cut collected stay
 // bit-identical while the live ring slides and re-bases under 300
-// further inserts, cuts in between, and a floor migration that hands
-// the array to another shard. Each cut is closed as soon as its
-// candidate is collected, as a region scan closes it; a reader compares
-// the first candidate throughout, so a write into a collected slot is
-// also a detected race.
+// further inserts, cuts in between, and a floor change half-way, which
+// recomputes the support and keeps appending to the same array. Each
+// cut is closed as soon as its candidate is collected, as a region scan
+// closes it; a reader compares the first candidate throughout, so a
+// write into a collected slot is also a detected race.
 func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -234,7 +233,7 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		floor := 1
 		if i >= 150 {
-			floor = 2 // i == 150 migrates the rows to the other shard
+			floor = 2 // i == 150 changes the object's floor
 		}
 		insert(n+i, floor)
 		switch {
@@ -251,8 +250,8 @@ func TestPinnedSnapshotRowsSurviveRingWrites(t *testing.T) {
 			t.Errorf("pin %d: rows differ from what the cut collected", i)
 		}
 	}
-	if key, _ := db.ObjectShardKey("walker"); key != "CS/Floor2" {
-		t.Fatalf("walker resident on %q, want the migration to CS/Floor2", key)
+	if got := db.LocalShardKeys(); !reflect.DeepEqual(got, []string{"CS/Floor2"}) {
+		t.Fatalf("LocalShardKeys = %v, want walker's newest floor [CS/Floor2]", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"middlewhere/internal/geom"
+	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 	"middlewhere/internal/obs"
 )
@@ -166,101 +167,20 @@ func (db *DB) InsertReading(r model.Reading) error {
 	return err
 }
 
-// placeObject pins a mobile object's record (its rows and epoch
-// counter) to the target shard. When the object last reported on a
-// different floor, its record migrates: the epoch carries over +1, so
-// it stays strictly monotonic across any number of floor changes and a
-// fused-location cache entry keyed on the old shard's counter can never
-// collide with the new shard's values. Placement
-// changes serialize on migMu; the overwhelmingly common same-shard
-// case returns after one lock-free map read.
-func (db *DB) placeObject(id string, to *shard) {
-	if cur, ok := db.residence.Load(id); ok && cur.(*shard) == to {
-		return
-	}
-	db.migMu.Lock()
-	defer db.migMu.Unlock()
-	cur, ok := db.residence.Load(id)
-	if !ok {
-		db.residence.Store(id, to)
-		return
-	}
-	from := cur.(*shard)
-	if from == to {
-		return
-	}
-	// Move the record under both shard locks, taken in key order —
-	// the order a Snapshot takes its read locks in — so concurrent
-	// migrations and cuts cannot deadlock.
-	a, b := from, to
-	if b.key < a.key {
-		a, b = b, a
-	}
-	a.readMu.Lock()
-	b.readMu.Lock()
-	// The record leaves the source (a placement whose store has not
-	// run yet has none: it starts fresh), and its support entry moves
-	// with it, exact on the destination (recomputed from the rows).
-	tf := from.table
-	o := tf.rec(id)
-	delete(tf.objs, id)
-	tf.unindex(o)
-	o.epoch++
-	to.table.objs[id] = o
-	to.table.resetSupport(o)
-	from.writeEpoch.Add(1)
-	to.writeEpoch.Add(1)
-	db.residence.Store(id, to)
-	b.readMu.Unlock()
-	a.readMu.Unlock()
-	mMigrations.Inc()
-}
-
-// residentShard returns the shard currently holding the object's
-// reading rows, or nil when the object has none.
-func (db *DB) residentShard(id string) *shard {
-	if cur, ok := db.residence.Load(id); ok {
-		return cur.(*shard)
-	}
-	return nil
-}
-
-// rlockResident returns the object's resident shard with its readMu
-// read-locked, or nil when the object has no rows. Residence is
-// re-checked under the lock — a migration cannot move rows out of a
-// shard while any of its locks are held — so what the caller reads is
-// atomic with placement. The caller unlocks.
-func (db *DB) rlockResident(id string) *shard {
-	for {
-		sh := db.residentShard(id)
-		if sh == nil {
-			return nil
-		}
-		sh.readMu.RLock()
-		if db.residentShard(id) == sh {
-			return sh
-		}
-		sh.readMu.RUnlock() // raced a migration; re-resolve
-	}
-}
-
 // InsertReadings stores a slice of readings with one lock acquisition
-// per target shard instead of one per reading, amortizing the hot-path
-// cost for batched adapters. Readings that fail validation are
-// skipped; the rest are stored. It returns the number stored and, when
-// any reading was skipped, a *RejectedError naming the skipped
+// per target stripe instead of one per reading, amortizing the
+// hot-path cost for batched adapters. Readings that fail validation
+// are skipped; the rest are stored. It returns the number stored and,
+// when any reading was skipped, a *RejectedError naming the skipped
 // indices — never retry the whole batch on that error, the other rows
 // are already in the table.
 //
-// Readings shard by their location's floor prefix, and each floor's
-// group is stored under that shard's write lock alone, one group at a
-// time in order of first appearance, so batches for independent
-// floors ingest in parallel. A Snapshot therefore sees a single-floor
-// batch's rows entirely or not at all, and a batch that spans floors as
-// a prefix of its groups (see Snapshot). An object whose reading moves
-// it to another floor is moved first, under migMu and both shards'
-// locks, and its new rows are appended after; a Snapshot may see the
-// move alone: its old rows on the new floor, its epoch advanced.
+// Readings group by their object's stripe, and each group is stored
+// under that stripe's write lock alone, one group at a time in order of
+// first appearance, so batches for objects in different stripes ingest
+// in parallel. A Snapshot therefore sees a batch as a prefix of its
+// stripe groups (see Snapshot): a batch whose objects share one stripe
+// entirely or not at all.
 //
 // Every stored reading, with its rows, epoch and matched triggers, is
 // then handed to dispatch (see StoredReading). With a nil dispatch the
@@ -309,80 +229,32 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 		stored = append(stored, StoredReading{Reading: r})
 	}
 
-	// Group the prepared readings by target shard, in order of first
-	// appearance: a batch that interleaves floors still applies each
-	// object's readings in submission order. Grouping keys on the raw
-	// path components ([2]string is comparable) so the hot loop builds
-	// no key strings; ids collects each group's distinct objects once,
-	// so residence placement pays per object, not per reading.
-	type shardGroup struct {
-		key  string
+	// Group the prepared readings by stripe, in order of first
+	// appearance: each object's readings fall in one group, in
+	// submission order.
+	type stripeGroup struct {
+		sh   *stripe
 		idxs []int
-		ids  []string
 	}
-	var groups []*shardGroup
-	byKey := make(map[[2]string]*shardGroup, 4)
+	var groups []*stripeGroup
+	var byStripe [stripeCount]*stripeGroup
 	for i := range stored {
-		r := &stored[i].Reading
-		var pk [2]string
-		if p := r.Location.Path; len(p) > 0 {
-			pk[0] = p[0]
-			if len(p) > 1 {
-				pk[1] = p[1]
-			}
-		}
-		g, ok := byKey[pk]
-		if !ok {
-			g = &shardGroup{key: shardKeyForGLOB(r.Location)}
-			byKey[pk] = g
+		si := stripeOf(stored[i].Reading.MObjectID)
+		g := byStripe[si]
+		if g == nil {
+			g = &stripeGroup{sh: db.stripes[si]}
+			byStripe[si] = g
 			groups = append(groups, g)
 		}
 		g.idxs = append(g.idxs, i)
-		id := r.MObjectID
-		seen := false
-		for _, have := range g.ids {
-			if have == id {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			g.ids = append(g.ids, id)
-		}
 	}
 
-	// Phase 2 — store each group under its own shard's write lock:
+	// Phase 2 — store each group under its own stripe's write lock:
 	// movement detection, append, bound, and the per-object epoch bump
 	// that invalidates fused-location caches.
-	shs := make([]*shard, len(groups))
-	for i, g := range groups {
-		shs[i] = db.ensureShard(g.key)
-	}
-	for gi, g := range groups {
-		sh := shs[gi]
-		for {
-			// Pin every distinct object of the group to this shard
-			// (migrating rows from a previous floor if needed), then
-			// verify the placement still holds under the shard lock: a
-			// migration cannot move rows out of sh while we hold its
-			// write lock, so a verified placement stays true for the
-			// whole store.
-			for _, id := range g.ids {
-				db.placeObject(id, sh)
-			}
-			sh.readMu.Lock()
-			placed := true
-			for _, id := range g.ids {
-				if db.residentShard(id) != sh {
-					placed = false
-					break
-				}
-			}
-			if placed {
-				break
-			}
-			sh.readMu.Unlock() // lost a race with another batch's migration; re-place
-		}
+	for _, g := range groups {
+		sh := g.sh
+		sh.readMu.Lock()
 		t := sh.table
 		for _, i := range g.idxs {
 			r := &stored[i].Reading
@@ -414,9 +286,16 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 			o.rows = append(rows, *r)
 			o.epoch++
 			stored[i].Rows, stored[i].Epoch, stored[i].prev = o.rows, o.epoch, prev
-			// Insert keeps the support index a conservative superset:
-			// union-only growth here, exact recompute on prune/expiry.
-			t.growSupport(o, r.Region)
+			// The support stays a conservative superset: union-only
+			// growth while the object stays on its floor, an exact
+			// recompute from the rows when this reading changes the floor
+			// of its newest row, so a walker's support does not keep
+			// every floor it crossed (DESIGN.md §17).
+			if len(prev) > 0 && !sameFloor(prev[len(prev)-1].Location, r.Location) {
+				t.resetSupport(o)
+			} else {
+				t.growSupport(o, r.Region)
+			}
 		}
 		sh.writeEpoch.Add(1)
 		sh.readMu.Unlock()
@@ -470,13 +349,10 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch Dispatcher) (int, erro
 // bumped whenever the object's stored rows change in a way that can
 // change query results. An unchanged epoch means a cached fusion
 // result for the object is still derived from the current rows. The
-// counter lives on the object's resident shard and migrates with the
-// rows, strictly increasing across floor changes.
+// counter lives in the object's record, which never leaves its stripe,
+// and strictly increases until DropObject removes the record.
 func (db *DB) ReadingEpoch(mobjectID string) uint64 {
-	sh := db.residentShard(mobjectID)
-	if sh == nil {
-		return 0
-	}
+	sh := db.stripeFor(mobjectID)
 	sh.readMu.RLock()
 	e := sh.table.epochOf(mobjectID)
 	sh.readMu.RUnlock()
@@ -490,6 +366,13 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 		return geom.Rect{}, fmt.Errorf("%w: reading has no location", ErrBadGeometry)
 	}
 	if r.Location.IsCoordinate() {
+		// A coordinate resolves through the longest known frame prefix,
+		// so a floor the building lacks ("CS/F9/(5,5)" on a building
+		// with CS/Floor3 alone) would land in the building frame.
+		if len(r.Location.Path) > 0 && !db.knownFloor(r.Location) {
+			return geom.Rect{}, fmt.Errorf("%w: floor %s of %s is neither a frame nor an object",
+				ErrNotFound, ShardKeyForGLOB(r.Location), r.Location)
+		}
 		rect, err := db.ResolveGLOB(r.Location)
 		if err != nil {
 			return geom.Rect{}, err
@@ -503,6 +386,19 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 	return db.ResolveGLOB(r.Location)
 }
 
+// knownFloor reports whether a location's top-two path prefix (its
+// ShardKeyForGLOB) names a coordinate frame or an object.
+func (db *DB) knownFloor(g glob.GLOB) bool {
+	key := ShardKeyForGLOB(g)
+	if db.frames.Has(key) {
+		return true
+	}
+	db.objMu.RLock()
+	_, ok := db.objects[key]
+	db.objMu.RUnlock()
+	return ok
+}
+
 // ReadingsFor returns the unexpired readings for a mobile object at
 // time now, applying each sensor's TTL from the metadata table.
 // Expired rows are pruned as a side effect. Pruning does not bump the
@@ -511,13 +407,15 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 	specs := db.sensorView.Load().specs
 	// Fast path under the shared lock: concurrent locates for different
-	// objects on the same floor must not serialize here. Only when a
+	// objects in the same stripe must not serialize here. Only when a
 	// row has actually expired is the exclusive lock taken to prune.
-	sh := db.rlockResident(mobjectID)
-	if sh == nil {
+	sh := db.stripeFor(mobjectID)
+	sh.readMu.RLock()
+	rows := sh.table.rowsOf(mobjectID)
+	if len(rows) == 0 {
+		sh.readMu.RUnlock()
 		return nil
 	}
-	rows := sh.table.rowsOf(mobjectID)
 	live := make([]model.Reading, 0, len(rows))
 	for _, r := range rows {
 		if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
@@ -536,55 +434,45 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 // exclusive-lock half of ReadingsFor, for a caller that has already
 // seen such a row under the shared lock.
 func (db *DB) pruneReadings(mobjectID string, specs map[string]model.SensorSpec, now time.Time) []model.Reading {
-	for {
-		sh := db.residentShard(mobjectID)
-		if sh == nil {
-			return nil
+	sh := db.stripeFor(mobjectID)
+	sh.readMu.Lock()
+	defer sh.readMu.Unlock()
+	// Recompute: the rows may have changed since the shared lock.
+	t := sh.table
+	o := t.objs[mobjectID]
+	if o == nil {
+		return nil
+	}
+	live := make([]model.Reading, 0, len(o.rows))
+	for _, r := range o.rows {
+		if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
+			live = append(live, r)
 		}
-		sh.readMu.Lock()
-		if db.residentShard(mobjectID) != sh {
-			sh.readMu.Unlock()
-			continue // raced a migration; re-resolve
-		}
-		// Recompute: the rows may have changed since the shared lock.
-		t := sh.table
-		rows := t.rowsOf(mobjectID)
-		live := make([]model.Reading, 0, len(rows))
-		for _, r := range rows {
-			if spec, ok := specs[r.SensorID]; ok && !r.Expired(now, spec.TTL) {
-				live = append(live, r)
-			}
-		}
-		if len(live) == len(rows) {
-			// Someone else pruned in between: nothing to write.
-			sh.readMu.Unlock()
-			return live
-		}
-		// The record, and with it the epoch, stays (readTable.objs).
-		o := t.objs[mobjectID]
-		o.rows = nil
-		if len(live) > 0 {
-			o.rows = append([]model.Reading(nil), live...)
-		}
-		// Pruning is where the conservative support rect snaps back to
-		// exact: recompute it from the surviving rows.
-		t.resetSupport(o)
-		sh.readMu.Unlock()
+	}
+	if len(live) == len(o.rows) {
+		// Someone else pruned in between: nothing to write.
 		return live
 	}
+	// The record, and with it the epoch, stays (readTable.objs).
+	o.rows = nil
+	if len(live) > 0 {
+		o.rows = append([]model.Reading(nil), live...)
+	}
+	// Pruning is where the conservative support rect snaps back to
+	// exact: recompute it from the surviving rows.
+	t.resetSupport(o)
+	return live
 }
 
 // LatestPerSensor returns, for each sensor that has an unexpired
 // reading for the object, only its newest one — the working set for
-// fusion. The stored rows are reduced in place under the shared shard
+// fusion. The stored rows are reduced in place under the shared stripe
 // lock; only when the pass meets an expired row does it prune, and
 // reduce the survivors instead.
 func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
 	specs := db.sensorView.Load().specs
-	sh := db.rlockResident(mobjectID)
-	if sh == nil {
-		return nil
-	}
+	sh := db.stripeFor(mobjectID)
+	sh.readMu.RLock()
 	out, stale := latestRows(sh.table.rowsOf(mobjectID), specs, now)
 	sh.readMu.RUnlock()
 	if stale {
@@ -651,7 +539,7 @@ func latestRows(rows []model.Reading, specs map[string]model.SensorSpec, now tim
 // sorted.
 func (db *DB) MobileObjects() []string {
 	var out []string
-	for _, sh := range db.allShards() {
+	for _, sh := range db.stripes {
 		sh.readMu.RLock()
 		for id, o := range sh.table.objs {
 			if len(o.rows) > 0 {
@@ -669,14 +557,13 @@ func (db *DB) MobileObjects() []string {
 // the filter immediately (used by the biometric logout flow, §6.3).
 // Objects that lose a not-yet-expired row through the filter get their
 // reading epoch bumped: the forced expiry changes query results, so
-// cached fusion state for them must be invalidated. Each shard expires
-// under its own lock, so floors clean up without cross-floor
-// contention.
+// cached fusion state for them must be invalidated. Each stripe
+// expires under its own lock, so writers to other stripes keep going.
 func (db *DB) ExpireReadings(now time.Time, match func(model.Reading) bool) {
 	specs := db.sensorView.Load().specs
-	for _, sh := range db.allShards() {
-		// Each shard's sweep runs under its write lock, so a
-		// concurrent cut sees the whole shard's expiry or none of it.
+	for _, sh := range db.stripes {
+		// Each stripe's sweep runs under its write lock, so a
+		// concurrent cut sees the whole stripe's expiry or none of it.
 		sh.readMu.Lock()
 		t := sh.table
 		changed := false

@@ -1,11 +1,9 @@
 package spatialdb
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
-	"regexp"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,8 +17,7 @@ import (
 )
 
 // multiFloorDB builds a DB with `floors` stacked floor frames
-// (CS/Floor1..CS/FloorN), each 500x100, so readings on different
-// floors land on different shards.
+// (CS/Floor1..CS/FloorN), each 500x100, stacked northward.
 func multiFloorDB(t testing.TB, floors int) *DB {
 	t.Helper()
 	tr := coords.NewTree()
@@ -67,12 +64,12 @@ func TestShardKeyForGLOB(t *testing.T) {
 		{"CS", "CS"},
 		{"CS/Floor3/(5,22)", "CS/Floor3"},
 		{"CS/(5,22)", "CS"},
-		{"(5,22)", rootShardKey},
+		{"(5,22)", "(root)"},
 	}
 	for _, c := range cases {
 		g := glob.MustParse(c.in)
-		if got := shardKeyForGLOB(g); got != c.want {
-			t.Errorf("shardKeyForGLOB(%q) = %q, want %q", c.in, got, c.want)
+		if got := ShardKeyForGLOB(g); got != c.want {
+			t.Errorf("ShardKeyForGLOB(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
@@ -98,24 +95,30 @@ func TestShardRoutingAndStats(t *testing.T) {
 			}
 		}
 	}
+	// Each object's readings are counted in its stripe alone.
+	want := make([]int, stripeCount)
+	for f := 1; f <= 3; f++ {
+		for i := 0; i < f; i++ {
+			want[stripeOf(fmt.Sprintf("p%d-%d", f, i))]++
+		}
+	}
 	stats := db.ShardStats()
-	if len(stats) != 3 {
-		t.Fatalf("shards = %+v", stats)
+	if len(stats) != stripeCount {
+		t.Fatalf("stripes = %+v", stats)
 	}
 	for i, st := range stats {
-		wantKey := fmt.Sprintf("CS/Floor%d", i+1)
-		if st.Key != wantKey {
-			t.Errorf("stats[%d].Key = %q, want %q (stats must sort by key)", i, st.Key, wantKey)
+		if wantKey := fmt.Sprintf("%02d", i); st.Key != wantKey {
+			t.Errorf("stats[%d].Key = %q, want %q (stats must list stripes in order)", i, st.Key, wantKey)
 		}
-		if st.MobileObjects != i+1 || st.Readings != i+1 || st.Inserts != uint64(i+1) {
-			t.Errorf("%s: mobile=%d readings=%d inserts=%d, want %d each",
-				st.Key, st.MobileObjects, st.Readings, st.Inserts, i+1)
+		if st.MobileObjects != want[i] || st.Readings != want[i] || st.Inserts != uint64(want[i]) {
+			t.Errorf("stripe %s: mobile=%d readings=%d inserts=%d, want %d each",
+				st.Key, st.MobileObjects, st.Readings, st.Inserts, want[i])
 		}
-		if st.Epoch == 0 {
-			t.Errorf("%s: write epoch still zero after inserts", st.Key)
+		if (st.Epoch == 0) != (want[i] == 0) {
+			t.Errorf("stripe %s: write epoch %d after %d inserts", st.Key, st.Epoch, want[i])
 		}
 	}
-	// Global views still union the shards.
+	// Global views still union the stripes.
 	if got := len(db.MobileObjects()); got != 6 {
 		t.Errorf("MobileObjects = %d, want 6", got)
 	}
@@ -124,6 +127,10 @@ func TestShardRoutingAndStats(t *testing.T) {
 	}
 }
 
+// TestFloorMigrationKeepsEpochMonotonic walks an object from floor 1
+// to 2, back, and up again. Its record never leaves its stripe, its rows
+// follow it, and its epoch strictly rises with every floor change: a
+// cached fusion result keyed on an earlier epoch must read as stale.
 func TestFloorMigrationKeepsEpochMonotonic(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -135,30 +142,38 @@ func TestFloorMigrationKeepsEpochMonotonic(t *testing.T) {
 	if err := db.InsertReading(floorReading("s1", "walker", 1, 5, 5, t0)); err != nil {
 		t.Fatal(err)
 	}
-	e1 := db.ReadingEpoch("walker")
-	if e1 == 0 {
+	e := db.ReadingEpoch("walker")
+	if e == 0 {
 		t.Fatal("epoch zero after first insert")
 	}
-	// The object takes the stairs: next reading is on floor 2. Its rows
-	// must follow it and its epoch must keep rising — a cached fusion
-	// result keyed on e1 has to read as stale afterwards.
-	if err := db.InsertReading(floorReading("s2", "walker", 2, 5, 5, t0.Add(time.Second))); err != nil {
-		t.Fatal(err)
+	rec := db.stripeFor("walker").table.objs["walker"]
+	for k, floor := range []int{2, 1, 2} {
+		if err := db.InsertReading(floorReading("s2", "walker", floor, 5, 5, t0.Add(time.Duration(k+1)*time.Second))); err != nil {
+			t.Fatal(err)
+		}
+		next := db.ReadingEpoch("walker")
+		if next <= e {
+			t.Errorf("epoch after the move to floor %d = %d, want > %d", floor, next, e)
+		}
+		e = next
+		if db.stripeFor("walker").table.objs["walker"] != rec {
+			t.Fatalf("the move to floor %d replaced the object's record", floor)
+		}
 	}
-	e2 := db.ReadingEpoch("walker")
-	if e2 <= e1 {
-		t.Errorf("epoch after migration = %d, want > %d", e2, e1)
+	if rows := db.ReadingsFor("walker", t0.Add(3*time.Second)); len(rows) != 4 {
+		t.Fatalf("rows after the moves = %v", rows)
 	}
-	rows := db.ReadingsFor("walker", t0.Add(time.Second))
-	if len(rows) != 2 {
-		t.Fatalf("rows after migration = %v", rows)
+	for i, st := range db.ShardStats() {
+		want := 0
+		if i == stripeOf("walker") {
+			want = 1
+		}
+		if st.MobileObjects != want {
+			t.Errorf("stripe %s holds %d mobile objects, want %d", st.Key, st.MobileObjects, want)
+		}
 	}
-	stats := db.ShardStats()
-	if stats[0].MobileObjects != 0 || stats[1].MobileObjects != 1 {
-		t.Errorf("rows did not migrate: %+v", stats)
-	}
-	if got := mMigrations.Value(); got == 0 {
-		t.Error("migration counter not bumped")
+	if got := db.LocalShardKeys(); !reflect.DeepEqual(got, []string{"CS/Floor2"}) {
+		t.Errorf("LocalShardKeys = %v, want the newest row's floor [CS/Floor2]", got)
 	}
 }
 
@@ -436,7 +451,7 @@ func TestCrossShardQueriesDuringObjectWrites(t *testing.T) {
 	}
 }
 
-// TestShardMetricNamesStable pins the registry names the shard layer
+// TestShardMetricNamesStable pins the registry names the stripe layer
 // exposes: dashboards and the mwctl stats surface key on these
 // strings, so a rename is a breaking change and must fail here first.
 func TestShardMetricNamesStable(t *testing.T) {
@@ -447,7 +462,8 @@ func TestShardMetricNamesStable(t *testing.T) {
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
 	}
-	before := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", "CS/Floor2")).Value()
+	key := db.stripeFor("m").key
+	before := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", key)).Value()
 	if err := db.InsertReading(floorReading("s1", "m", 2, 5, 5, t0)); err != nil {
 		t.Fatal(err)
 	}
@@ -461,61 +477,100 @@ func TestShardMetricNamesStable(t *testing.T) {
 		names[g.Name] = true
 	}
 	for _, want := range []string{
-		"spatialdb_shards",
-		"spatialdb_shard_migrations_total",
 		"spatialdb_snapshots_total",
 		"spatialdb_snapshot_pool_live",
-		`spatialdb_shard_inserts_total{shard="CS/Floor2"}`,
+		`spatialdb_shard_inserts_total{shard="` + key + `"}`,
 	} {
 		if !names[want] {
 			t.Errorf("registry missing %q", want)
 		}
 	}
-	after := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", "CS/Floor2")).Value()
+	after := obs.Default().Counter(obs.LabeledName("spatialdb_shard_inserts_total", "shard", key)).Value()
 	if after != before+1 {
 		t.Errorf("per-shard insert counter moved %d -> %d, want +1", before, after)
 	}
 }
 
-// exposition is one /metrics line: a metric name, optional labels
-// whose values escape backslash, double quote and newline, and a value.
-var exposition = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
-	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"` +
-	`(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+)$`)
-
-// TestMetricsTextEscapesShardLabels ingests coordinate readings on
-// floors the building lacks, whose names hold a double quote and a
-// backslash (GLOB segments accept both). They resolve through the
-// building frame and create shards named after those floors; every
-// line /metrics then prints must still parse, the shard label escaped.
-func TestMetricsTextEscapesShardLabels(t *testing.T) {
+// TestInventedFloorRejected: a coordinate reading resolves through the
+// longest known frame prefix, so one at a floor the building lacks
+// would land in the building frame. Its top-two path prefix must name
+// a frame or an object; otherwise the reading is rejected, counted in
+// spatialdb_insert_errors_total, and the rest of the batch stored.
+func TestInventedFloorRejected(t *testing.T) {
 	db := multiFloorDB(t, 1)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
 		t.Fatal(err)
 	}
-	for _, loc := range []string{`CS/F"1/(5,5)`, `CS/F\2/(5,5)`} {
-		r := model.Reading{SensorID: "s1", MObjectID: "m", Location: glob.MustParse(loc), Time: t0}
-		if err := db.InsertReading(r); err != nil {
-			t.Fatalf("%s: %v", loc, err)
+	// A wing object directly under the building frame: its name is a
+	// top-two prefix with no frame of its own.
+	if err := db.InsertObject(Object{
+		GLOB: glob.MustParse("CS/Wing"), Type: "Room", Kind: glob.KindPolygon,
+		LocalPoints: []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}, {X: 0, Y: 10}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	errs0 := mInsertErrors.Value()
+	var batch []model.Reading
+	for _, loc := range []string{"CS/Floor1/(5,5)", "CS/F9/(5,5)", "CS/(5,5)", "CS/Wing/(5,5)", "CS/Floor9/NetLab/(1,1)"} {
+		batch = append(batch, model.Reading{SensorID: "s1", MObjectID: "m", Location: glob.MustParse(loc), Time: t0})
+	}
+	n, err := db.InsertReadings(batch, nil)
+	var rej *RejectedError
+	if !errors.As(err, &rej) || !reflect.DeepEqual(rej.Indices, []int{1, 4}) {
+		t.Fatalf("InsertReadings: n=%d err=%v, want indices 1 and 4 rejected", n, err)
+	}
+	if n != 3 || !errors.Is(err, ErrNotFound) {
+		t.Errorf("stored %d readings, err %v; want 3 and ErrNotFound", n, err)
+	}
+	if got := mInsertErrors.Value() - errs0; got != 2 {
+		t.Errorf("spatialdb_insert_errors_total moved by %d, want 2", got)
+	}
+	if got := db.LocalShardKeys(); !reflect.DeepEqual(got, []string{"CS/Wing"}) {
+		t.Errorf("LocalShardKeys = %v, want the newest stored row's floor [CS/Wing]", got)
+	}
+}
+
+// TestInventedFloorsAddNoSeries: a run of readings at invented floors
+// leaves /metrics with the series it had. The stripe count bounds the
+// per-stripe label set, and each rejection counts on the one existing
+// error counter.
+func TestInventedFloorsAddNoSeries(t *testing.T) {
+	db := multiFloorDB(t, 1)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(loc string) error {
+		return db.InsertReading(model.Reading{SensorID: "s1", MObjectID: loc, Location: glob.MustParse(loc), Time: t0})
+	}
+	// Warm-up: one stored and one rejected reading register whatever
+	// the insert path registers lazily.
+	if err := insert("CS/Floor1/(5,5)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert("CS/F0/(5,5)"); err == nil {
+		t.Fatal("a reading at an invented floor was stored")
+	}
+	series := func() []string {
+		snap := obs.Default().Snapshot()
+		var out []string
+		for _, c := range snap.Counters {
+			out = append(out, c.Name)
+		}
+		for _, g := range snap.Gauges {
+			out = append(out, g.Name)
+		}
+		for _, h := range snap.Histograms {
+			out = append(out, h.Name)
+		}
+		return out
+	}
+	before := series()
+	for i := 1; i <= 50; i++ {
+		if err := insert(fmt.Sprintf("CS/F%d/(5,5)", i)); err == nil {
+			t.Fatalf("CS/F%d: a reading at an invented floor was stored", i)
 		}
 	}
-	text := obs.MetricsTextString(obs.Default())
-	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		m := exposition.FindStringSubmatch(line)
-		if m == nil {
-			t.Errorf("unparsable /metrics line %q", line)
-			continue
-		}
-		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
-			t.Errorf("/metrics line %q: value: %v", line, err)
-		}
-	}
-	for _, want := range []string{
-		`spatialdb_shard_inserts_total{shard="CS/F\"1"} 1`,
-		`spatialdb_shard_inserts_total{shard="CS/F\\2"} 1`,
-	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Errorf("/metrics lacks %q", want)
-		}
+	if after := series(); !reflect.DeepEqual(after, before) {
+		t.Errorf("invented floors changed the series: %d before, %d after", len(before), len(after))
 	}
 }

@@ -12,13 +12,13 @@
 // The object table is building geometry, written only at building
 // load and by region definitions, so it is one table with one R-tree
 // under one lock, as in the paper's PostGIS deployment. The reading
-// table is sharded by floor: the top-two GLOB path components
-// ("CS/Floor3") key a shard owning one floor's readings and its own
-// lock, so ingest and expiry on independent floors never contend (the
-// role table partitioning plays for a PostGIS deployment). A Snapshot
-// holds every shard's reading lock shared while a region query or
-// heatmap collects its candidates: a consistent cut across every
-// shard.
+// table is striped by object: a hash of the mobile object's ID picks
+// one of a fixed set of stripes, each with its own lock, and the
+// object's record (rows, epoch, support entry) stays in that stripe
+// for its whole life, so ingest for different objects rarely contends
+// and no write ever moves a record. A Snapshot holds every stripe's
+// reading lock shared while a region query or heatmap collects its
+// candidates: a consistent cut across the whole table.
 //
 // Geometry is indexed with an R-tree so containment/intersection
 // queries and trigger matching stay sub-linear in table size, the role
@@ -138,16 +138,13 @@ type sensorTable struct {
 	gen   uint64
 }
 
-// DB is the spatial database: the object table, a router over
-// per-floor reading shards (see shard), and the tables that are
-// genuinely global — sensor metadata and triggers. Locks nest in the
-// fixed orders
+// DB is the spatial database: the object table, the reading table in
+// stripeCount stripes keyed by object ID (see stripe), and the tables
+// that are genuinely global — sensor metadata and triggers. A writer
+// holds one stripe's write lock at a time; a Snapshot holds
 //
-//	migMu → shard.readMu, two shards' in key order
-//	cutTurn → shard.readMu, every shard's in key order
+//	cutTurn → stripe.readMu, every stripe's in index order
 //
-// a floor migration holding two shards' write locks, a Snapshot every
-// shard's read lock. No goroutine holds migMu and cutTurn together.
 // objMu and trigMu are only ever held alone.
 type DB struct {
 	// frames is immutable after New; symbolic GLOB resolution walks
@@ -162,23 +159,13 @@ type DB struct {
 	objects map[string]*Object
 	objIdx  *rtree.Tree[*Object]
 
-	// Shard directory. order is the shards sorted by key, replaced
-	// wholesale on shard creation so holders iterate without a lock.
-	shardMu sync.RWMutex
-	shards  map[string]*shard
-	order   []*shard
+	// stripes is the reading table, fixed at New; stripeFor picks an
+	// object's stripe.
+	stripes [stripeCount]*stripe
 
 	// objGen counts object-table changes (insert/delete); readers use
 	// it to detect stale cached resolutions without any lock.
 	objGen atomic.Uint64
-
-	// residence maps a mobile object's ID to the shard holding its
-	// reading rows and epoch counter (object IDs are not GLOBs, so the
-	// rows live where the object's readings place it). Placement
-	// changes — first insert, floor migration — serialize on migMu;
-	// see placeObject.
-	residence sync.Map
-	migMu     sync.Mutex
 
 	// cutTurn lets one Snapshot be open at a time; see Snapshot.
 	cutTurn sync.Mutex
@@ -202,10 +189,12 @@ func New(frames *coords.Tree, universe geom.Rect) *DB {
 		frames:     frames,
 		objects:    make(map[string]*Object),
 		objIdx:     rtree.New[*Object](),
-		shards:     make(map[string]*shard),
 		triggers:   make(map[string]*trigger),
 		triggerIdx: rtree.New[*trigger](),
 		universe:   universe,
+	}
+	for i := range db.stripes {
+		db.stripes[i] = newStripe(i)
 	}
 	db.sensorView.Store(&sensorTable{specs: make(map[string]model.SensorSpec)})
 	return db

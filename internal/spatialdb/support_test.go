@@ -11,9 +11,9 @@ import (
 )
 
 // checkSupportInvariant asserts the support-index contract on every
-// shard table (DESIGN.md §17):
+// stripe table (DESIGN.md §17):
 //   - every tree entry's value is the record objs holds for its ID, so
-//     no entry points at a record a migration or DropObject removed;
+//     no entry points at a record DropObject removed;
 //   - an entry is present, once and with the record's sup rect, exactly
 //     when the record is indexed, and a record is indexed exactly when
 //     it has rows;
@@ -25,31 +25,31 @@ import (
 // objects.
 func checkSupportInvariant(t *testing.T, db *DB) {
 	t.Helper()
-	for _, sh := range db.allShards() {
+	for _, sh := range db.stripes {
 		tbl := sh.table
 		inTree := map[*objRec]bool{}
 		for _, it := range tbl.support.All() {
 			o := it.Value
 			if tbl.objs[o.id] != o {
-				t.Fatalf("shard %s: tree entry for %s is not the record the table holds", sh.key, o.id)
+				t.Fatalf("stripe %s: tree entry for %s is not the record the table holds", sh.key, o.id)
 			}
 			if inTree[o] {
-				t.Fatalf("shard %s: %s has two tree entries", sh.key, o.id)
+				t.Fatalf("stripe %s: %s has two tree entries", sh.key, o.id)
 			}
 			inTree[o] = true
 			if !o.indexed || !it.Rect.Eq(o.sup) {
-				t.Fatalf("shard %s: %s entry %v, record indexed=%v sup %v", sh.key, o.id, it.Rect, o.indexed, o.sup)
+				t.Fatalf("stripe %s: %s entry %v, record indexed=%v sup %v", sh.key, o.id, it.Rect, o.indexed, o.sup)
 			}
 		}
 		for id, o := range tbl.objs {
 			if o.id != id {
-				t.Fatalf("shard %s: record %s filed under %s", sh.key, o.id, id)
+				t.Fatalf("stripe %s: record %s filed under %s", sh.key, o.id, id)
 			}
 			if o.indexed != inTree[o] {
-				t.Fatalf("shard %s: %s indexed=%v but in tree=%v", sh.key, id, o.indexed, inTree[o])
+				t.Fatalf("stripe %s: %s indexed=%v but in tree=%v", sh.key, id, o.indexed, inTree[o])
 			}
 			if o.indexed != (len(o.rows) > 0) {
-				t.Fatalf("shard %s: %s has %d rows but indexed=%v", sh.key, id, len(o.rows), o.indexed)
+				t.Fatalf("stripe %s: %s has %d rows but indexed=%v", sh.key, id, len(o.rows), o.indexed)
 			}
 			if len(o.rows) == 0 {
 				continue
@@ -59,7 +59,7 @@ func checkSupportInvariant(t *testing.T, db *DB) {
 				u = u.Union(r.Region)
 			}
 			if !o.sup.ContainsRect(u) {
-				t.Fatalf("shard %s: %s support %v does not cover row bbox %v", sh.key, id, o.sup, u)
+				t.Fatalf("stripe %s: %s support %v does not cover row bbox %v", sh.key, id, o.sup, u)
 			}
 		}
 	}
@@ -195,11 +195,20 @@ func TestSupportCandidatesSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSupportIndexFollowsFloorMigration moves an object between floor
-// shards and checks the support entry moves with the rows: the old
-// shard forgets it, the new shard's rect covers every surviving row —
-// including the previous floor's regions, so a support can straddle
-// shard boundaries and cross-shard queries still see it.
+// rowBounds is the bounding box of the object's stored row regions.
+func rowBounds(o *objRec) geom.Rect {
+	u := o.rows[0].Region
+	for _, r := range o.rows[1:] {
+		u = u.Union(r.Region)
+	}
+	return u
+}
+
+// TestSupportIndexFollowsFloorMigration moves an object between floors
+// and checks its support: the record stays in its stripe, one entry,
+// and the floor change recomputes the rect exactly, so it still covers
+// the previous floor's row — a support can straddle floors and a
+// floor-1 query still sees the object.
 func TestSupportIndexFollowsFloorMigration(t *testing.T) {
 	db := multiFloorDB(t, 2)
 	if err := db.RegisterSensor("s1", longSpec()); err != nil {
@@ -208,32 +217,62 @@ func TestSupportIndexFollowsFloorMigration(t *testing.T) {
 	if err := db.InsertReading(floorReading("s1", "mover", 1, 100, 50, t0)); err != nil {
 		t.Fatal(err)
 	}
+	rec := db.stripeFor("mover").table.objs["mover"]
 	if err := db.InsertReading(floorReading("s1", "mover", 2, 100, 50, t0.Add(time.Second))); err != nil {
 		t.Fatal(err)
 	}
 	checkSupportInvariant(t, db)
 
-	key, ok := db.ObjectShardKey("mover")
-	if !ok || key != "CS/Floor2" {
-		t.Fatalf("mover resident on %q, want CS/Floor2", key)
+	tbl := db.stripeFor("mover").table
+	if o := tbl.objs["mover"]; o != rec {
+		t.Fatal("a floor change replaced the object's record")
 	}
-	for _, sh := range db.allShards() {
-		o := sh.table.objs["mover"]
-		has := o != nil && o.indexed
-		if sh.key == "CS/Floor1" && o != nil {
-			t.Fatal("source shard still holds mover's record after migration")
-		}
-		if sh.key == "CS/Floor2" && !has {
-			t.Fatal("destination shard has no support entry for mover")
-		}
-		if sh.key == "CS/Floor1" && has {
-			t.Fatal("source shard still indexes mover after migration")
-		}
+	if n := tbl.support.Len(); n != 1 {
+		t.Fatalf("stripe support tree has %d entries, want 1", n)
 	}
-	// The migrated support still covers the floor-1 reading (universe
-	// y in [0,100)), so a floor-1 query finds the straddling object.
+	if want := rowBounds(rec); !rec.sup.Eq(want) {
+		t.Fatalf("support after the floor change = %v, want the rows' bbox %v", rec.sup, want)
+	}
 	if ids := candidateIDs(db, geom.R(0, 0, 500, 100)); !ids["mover"] {
-		t.Fatal("floor-1 query lost the migrated object's old-floor support")
+		t.Fatal("floor-1 query lost the object's old-floor support")
+	}
+}
+
+// TestSupportResetsOnFloorChange walks one object along floor 1 until
+// the ring trim has dropped its first rows, across to floor 2, along
+// it, and back. Inside a floor the support only grows, so it keeps the
+// trimmed rows' area; every floor change must recompute it to exactly
+// the bounding box of the stored rows. A store that only unions at a
+// floor change keeps the first floor's trimmed extent and fails.
+func TestSupportResetsOnFloorChange(t *testing.T) {
+	db := multiFloorDB(t, 2)
+	if err := db.RegisterSensor("s1", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	at := t0
+	// walk stores n readings on the floor, 5 m apart eastward from x0.
+	walk := func(floor, n int, x0 float64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			at = at.Add(time.Second)
+			if err := db.InsertReading(floorReading("s1", "walker", floor, x0+float64(5*i), 50, at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rec := func() *objRec { return db.stripeFor("walker").table.objs["walker"] }
+	walk(1, maxReadingsPerObject+20, 0) // x 0..415: the ring drops x < 100
+	if o := rec(); !o.sup.ContainsRect(rowBounds(o)) || o.sup.Eq(rowBounds(o)) {
+		t.Fatalf("after the floor-1 walk: support %v, rows %v; want a strict superset", o.sup, rowBounds(o))
+	}
+	for leg, floor := range []int{2, 1, 2} {
+		walk(floor, 1, 400) // the floor change, at the east end
+		checkSupportInvariant(t, db)
+		o := rec()
+		if want := rowBounds(o); !o.sup.Eq(want) {
+			t.Fatalf("leg %d, onto floor %d: support %v, want the rows' bbox %v", leg, floor, o.sup, want)
+		}
+		walk(floor, maxReadingsPerObject/2, 0)
 	}
 }
 
@@ -293,16 +332,12 @@ func TestSupportSurvivesRingTrim(t *testing.T) {
 		}
 	}
 	checkSupportInvariant(t, db)
-	for _, sh := range db.allShards() {
-		tbl := sh.table
-		if n := len(tbl.rowsOf("walker")); n > 0 {
-			if tbl.support.Len() != 1 {
-				t.Fatalf("support tree has %d entries, want 1", tbl.support.Len())
-			}
-			if n > maxReadingsPerObject {
-				t.Fatalf("trim failed: %d rows stored", n)
-			}
-		}
+	tbl := db.stripeFor("walker").table
+	if tbl.support.Len() != 1 {
+		t.Fatalf("support tree has %d entries, want 1", tbl.support.Len())
+	}
+	if n := len(tbl.rowsOf("walker")); n > maxReadingsPerObject {
+		t.Fatalf("trim failed: %d rows stored", n)
 	}
 	if ids := candidateIDs(db, geom.R(0, 0, 500, 100)); !ids["walker"] {
 		t.Fatal("walker lost its support entry across trims")
@@ -358,9 +393,14 @@ func TestPruneKeepsRecordAndEpoch(t *testing.T) {
 			if len(cands) != 1 || cands[0].ID != "stay" {
 				t.Fatalf("Snapshot.MobileObjects = %v, want stay alone", cands)
 			}
-			st := db.ShardStats()[0]
-			if st.MobileObjects != 1 || st.Readings != 1 || st.SupportRects != 1 {
-				t.Fatalf("ShardStats = %+v, want 1 mobile object, 1 reading, 1 support rect", st)
+			var sum ShardStat
+			for _, st := range db.ShardStats() {
+				sum.MobileObjects += st.MobileObjects
+				sum.Readings += st.Readings
+				sum.SupportRects += st.SupportRects
+			}
+			if sum.MobileObjects != 1 || sum.Readings != 1 || sum.SupportRects != 1 {
+				t.Fatalf("ShardStats sum to %+v, want 1 mobile object, 1 reading, 1 support rect", sum)
 			}
 			if strings.Contains(db.DumpReadingTable(), "ghost") {
 				t.Fatal("the reading table dump lists the emptied object")
