@@ -72,12 +72,15 @@ bench:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: every wire-protocol decode surface, and the fusion
-# kernel ProbRegion, fuzzes for FUZZTIME from its seed corpus
-# (internal/*/testdata/fuzz/). `go test -fuzz` takes exactly one target
-# per invocation, hence the list. A malformed frame must error — never
+# Fuzz smoke: every wire-protocol decode surface, the fusion kernel
+# ProbRegion and the spatial database's coordinate resolution fuzz for
+# FUZZTIME from their seed corpora (internal/*/testdata/fuzz/, or the
+# f.Add seeds). `go test -fuzz` takes exactly one target per
+# invocation, hence the list. A malformed frame must error — never
 # panic, over-read, or accept a payload past the frame cap; ProbRegion
-# must return a probability that matches its log-space reference.
+# must return a probability that matches its log-space reference; a
+# coordinate GLOB must resolve bit for bit as coords.Tree.Convert does,
+# and be rejected exactly when its floor is invented.
 # Regenerate the wire seed corpora after a wire change with:
 #   MW_WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/mwrpc ./internal/remote
 FUZZTIME ?= 30s
@@ -90,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegionQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryReplies$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzProbRegion$$' -fuzztime $(FUZZTIME) ./internal/fusion
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveCoordinate$$' -fuzztime $(FUZZTIME) ./internal/spatialdb
 
 # Fault-injection suite: the faultnet harness plus the chaos tests
 # that drive the remote stack through it, under the race detector.

@@ -105,14 +105,15 @@ func (b *Building) frameTree() (*coords.Tree, error) {
 }
 
 // NewDB materializes the building into a spatial database: it builds
-// the frame tree, creates the database over the universe, and inserts
-// every object (resolving local geometry into the root frame).
+// the frame tree, creates the database over the tree's routes and the
+// universe, and inserts every object (resolving local geometry into
+// the root frame).
 func (b *Building) NewDB() (*spatialdb.DB, error) {
 	tree, err := b.frameTree()
 	if err != nil {
 		return nil, err
 	}
-	db := spatialdb.New(tree, b.Universe)
+	db := spatialdb.New(tree.Routes(), b.Universe)
 	for _, o := range b.Objects {
 		if err := db.InsertObject(o); err != nil {
 			return nil, fmt.Errorf("building %s: object %s: %w", b.Name, o.GLOB, err)

@@ -8,10 +8,10 @@ import (
 	"middlewhere/internal/geom"
 )
 
-// TestConvertBetweenFloorsAllocatesNothing pins the cost of resolving a
-// coordinate reading: converting a point between two floor frames walks
-// both chains to their shared root without a heap allocation. Excluded
-// under -race because the race runtime allocates inside atomics.
+// TestConvertBetweenFloorsAllocatesNothing pins Convert's cost:
+// converting a point between two floor frames walks both chains to
+// their shared root without a heap allocation. Excluded under -race
+// because the race runtime allocates inside atomics.
 func TestConvertBetweenFloorsAllocatesNothing(t *testing.T) {
 	tr := NewTree()
 	if err := tr.AddRoot("CS"); err != nil {

@@ -1,20 +1,20 @@
 // Package coords implements MiddleWhere's hierarchical coordinate
 // systems (§3). Each building, floor and room has its own planar frame
 // with an origin, rotation, and scale relative to its parent frame.
-// The package stores the frame tree and converts points, rectangles
-// and polygons between any two frames that share a root.
+// The package stores the frame tree, converts points between any two
+// frames that share a root, and fixes each frame's Route to its root
+// for the spatial database, which resolves every reading into the root
+// (universe) frame.
 //
 // Frames are named by the GLOB path of the space they belong to, e.g.
-// "SC", "SC/3", "SC/3/3216". Conversions compose the affine transforms
-// up to the common ancestor and back down.
+// "SC", "SC/3", "SC/3/3216". Conversions apply the transforms one step
+// at a time up to the common ancestor and back down.
 package coords
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 
 	"middlewhere/internal/geom"
@@ -49,13 +49,45 @@ func (t Transform) scale() float64 {
 }
 
 // Apply maps p from the child frame to the parent frame.
-func (t Transform) Apply(p geom.Point) geom.Point {
+func (t Transform) Apply(p geom.Point) geom.Point { return t.step().apply(p) }
+
+// step is one child→parent hop with the rotation's sine and cosine
+// computed, so Transform.Apply and Route.Apply share one expression and
+// agree bit for bit.
+type step struct {
+	origin          geom.Point
+	sin, cos, scale float64
+}
+
+func (t Transform) step() step {
 	s, c := math.Sincos(t.Theta)
-	k := t.scale()
+	return step{origin: t.Origin, sin: s, cos: c, scale: t.scale()}
+}
+
+func (s step) apply(p geom.Point) geom.Point {
 	return geom.Pt(
-		t.Origin.X+k*(c*p.X-s*p.Y),
-		t.Origin.Y+k*(s*p.X+c*p.Y),
+		s.origin.X+s.scale*(s.cos*p.X-s.sin*p.Y),
+		s.origin.Y+s.scale*(s.sin*p.X+s.cos*p.Y),
 	)
+}
+
+// Route is a frame's fixed path to its root frame: the child→parent
+// steps from the frame up to the root's child, in the order Convert
+// applies them. Route.Apply(p) equals Convert(p, frame, root) bit for
+// bit, because the steps are applied one by one rather than composed
+// into a single transform, which would reorder the floating-point
+// operations. The zero Route (a root's) is the identity. A Route is
+// immutable and safe for concurrent use.
+type Route struct {
+	steps []step
+}
+
+// Apply maps p from the route's frame into its root frame.
+func (r Route) Apply(p geom.Point) geom.Point {
+	for _, s := range r.steps {
+		p = s.apply(p)
+	}
+	return p
 }
 
 // Invert maps p from the parent frame back into the child frame.
@@ -136,29 +168,6 @@ func (t *Tree) Has(name string) bool {
 	return ok
 }
 
-// Frames returns the sorted names of all registered frames.
-func (t *Tree) Frames() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.frames))
-	for name := range t.frames {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Parent returns the parent frame name of name ("" for roots).
-func (t *Tree) Parent(name string) (string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, ok := t.frames[name]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownFrame, name)
-	}
-	return f.parent, nil
-}
-
 // pathToRoot appends the chain of frame names from name up to its
 // root, inclusive, to chain. A frame is only ever added under a parent
 // that is already registered, and is never re-parented, so the walk
@@ -173,6 +182,23 @@ func (t *Tree) pathToRoot(chain []string, name string) ([]string, error) {
 		cur = f.parent
 	}
 	return chain, nil
+}
+
+// Routes returns every frame's Route to its root, keyed by frame name.
+// The map is computed now and shares nothing with t, so frames added
+// later are not in it.
+func (t *Tree) Routes() map[string]Route {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[string]Route, len(t.frames))
+	for name := range t.frames {
+		var r Route
+		for cur := t.frames[name]; cur.parent != ""; cur = t.frames[cur.parent] {
+			r.steps = append(r.steps, cur.tf.step())
+		}
+		out[name] = r
+	}
+	return out
 }
 
 // Convert maps p from frame `from` into frame `to`. Both frames must
@@ -219,74 +245,4 @@ func (t *Tree) Convert(p geom.Point, from, to string) (geom.Point, error) {
 		p = t.frames[down[i]].tf.Invert(p)
 	}
 	return p, nil
-}
-
-// ConvertRect maps r from one frame to another and returns the MBR of
-// the transformed corners (exact for axis-aligned transforms, the
-// bounding approximation otherwise — which is precisely the MBR
-// semantics the rest of MiddleWhere expects).
-func (t *Tree) ConvertRect(r geom.Rect, from, to string) (geom.Rect, error) {
-	corners := r.Vertices()
-	out := make([]geom.Point, len(corners))
-	for i, c := range corners {
-		p, err := t.Convert(c, from, to)
-		if err != nil {
-			return geom.Rect{}, err
-		}
-		out[i] = p
-	}
-	return geom.BoundsOfPoints(out...), nil
-}
-
-// ConvertPolygon maps every vertex of poly between frames.
-func (t *Tree) ConvertPolygon(poly geom.Polygon, from, to string) (geom.Polygon, error) {
-	out := make(geom.Polygon, len(poly))
-	for i, v := range poly {
-		p, err := t.Convert(v, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// Root returns the root frame name above name.
-func (t *Tree) Root(name string) (string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	chain, err := t.pathToRoot(nil, name)
-	if err != nil {
-		return "", err
-	}
-	return chain[len(chain)-1], nil
-}
-
-// FrameForGLOBPath returns the deepest registered frame that is a
-// prefix of the given GLOB path (joined by '/'). This resolves which
-// coordinate system a GLOB's coordinates are expressed in when
-// intermediate spaces (e.g. individual rooms) have no frame of their
-// own.
-func (t *Tree) FrameForGLOBPath(segments []string) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i := len(segments); i > 0; i-- {
-		name := strings.Join(segments[:i], "/")
-		if _, ok := t.frames[name]; ok {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// Transform returns the registered child→parent transform of a frame
-// (Identity for roots).
-func (t *Tree) Transform(name string) (Transform, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, ok := t.frames[name]
-	if !ok {
-		return Transform{}, fmt.Errorf("%w: %q", ErrUnknownFrame, name)
-	}
-	return f.tf, nil
 }

@@ -2,6 +2,7 @@ package coords
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,7 +92,7 @@ func TestConvertUpAndDown(t *testing.T) {
 
 func TestConvertRoundTripEverywhere(t *testing.T) {
 	tr := buildingTree(t)
-	frames := tr.Frames()
+	frames := []string{"SC", "SC/3", "SC/3/3216", "SC/3/3105", "SC/3/lab"}
 	p := geom.Pt(3.5, -1.25)
 	for _, from := range frames {
 		for _, to := range frames {
@@ -145,94 +146,6 @@ func TestAddErrors(t *testing.T) {
 	}
 	if err := tr.AddRoot(""); err == nil {
 		t.Error("empty name should fail")
-	}
-}
-
-func TestParentAndRoot(t *testing.T) {
-	tr := buildingTree(t)
-	p, err := tr.Parent("SC/3/3216")
-	if err != nil || p != "SC/3" {
-		t.Errorf("Parent = %q, %v", p, err)
-	}
-	p, err = tr.Parent("SC")
-	if err != nil || p != "" {
-		t.Errorf("root Parent = %q, %v", p, err)
-	}
-	if _, err := tr.Parent("nope"); !errors.Is(err, ErrUnknownFrame) {
-		t.Errorf("unknown Parent err = %v", err)
-	}
-	r, err := tr.Root("SC/3/3105")
-	if err != nil || r != "SC" {
-		t.Errorf("Root = %q, %v", r, err)
-	}
-}
-
-func TestConvertRect(t *testing.T) {
-	tr := buildingTree(t)
-	r, err := tr.ConvertRect(geom.R(0, 0, 2, 3), "SC/3/3216", "SC/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Eq(geom.R(45, 12, 47, 15)) {
-		t.Errorf("ConvertRect = %v", r)
-	}
-	// A rotated frame yields the MBR of the rotated rectangle.
-	r, err = tr.ConvertRect(geom.R(0, 0, 2, 1), "SC/3/lab", "SC/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 90-degree CCW rotation about origin maps (x,y) -> (-y,x), then
-	// translate by (10,10): corners (0,0),(2,0),(2,1),(0,1) map to
-	// (10,10),(10,12),(9,12),(9,10).
-	if !r.Eq(geom.R(9, 10, 10, 12)) {
-		t.Errorf("rotated ConvertRect = %v", r)
-	}
-	if _, err := tr.ConvertRect(geom.R(0, 0, 1, 1), "nope", "SC"); err == nil {
-		t.Error("expected error for unknown frame")
-	}
-}
-
-func TestConvertPolygon(t *testing.T) {
-	tr := buildingTree(t)
-	poly := geom.Polygon{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1)}
-	got, err := tr.ConvertPolygon(poly, "SC/3/3216", "SC/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := geom.Polygon{geom.Pt(45, 12), geom.Pt(46, 12), geom.Pt(46, 13)}
-	for i := range want {
-		if !pointsClose(got[i], want[i]) {
-			t.Errorf("vertex %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Area is preserved under rigid motion.
-	if !almostEq(got.Area(), poly.Area()) {
-		t.Errorf("area changed: %v -> %v", poly.Area(), got.Area())
-	}
-	if _, err := tr.ConvertPolygon(poly, "SC", "nope"); err == nil {
-		t.Error("expected error for unknown frame")
-	}
-}
-
-func TestFrameForGLOBPath(t *testing.T) {
-	tr := buildingTree(t)
-	tests := []struct {
-		give   []string
-		want   string
-		wantOK bool
-	}{
-		{[]string{"SC", "3", "3216"}, "SC/3/3216", true},
-		{[]string{"SC", "3", "3216", "desk"}, "SC/3/3216", true}, // falls back to room
-		{[]string{"SC", "3", "9999"}, "SC/3", true},              // unknown room -> floor
-		{[]string{"SC"}, "SC", true},
-		{[]string{"ZZ", "1"}, "", false},
-		{nil, "", false},
-	}
-	for _, tt := range tests {
-		got, ok := tr.FrameForGLOBPath(tt.give)
-		if got != tt.want || ok != tt.wantOK {
-			t.Errorf("FrameForGLOBPath(%v) = %q,%v want %q,%v", tt.give, got, ok, tt.want, tt.wantOK)
-		}
 	}
 }
 
@@ -292,20 +205,61 @@ func TestQuickConvertTransitivity(t *testing.T) {
 	}
 }
 
-func TestTransformAccessor(t *testing.T) {
-	tr := buildingTree(t)
-	tf, err := tr.Transform("SC/3/3216")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pointsClose(tf.Origin, geom.Pt(45, 12)) {
-		t.Errorf("origin = %v", tf.Origin)
-	}
-	if _, err := tr.Transform("nope"); !errors.Is(err, ErrUnknownFrame) {
-		t.Errorf("err = %v", err)
-	}
-	root, err := tr.Transform("SC")
-	if err != nil || root.Theta != 0 {
-		t.Errorf("root transform = %+v, %v", root, err)
+// TestRouteMatchesConvert: a frame's Route is Convert's step-by-step
+// chain to the root, so the two agree bit for bit on random frame trees
+// (up to four levels under two roots, random origin, rotation and
+// scale, zero scale included). A failure names the seed that builds the
+// tree.
+func TestRouteMatchesConvert(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := NewTree()
+		type node struct {
+			name, root string
+			depth      int
+		}
+		var nodes []node
+		for _, root := range []string{"A", "B"} {
+			if err := tr.AddRoot(root); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, node{root, root, 1})
+		}
+		for i := 0; i < 12; i++ {
+			parent := nodes[rng.Intn(len(nodes))]
+			if parent.depth == 4 {
+				continue
+			}
+			tf := Transform{
+				Origin: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000),
+				Theta:  rng.Float64()*4*math.Pi - 2*math.Pi,
+				Scale:  rng.Float64() * 3,
+			}
+			if rng.Intn(8) == 0 {
+				tf.Scale = 0
+			}
+			name := fmt.Sprintf("%s/%d", parent.name, i)
+			if err := tr.AddFrame(name, parent.name, tf); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, node{name, parent.root, parent.depth + 1})
+		}
+		routes := tr.Routes()
+		if len(routes) != len(nodes) {
+			t.Fatalf("seed %d: %d routes for %d frames", seed, len(routes), len(nodes))
+		}
+		for _, n := range nodes {
+			for k := 0; k < 4; k++ {
+				p := geom.Pt(rng.Float64()*200-100, rng.Float64()*200-100)
+				want, err := tr.Convert(p, n.name, n.root)
+				if err != nil {
+					t.Fatalf("seed %d: Convert %s: %v", seed, n.name, err)
+				}
+				if got := routes[n.name].Apply(p); got != want {
+					t.Fatalf("seed %d: frame %s (depth %d): Route.Apply(%v) = %v, Convert = %v",
+						seed, n.name, n.depth, p, got, want)
+				}
+			}
+		}
 	}
 }

@@ -34,6 +34,10 @@ func TestBinaryEncodeSteadyStateAllocs(t *testing.T) {
 // (sensor, type, object) and per path segment, plus the path and
 // coordinate slices. Each batch adds two: the reading and frame-index
 // slices. (Empty and one-byte strings are free in the Go runtime.)
+// Resolving the reading's location no longer allocates (the spatial
+// database's route table), so these seven are most of what a streamed
+// reading allocates; interning repeated IDs and path segments in the
+// decoder (ROADMAP item 24(b)) is what would lower the bound.
 func TestBinaryDecodeAllocsPerReading(t *testing.T) {
 	const perReading, perBatch = 7, 2
 	for _, n := range []int{1, 64} {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"middlewhere/internal/geom"
+	"middlewhere/internal/glob"
+	"middlewhere/internal/model"
 )
 
 // TestHasReadingMissAllocatesNothing pins the cost of the forwarded-
@@ -47,6 +49,34 @@ func TestSupportCandidatesAllocatesOnce(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { snap.SupportCandidates(c.region) }); n != float64(c.alloc) {
 			t.Errorf("SupportCandidates over %d hits: %v allocs/op, want %d", c.hits, n, c.alloc)
+		}
+	}
+}
+
+// TestResolveAllocatesNothing pins a resolution's cost: a coordinate
+// GLOB is one route-table lookup keyed from a stack buffer and a
+// symbolic one one object-table lookup keyed the same way, so neither
+// allocates — whether the tuples read in a floor's frame or a room's
+// own, and whether a reading's floor check passes by frame or object.
+func TestResolveAllocatesNothing(t *testing.T) {
+	db := resolveDB(t, resolveTree(t))
+	for _, give := range []string{
+		"CS/Floor1/(5,5)",                   // coordinate point
+		"CS/Floor2/(1,1),(5,1),(5,5),(1,5)", // coordinate polygon
+		"CS/Floor2/Lab/(2,3)",               // under a room with its own frame
+		"CS/Depot/Bay/(2,3)",                // floor is an object, not a frame
+		"CS/Floor1/3105",                    // symbolic room
+	} {
+		g := glob.MustParse(give)
+		if _, err := db.ResolveGLOB(g); err != nil {
+			t.Fatalf("%s: %v", give, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { db.ResolveGLOB(g) }); n != 0 {
+			t.Errorf("ResolveGLOB(%s): %v allocs/op, want 0", give, n)
+		}
+		r := model.Reading{SensorID: "s", MObjectID: "m", Location: g}
+		if n := testing.AllocsPerRun(200, func() { db.resolveReading(r, model.SensorSpec{}) }); n != 0 {
+			t.Errorf("resolveReading(%s): %v allocs/op, want 0", give, n)
 		}
 	}
 }

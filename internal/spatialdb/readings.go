@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"middlewhere/internal/geom"
-	"middlewhere/internal/glob"
 	"middlewhere/internal/model"
 	"middlewhere/internal/obs"
 )
@@ -368,12 +367,16 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 	if r.Location.IsCoordinate() {
 		// A coordinate resolves through the longest known frame prefix,
 		// so a floor the building lacks ("CS/F9/(5,5)" on a building
-		// with CS/Floor3 alone) would land in the building frame.
-		if len(r.Location.Path) > 0 && !db.knownFloor(r.Location) {
-			return geom.Rect{}, fmt.Errorf("%w: floor %s of %s is neither a frame nor an object",
-				ErrNotFound, ShardKeyForGLOB(r.Location), r.Location)
+		// with CS/Floor3 alone) would land in the building frame. The
+		// route lookup tells whether the floor is a frame; the object
+		// table is asked only when it is not.
+		rect, floorFrame, err := db.resolveCoords(r.Location)
+		if path := r.Location.Path; len(path) > 0 && !floorFrame {
+			if _, ok := db.objectAt(path[:min(len(path), 2)]); !ok {
+				return geom.Rect{}, fmt.Errorf("%w: floor %s of %s is neither a frame nor an object",
+					ErrNotFound, ShardKeyForGLOB(r.Location), r.Location)
+			}
 		}
-		rect, err := db.ResolveGLOB(r.Location)
 		if err != nil {
 			return geom.Rect{}, err
 		}
@@ -384,19 +387,6 @@ func (db *DB) resolveReading(r model.Reading, spec model.SensorSpec) (geom.Rect,
 		return rect.Expand(radius), nil
 	}
 	return db.ResolveGLOB(r.Location)
-}
-
-// knownFloor reports whether a location's top-two path prefix (its
-// ShardKeyForGLOB) names a coordinate frame or an object.
-func (db *DB) knownFloor(g glob.GLOB) bool {
-	key := ShardKeyForGLOB(g)
-	if db.frames.Has(key) {
-		return true
-	}
-	db.objMu.RLock()
-	_, ok := db.objects[key]
-	db.objMu.RUnlock()
-	return ok
 }
 
 // ReadingsFor returns the unexpired readings for a mobile object at

@@ -31,7 +31,7 @@ func multiFloorDB(t testing.TB, floors int) *DB {
 			t.Fatal(err)
 		}
 	}
-	return New(tr, geom.R(0, 0, 500, float64(floors)*100))
+	return New(tr.Routes(), geom.R(0, 0, 500, float64(floors)*100))
 }
 
 // longSpec is a sensor spec whose readings effectively never expire,

@@ -147,9 +147,9 @@ type sensorTable struct {
 //
 // objMu and trigMu are only ever held alone.
 type DB struct {
-	// frames is immutable after New; symbolic GLOB resolution walks
-	// objects and frames together.
-	frames   *coords.Tree
+	// routes is the frame table, fixed at New and never written again,
+	// so coordinate resolution reads it without a lock (see routeFor).
+	routes   map[string]frameRoute
 	universe geom.Rect
 
 	// Object table (Table 1) and its R-tree. Writers hold objMu
@@ -181,12 +181,27 @@ type DB struct {
 	triggerIdx *rtree.Tree[*trigger]
 }
 
-// New creates a database over the given coordinate frame tree. The
-// universe rectangle (the building's floor area, the paper's U) bounds
-// all geometry and probability reasoning.
-func New(frames *coords.Tree, universe geom.Rect) *DB {
+// frameRoute is one frame's entry in the DB's route table: its route
+// to the root, and whether its floor (the top-two prefix of its name,
+// as ShardKeyForGLOB builds it) is a frame too.
+type frameRoute struct {
+	route      coords.Route
+	floorFrame bool
+}
+
+// New creates a database over the given frame routes (frame name →
+// route to its root, as coords.Tree.Routes returns them); the table is
+// fixed here. The universe rectangle (the building's floor area, the
+// paper's U) bounds all geometry and probability reasoning.
+func New(routes map[string]coords.Route, universe geom.Rect) *DB {
+	table := make(map[string]frameRoute, len(routes))
+	for name, r := range routes {
+		segs := strings.SplitN(name, "/", 3)
+		_, ok := routes[strings.Join(segs[:min(len(segs), 2)], "/")]
+		table[name] = frameRoute{route: r, floorFrame: ok}
+	}
 	db := &DB{
-		frames:     frames,
+		routes:     table,
 		objects:    make(map[string]*Object),
 		objIdx:     rtree.New[*Object](),
 		triggers:   make(map[string]*trigger),
@@ -202,10 +217,6 @@ func New(frames *coords.Tree, universe geom.Rect) *DB {
 
 // Universe returns the universe rectangle.
 func (db *DB) Universe() geom.Rect { return db.universe }
-
-// Frames returns the coordinate frame tree the database resolves
-// against.
-func (db *DB) Frames() *coords.Tree { return db.frames }
 
 // ---------------------------------------------------------------------------
 // Object table
@@ -225,13 +236,18 @@ func (db *DB) InsertObject(o Object) error {
 	if _, ok := db.objects[id]; ok {
 		return fmt.Errorf("%w: object %s", ErrDuplicate, id)
 	}
-	resolved, poly, err := db.resolveFrames(o.GLOB.Prefix(), o.LocalPoints)
-	if err != nil {
-		return fmt.Errorf("insert object %s: %w", id, err)
+	prefix := o.GLOB.Prefix().Path
+	rt, depth := db.routeFor(prefix)
+	if depth == 0 {
+		return fmt.Errorf("insert object %s: %w", id, noFrameError(prefix))
+	}
+	poly := make(geom.Polygon, len(o.LocalPoints))
+	for i, p := range o.LocalPoints {
+		poly[i] = rt.route.Apply(p)
 	}
 	stored := o
 	stored.LocalPoints = append([]geom.Point(nil), o.LocalPoints...)
-	stored.Bounds = resolved
+	stored.Bounds = poly.Bounds()
 	if o.Kind == glob.KindPolygon {
 		stored.Polygon = poly
 	}
@@ -248,22 +264,60 @@ func (db *DB) InsertObject(o Object) error {
 	return nil
 }
 
-// resolveFrames converts local-frame points into the universe frame.
-// The frame tree is immutable, so no lock is needed.
-func (db *DB) resolveFrames(prefix glob.GLOB, pts []geom.Point) (geom.Rect, geom.Polygon, error) {
-	frame, ok := db.frames.FrameForGLOBPath(prefix.Path)
-	if !ok {
-		return geom.Rect{}, nil, fmt.Errorf("no coordinate frame for prefix %q", prefix.String())
+// appendPath appends path joined by '/' — a symbolic GLOB's String,
+// or a frame's name — to key.
+func appendPath(key []byte, path []string) []byte {
+	for i, seg := range path {
+		if i > 0 {
+			key = append(key, '/')
+		}
+		key = append(key, seg...)
 	}
-	root, err := db.frames.Root(frame)
-	if err != nil {
-		return geom.Rect{}, nil, err
+	return key
+}
+
+// routeFor returns the route of the deepest frame whose name is a
+// prefix of path, and that prefix's depth (0 when no frame is). The
+// key is built in a stack buffer (a longer path grows onto the heap
+// through append) and looked up longest prefix first; a lookup keyed
+// by string(key[:n]) does not allocate, and the table takes no lock.
+func (db *DB) routeFor(path []string) (frameRoute, int) {
+	var buf [64]byte
+	key := appendPath(buf[:0], path)
+	n := len(key)
+	for d := len(path); d > 0; d-- {
+		if rt, ok := db.routes[string(key[:n])]; ok {
+			return rt, d
+		}
+		n -= len(path[d-1]) + 1
 	}
-	poly, err := db.frames.ConvertPolygon(geom.Polygon(pts), frame, root)
-	if err != nil {
-		return geom.Rect{}, nil, err
+	return frameRoute{}, 0
+}
+
+// noFrameError reports a prefix with no coordinate frame.
+func noFrameError(prefix []string) error {
+	return fmt.Errorf("no coordinate frame for prefix %q", strings.Join(prefix, "/"))
+}
+
+// resolveCoords maps a coordinate GLOB's tuples from the deepest frame
+// prefix of its path into the universe frame and returns their MBR.
+// floorFrame reports whether the same lookup shows the path's floor
+// (its ShardKeyForGLOB) to be a frame: the matched frame reaches the
+// floor's depth and its own floor is a frame.
+func (db *DB) resolveCoords(g glob.GLOB) (r geom.Rect, floorFrame bool, err error) {
+	rt, depth := db.routeFor(g.Path)
+	if depth == 0 {
+		return geom.Rect{}, false, noFrameError(g.Path)
 	}
-	return poly.Bounds(), poly, nil
+	// The same min/max fold as geom.BoundsOfPoints; a coordinate GLOB
+	// has at least one tuple.
+	p := rt.route.Apply(g.Coords[0].Point())
+	r = geom.Rect{Min: p, Max: p}
+	for _, c := range g.Coords[1:] {
+		p = rt.route.Apply(c.Point())
+		r = r.Union(geom.Rect{Min: p, Max: p})
+	}
+	return r, depth >= min(len(g.Path), 2) && rt.floorFrame, nil
 }
 
 // GetObject returns an object by its GLOB string.
@@ -457,17 +511,26 @@ func (db *DB) ResolveGLOB(g glob.GLOB) (geom.Rect, error) {
 		return geom.Rect{}, fmt.Errorf("%w: empty GLOB", ErrBadGeometry)
 	}
 	if g.IsCoordinate() {
-		r, _, err := db.resolveFrames(g.Prefix(), g.PlanarPoints())
+		r, _, err := db.resolveCoords(g)
 		return r, err
 	}
-	id := g.String()
-	db.objMu.RLock()
-	o, ok := db.objects[id]
-	db.objMu.RUnlock()
-	if ok {
+	if o, ok := db.objectAt(g.Path); ok {
 		return o.Bounds, nil
 	}
-	return geom.Rect{}, fmt.Errorf("%w: symbolic location %s", ErrNotFound, id)
+	return geom.Rect{}, fmt.Errorf("%w: symbolic location %s", ErrNotFound, g)
+}
+
+// objectAt returns the stored object whose ID is path joined by '/' (a
+// symbolic GLOB's String), keyed from a stack buffer so the lookup
+// formats nothing. The row is never modified in place, so its fields
+// stay valid after the read lock is released.
+func (db *DB) objectAt(path []string) (*Object, bool) {
+	var buf [64]byte
+	key := appendPath(buf[:0], path)
+	db.objMu.RLock()
+	o, ok := db.objects[string(key)]
+	db.objMu.RUnlock()
+	return o, ok
 }
 
 // ObjectGeneration returns a counter bumped on every object-table

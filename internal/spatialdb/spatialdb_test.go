@@ -33,7 +33,7 @@ func testDB(t *testing.T) *DB {
 		coords.Transform{Origin: geom.Pt(330, 0), Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return New(tr, geom.R(0, 0, 500, 100))
+	return New(tr.Routes(), geom.R(0, 0, 500, 100))
 }
 
 func roomObject(id string, pts ...geom.Point) Object {
